@@ -23,11 +23,11 @@
 //! * per-process shares views by delivery history now (it used to hold
 //!   `n` distinct `O(n)` views and stop at `2^14`), so its bound is the
 //!   `O(n)` per-slot round bookkeeping — it stops at `2^16`;
-//! * threaded spawns one OS thread per process, so it stops at `2^12`;
-//! * socket workers share one view per delivery history (failure-free:
-//!   one view per worker), so its bound is the per-round loopback-TCP
-//!   wire traffic, not view memory — it stops at `2^16` and its cells
-//!   measure real kernel-boundary message passing, frames and all.
+//! * threaded and socket run the same slot-range workers, which share
+//!   one view per delivery history (failure-free: one view per worker),
+//!   so their bound is the per-round wire traffic, not view memory —
+//!   they stop at `2^16`, and the socket cells measure real
+//!   kernel-boundary message passing, frames and all.
 //!
 //! Skipped cells are printed explicitly.
 //!

@@ -10,22 +10,34 @@
 #![allow(unsafe_code)] // a GlobalAlloc impl is unavoidably unsafe
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bil_core::{BallsIntoLeaves, BilMsg};
 use bil_runtime::pipeline::RoundMessages;
 use bil_runtime::{InboxBuf, Label, ProcId, Round, SeedTree, ViewProtocol};
 
 /// Wraps the system allocator, counting every allocation (fresh or
-/// growing). Deallocations are not counted: the assertions below are
-/// about *acquiring* memory on the hot path.
+/// growing) made by the allocating thread. Deallocations are not
+/// counted: the assertions below are about *acquiring* memory on the hot
+/// path.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread, so tests running concurrently on other threads cannot
+    /// pollute a measured window. Const-initialized: no lazy setup and no
+    /// destructor, so the allocator can touch it without recursing.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread's TLS is being torn down;
+    // no measured window is open then.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,11 +54,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Runs `f`, returning how many allocations it performed.
+/// Runs `f`, returning how many allocations it performed on this thread.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
 /// A failure-free system after round 0: every ball admitted at the root,
@@ -217,13 +229,8 @@ fn applying_a_warm_failure_free_round_allocates_nothing() {
     // Warm-up: one full phase (path + sync) sizes every view's scratch.
     full_round(&mut s, Round(1));
     full_round(&mut s, Round(2));
-    // Measure rounds 3..=6 (two path rounds, two sync rounds)
-    // independently. The assertion takes the *minimum* over same-kind
-    // rounds: the counting allocator is process-global, so a concurrent
-    // test can pollute one window, but a zero minimum still proves the
-    // stage has an allocation-free steady state.
-    let mut path_allocs = Vec::new();
-    let mut sync_allocs = Vec::new();
+    // Measure rounds 3..=6 (two path rounds, two sync rounds), each in
+    // its own window.
     for r in 3..=6u64 {
         let round = Round(r);
         let outgoing: Vec<(ProcId, Label, BilMsg)> = (0..n)
@@ -244,31 +251,21 @@ fn applying_a_warm_failure_free_round_allocates_nothing() {
                     .apply(&mut s.views[i], round, msgs.inbox(ProcId(i as u32)));
             }
         });
-        if round.is_path_round() {
-            path_allocs.push(allocs);
-        } else {
-            sync_allocs.push(allocs);
+        // Debug builds validate Lemma 1 inside `apply` (which
+        // recomputes occupancy vectors, i.e. allocates); the hard zero is
+        // a release property — exactly the profile the benchmarks run
+        // under.
+        if cfg!(not(debug_assertions)) {
+            let kind = if round.is_path_round() {
+                "path"
+            } else {
+                "sync"
+            };
+            assert_eq!(
+                allocs, 0,
+                "warm {kind}-round apply (round {r}) must not allocate"
+            );
         }
-    }
-    // Debug builds validate Lemma 1 inside `apply` (which recomputes
-    // occupancy vectors, i.e. allocates); the hard zero is a release
-    // property — exactly the profile the benchmarks run under.
-    #[cfg(not(debug_assertions))]
-    {
-        assert_eq!(
-            path_allocs.iter().min(),
-            Some(&0),
-            "warm path-round apply must not allocate: {path_allocs:?}"
-        );
-        assert_eq!(
-            sync_allocs.iter().min(),
-            Some(&0),
-            "warm sync-round apply must not allocate: {sync_allocs:?}"
-        );
-    }
-    #[cfg(debug_assertions)]
-    {
-        let _ = (&path_allocs, &sync_allocs);
     }
     // In either profile the rounds must have actually run: every ball is
     // still resident (failure-free) in every view.

@@ -138,7 +138,7 @@ proptest! {
         prop_assert_eq!(run(EngineMode::Clustered), run(EngineMode::PerProcess));
     }
 
-    /// The thread-per-process channel executor matches the simulator.
+    /// The channel-carried worker executor matches the simulator.
     #[test]
     fn threaded_equals_sim(
         n in 1usize..10,

@@ -88,12 +88,13 @@ pub enum Executor {
     Clustered,
     /// One view per process (reference semantics).
     PerProcess,
-    /// One OS thread per process over wire-encoded channels.
+    /// Slot-range worker threads over in-process channels.
     Threaded,
     /// Clustered views with rounds sharded across OS threads.
     Parallel,
-    /// Worker threads over loopback TCP exchanging length-prefixed
-    /// frames of wire bytes — messages cross a real OS boundary.
+    /// The same slot-range workers over loopback TCP, exchanging
+    /// length-prefixed frames of wire bytes — messages cross a real OS
+    /// boundary.
     Socket,
 }
 

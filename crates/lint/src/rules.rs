@@ -143,6 +143,7 @@ const MESSAGE_PATH_FILES: &[&str] = &[
     "crates/core/src/epoch.rs",
     "crates/core/src/renaming.rs",
     "crates/runtime/src/pipeline.rs",
+    "crates/runtime/src/worker.rs",
     "crates/runtime/src/threaded.rs",
     "crates/runtime/src/parallel.rs",
     "crates/runtime/src/socket.rs",
@@ -160,6 +161,7 @@ const MESSAGE_PATH_FILES: &[&str] = &[
 const TRANSPORT_FILES: &[&str] = &[
     "crates/runtime/src/engine.rs",
     "crates/runtime/src/pipeline.rs",
+    "crates/runtime/src/worker.rs",
     "crates/runtime/src/threaded.rs",
     "crates/runtime/src/parallel.rs",
     "crates/runtime/src/socket.rs",
@@ -213,8 +215,13 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/bench/benches/message_plane.rs",
 ];
 
-/// Wire-decode files checked for bare narrowing casts.
-const DECODE_FILES: &[&str] = &["crates/runtime/src/frame.rs", "crates/runtime/src/wire.rs"];
+/// Wire-decode files checked for bare narrowing casts: the codecs of
+/// messages, frames, and the socket carrier's commands and faults.
+const DECODE_FILES: &[&str] = &[
+    "crates/runtime/src/frame.rs",
+    "crates/runtime/src/wire.rs",
+    "crates/runtime/src/socket.rs",
+];
 
 /// Narrowing cast targets: an `as` to one of these can silently truncate
 /// an attacker-controlled `u64`.

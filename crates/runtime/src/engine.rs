@@ -166,9 +166,10 @@ where
     /// observable.
     ///
     /// Every [`EngineMode`] is backed by an in-memory transport, which is
-    /// infallible past construction — unlike the wire executors
-    /// ([`crate::threaded::run_threaded`], [`crate::socket::run_socket`]),
-    /// whose drivers return a [`crate::error::RunError`].
+    /// infallible past construction — unlike the two wire executors
+    /// ([`crate::threaded::run_threaded`], [`crate::socket::run_socket`]:
+    /// one [`crate::worker::WorkerTransport`] over two carriers), whose
+    /// drivers return a [`crate::error::RunError`].
     pub fn run_observed(self, observer: &mut dyn Observer<P>) -> RunReport {
         let round_limit = self.options.round_limit(self.labels.len());
         let pipeline =
@@ -203,28 +204,10 @@ mod tests {
     use crate::adversary::{NoFailures, Scripted, ScriptedCrash};
     use crate::ids::{Name, ProcId, Round};
     use crate::testproto::{RankOnce, UnionRank};
-    use crate::trace::Outcome;
 
     fn labels(n: u64) -> Vec<Label> {
         // Deliberately non-contiguous, shuffled-ish labels.
         (0..n).map(|i| Label((i * 37 + 11) % (n * 40))).collect()
-    }
-
-    #[test]
-    fn empty_system_rejected() {
-        let e = SyncEngine::new(RankOnce, vec![], NoFailures, SeedTree::new(0));
-        assert!(matches!(e, Err(ConfigError::EmptySystem)));
-    }
-
-    #[test]
-    fn duplicate_labels_rejected() {
-        let e = SyncEngine::new(
-            RankOnce,
-            vec![Label(1), Label(2), Label(1)],
-            NoFailures,
-            SeedTree::new(0),
-        );
-        assert!(matches!(e, Err(ConfigError::DuplicateLabel(Label(1)))));
     }
 
     #[test]
@@ -302,46 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn all_modes_agree() {
-        let ls = labels(7);
-        for seed in 0..5 {
-            let adv = || {
-                Scripted::new(vec![
-                    ScriptedCrash {
-                        round: Round(0),
-                        victim_index: 1,
-                        modulus: 2,
-                        residue: 0,
-                    },
-                    ScriptedCrash {
-                        round: Round(1),
-                        victim_index: 0,
-                        modulus: 3,
-                        residue: 1,
-                    },
-                ])
-            };
-            let run = |mode| {
-                SyncEngine::with_options(
-                    UnionRank::rounds(4),
-                    ls.clone(),
-                    adv(),
-                    SeedTree::new(seed),
-                    EngineOptions {
-                        max_rounds: None,
-                        mode,
-                    },
-                )
-                .unwrap()
-                .run()
-            };
-            let clustered = run(EngineMode::Clustered);
-            assert_eq!(clustered, run(EngineMode::PerProcess), "seed {seed}");
-            assert_eq!(clustered, run(EngineMode::Parallel), "seed {seed}");
-        }
-    }
-
-    #[test]
     fn deterministic_replay() {
         let ls = labels(9);
         let mk = || {
@@ -384,25 +327,6 @@ mod tests {
         let report = engine.run();
         assert!(report.failures() <= 2);
         assert!(report.completed());
-    }
-
-    #[test]
-    fn round_limit_reported() {
-        let ls = labels(4);
-        let engine = SyncEngine::with_options(
-            UnionRank::rounds(100),
-            ls,
-            NoFailures,
-            SeedTree::new(5),
-            EngineOptions {
-                max_rounds: Some(3),
-                mode: EngineMode::Clustered,
-            },
-        )
-        .unwrap();
-        let report = engine.run();
-        assert_eq!(report.outcome, Outcome::RoundLimit);
-        assert_eq!(report.rounds, 3);
     }
 
     #[test]

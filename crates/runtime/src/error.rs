@@ -43,8 +43,7 @@ pub enum RunError {
     Disconnected {
         /// Where in the executor the hangup surfaced.
         context: &'static str,
-        /// Which worker (slot for the channel executor, worker index for
-        /// the socket executor) disconnected.
+        /// The index of the worker that disconnected.
         worker: usize,
     },
     /// Socket-level I/O failure (bind, connect, read, write, timeout).

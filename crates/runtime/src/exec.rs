@@ -36,11 +36,12 @@ use crate::adversary::Adversary;
 use crate::engine::{EngineMode, EngineOptions, SyncEngine};
 use crate::error::RunError;
 use crate::ids::Label;
+use crate::pipeline::RoundPipeline;
 use crate::rng::SeedTree;
-use crate::socket::{run_socket_with, SocketOptions};
-use crate::threaded::run_threaded;
+use crate::socket::{SocketOptions, SocketTransport};
+use crate::threaded::ChannelTransport;
 use crate::trace::RunReport;
-use crate::view::ViewProtocol;
+use crate::view::{NoObserver, ViewProtocol};
 
 /// One of the five interchangeable executors (see the crate docs for the
 /// table). All of them produce bit-identical reports; the choice picks a
@@ -52,12 +53,12 @@ pub enum ExecutorKind {
     Clustered,
     /// One view per process (reference semantics).
     PerProcess,
-    /// One OS thread per process over wire-encoded channels.
+    /// Slot-range worker threads over in-process channels.
     Threaded,
     /// Clustered views with rounds sharded across OS threads.
     Parallel,
-    /// Worker threads over loopback TCP exchanging length-prefixed
-    /// frames of wire bytes.
+    /// Slot-range worker threads over loopback TCP, exchanging
+    /// length-prefixed frames of wire bytes.
     Socket,
 }
 
@@ -83,7 +84,7 @@ impl ExecutorKind {
     }
 
     /// Runs `(protocol, labels, adversary, seeds)` on this executor with
-    /// default socket options.
+    /// default [`SocketOptions`].
     ///
     /// # Errors
     ///
@@ -113,10 +114,10 @@ impl ExecutorKind {
         )
     }
 
-    /// [`ExecutorKind::run`] with explicit [`SocketOptions`] (worker
-    /// count, I/O timeouts). The socket options are ignored by every
-    /// kind but [`ExecutorKind::Socket`] — and the report is independent
-    /// of them even there (worker count only changes wall-clock time).
+    /// [`ExecutorKind::run`] with explicit [`SocketOptions`]: the worker
+    /// count of both wire executors, and the socket executor's I/O
+    /// timeout. The in-memory executors ignore them, and the report is
+    /// independent of them everywhere (they only change wall-clock time).
     ///
     /// # Errors
     ///
@@ -128,28 +129,27 @@ impl ExecutorKind {
         adversary: A,
         seeds: SeedTree,
         options: EngineOptions,
-        socket: SocketOptions,
+        wire: SocketOptions,
     ) -> Result<RunReport, RunError>
     where
         P: ViewProtocol + Clone + Send + 'static,
         A: Adversary<P::Msg>,
     {
-        match self.engine_mode() {
-            Some(mode) => Ok(SyncEngine::with_options(
-                protocol,
-                labels,
-                adversary,
-                seeds,
-                EngineOptions { mode, ..options },
-            )?
-            .run()),
-            None => match self {
-                ExecutorKind::Threaded => run_threaded(protocol, labels, adversary, seeds, options),
-                ExecutorKind::Socket => {
-                    run_socket_with(protocol, labels, adversary, seeds, options, socket)
-                }
-                _ => unreachable!("every in-memory executor has an engine mode"),
-            },
+        if let Some(mode) = self.engine_mode() {
+            let options = EngineOptions { mode, ..options };
+            return Ok(
+                SyncEngine::with_options(protocol, labels, adversary, seeds, options)?.run(),
+            );
+        }
+        // Validate the configuration before spawning any worker.
+        let round_limit = options.round_limit(labels.len());
+        let pipeline = RoundPipeline::new(labels.clone(), adversary, seeds, round_limit)?;
+        if self == ExecutorKind::Socket {
+            let mut transport = SocketTransport::spawn(&protocol, &labels, &seeds, wire)?;
+            pipeline.run(&mut transport, &mut NoObserver)
+        } else {
+            let mut transport = ChannelTransport::spawn_with(&protocol, &labels, &seeds, wire);
+            pipeline.run(&mut transport, &mut NoObserver)
         }
     }
 }
@@ -169,49 +169,93 @@ impl fmt::Display for ExecutorKind {
 
 #[cfg(test)]
 mod tests {
+    //! One table over all five executors: bad labels, equivalence with
+    //! the clustered engine, and the round limit.
+
     use super::*;
     use crate::adversary::NoFailures;
-    use crate::testproto::RankOnce;
+    use crate::engine::ConfigError;
+    use crate::testproto::{labels, two_crashes, RankOnce, UnionRank};
+    use crate::trace::Outcome;
 
     #[test]
-    fn all_kinds_agree_on_rank_once() {
-        let labels: Vec<Label> = (0..10u64).map(|i| Label(i * 17 + 3)).collect();
-        let reference = ExecutorKind::Clustered
-            .run(
+    fn every_kind_matches_the_clustered_engine() {
+        // Random crash schedules are covered by the runtime property
+        // suite; these fixed ones pin the table in unit-test time.
+        let rank_once = |kind: ExecutorKind| {
+            kind.run(
                 RankOnce,
-                labels.clone(),
+                labels(10),
                 NoFailures,
                 SeedTree::new(9),
                 EngineOptions::default(),
             )
-            .expect("clustered run");
+        };
+        let union_rank = |kind: ExecutorKind, seed| {
+            let options = EngineOptions::default();
+            kind.run(
+                UnionRank::rounds(4),
+                labels(12),
+                two_crashes(),
+                SeedTree::new(seed),
+                options,
+            )
+        };
         for kind in ExecutorKind::ALL {
-            let report = kind
-                .run(
-                    RankOnce,
-                    labels.clone(),
-                    NoFailures,
-                    SeedTree::new(9),
-                    EngineOptions::default(),
-                )
-                .unwrap_or_else(|e| panic!("{kind} failed: {e}"));
-            assert_eq!(reference, report, "{kind}");
+            assert_eq!(
+                rank_once(ExecutorKind::Clustered),
+                rank_once(kind),
+                "{kind}"
+            );
+            for seed in 0..5 {
+                let reference = union_rank(ExecutorKind::Clustered, seed);
+                assert_eq!(reference, union_rank(kind, seed), "{kind}, seed {seed}");
+            }
         }
     }
 
     #[test]
-    fn invalid_labels_surface_as_config_errors() {
+    fn every_kind_rejects_bad_labels_before_running() {
         for kind in ExecutorKind::ALL {
-            let err = kind
-                .run(
+            let run = |labels| {
+                kind.run(
                     RankOnce,
-                    vec![Label(1), Label(1)],
+                    labels,
                     NoFailures,
                     SeedTree::new(0),
                     EngineOptions::default(),
                 )
-                .unwrap_err();
-            assert!(matches!(err, RunError::Config(_)), "{kind}: {err}");
+            };
+            assert_eq!(
+                run(vec![]),
+                Err(RunError::Config(ConfigError::EmptySystem)),
+                "{kind}"
+            );
+            assert_eq!(
+                run(vec![Label(1), Label(2), Label(1)]),
+                Err(RunError::Config(ConfigError::DuplicateLabel(Label(1)))),
+                "{kind}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_kind_stops_at_the_round_limit() {
+        for kind in ExecutorKind::ALL {
+            let report = kind
+                .run(
+                    UnionRank::rounds(100),
+                    labels(4),
+                    NoFailures,
+                    SeedTree::new(1),
+                    EngineOptions {
+                        max_rounds: Some(2),
+                        ..EngineOptions::default()
+                    },
+                )
+                .unwrap();
+            assert_eq!(report.outcome, Outcome::RoundLimit, "{kind}");
+            assert_eq!(report.rounds, 2, "{kind}");
         }
     }
 

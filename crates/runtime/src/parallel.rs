@@ -27,13 +27,13 @@ use crossbeam::thread as cb_thread;
 use rand::rngs::SmallRng;
 
 use crate::adversary::Adversary;
-use crate::engine::EngineOptions;
+use crate::engine::{EngineMode, EngineOptions, SyncEngine};
 use crate::error::RunError;
 use crate::ids::{Label, ProcId, Round};
-use crate::pipeline::{merge_clusters, LocalTransport, RoundMessages, RoundPipeline, Transport};
+use crate::pipeline::{merge_clusters, LocalTransport, RoundMessages, Transport};
 use crate::rng::SeedTree;
 use crate::trace::RunReport;
-use crate::view::{Cluster, NoObserver, Observer, ObserverCtx, Status, ViewProtocol};
+use crate::view::{Cluster, Observer, ObserverCtx, Status, ViewProtocol};
 
 /// A [`Transport`] with clustered in-memory views whose per-round compose
 /// and apply stages run on multiple OS threads; see the module docs.
@@ -279,98 +279,23 @@ where
     P: ViewProtocol,
     A: Adversary<P::Msg>,
 {
-    let round_limit = options.round_limit(labels.len());
-    let mut transport = ParallelTransport::new(protocol, &labels, &seeds);
-    let pipeline = RoundPipeline::new(labels, adversary, seeds, round_limit)?;
-    pipeline.run(&mut transport, &mut NoObserver)
+    let options = EngineOptions {
+        mode: EngineMode::Parallel,
+        ..options
+    };
+    Ok(SyncEngine::with_options(protocol, labels, adversary, seeds, options)?.run())
 }
 
 #[cfg(test)]
 mod tests {
+    //! Bad labels, equivalence with the clustered engine, and the round
+    //! limit are pinned for every executor by the table tests in
+    //! `crate::exec`.
+
     use super::*;
-    use crate::adversary::{NoFailures, Scripted, ScriptedCrash};
-    use crate::engine::{ConfigError, EngineMode, SyncEngine};
-    use crate::testproto::{RankOnce, UnionRank};
-    use crate::trace::Outcome;
-
-    fn labels(n: u64) -> Vec<Label> {
-        (0..n).map(|i| Label(i * 29 + 7)).collect()
-    }
-
-    fn hostile() -> Scripted {
-        Scripted::new(vec![
-            ScriptedCrash {
-                round: Round(0),
-                victim_index: 2,
-                modulus: 2,
-                residue: 0,
-            },
-            ScriptedCrash {
-                round: Round(1),
-                victim_index: 4,
-                modulus: 3,
-                residue: 1,
-            },
-        ])
-    }
-
-    #[test]
-    fn rejects_bad_config() {
-        assert!(matches!(
-            run_parallel(
-                RankOnce,
-                vec![],
-                NoFailures,
-                SeedTree::new(0),
-                EngineOptions::default()
-            ),
-            Err(RunError::Config(ConfigError::EmptySystem))
-        ));
-    }
-
-    #[test]
-    fn matches_clustered_engine_failure_free() {
-        let ls = labels(16);
-        let clustered = SyncEngine::new(
-            UnionRank::rounds(3),
-            ls.clone(),
-            NoFailures,
-            SeedTree::new(5),
-        )
-        .unwrap()
-        .run();
-        let parallel = run_parallel(
-            UnionRank::rounds(3),
-            ls,
-            NoFailures,
-            SeedTree::new(5),
-            EngineOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(clustered, parallel);
-    }
-
-    #[test]
-    fn matches_clustered_engine_with_crashes() {
-        let ls = labels(12);
-        let clustered = SyncEngine::new(
-            UnionRank::rounds(4),
-            ls.clone(),
-            hostile(),
-            SeedTree::new(9),
-        )
-        .unwrap()
-        .run();
-        let parallel = run_parallel(
-            UnionRank::rounds(4),
-            ls,
-            hostile(),
-            SeedTree::new(9),
-            EngineOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(clustered, parallel);
-    }
+    use crate::pipeline::RoundPipeline;
+    use crate::testproto::{labels, two_crashes, UnionRank};
+    use crate::view::NoObserver;
 
     #[test]
     fn report_is_independent_of_thread_count() {
@@ -379,7 +304,7 @@ mod tests {
             let seeds = SeedTree::new(13);
             let mut t = ParallelTransport::with_threads(UnionRank::rounds(4), &ls, &seeds, threads);
             assert_eq!(t.threads(), threads.max(1));
-            RoundPipeline::new(ls.clone(), hostile(), seeds, 1000)
+            RoundPipeline::new(ls.clone(), two_crashes(), seeds, 1000)
                 .unwrap()
                 .run(&mut t, &mut NoObserver)
                 .unwrap()
@@ -388,23 +313,5 @@ mod tests {
         for threads in [2, 3, 8, 64] {
             assert_eq!(one, run_with(threads), "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn engine_mode_parallel_round_limit() {
-        let ls = labels(4);
-        let report = run_parallel(
-            UnionRank::rounds(100),
-            ls,
-            NoFailures,
-            SeedTree::new(1),
-            EngineOptions {
-                max_rounds: Some(2),
-                mode: EngineMode::Parallel,
-            },
-        )
-        .unwrap();
-        assert_eq!(report.outcome, Outcome::RoundLimit);
-        assert_eq!(report.rounds, 2);
     }
 }

@@ -14,10 +14,12 @@
 //!
 //! * [`LocalTransport`] — views in memory on the calling thread, messages
 //!   passed by reference (the clustered and per-process engines);
-//! * [`crate::threaded::ChannelTransport`] — one OS thread per process,
-//!   wire-encoded bytes through channels;
 //! * [`crate::parallel::ParallelTransport`] — in-memory views with
-//!   per-round compose/apply work sharded across scoped threads.
+//!   per-round compose/apply work sharded across scoped threads;
+//! * [`crate::worker::WorkerTransport`] — views in slot-range worker
+//!   threads, broadcasts as wire-encoded bytes, over in-process channels
+//!   ([`crate::threaded::ChannelTransport`]) or loopback TCP
+//!   ([`crate::socket::SocketTransport`]).
 //!
 //! Everything else — adversary bookkeeping, crash budgets, message
 //! accounting, inbox planning, round limits, report assembly — lives in
@@ -280,9 +282,9 @@ impl<M: Clone> RoundMessages<M> {
 /// [`ViewProtocol`] (same views, same RNG streams, same apply order) so
 /// that every transport yields a bit-identical [`RunReport`].
 ///
-/// The per-round methods are fallible because the wire transports
-/// ([`crate::threaded::ChannelTransport`], the socket transport) move
-/// encoded bytes across real OS boundaries: a malformed frame or a hung
+/// The per-round methods are fallible because the wire transport
+/// ([`crate::worker::WorkerTransport`], over channels or sockets) moves
+/// encoded bytes across thread and OS boundaries: a malformed frame or a hung
 /// worker surfaces as a structured [`RunError`] that the pipeline
 /// propagates to the driver (after best-effort teardown), never as a
 /// panic inside a worker thread. The in-memory transports are

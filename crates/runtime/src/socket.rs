@@ -1,54 +1,24 @@
-//! Socket executor: workers on real OS sockets, lock-stepped per round.
+//! Socket executor: the worker protocol of [`crate::worker`] over
+//! loopback TCP.
 //!
-//! This is the first executor where messages cross an actual OS boundary:
-//! the coordinator binds a loopback TCP listener, spawns worker threads
-//! that each *connect back over the kernel's socket layer*, and every
-//! command, broadcast, and inbox travels as a length-prefixed frame
-//! ([`crate::frame`]) of [`Wire`]-encoded bytes. Each worker owns a
-//! contiguous range of process slots — their views and RNG streams never
-//! leave the worker — so the executor scales the paper's model from
-//! "thread per process" to "a few workers, each simulating a cluster of
-//! processes", the same shape a multi-host deployment would have.
+//! This is the executor where messages cross an actual OS boundary: the
+//! coordinator binds a loopback listener, the slot-range workers connect
+//! back through the kernel's socket layer, and every [`Cmd`] and [`Rsp`]
+//! travels as one length-prefixed frame ([`crate::frame`]) with protocol
+//! messages in their [`Wire`] encoding — the shape a multi-host
+//! deployment would have. This module is only the carrier: the accept
+//! loop, the `Hello` handshake that pins [`WIRE_FORMAT_VERSION`], the I/O
+//! timeout, and one frame codec for commands and responses. A `Deliver`
+//! inbox is encoded from the shared [`crate::view::InboxBuf`], so it
+//! crosses the wire once per (worker × delivery signature).
 //!
-//! Within a worker, slots **share views by delivery history** (the same
-//! signature-refined partition the clustered engine uses): all slots
-//! start from one `init_view` cluster and split off only when a partial
-//! delivery hands them a different inbox than the rest of their cluster.
-//! A failure-free run therefore materializes exactly one view per worker
-//! regardless of `n`, which is what lets this executor run at n = 2^16
-//! and beyond instead of the former per-slot-view 2^14 ceiling.
-//!
-//! The shared [`RoundPipeline`] remains the single round loop: it plays
-//! the strong adaptive adversary, plans deliveries (including the partial
-//! deliveries of dying broadcasts), and does all accounting, while
-//! [`SocketTransport`] only moves bytes. A [`RunReport`] from
-//! [`run_socket`] is therefore **bit-identical** to every other
-//! executor's for the same `(protocol, labels, adversary, seed)` — the
-//! workspace determinism tests assert this, crash-heavy schedules
-//! included — and independent of the worker count.
-//!
-//! ## Wire protocol
-//!
-//! Every frame payload starts with a varint tag. The coordinator sends
-//! `Compose` (round + participating slots), `Deliver` (round + one
-//! shared inbox per interned delivery signature, each with its recipient
-//! slots — so an inbox crosses the wire once per worker per signature,
-//! not once per recipient), `Retire` (a slot crashed or decided), and
-//! `Exit`. Workers answer `Composed` (slot-ordered encoded broadcasts),
-//! `Applied` (slot-ordered statuses), or `Error` (a structured fault).
-//!
-//! ## Failure handling
-//!
-//! All I/O carries a timeout (see [`SocketOptions::io_timeout`]), so a
-//! hung peer surfaces as [`RunError::Io`] instead of a stalled run; a
-//! malformed frame or message surfaces as [`RunError::Frame`] /
-//! [`RunError::Decode`]; a worker that dies mid-run as
-//! [`RunError::Disconnected`]. Workers never panic across the boundary —
-//! they report faults as `Error` frames and exit their loop.
+//! All I/O carries a timeout ([`SocketOptions::io_timeout`]): a hung peer
+//! surfaces as [`RunError::Io`], never a stalled run; a malformed frame
+//! as [`RunError::Frame`], a malformed message as [`RunError::Decode`], a
+//! worker that dies mid-run as [`RunError::Disconnected`].
 
-use std::collections::BTreeMap;
-use std::fmt;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -57,43 +27,47 @@ use bytes::{Bytes, BytesMut};
 use crate::adversary::Adversary;
 use crate::engine::EngineOptions;
 use crate::error::RunError;
+use crate::exec::ExecutorKind;
 use crate::frame::{get_blob, put_blob, read_frame, write_frame, FrameDecoder};
-use crate::ids::{Label, Name, ProcId, Round};
-use crate::pipeline::{RoundMessages, RoundPipeline, SigId, Transport};
+use crate::ids::{Label, Name, Round};
 use crate::rng::SeedTree;
 use crate::trace::RunReport;
-use crate::view::{InboxBuf, NoObserver, Status, ViewProtocol};
+use crate::view::{InboxBuf, Status, ViewProtocol};
 use crate::wire::{get_varint, put_varint, Wire, WireError, WIRE_FORMAT_VERSION};
-use crate::worker::{slot_ranges, WorkerState};
+use crate::worker::{spawn_workers, Carrier, Cmd, Fault, Rsp, WorkerPort, WorkerTransport};
 
 /// Frame tags of the coordinator↔worker protocol.
 mod tag {
     pub const HELLO: u64 = 0;
     pub const COMPOSE: u64 = 1;
     pub const DELIVER: u64 = 2;
-    pub const RETIRE: u64 = 3;
     pub const EXIT: u64 = 4;
     pub const COMPOSED: u64 = 5;
     pub const APPLIED: u64 = 6;
-    pub const ERROR: u64 = 7;
+    pub const FAULT: u64 = 7;
+    /// A slot list. Tag 3 carried a single slot; the list got a fresh
+    /// tag so a peer that knows only the old layout rejects it instead
+    /// of mis-decoding it.
+    pub const RETIRE: u64 = 8;
 }
 
-/// Fault kinds carried by an `Error` frame.
+/// Fault kinds carried by a `Fault` frame.
 mod fault {
     pub const WIRE: u64 = 0;
-    pub const BAD_SLOT: u64 = 1;
+    pub const UNKNOWN_SLOT: u64 = 1;
 }
 
-/// Tuning knobs of the socket executor.
+/// Tuning knobs of the wire executors (threaded and socket).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SocketOptions {
-    /// Number of worker connections; `None` picks
-    /// `min(available_parallelism, n)`. The produced [`RunReport`] does
-    /// not depend on this — only wall-clock time does.
+    /// Number of workers; `None` picks `min(available_parallelism, n)`.
+    /// The produced [`RunReport`] does not depend on this — only
+    /// wall-clock time does.
     pub workers: Option<usize>,
-    /// Read/write/accept timeout on every stream. A hung peer then fails
+    /// Read/write/accept timeout on every socket. A hung peer then fails
     /// the run with [`RunError::Io`] instead of stalling it; `None`
-    /// blocks forever (not recommended outside debugging).
+    /// blocks forever (not recommended outside debugging). The channel
+    /// carrier ignores it.
     pub io_timeout: Option<Duration>,
 }
 
@@ -107,291 +81,405 @@ impl Default for SocketOptions {
 }
 
 impl SocketOptions {
-    fn worker_count(&self, n: usize) -> usize {
-        let auto = || {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        };
+    /// The worker count for `n` processes: `workers`, or the available
+    /// parallelism, clamped to `1..=n`.
+    pub(crate) fn worker_count(&self, n: usize) -> usize {
+        let auto = || thread::available_parallelism().map_or(1, |t| t.get());
         self.workers.unwrap_or_else(auto).clamp(1, n.max(1))
     }
 }
 
-/// Encodes a [`WireError`] into an `Error` frame body.
-fn put_wire_error(buf: &mut BytesMut, sender: Option<Label>, e: &WireError) {
-    put_varint(buf, fault::WIRE);
-    match sender {
-        Some(l) => {
-            put_varint(buf, 1);
-            put_varint(buf, l.0);
+/// The error for an unrecognized tag or code: [`WireError::BadTag`] when
+/// it fits a byte, an out-of-range [`WireError::LengthOverflow`] when not.
+fn bad_tag(t: u64) -> WireError {
+    u8::try_from(t).map_or(WireError::LengthOverflow(t), WireError::BadTag)
+}
+
+/// Reads a sequence length, rejecting one longer than the bytes left in
+/// the frame (every element takes at least one byte), so a hostile count
+/// cannot force a large allocation.
+fn get_len(buf: &mut Bytes) -> Result<usize, WireError> {
+    let len = get_varint(buf)?;
+    usize::try_from(len)
+        .ok()
+        .filter(|&l| l <= buf.len())
+        .ok_or(WireError::LengthOverflow(len))
+}
+
+fn put_slots(buf: &mut BytesMut, slots: &[u64]) {
+    put_varint(buf, slots.len() as u64);
+    for &slot in slots {
+        put_varint(buf, slot);
+    }
+}
+
+fn get_slots(buf: &mut Bytes) -> Result<Vec<u64>, WireError> {
+    let len = get_len(buf)?;
+    (0..len).map(|_| get_varint(buf)).collect()
+}
+
+fn get_end(buf: &Bytes) -> Result<(), WireError> {
+    if buf.is_empty() {
+        Ok(())
+    } else {
+        Err(WireError::TrailingBytes(buf.len()))
+    }
+}
+
+fn put_cmd<M: Wire>(buf: &mut BytesMut, cmd: &Cmd<M>) {
+    match cmd {
+        Cmd::Compose(round, slots) => {
+            put_varint(buf, tag::COMPOSE);
+            put_varint(buf, round.0);
+            put_slots(buf, slots);
         }
-        None => put_varint(buf, 0),
-    }
-    let (code, arg) = match e {
-        WireError::UnexpectedEnd => (0, 0),
-        WireError::VarintOverflow => (1, 0),
-        WireError::BadTag(t) => (2, *t as u64),
-        WireError::LengthOverflow(l) => (3, *l),
-        WireError::TrailingBytes(k) => (4, *k as u64),
-    };
-    put_varint(buf, code);
-    put_varint(buf, arg);
-}
-
-/// Decodes an `Error` frame body (after its tag) into a [`RunError`].
-fn get_worker_fault(buf: &mut Bytes, worker: usize) -> RunError {
-    let parse = |buf: &mut Bytes| -> Result<RunError, WireError> {
-        match get_varint(buf)? {
-            fault::WIRE => {
-                let sender = if get_varint(buf)? == 1 {
-                    Some(Label(get_varint(buf)?))
-                } else {
-                    None
-                };
-                let code = get_varint(buf)?;
-                let arg = get_varint(buf)?;
-                let error = match code {
-                    0 => WireError::UnexpectedEnd,
-                    1 => WireError::VarintOverflow,
-                    2 => WireError::BadTag(arg as u8),
-                    3 => WireError::LengthOverflow(arg),
-                    _ => WireError::TrailingBytes(arg as usize),
-                };
-                Ok(RunError::Decode { sender, error })
-            }
-            fault::BAD_SLOT => Ok(RunError::Protocol {
-                context: "worker executing a command",
-                detail: format!(
-                    "worker {worker} was handed unknown slot {}",
-                    get_varint(buf)?
-                ),
-            }),
-            k => Ok(RunError::Protocol {
-                context: "decoding a worker fault",
-                detail: format!("unknown fault kind {k} from worker {worker}"),
-            }),
-        }
-    };
-    parse(buf).unwrap_or_else(|error| RunError::Frame {
-        context: "decoding a worker fault",
-        error,
-    })
-}
-
-/// A worker-side failure while executing one command.
-enum WorkerFault {
-    Wire(Option<Label>, WireError),
-    BadSlot(u64),
-}
-
-impl From<WireError> for WorkerFault {
-    fn from(e: WireError) -> Self {
-        WorkerFault::Wire(None, e)
-    }
-}
-
-/// The body of one worker thread: connect back to the coordinator,
-/// handshake, then serve framed commands until `Exit` or a dead stream.
-fn worker_main<P>(
-    proto: P,
-    n: usize,
-    index: usize,
-    slots: Vec<(u32, Label)>,
-    seeds: SeedTree,
-    addr: SocketAddr,
-    io_timeout: Option<Duration>,
-) where
-    P: ViewProtocol + Clone + Send + 'static,
-{
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        return;
-    };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(io_timeout);
-    let _ = stream.set_write_timeout(io_timeout);
-
-    let mut state = WorkerState::<P>::new(&proto, n, &slots, &seeds);
-
-    let mut hello = BytesMut::new();
-    put_varint(&mut hello, tag::HELLO);
-    put_varint(&mut hello, index as u64);
-    // The handshake pins the wire-format version: a coordinator from a
-    // different format generation refuses the worker up front instead of
-    // mis-decoding its frames.
-    put_varint(&mut hello, WIRE_FORMAT_VERSION);
-    if write_frame(&mut stream, &hello).is_err() {
-        return;
-    }
-
-    let mut decoder = FrameDecoder::new();
-    loop {
-        let Ok(frame) = read_frame(&mut stream, &mut decoder, "worker reading a command", index)
-        else {
-            return;
-        };
-        match serve_command::<P>(&proto, &mut state, frame) {
-            Ok(Some(response)) => {
-                if write_frame(&mut stream, &response).is_err() {
-                    return;
+        Cmd::Deliver(round, groups) => {
+            put_varint(buf, tag::DELIVER);
+            put_varint(buf, round.0);
+            put_varint(buf, groups.len() as u64);
+            for (dsts, inbox) in groups {
+                put_slots(buf, dsts);
+                put_varint(buf, inbox.len() as u64);
+                for (label, msg) in inbox.as_inbox().iter() {
+                    put_varint(buf, label.0);
+                    put_varint(buf, msg.encoded_len() as u64);
+                    msg.encode(buf);
                 }
             }
-            Ok(None) => continue, // fire-and-forget command (Retire)
-            Err(None) => return,  // Exit command
-            Err(Some(f)) => {
-                let mut rsp = BytesMut::new();
-                put_varint(&mut rsp, tag::ERROR);
-                match f {
-                    WorkerFault::Wire(sender, e) => put_wire_error(&mut rsp, sender, &e),
-                    WorkerFault::BadSlot(slot) => {
-                        put_varint(&mut rsp, fault::BAD_SLOT);
-                        put_varint(&mut rsp, slot);
-                    }
-                }
-                let _ = write_frame(&mut stream, &rsp);
-                return;
-            }
         }
+        Cmd::Retire(slots) => {
+            put_varint(buf, tag::RETIRE);
+            put_slots(buf, slots);
+        }
+        Cmd::Exit => put_varint(buf, tag::EXIT),
     }
 }
 
-/// Executes one command frame against the worker's slots. Returns the
-/// response frame body (if the command has one), `Ok(None)` for
-/// fire-and-forget commands, `Err(None)` for `Exit`, and
-/// `Err(Some(fault))` when the command or a message inside it was
-/// malformed.
-#[allow(clippy::type_complexity)]
-fn serve_command<P>(
-    proto: &P,
-    state: &mut WorkerState<P>,
-    frame: Bytes,
-) -> Result<Option<BytesMut>, Option<WorkerFault>>
-where
-    P: ViewProtocol,
-{
-    let fault = |f: WorkerFault| Some(f);
-    let wire = |e: WireError| Some(WorkerFault::from(e));
-    let mut buf = frame;
-    let command = get_varint(&mut buf).map_err(wire)?;
-    let result = match command {
-        tag::COMPOSE => {
-            let round = Round(get_varint(&mut buf).map_err(wire)?);
-            let count = get_varint(&mut buf).map_err(wire)?;
-            if count > state.len() as u64 {
-                return Err(wire(WireError::LengthOverflow(count)));
-            }
-            let mut slots = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                slots.push(get_varint(&mut buf).map_err(wire)?);
-            }
-            // One batched sweep per view cluster; output is slot-sorted,
-            // matching the coordinator's (slot-ascending) request.
-            let composed = state
-                .compose_batch(proto, round, &slots)
-                .map_err(|slot| fault(WorkerFault::BadSlot(slot)))?;
-            let mut rsp = BytesMut::new();
-            put_varint(&mut rsp, tag::COMPOSED);
-            put_varint(&mut rsp, composed.len() as u64);
-            for (slot, bytes) in composed {
-                put_varint(&mut rsp, slot);
-                put_blob(&mut rsp, &bytes);
-            }
-            Some(rsp)
-        }
+fn get_cmd<M: Wire>(mut buf: Bytes) -> Result<Cmd<M>, Fault> {
+    let cmd = match get_varint(&mut buf)? {
+        tag::COMPOSE => Cmd::Compose(Round(get_varint(&mut buf)?), get_slots(&mut buf)?),
         tag::DELIVER => {
-            let round = Round(get_varint(&mut buf).map_err(wire)?);
-            let groups = get_varint(&mut buf).map_err(wire)?;
-            if groups > state.len() as u64 {
-                return Err(wire(WireError::LengthOverflow(groups)));
+            let round = Round(get_varint(&mut buf)?);
+            let count = get_len(&mut buf)?;
+            let mut groups = Vec::with_capacity(count);
+            for _ in 0..count {
+                let dsts = get_slots(&mut buf)?;
+                let len = get_len(&mut buf)?;
+                let mut pairs = Vec::with_capacity(len);
+                for _ in 0..len {
+                    let label = Label(get_varint(&mut buf)?);
+                    let msg = M::from_bytes(get_blob(&mut buf)?)
+                        .map_err(|error| Fault::Wire(Some(label), error))?;
+                    pairs.push((label, msg));
+                }
+                groups.push((dsts, Arc::new(InboxBuf::from_pairs(pairs))));
             }
-            let mut statuses: Vec<(u64, Status)> = Vec::new();
-            for _ in 0..groups {
-                let dst_count = get_varint(&mut buf).map_err(wire)?;
-                if dst_count > state.len() as u64 {
-                    return Err(wire(WireError::LengthOverflow(dst_count)));
-                }
-                let mut dsts = Vec::with_capacity(dst_count as usize);
-                for _ in 0..dst_count {
-                    dsts.push(get_varint(&mut buf).map_err(wire)?);
-                }
-                let inbox_len = get_varint(&mut buf).map_err(wire)?;
-                let mut inbox: Vec<(Label, P::Msg)> = Vec::with_capacity(inbox_len as usize);
-                for _ in 0..inbox_len {
-                    let label = Label(get_varint(&mut buf).map_err(wire)?);
-                    let blob = get_blob(&mut buf).map_err(wire)?;
-                    let msg = P::Msg::from_bytes(blob)
-                        .map_err(|e| fault(WorkerFault::Wire(Some(label), e)))?;
-                    inbox.push((label, msg));
-                }
-                let inbox = InboxBuf::from_pairs(inbox);
-                // All recipients of this group share one delivery
-                // signature; `apply_group` partitions them by current
-                // cluster, splitting partially-covered clusters.
-                state
-                    .apply_group(proto, round, &dsts, &inbox, &mut statuses)
-                    .map_err(|slot| fault(WorkerFault::BadSlot(slot)))?;
+            Cmd::Deliver(round, groups)
+        }
+        tag::RETIRE => Cmd::Retire(get_slots(&mut buf)?),
+        tag::EXIT => Cmd::Exit,
+        t => return Err(bad_tag(t).into()),
+    };
+    get_end(&buf)?;
+    Ok(cmd)
+}
+
+fn put_rsp(buf: &mut BytesMut, rsp: &Rsp) {
+    match rsp {
+        Rsp::Composed(batch) => {
+            put_varint(buf, tag::COMPOSED);
+            put_varint(buf, batch.len() as u64);
+            for (slot, bytes) in batch {
+                put_varint(buf, *slot);
+                put_blob(buf, bytes);
             }
-            statuses.sort_by_key(|(s, _)| *s);
-            let mut rsp = BytesMut::new();
-            put_varint(&mut rsp, tag::APPLIED);
-            put_varint(&mut rsp, statuses.len() as u64);
-            for (slot, status) in statuses {
-                put_varint(&mut rsp, slot);
+        }
+        Rsp::Applied(statuses) => {
+            put_varint(buf, tag::APPLIED);
+            put_varint(buf, statuses.len() as u64);
+            for &(slot, status) in statuses {
+                put_varint(buf, slot);
                 match status {
-                    Status::Running => put_varint(&mut rsp, 0),
+                    Status::Running => put_varint(buf, 0),
                     Status::Decided(name) => {
-                        put_varint(&mut rsp, 1);
-                        put_varint(&mut rsp, name.0 as u64);
+                        put_varint(buf, 1);
+                        put_varint(buf, u64::from(name.0));
                     }
                 }
             }
-            Some(rsp)
         }
-        tag::RETIRE => {
-            let slot = get_varint(&mut buf).map_err(wire)?;
-            state.retire(slot);
-            None
+        Rsp::Fault(f) => {
+            put_varint(buf, tag::FAULT);
+            put_fault(buf, f);
         }
-        tag::EXIT => return Err(None),
-        t => return Err(wire(WireError::BadTag(t as u8))),
+    }
+}
+
+fn get_rsp(mut buf: Bytes) -> Result<Rsp, WireError> {
+    let rsp = match get_varint(&mut buf)? {
+        tag::COMPOSED => {
+            let len = get_len(&mut buf)?;
+            let mut batch = Vec::with_capacity(len);
+            for _ in 0..len {
+                batch.push((get_varint(&mut buf)?, get_blob(&mut buf)?));
+            }
+            Rsp::Composed(batch)
+        }
+        tag::APPLIED => {
+            let len = get_len(&mut buf)?;
+            let mut statuses = Vec::with_capacity(len);
+            for _ in 0..len {
+                let slot = get_varint(&mut buf)?;
+                let status = match get_varint(&mut buf)? {
+                    0 => Status::Running,
+                    1 => Status::Decided(Name(u32::decode(&mut buf)?)),
+                    t => return Err(bad_tag(t)),
+                };
+                statuses.push((slot, status));
+            }
+            Rsp::Applied(statuses)
+        }
+        tag::FAULT => Rsp::Fault(get_fault(&mut buf)?),
+        t => return Err(bad_tag(t)),
     };
-    if !buf.is_empty() {
-        return Err(wire(WireError::TrailingBytes(buf.len())));
-    }
-    Ok(result)
+    get_end(&buf)?;
+    Ok(rsp)
 }
 
-/// The socket transport: a few worker threads, each owning a contiguous
-/// range of process slots, connected to the coordinator over loopback
-/// TCP and lock-stepped by the [`RoundPipeline`] through length-prefixed
-/// frames of wire-encoded messages.
-pub struct SocketTransport<P: ViewProtocol> {
-    labels: Vec<Label>,
-    /// Coordinator-side stream per worker, in worker-index order.
-    streams: Vec<TcpStream>,
-    decoders: Vec<FrameDecoder>,
-    /// Slot → owning worker index. Ranges are contiguous and ascending,
-    /// so concatenating per-worker responses in worker order yields slot
-    /// order.
-    worker_of: Vec<usize>,
-    handles: Vec<thread::JoinHandle<()>>,
-    /// This round's encoded broadcasts, for inbox routing.
-    bytes_by_label: BTreeMap<Label, Bytes>,
-    /// Statuses collected in [`Transport::apply`], drained by
-    /// [`Transport::sweep`].
-    statuses: Vec<(ProcId, Status)>,
-    _protocol: std::marker::PhantomData<P>,
-}
-
-impl<P: ViewProtocol> fmt::Debug for SocketTransport<P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SocketTransport")
-            .field("n", &self.labels.len())
-            .field("workers", &self.streams.len())
-            .finish_non_exhaustive()
+fn put_fault(buf: &mut BytesMut, f: &Fault) {
+    match f {
+        Fault::Wire(sender, error) => {
+            put_varint(buf, fault::WIRE);
+            match sender {
+                Some(l) => {
+                    put_varint(buf, 1);
+                    put_varint(buf, l.0);
+                }
+                None => put_varint(buf, 0),
+            }
+            let (code, arg) = match error {
+                WireError::UnexpectedEnd => (0, 0),
+                WireError::VarintOverflow => (1, 0),
+                WireError::BadTag(t) => (2, u64::from(*t)),
+                WireError::LengthOverflow(l) => (3, *l),
+                WireError::TrailingBytes(k) => (4, *k as u64),
+            };
+            put_varint(buf, code);
+            put_varint(buf, arg);
+        }
+        Fault::UnknownSlot(slot) => {
+            put_varint(buf, fault::UNKNOWN_SLOT);
+            put_varint(buf, *slot);
+        }
     }
 }
 
-impl<P> SocketTransport<P>
+/// Decodes a `Fault` frame body. Unknown kinds, flags and codes, and
+/// arguments out of their type's range, are rejected, never coerced.
+fn get_fault(buf: &mut Bytes) -> Result<Fault, WireError> {
+    match get_varint(buf)? {
+        fault::WIRE => {
+            let sender = match get_varint(buf)? {
+                0 => None,
+                1 => Some(Label(get_varint(buf)?)),
+                t => return Err(bad_tag(t)),
+            };
+            let code = get_varint(buf)?;
+            let arg = get_varint(buf)?;
+            let out_of_range = || WireError::LengthOverflow(arg);
+            let error = match code {
+                0 => WireError::UnexpectedEnd,
+                1 => WireError::VarintOverflow,
+                2 => WireError::BadTag(u8::try_from(arg).map_err(|_| out_of_range())?),
+                3 => WireError::LengthOverflow(arg),
+                4 => WireError::TrailingBytes(usize::try_from(arg).map_err(|_| out_of_range())?),
+                c => return Err(bad_tag(c)),
+            };
+            Ok(Fault::Wire(sender, error))
+        }
+        fault::UNKNOWN_SLOT => Ok(Fault::UnknownSlot(get_varint(buf)?)),
+        k => Err(bad_tag(k)),
+    }
+}
+
+/// Reads a worker's `Hello` frame: its index and wire-format version.
+fn get_hello(mut buf: Bytes) -> Result<(u64, u64), WireError> {
+    let t = get_varint(&mut buf)?;
+    if t != tag::HELLO {
+        return Err(bad_tag(t));
+    }
+    let hello = (get_varint(&mut buf)?, get_varint(&mut buf)?);
+    get_end(&buf)?;
+    Ok(hello)
+}
+
+/// `TCP_NODELAY` plus read/write timeouts, on both ends of a link.
+fn configure(stream: &TcpStream, io_timeout: Option<Duration>) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(io_timeout)?;
+    stream.set_write_timeout(io_timeout)
+}
+
+fn write_msg(stream: &mut TcpStream, encode: impl FnOnce(&mut BytesMut)) -> std::io::Result<()> {
+    let mut frame = BytesMut::new();
+    encode(&mut frame);
+    write_frame(stream, &frame)
+}
+
+/// The coordinator end of the TCP carrier: one accepted stream per
+/// worker, in worker-index order.
+#[derive(Debug)]
+pub struct TcpCarrier {
+    links: Vec<(TcpStream, FrameDecoder)>,
+}
+
+impl TcpCarrier {
+    /// Accepts and handshakes `workers` connections on `listener`, within
+    /// `io_timeout` (`None`: no deadline, consistently with the stream
+    /// timeouts).
+    fn accept(
+        listener: &TcpListener,
+        workers: usize,
+        io_timeout: Option<Duration>,
+    ) -> Result<Self, RunError> {
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| RunError::io("configuring the listener", &e))?;
+        // bil-lint: allow(determinism): accept-loop IO deadline only — wall time never feeds protocol state
+        let deadline = io_timeout.map(|t| Instant::now() + t);
+        let mut links: Vec<Option<(TcpStream, FrameDecoder)>> =
+            (0..workers).map(|_| None).collect();
+        for accepted in 0..workers {
+            let stream = loop {
+                match listener.accept() {
+                    Ok((stream, _)) => break stream,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        // bil-lint: allow(determinism): accept-loop IO deadline only — wall time never feeds protocol state
+                        if deadline.is_some_and(|d| Instant::now() > d) {
+                            return Err(RunError::Io {
+                                context: "accepting workers",
+                                detail: format!("only {accepted} of {workers} connected in time"),
+                            });
+                        }
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                    Err(e) => return Err(RunError::io("accepting workers", &e)),
+                }
+            };
+            let (index, link) = Self::handshake(stream, workers, accepted, io_timeout)?;
+            if links[index].replace(link).is_some() {
+                return Err(RunError::Protocol {
+                    context: "reading a handshake",
+                    detail: format!("duplicate handshake from {index}"),
+                });
+            }
+        }
+        // `workers` distinct indices were filled, so every link is set.
+        let links = links.into_iter().flatten().collect();
+        Ok(TcpCarrier { links })
+    }
+
+    /// Configures an accepted stream and reads its `Hello`, returning the
+    /// worker index it claims.
+    fn handshake(
+        mut stream: TcpStream,
+        workers: usize,
+        accepted: usize,
+        io_timeout: Option<Duration>,
+    ) -> Result<(usize, (TcpStream, FrameDecoder)), RunError> {
+        let context = "reading a handshake";
+        stream
+            .set_nonblocking(false)
+            .and_then(|()| configure(&stream, io_timeout))
+            .map_err(|e| RunError::io("configuring a worker stream", &e))?;
+        let mut decoder = FrameDecoder::new();
+        let hello = read_frame(&mut stream, &mut decoder, context, accepted)?;
+        let (index, version) =
+            get_hello(hello).map_err(|error| RunError::Frame { context, error })?;
+        let bad = |detail: String| RunError::Protocol { context, detail };
+        let index = usize::try_from(index)
+            .ok()
+            .filter(|&i| i < workers)
+            .ok_or_else(|| bad(format!("worker index {index} out of range")))?;
+        // The handshake pins the wire-format version: a worker from a
+        // different format generation is refused up front instead of
+        // mis-decoding its frames.
+        if version != WIRE_FORMAT_VERSION {
+            return Err(bad(format!(
+                "worker {index} speaks wire format v{version}, \
+                 coordinator requires v{WIRE_FORMAT_VERSION}"
+            )));
+        }
+        Ok((index, (stream, decoder)))
+    }
+}
+
+impl<M: Wire> Carrier<M> for TcpCarrier {
+    fn send(&mut self, worker: usize, cmd: Cmd<M>, context: &'static str) -> Result<(), RunError> {
+        write_msg(&mut self.links[worker].0, |buf| put_cmd(buf, &cmd)).map_err(|e| RunError::Io {
+            context,
+            detail: format!("worker {worker}: {e}"),
+        })
+    }
+
+    fn recv(&mut self, worker: usize, context: &'static str) -> Result<Rsp, RunError> {
+        let (stream, decoder) = &mut self.links[worker];
+        let frame = read_frame(stream, decoder, context, worker)?;
+        get_rsp(frame).map_err(|error| RunError::Frame { context, error })
+    }
+
+    fn hang_up(&mut self) {
+        // Closing the coordinator ends unblocks any worker still
+        // mid-read or mid-write.
+        self.links.clear();
+    }
+}
+
+/// The worker end of one TCP link.
+struct TcpPort {
+    stream: TcpStream,
+    decoder: FrameDecoder,
+}
+
+impl TcpPort {
+    /// Connects worker `index` back to the coordinator at `addr` and
+    /// sends its `Hello`; `None` if the coordinator is unreachable.
+    fn connect(addr: SocketAddr, index: usize, io_timeout: Option<Duration>) -> Option<Self> {
+        let mut stream = TcpStream::connect(addr).ok()?;
+        // A worker without its timeouts still serves; the coordinator's
+        // own timeouts bound the run.
+        configure(&stream, io_timeout).ok();
+        write_msg(&mut stream, |buf| {
+            put_varint(buf, tag::HELLO);
+            put_varint(buf, index as u64);
+            put_varint(buf, WIRE_FORMAT_VERSION);
+        })
+        .ok()?;
+        Some(TcpPort {
+            stream,
+            decoder: FrameDecoder::new(),
+        })
+    }
+}
+
+impl<M: Wire> WorkerPort<M> for TcpPort {
+    fn recv(&mut self) -> Option<Result<Cmd<M>, Fault>> {
+        // Any read failure means the coordinator is gone; the error,
+        // which would name this worker, has no one to go to.
+        let frame = read_frame(&mut self.stream, &mut self.decoder, "reading a command", 0).ok()?;
+        Some(get_cmd(frame))
+    }
+
+    fn send(&mut self, rsp: Rsp) -> bool {
+        write_msg(&mut self.stream, |buf| put_rsp(buf, &rsp)).is_ok()
+    }
+}
+
+/// The socket transport: the shared [`WorkerTransport`] over loopback
+/// TCP.
+pub type SocketTransport<P> = WorkerTransport<P, TcpCarrier>;
+
+impl<P> WorkerTransport<P, TcpCarrier>
 where
     P: ViewProtocol + Clone + Send + 'static,
 {
@@ -401,377 +489,26 @@ where
     /// # Errors
     ///
     /// [`RunError::Io`] if binding, accepting, or the handshake times
-    /// out or fails; [`RunError::Protocol`] on a malformed handshake.
+    /// out or fails; [`RunError::Frame`] or [`RunError::Protocol`] on a
+    /// malformed handshake.
     pub fn spawn(
         protocol: &P,
         labels: &[Label],
         seeds: &SeedTree,
         options: SocketOptions,
     ) -> Result<Self, RunError> {
-        let n = labels.len();
-        let workers = options.worker_count(n);
         let listener = TcpListener::bind(("127.0.0.1", 0))
             .map_err(|e| RunError::io("binding loopback", &e))?;
         let addr = listener
             .local_addr()
             .map_err(|e| RunError::io("reading the listener address", &e))?;
-
-        // Contiguous slot ranges, remainder spread over the first ranges.
-        let (ranges, worker_of) = slot_ranges(n, workers);
-        let mut handles = Vec::with_capacity(workers);
-        for (w, range) in ranges.into_iter().enumerate() {
-            let slots: Vec<(u32, Label)> = range.map(|s| (s as u32, labels[s])).collect();
-            let proto = protocol.clone();
-            let seeds = *seeds;
-            let io_timeout = options.io_timeout;
-            handles.push(thread::spawn(move || {
-                worker_main(proto, n, w, slots, seeds, addr, io_timeout);
-            }));
-        }
-
-        // Accept with a deadline so a worker that never connects fails
-        // the run instead of hanging it; `io_timeout: None` disables the
-        // deadline here too, consistently with the stream timeouts.
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| RunError::io("configuring the listener", &e))?;
-        // bil-lint: allow(determinism): accept-loop IO deadline only — wall time never feeds protocol state
-        let deadline = options.io_timeout.map(|t| Instant::now() + t);
-        let mut streams: Vec<Option<(TcpStream, FrameDecoder)>> =
-            (0..workers).map(|_| None).collect();
-        let mut accepted = 0usize;
-        while accepted < workers {
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    stream
-                        .set_nonblocking(false)
-                        .map_err(|e| RunError::io("configuring a worker stream", &e))?;
-                    stream.set_nodelay(true).ok();
-                    stream
-                        .set_read_timeout(options.io_timeout)
-                        .map_err(|e| RunError::io("configuring a worker stream", &e))?;
-                    stream
-                        .set_write_timeout(options.io_timeout)
-                        .map_err(|e| RunError::io("configuring a worker stream", &e))?;
-                    let mut decoder = FrameDecoder::new();
-                    let mut hello =
-                        read_frame(&mut stream, &mut decoder, "reading a handshake", accepted)?;
-                    let bad_handshake = |detail: String| RunError::Protocol {
-                        context: "reading a handshake",
-                        detail,
-                    };
-                    let t = get_varint(&mut hello).map_err(|error| RunError::Frame {
-                        context: "reading a handshake",
-                        error,
-                    })?;
-                    if t != tag::HELLO {
-                        return Err(bad_handshake(format!("expected Hello, got tag {t}")));
-                    }
-                    let index = get_varint(&mut hello).map_err(|error| RunError::Frame {
-                        context: "reading a handshake",
-                        error,
-                    })? as usize;
-                    if index >= workers {
-                        return Err(bad_handshake(format!("worker index {index} out of range")));
-                    }
-                    let version = get_varint(&mut hello).map_err(|error| RunError::Frame {
-                        context: "reading a handshake",
-                        error,
-                    })?;
-                    if version != WIRE_FORMAT_VERSION {
-                        return Err(bad_handshake(format!(
-                            "worker {index} speaks wire format v{version}, \
-                             coordinator requires v{WIRE_FORMAT_VERSION}"
-                        )));
-                    }
-                    if streams[index].is_some() {
-                        return Err(bad_handshake(format!("duplicate handshake from {index}")));
-                    }
-                    streams[index] = Some((stream, decoder));
-                    accepted += 1;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // bil-lint: allow(determinism): accept-loop IO deadline only — wall time never feeds protocol state
-                    if deadline.is_some_and(|d| Instant::now() > d) {
-                        return Err(RunError::Io {
-                            context: "accepting workers",
-                            detail: format!("only {accepted} of {workers} connected in time"),
-                        });
-                    }
-                    thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => return Err(RunError::io("accepting workers", &e)),
-            }
-        }
-        let mut conns = Vec::with_capacity(streams.len());
-        let mut frame_decoders = Vec::with_capacity(streams.len());
-        for (index, slot) in streams.into_iter().enumerate() {
-            let Some((stream, decoder)) = slot else {
-                return Err(RunError::Protocol {
-                    context: "accepting workers",
-                    detail: format!("worker {index} never completed its handshake"),
-                });
-            };
-            conns.push(stream);
-            frame_decoders.push(decoder);
-        }
-        Ok(SocketTransport {
-            labels: labels.to_vec(),
-            streams: conns,
-            decoders: frame_decoders,
-            worker_of,
-            handles,
-            bytes_by_label: BTreeMap::new(),
-            statuses: Vec::new(),
-            _protocol: std::marker::PhantomData,
-        })
-    }
-
-    /// The number of worker connections.
-    pub fn workers(&self) -> usize {
-        self.streams.len()
-    }
-
-    fn write(
-        &mut self,
-        worker: usize,
-        frame: &[u8],
-        context: &'static str,
-    ) -> Result<(), RunError> {
-        write_frame(&mut self.streams[worker], frame).map_err(|e| RunError::Io {
-            context,
-            detail: format!("worker {worker}: {e}"),
-        })
-    }
-
-    fn read(&mut self, worker: usize, context: &'static str) -> Result<Bytes, RunError> {
-        read_frame(
-            &mut self.streams[worker],
-            &mut self.decoders[worker],
-            context,
-            worker,
-        )
-    }
-
-    /// Reads one response frame from `worker`, mapping `Error` frames to
-    /// their [`RunError`] and any other tag mismatch to a protocol
-    /// violation. Returns the response body positioned after its tag.
-    fn read_response(
-        &mut self,
-        worker: usize,
-        expect: u64,
-        context: &'static str,
-    ) -> Result<Bytes, RunError> {
-        let mut frame = self.read(worker, context)?;
-        let t = get_varint(&mut frame).map_err(|error| RunError::Frame { context, error })?;
-        if t == expect {
-            return Ok(frame);
-        }
-        if t == tag::ERROR {
-            return Err(get_worker_fault(&mut frame, worker));
-        }
-        Err(RunError::Protocol {
-            context,
-            detail: format!("worker {worker} answered tag {t}, expected {expect}"),
-        })
-    }
-
-    /// Groups `pids` (slot-ascending) by owning worker, preserving order.
-    fn per_worker(&self, pids: &[ProcId]) -> Vec<Vec<ProcId>> {
-        let mut out: Vec<Vec<ProcId>> = vec![Vec::new(); self.streams.len()];
-        for &p in pids {
-            out[self.worker_of[p.index()]].push(p);
-        }
-        out
-    }
-}
-
-impl<P> Transport<P> for SocketTransport<P>
-where
-    P: ViewProtocol + Clone + Send + 'static,
-{
-    fn compose(
-        &mut self,
-        round: Round,
-        participants: &[ProcId],
-    ) -> Result<Vec<(ProcId, Label, P::Msg)>, RunError> {
-        let per_worker = self.per_worker(participants);
-        for (w, slots) in per_worker.iter().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            let mut cmd = BytesMut::new();
-            put_varint(&mut cmd, tag::COMPOSE);
-            put_varint(&mut cmd, round.0);
-            put_varint(&mut cmd, slots.len() as u64);
-            for p in slots {
-                put_varint(&mut cmd, p.0 as u64);
-            }
-            self.write(w, &cmd, "requesting broadcasts")?;
-        }
-        self.bytes_by_label.clear();
-        let mut outgoing = Vec::with_capacity(participants.len());
-        for (w, slots) in per_worker.iter().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            let context = "collecting broadcasts";
-            let mut rsp = self.read_response(w, tag::COMPOSED, context)?;
-            let framed = |error| RunError::Frame { context, error };
-            let count = get_varint(&mut rsp).map_err(framed)?;
-            if count != slots.len() as u64 {
-                return Err(RunError::Protocol {
-                    context,
-                    detail: format!(
-                        "worker {w} composed {count} broadcasts, expected {}",
-                        slots.len()
-                    ),
-                });
-            }
-            for &p in slots {
-                let slot = get_varint(&mut rsp).map_err(framed)?;
-                if slot != p.0 as u64 {
-                    return Err(RunError::Protocol {
-                        context,
-                        detail: format!("worker {w} composed slot {slot}, expected {p}"),
-                    });
-                }
-                let label = self.labels[p.index()];
-                let blob = get_blob(&mut rsp).map_err(framed)?;
-                let msg =
-                    P::Msg::from_bytes(blob.clone()).map_err(|e| RunError::decode(label, e))?;
-                self.bytes_by_label.insert(label, blob);
-                outgoing.push((p, label, msg));
-            }
-        }
-        Ok(outgoing)
-    }
-
-    fn crashed(&mut self, pid: ProcId) -> Result<(), RunError> {
-        let w = self.worker_of[pid.index()];
-        let mut cmd = BytesMut::new();
-        put_varint(&mut cmd, tag::RETIRE);
-        put_varint(&mut cmd, pid.0 as u64);
-        self.write(w, &cmd, "retiring a crashed process")
-    }
-
-    fn apply(
-        &mut self,
-        round: Round,
-        _alive: &[bool],
-        survivors: &[ProcId],
-        msgs: &RoundMessages<P::Msg>,
-    ) -> Result<(), RunError> {
-        let per_worker = self.per_worker(survivors);
-        for (w, dsts) in per_worker.iter().enumerate() {
-            if dsts.is_empty() {
-                continue;
-            }
-            // One shared inbox per delivery signature occurring at this
-            // worker; recipients are listed with it, so the inbox bytes
-            // cross the wire once per (worker × signature), never once
-            // per recipient.
-            let mut groups: BTreeMap<SigId, Vec<ProcId>> = BTreeMap::new();
-            for &dst in dsts {
-                groups.entry(msgs.sig_id(dst)).or_default().push(dst);
-            }
-            let mut cmd = BytesMut::new();
-            put_varint(&mut cmd, tag::DELIVER);
-            put_varint(&mut cmd, round.0);
-            put_varint(&mut cmd, groups.len() as u64);
-            for (sig, group) in groups {
-                put_varint(&mut cmd, group.len() as u64);
-                for dst in group {
-                    put_varint(&mut cmd, dst.0 as u64);
-                }
-                let inbox = msgs.inbox_by_id(sig);
-                put_varint(&mut cmd, inbox.len() as u64);
-                for label in inbox.labels() {
-                    put_varint(&mut cmd, label.0);
-                    let bytes =
-                        self.bytes_by_label
-                            .get(label)
-                            .ok_or_else(|| RunError::Protocol {
-                                context: "delivering inboxes",
-                                detail: format!("no composed bytes for sender {label}"),
-                            })?;
-                    put_blob(&mut cmd, bytes);
-                }
-            }
-            self.write(w, &cmd, "delivering inboxes")?;
-        }
-        self.statuses.clear();
-        for (w, dsts) in per_worker.iter().enumerate() {
-            if dsts.is_empty() {
-                continue;
-            }
-            let context = "collecting round statuses";
-            let mut rsp = self.read_response(w, tag::APPLIED, context)?;
-            let framed = |error| RunError::Frame { context, error };
-            let count = get_varint(&mut rsp).map_err(framed)?;
-            if count != dsts.len() as u64 {
-                return Err(RunError::Protocol {
-                    context,
-                    detail: format!(
-                        "worker {w} reported {count} statuses, expected {}",
-                        dsts.len()
-                    ),
-                });
-            }
-            for &p in dsts {
-                let slot = get_varint(&mut rsp).map_err(framed)?;
-                if slot != p.0 as u64 {
-                    return Err(RunError::Protocol {
-                        context,
-                        detail: format!("worker {w} reported status for slot {slot}, expected {p}"),
-                    });
-                }
-                let status = match get_varint(&mut rsp).map_err(framed)? {
-                    0 => Status::Running,
-                    1 => {
-                        let name = get_varint(&mut rsp).map_err(framed)?;
-                        Status::Decided(Name(name as u32))
-                    }
-                    t => {
-                        return Err(RunError::Protocol {
-                            context,
-                            detail: format!("worker {w} reported unknown status tag {t}"),
-                        })
-                    }
-                };
-                self.statuses.push((p, status));
-            }
-        }
-        Ok(())
-    }
-
-    fn sweep(&mut self, _round: Round) -> Result<Vec<(ProcId, Status)>, RunError> {
-        let statuses = std::mem::take(&mut self.statuses);
-        for (pid, status) in &statuses {
-            if matches!(status, Status::Decided(_)) {
-                let w = self.worker_of[pid.index()];
-                let mut cmd = BytesMut::new();
-                put_varint(&mut cmd, tag::RETIRE);
-                put_varint(&mut cmd, pid.0 as u64);
-                self.write(w, &cmd, "retiring a decided process")?;
-            }
-        }
-        Ok(statuses)
-    }
-
-    fn shutdown(&mut self) {
-        for stream in &mut self.streams {
-            let mut cmd = BytesMut::new();
-            put_varint(&mut cmd, tag::EXIT);
-            let _ = write_frame(stream, &cmd);
-        }
-        // Dropping the coordinator ends of the connections unblocks any
-        // worker still mid-read or mid-write, so joins cannot hang.
-        self.streams.clear();
-        self.decoders.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        let io_timeout = options.io_timeout;
+        let count = options.worker_count(labels.len());
+        let workers = spawn_workers(protocol, labels, seeds, count, |index| {
+            move || TcpPort::connect(addr, index, io_timeout)
+        });
+        let carrier = TcpCarrier::accept(&listener, count, io_timeout)?;
+        Ok(WorkerTransport::new(labels, carrier, workers))
     }
 }
 
@@ -795,14 +532,7 @@ where
     P: ViewProtocol + Clone + Send + 'static,
     A: Adversary<P::Msg>,
 {
-    run_socket_with(
-        protocol,
-        labels,
-        adversary,
-        seeds,
-        options,
-        SocketOptions::default(),
-    )
+    ExecutorKind::Socket.run(protocol, labels, adversary, seeds, options)
 }
 
 /// [`run_socket`] with explicit [`SocketOptions`] (worker count, I/O
@@ -823,163 +553,72 @@ where
     P: ViewProtocol + Clone + Send + 'static,
     A: Adversary<P::Msg>,
 {
-    let round_limit = options.round_limit(labels.len());
-    // Validate the configuration before binding any sockets.
-    let pipeline = RoundPipeline::new(labels.clone(), adversary, seeds, round_limit)?;
-    let mut transport = SocketTransport::spawn(&protocol, &labels, &seeds, socket)?;
-    pipeline.run(&mut transport, &mut NoObserver)
+    ExecutorKind::Socket.run_with(protocol, labels, adversary, seeds, options, socket)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{NoFailures, Scripted, ScriptedCrash};
-    use crate::engine::{ConfigError, SyncEngine};
-    use crate::testproto::{BrokenWire, RankOnce, UnionRank};
-    use crate::trace::Outcome;
+    use crate::testproto::LabelSet;
 
-    fn labels(n: u64) -> Vec<Label> {
-        (0..n).map(|i| Label(i * 19 + 3)).collect()
-    }
-
-    fn hostile() -> Scripted {
-        Scripted::new(vec![
-            ScriptedCrash {
-                round: Round(0),
-                victim_index: 2,
-                modulus: 2,
-                residue: 0,
-            },
-            ScriptedCrash {
-                round: Round(1),
-                victim_index: 4,
-                modulus: 3,
-                residue: 1,
-            },
-        ])
+    fn varints(values: &[u64]) -> Bytes {
+        let mut buf = BytesMut::new();
+        for &v in values {
+            put_varint(&mut buf, v);
+        }
+        buf.freeze()
     }
 
     #[test]
-    fn rejects_bad_config_before_binding() {
-        assert!(matches!(
-            run_socket(
-                RankOnce,
-                vec![],
-                NoFailures,
-                SeedTree::new(0),
-                EngineOptions::default()
-            ),
-            Err(RunError::Config(ConfigError::EmptySystem))
-        ));
-        assert!(matches!(
-            run_socket(
-                RankOnce,
-                vec![Label(2), Label(2)],
-                NoFailures,
-                SeedTree::new(0),
-                EngineOptions::default()
-            ),
-            Err(RunError::Config(ConfigError::DuplicateLabel(_)))
-        ));
-    }
-
-    #[test]
-    fn socket_matches_sim_failure_free() {
-        let ls = labels(12);
-        let sim = SyncEngine::new(
-            UnionRank::rounds(3),
-            ls.clone(),
-            NoFailures,
-            SeedTree::new(9),
-        )
-        .unwrap()
-        .run();
-        let socket = run_socket(
-            UnionRank::rounds(3),
-            ls,
-            NoFailures,
-            SeedTree::new(9),
-            EngineOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(sim, socket);
-    }
-
-    #[test]
-    fn socket_matches_sim_with_crashes() {
-        let ls = labels(10);
-        let sim = SyncEngine::new(
-            UnionRank::rounds(4),
-            ls.clone(),
-            hostile(),
-            SeedTree::new(21),
-        )
-        .unwrap()
-        .run();
-        let socket = run_socket(
-            UnionRank::rounds(4),
-            ls,
-            hostile(),
-            SeedTree::new(21),
-            EngineOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(sim, socket);
-    }
-
-    #[test]
-    fn report_is_independent_of_worker_count() {
-        let ls = labels(11);
-        let run_with = |workers: usize| {
-            run_socket_with(
-                UnionRank::rounds(4),
-                ls.clone(),
-                hostile(),
-                SeedTree::new(13),
-                EngineOptions::default(),
-                SocketOptions {
-                    workers: Some(workers),
-                    ..SocketOptions::default()
-                },
-            )
-            .unwrap()
-        };
-        let one = run_with(1);
-        for workers in [2, 3, 7, 64] {
-            assert_eq!(one, run_with(workers), "workers = {workers}");
+    fn commands_and_responses_roundtrip() {
+        let inbox = InboxBuf::from_pairs(vec![
+            (Label(3), LabelSet(vec![Label(3)])),
+            (Label(1 << 40), LabelSet(vec![])),
+        ]);
+        let groups = vec![
+            (vec![4, 6], Arc::new(inbox)),
+            (vec![], Arc::new(InboxBuf::new())),
+        ];
+        for cmd in [
+            Cmd::Compose(Round(7), vec![0, 5, 1 << 33]),
+            Cmd::Deliver(Round(2), groups),
+            Cmd::Retire(vec![9, 10]),
+            Cmd::Exit,
+        ] {
+            let mut buf = BytesMut::new();
+            put_cmd(&mut buf, &cmd);
+            assert_eq!(get_cmd::<LabelSet>(buf.freeze()), Ok(cmd));
+        }
+        for rsp in [
+            Rsp::Composed(vec![(1, Bytes::from(vec![1, 2])), (2, Bytes::new())]),
+            Rsp::Applied(vec![(1, Status::Running), (3, Status::Decided(Name(7)))]),
+            Rsp::Fault(Fault::UnknownSlot(99)),
+        ] {
+            let mut buf = BytesMut::new();
+            put_rsp(&mut buf, &rsp);
+            assert_eq!(get_rsp(buf.freeze()), Ok(rsp));
         }
     }
 
     #[test]
-    fn socket_round_limit() {
-        let report = run_socket(
-            UnionRank::rounds(100),
-            labels(4),
-            NoFailures,
-            SeedTree::new(1),
-            EngineOptions {
-                max_rounds: Some(2),
-                ..EngineOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(report.outcome, Outcome::RoundLimit);
-        assert_eq!(report.rounds, 2);
-    }
-
-    #[test]
-    fn malformed_wire_bytes_are_an_error_not_a_panic() {
-        let report = run_socket(
-            BrokenWire,
-            labels(4),
-            NoFailures,
-            SeedTree::new(3),
-            EngineOptions::default(),
-        );
-        assert!(
-            matches!(report, Err(RunError::Decode { .. })),
-            "expected a structured decode error, got {report:?}"
-        );
+    fn hostile_command_frames_fail_to_decode() {
+        for (frame, error) in [
+            // A slot count beyond the frame never sizes an allocation.
+            (
+                vec![tag::COMPOSE, 0, 1 << 40],
+                WireError::LengthOverflow(1 << 40),
+            ),
+            (vec![300], WireError::LengthOverflow(300)),
+            (vec![tag::EXIT, 0], WireError::TrailingBytes(1)),
+        ] {
+            assert_eq!(get_cmd::<LabelSet>(varints(&frame)), Err(error.into()));
+        }
+        // An undecodable message inside a `Deliver` names its sender.
+        let deliver = varints(&[tag::DELIVER, 0, 1, 1, 4, 1, 8, 1, 0xEE]);
+        assert!(matches!(
+            get_cmd::<LabelSet>(deliver),
+            Err(Fault::Wire(Some(Label(8)), _))
+        ));
     }
 
     #[test]
@@ -991,14 +630,24 @@ mod tests {
             (None, WireError::TrailingBytes(3)),
             (Some(Label(0)), WireError::VarintOverflow),
         ] {
+            let f = Fault::Wire(sender, e);
             let mut buf = BytesMut::new();
-            put_wire_error(&mut buf, sender, &e);
-            let fault = get_worker_fault(&mut buf.freeze(), 5);
-            assert_eq!(
-                fault,
-                RunError::Decode { sender, error: e },
-                "fault roundtrip"
-            );
+            put_fault(&mut buf, &f);
+            assert_eq!(get_fault(&mut buf.freeze()), Ok(f), "fault roundtrip");
+        }
+        // Hostile bodies fail rather than decode as some other fault: an
+        // unknown error code, an argument too wide for its type, an
+        // unknown sender flag, an unknown fault kind. Inside a response
+        // frame, the coordinator then sees a bad frame.
+        for (body, error) in [
+            (vec![fault::WIRE, 0, 9, 0], WireError::BadTag(9)),
+            (vec![fault::WIRE, 0, 2, 300], WireError::LengthOverflow(300)),
+            (vec![fault::WIRE, 2, 0, 0], WireError::BadTag(2)),
+            (vec![5], WireError::BadTag(5)),
+        ] {
+            assert_eq!(get_fault(&mut varints(&body)), Err(error.clone()));
+            let frame = varints(&[&[tag::FAULT][..], &body].concat());
+            assert_eq!(get_rsp(frame), Err(error), "{body:?}");
         }
     }
 

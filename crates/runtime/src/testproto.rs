@@ -186,6 +186,26 @@ impl ViewProtocol for BrokenWire {
     }
 }
 
+/// `n` distinct, non-contiguous labels for the executor tests.
+#[cfg(test)]
+pub(crate) fn labels(n: u64) -> Vec<Label> {
+    (0..n).map(|i| Label(i * 19 + 3)).collect()
+}
+
+/// Two scripted crashes with partial deliveries, in rounds 0 and 1: the
+/// fixed schedule the executor tests compare runs under.
+#[cfg(test)]
+pub(crate) fn two_crashes() -> crate::adversary::Scripted {
+    use crate::adversary::{Scripted, ScriptedCrash};
+    let crash = |round, victim_index, modulus, residue| ScriptedCrash {
+        round: Round(round),
+        victim_index,
+        modulus,
+        residue,
+    };
+    Scripted::new(vec![crash(0, 2, 2, 0), crash(1, 4, 3, 1)])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,433 +1,119 @@
-//! In-process wire executor over crossbeam channels.
+//! In-process wire executor: the worker protocol of [`crate::worker`]
+//! over crossbeam channels.
 //!
 //! Where the in-memory transports *simulate* the synchronous network,
-//! this executor *is* one, in miniature: a few worker threads, each
-//! owning a contiguous range of process slots (views and RNG streams
-//! never leave their worker), lock-stepped by the shared
-//! [`RoundPipeline`] through command/response channels — the same
-//! worker shape as the socket executor ([`crate::socket`]), minus the
-//! kernel's socket layer. Within a worker, slots share views by
-//! delivery history (the `worker` module holds the shared state
-//! machine), so a failure-free run materializes one view per worker
-//! regardless of `n`.
-//!
-//! Each round costs one `Compose` and one `Deliver` command per
-//! *worker*, not per process: a worker composes its whole slot range as
-//! one batched sweep per shared view and answers with the encoded
-//! broadcasts (the coordinator decodes them, so the codec is exercised
-//! every round exactly as on the socket executor), and delivery hands
-//! each worker the round's shared [`InboxBuf`]s by [`Arc`] clone — one
-//! reference per (worker × delivery signature), never a re-encoded
-//! per-recipient byte vector.
-//!
-//! For any `(protocol, labels, adversary, seed)`, this executor produces a
-//! [`RunReport`] **bit-identical** to the in-memory executors'; the
-//! `threaded_matches_sim` tests enforce that. Use the simulator for sweeps
-//! (it is orders of magnitude faster) and this executor to demonstrate the
-//! protocol over real message passing.
-//!
-//! ## Failure handling
-//!
-//! Wire problems are *errors, not panics*: a broadcast that fails to
-//! decode at the coordinator and a worker that hangs up mid-run both
-//! surface as a structured [`RunError`] from [`run_threaded`], after the
-//! transport has torn itself down. A worker handed an unknown slot
-//! reports it back through its response channel and exits cleanly; it
-//! never panics across the thread boundary. The socket executor shares
-//! this exact error path.
+//! this executor *is* one, in miniature: slot-range worker threads
+//! lock-stepped by the shared [`crate::pipeline::RoundPipeline`], as on
+//! the socket executor ([`crate::socket`]). This module is only the
+//! carrier: a command and a response channel per worker, moving [`Cmd`]
+//! and [`Rsp`] values as they are. `Deliver` hands each worker the
+//! round's shared inboxes by [`std::sync::Arc`] clone, never re-encoded;
+//! composed broadcasts still come back encoded, so the codec runs every
+//! round. Reports are **bit-identical** to the in-memory executors'.
 
 use std::fmt;
-use std::sync::Arc;
-use std::thread;
 
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::adversary::Adversary;
 use crate::engine::EngineOptions;
 use crate::error::RunError;
-use crate::ids::{Label, ProcId, Round};
-use crate::pipeline::{RoundMessages, RoundPipeline, SigId, Transport};
+use crate::exec::ExecutorKind;
+use crate::ids::Label;
 use crate::rng::SeedTree;
+use crate::socket::SocketOptions;
 use crate::trace::RunReport;
-use crate::view::{InboxBuf, NoObserver, Status, ViewProtocol};
-use crate::wire::Wire;
-use crate::worker::{slot_ranges, WorkerState};
+use crate::view::ViewProtocol;
+use crate::worker::{spawn_workers, Carrier, Cmd, Fault, Rsp, WorkerPort, WorkerTransport};
 
-enum ToWorker<M> {
-    /// Compose the broadcasts of `slots` (ascending, all owned by this
-    /// worker) for `round`.
-    Compose {
-        round: Round,
-        slots: Vec<u64>,
-    },
-    /// Fold the round's shared inboxes: one `(recipients, inbox)` group
-    /// per delivery signature present at this worker.
-    Deliver {
-        round: Round,
-        groups: Vec<(Vec<u64>, Arc<InboxBuf<M>>)>,
-    },
-    /// A slot crashed or decided; drop it. Fire-and-forget: channel FIFO
-    /// ordering lands it before the next `Deliver`.
-    Retire(u64),
-    Exit,
+/// The coordinator end of the channel carrier: a command sender and a
+/// response receiver per worker.
+pub struct ChannelCarrier<M> {
+    links: Vec<(Sender<Cmd<M>>, Receiver<Rsp>)>,
 }
 
-enum FromWorker {
-    /// Encoded broadcasts, slot-ascending.
-    Composed(Vec<(u64, Bytes)>),
-    /// Post-apply statuses, slot-ascending.
-    Applied(Vec<(u64, Status)>),
-    /// A command named a slot this worker does not own; the worker
-    /// reports it and exits its loop.
-    BadSlot(u64),
-}
-
-/// The in-process wire transport: slot-range worker threads lock-stepped
-/// by the [`RoundPipeline`] through command/response channels. Views
-/// never leave their worker thread.
-pub struct ChannelTransport<P: ViewProtocol> {
-    labels: Vec<Label>,
-    to_workers: Vec<Sender<ToWorker<P::Msg>>>,
-    from_workers: Vec<Receiver<FromWorker>>,
-    /// Slot → owning worker index. Ranges are contiguous and ascending,
-    /// so concatenating per-worker responses in worker order yields slot
-    /// order.
-    worker_of: Vec<usize>,
-    handles: Vec<thread::JoinHandle<()>>,
-    /// Statuses collected in [`Transport::apply`], drained by
-    /// [`Transport::sweep`].
-    statuses: Vec<(ProcId, Status)>,
-    _protocol: std::marker::PhantomData<P>,
-}
-
-impl<P: ViewProtocol> fmt::Debug for ChannelTransport<P> {
+impl<M> fmt::Debug for ChannelCarrier<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ChannelTransport")
-            .field("n", &self.labels.len())
-            .field("workers", &self.to_workers.len())
-            .finish_non_exhaustive()
+        f.debug_struct("ChannelCarrier")
+            .field("links", &self.links.len())
+            .finish()
     }
 }
 
-impl<P> ChannelTransport<P>
-where
-    P: ViewProtocol + Clone + Send + 'static,
-{
-    /// Spawns `min(available_parallelism, n)` workers, each owning a
-    /// contiguous slot range with its views and process RNG streams.
-    pub fn spawn(protocol: &P, labels: &[Label], seeds: &SeedTree) -> Self {
-        let auto = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1);
-        Self::spawn_with_workers(protocol, labels, seeds, auto)
-    }
-
-    /// [`ChannelTransport::spawn`] with an explicit worker count
-    /// (clamped to `1..=n`). The produced [`RunReport`] does not depend
-    /// on it — tests use this to assert exactly that.
-    pub fn spawn_with_workers(
-        protocol: &P,
-        labels: &[Label],
-        seeds: &SeedTree,
-        workers: usize,
-    ) -> Self {
-        let n = labels.len();
-        let workers = workers.clamp(1, n.max(1));
-        let (ranges, worker_of) = slot_ranges(n, workers);
-        let mut to_workers = Vec::with_capacity(workers);
-        let mut from_workers = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for range in ranges {
-            let (tx_cmd, rx_cmd) = unbounded::<ToWorker<P::Msg>>();
-            let (tx_rsp, rx_rsp) = unbounded::<FromWorker>();
-            to_workers.push(tx_cmd);
-            from_workers.push(rx_rsp);
-            let slots: Vec<(u32, Label)> = range.map(|s| (s as u32, labels[s])).collect();
-            let proto = protocol.clone();
-            let seeds = *seeds;
-            handles.push(thread::spawn(move || {
-                worker_main(proto, n, slots, seeds, &rx_cmd, &tx_rsp);
-            }));
-        }
-        ChannelTransport {
-            labels: labels.to_vec(),
-            to_workers,
-            from_workers,
-            worker_of,
-            handles,
-            statuses: Vec::new(),
-            _protocol: std::marker::PhantomData,
-        }
-    }
-
-    /// The number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.to_workers.len()
-    }
-
-    fn send(
-        &self,
-        worker: usize,
-        cmd: ToWorker<P::Msg>,
-        context: &'static str,
-    ) -> Result<(), RunError> {
-        self.to_workers[worker]
+impl<M> Carrier<M> for ChannelCarrier<M> {
+    fn send(&mut self, worker: usize, cmd: Cmd<M>, context: &'static str) -> Result<(), RunError> {
+        self.links[worker]
+            .0
             .send(cmd)
             .map_err(|_| RunError::Disconnected { context, worker })
     }
 
-    fn recv(&self, worker: usize, context: &'static str) -> Result<FromWorker, RunError> {
-        self.from_workers[worker]
+    fn recv(&mut self, worker: usize, context: &'static str) -> Result<Rsp, RunError> {
+        self.links[worker]
+            .1
             .recv()
             .map_err(|_| RunError::Disconnected { context, worker })
     }
 
-    /// Groups `pids` (slot-ascending) by owning worker, preserving order.
-    fn per_worker(&self, pids: &[ProcId]) -> Vec<Vec<ProcId>> {
-        let mut out: Vec<Vec<ProcId>> = vec![Vec::new(); self.to_workers.len()];
-        for &p in pids {
-            out[self.worker_of[p.index()]].push(p);
-        }
-        out
-    }
-
-    fn bad_slot(worker: usize, slot: u64, context: &'static str) -> RunError {
-        RunError::Protocol {
-            context,
-            detail: format!("worker {worker} was handed unknown slot {slot}"),
-        }
+    fn hang_up(&mut self) {
+        self.links.clear();
     }
 }
 
-/// The body of one worker thread: serve commands until `Exit` or a dead
-/// channel.
-fn worker_main<P>(
-    proto: P,
-    n: usize,
-    slots: Vec<(u32, Label)>,
-    seeds: SeedTree,
-    rx_cmd: &Receiver<ToWorker<P::Msg>>,
-    tx_rsp: &Sender<FromWorker>,
-) where
-    P: ViewProtocol,
-{
-    let mut state = WorkerState::<P>::new(&proto, n, &slots, &seeds);
-    while let Ok(cmd) = rx_cmd.recv() {
-        match cmd {
-            ToWorker::Compose { round, slots } => {
-                match state.compose_batch(&proto, round, &slots) {
-                    Ok(composed) => {
-                        if tx_rsp.send(FromWorker::Composed(composed)).is_err() {
-                            break;
-                        }
-                    }
-                    Err(slot) => {
-                        tx_rsp.send(FromWorker::BadSlot(slot)).ok();
-                        break;
-                    }
-                }
-            }
-            ToWorker::Deliver { round, groups } => {
-                let mut statuses: Vec<(u64, Status)> = Vec::new();
-                let mut bad = None;
-                for (dsts, inbox) in &groups {
-                    if let Err(slot) = state.apply_group(&proto, round, dsts, inbox, &mut statuses)
-                    {
-                        bad = Some(slot);
-                        break;
-                    }
-                }
-                if let Some(slot) = bad {
-                    tx_rsp.send(FromWorker::BadSlot(slot)).ok();
-                    break;
-                }
-                statuses.sort_unstable_by_key(|&(slot, _)| slot);
-                if tx_rsp.send(FromWorker::Applied(statuses)).is_err() {
-                    break;
-                }
-            }
-            ToWorker::Retire(slot) => state.retire(slot),
-            ToWorker::Exit => break,
-        }
+/// The worker end of one channel link.
+struct ChannelPort<M> {
+    commands: Receiver<Cmd<M>>,
+    responses: Sender<Rsp>,
+}
+
+impl<M> WorkerPort<M> for ChannelPort<M> {
+    fn recv(&mut self) -> Option<Result<Cmd<M>, Fault>> {
+        self.commands.recv().ok().map(Ok)
+    }
+
+    fn send(&mut self, rsp: Rsp) -> bool {
+        self.responses.send(rsp).is_ok()
     }
 }
 
-impl<P> Transport<P> for ChannelTransport<P>
+/// The in-process wire transport: the shared [`WorkerTransport`] over
+/// channels.
+pub type ChannelTransport<P> = WorkerTransport<P, ChannelCarrier<<P as ViewProtocol>::Msg>>;
+
+impl<P> WorkerTransport<P, ChannelCarrier<P::Msg>>
 where
     P: ViewProtocol + Clone + Send + 'static,
 {
-    fn compose(
-        &mut self,
-        round: Round,
-        participants: &[ProcId],
-    ) -> Result<Vec<(ProcId, Label, P::Msg)>, RunError> {
-        let per_worker = self.per_worker(participants);
-        for (w, slots) in per_worker.iter().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            let cmd = ToWorker::Compose {
-                round,
-                slots: slots.iter().map(|p| p.0 as u64).collect(),
+    /// Spawns workers with default [`SocketOptions`]:
+    /// `min(available_parallelism, n)` of them, each owning a contiguous
+    /// slot range with its views and process RNG streams.
+    pub fn spawn(protocol: &P, labels: &[Label], seeds: &SeedTree) -> Self {
+        Self::spawn_with(protocol, labels, seeds, SocketOptions::default())
+    }
+
+    /// [`ChannelTransport::spawn`] with the worker count of `options`
+    /// (its I/O timeout applies to sockets only). The produced
+    /// [`RunReport`] does not depend on it.
+    pub fn spawn_with(
+        protocol: &P,
+        labels: &[Label],
+        seeds: &SeedTree,
+        options: SocketOptions,
+    ) -> Self {
+        let mut links = Vec::new();
+        let link = |_| {
+            let (to_worker, commands) = unbounded();
+            let (responses, from_worker) = unbounded();
+            links.push((to_worker, from_worker));
+            let port = ChannelPort {
+                commands,
+                responses,
             };
-            self.send(w, cmd, "requesting broadcasts")?;
-        }
-        let mut outgoing = Vec::with_capacity(participants.len());
-        for (w, slots) in per_worker.iter().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            let context = "collecting broadcasts";
-            match self.recv(w, context)? {
-                FromWorker::Composed(batch) => {
-                    if batch.len() != slots.len() {
-                        return Err(RunError::Protocol {
-                            context,
-                            detail: format!(
-                                "worker {w} composed {} broadcasts, expected {}",
-                                batch.len(),
-                                slots.len()
-                            ),
-                        });
-                    }
-                    for (&p, (slot, bytes)) in slots.iter().zip(batch) {
-                        if slot != p.0 as u64 {
-                            return Err(RunError::Protocol {
-                                context,
-                                detail: format!("worker {w} composed slot {slot}, expected {p}"),
-                            });
-                        }
-                        let label = self.labels[p.index()];
-                        let msg =
-                            P::Msg::from_bytes(bytes).map_err(|e| RunError::decode(label, e))?;
-                        outgoing.push((p, label, msg));
-                    }
-                }
-                FromWorker::BadSlot(slot) => return Err(Self::bad_slot(w, slot, context)),
-                FromWorker::Applied(_) => {
-                    return Err(RunError::Protocol {
-                        context,
-                        detail: format!("worker {w} answered Applied to a Compose request"),
-                    })
-                }
-            }
-        }
-        Ok(outgoing)
-    }
-
-    fn crashed(&mut self, pid: ProcId) -> Result<(), RunError> {
-        let w = self.worker_of[pid.index()];
-        self.send(
-            w,
-            ToWorker::Retire(pid.0 as u64),
-            "retiring a crashed process",
-        )
-    }
-
-    fn apply(
-        &mut self,
-        round: Round,
-        _alive: &[bool],
-        survivors: &[ProcId],
-        msgs: &RoundMessages<P::Msg>,
-    ) -> Result<(), RunError> {
-        let per_worker = self.per_worker(survivors);
-        for (w, dsts) in per_worker.iter().enumerate() {
-            if dsts.is_empty() {
-                continue;
-            }
-            // One shared inbox per delivery signature occurring at this
-            // worker, handed over by Arc clone — recipients are listed
-            // with it, so delivery is O(signatures) references per
-            // worker, never a per-recipient byte re-encode.
-            let mut groups: Vec<(SigId, Vec<u64>)> = Vec::new();
-            for &dst in dsts {
-                let sig = msgs.sig_id(dst);
-                match groups.iter_mut().find(|(s, _)| *s == sig) {
-                    Some((_, g)) => g.push(dst.0 as u64),
-                    None => groups.push((sig, vec![dst.0 as u64])),
-                }
-            }
-            let cmd = ToWorker::Deliver {
-                round,
-                groups: groups
-                    .into_iter()
-                    .map(|(sig, g)| (g, msgs.inbox_arc(sig)))
-                    .collect(),
-            };
-            self.send(w, cmd, "delivering inboxes")?;
-        }
-        self.statuses.clear();
-        for (w, dsts) in per_worker.iter().enumerate() {
-            if dsts.is_empty() {
-                continue;
-            }
-            let context = "collecting round statuses";
-            match self.recv(w, context)? {
-                FromWorker::Applied(batch) => {
-                    if batch.len() != dsts.len() {
-                        return Err(RunError::Protocol {
-                            context,
-                            detail: format!(
-                                "worker {w} reported {} statuses, expected {}",
-                                batch.len(),
-                                dsts.len()
-                            ),
-                        });
-                    }
-                    for (&p, (slot, status)) in dsts.iter().zip(batch) {
-                        if slot != p.0 as u64 {
-                            return Err(RunError::Protocol {
-                                context,
-                                detail: format!(
-                                    "worker {w} reported status for slot {slot}, expected {p}"
-                                ),
-                            });
-                        }
-                        self.statuses.push((p, status));
-                    }
-                }
-                FromWorker::BadSlot(slot) => return Err(Self::bad_slot(w, slot, context)),
-                FromWorker::Composed(_) => {
-                    return Err(RunError::Protocol {
-                        context,
-                        detail: format!("worker {w} answered Composed to a Deliver request"),
-                    })
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn sweep(&mut self, _round: Round) -> Result<Vec<(ProcId, Status)>, RunError> {
-        let statuses = std::mem::take(&mut self.statuses);
-        for (pid, status) in &statuses {
-            if matches!(status, Status::Decided(_)) {
-                let w = self.worker_of[pid.index()];
-                self.send(
-                    w,
-                    ToWorker::Retire(pid.0 as u64),
-                    "retiring a decided process",
-                )?;
-            }
-        }
-        Ok(statuses)
-    }
-
-    fn shutdown(&mut self) {
-        for tx in &self.to_workers {
-            tx.send(ToWorker::Exit).ok();
-        }
-        // Dropping the senders unblocks any worker still mid-recv, so
-        // joins cannot hang.
-        self.to_workers.clear();
-        for h in self.handles.drain(..) {
-            // A worker that panicked mid-run already surfaced as a
-            // Disconnected/Protocol error to the driver; teardown only
-            // reaps the thread, so a join error carries no new signal.
-            let _ = h.join();
-        }
+            move || Some(port)
+        };
+        let count = options.worker_count(labels.len());
+        let workers = spawn_workers(protocol, labels, seeds, count, link);
+        WorkerTransport::new(labels, ChannelCarrier { links }, workers)
     }
 }
 
@@ -441,10 +127,6 @@ where
 /// (codec bug or corrupted frame), and [`RunError::Disconnected`] if a
 /// worker thread hangs up mid-run. The transport is torn down before any
 /// error is returned.
-///
-/// # Panics
-///
-/// Panics only if a worker thread itself panics (a protocol bug).
 pub fn run_threaded<P, A>(
     protocol: P,
     labels: Vec<Label>,
@@ -456,171 +138,5 @@ where
     P: ViewProtocol + Clone + Send + 'static,
     A: Adversary<P::Msg>,
 {
-    let round_limit = options.round_limit(labels.len());
-    let pipeline = RoundPipeline::new(labels.clone(), adversary, seeds, round_limit)?;
-    let mut transport = ChannelTransport::spawn(&protocol, &labels, &seeds);
-    pipeline.run(&mut transport, &mut NoObserver)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::adversary::{NoFailures, Scripted, ScriptedCrash};
-    use crate::engine::{ConfigError, SyncEngine};
-    use crate::testproto::{BrokenWire, RankOnce, UnionRank};
-    use crate::trace::Outcome;
-
-    fn labels(n: u64) -> Vec<Label> {
-        (0..n).map(|i| Label(i * 13 + 5)).collect()
-    }
-
-    #[test]
-    fn rejects_bad_config() {
-        assert!(matches!(
-            run_threaded(
-                RankOnce,
-                vec![],
-                NoFailures,
-                SeedTree::new(0),
-                EngineOptions::default()
-            ),
-            Err(RunError::Config(ConfigError::EmptySystem))
-        ));
-        assert!(matches!(
-            run_threaded(
-                RankOnce,
-                vec![Label(1), Label(1)],
-                NoFailures,
-                SeedTree::new(0),
-                EngineOptions::default()
-            ),
-            Err(RunError::Config(ConfigError::DuplicateLabel(_)))
-        ));
-    }
-
-    #[test]
-    fn malformed_wire_bytes_are_an_error_not_a_panic() {
-        let report = run_threaded(
-            BrokenWire,
-            labels(4),
-            NoFailures,
-            SeedTree::new(3),
-            EngineOptions::default(),
-        );
-        assert!(
-            matches!(report, Err(RunError::Decode { .. })),
-            "expected a structured decode error, got {report:?}"
-        );
-    }
-
-    #[test]
-    fn threaded_matches_sim_failure_free() {
-        let ls = labels(12);
-        let sim = SyncEngine::new(
-            UnionRank::rounds(3),
-            ls.clone(),
-            NoFailures,
-            SeedTree::new(9),
-        )
-        .unwrap()
-        .run();
-        let threaded = run_threaded(
-            UnionRank::rounds(3),
-            ls,
-            NoFailures,
-            SeedTree::new(9),
-            EngineOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(sim, threaded);
-    }
-
-    #[test]
-    fn threaded_matches_sim_with_crashes() {
-        let ls = labels(10);
-        let adv = || {
-            Scripted::new(vec![
-                ScriptedCrash {
-                    round: Round(0),
-                    victim_index: 3,
-                    modulus: 2,
-                    residue: 0,
-                },
-                ScriptedCrash {
-                    round: Round(2),
-                    victim_index: 1,
-                    modulus: 3,
-                    residue: 2,
-                },
-            ])
-        };
-        let sim = SyncEngine::new(UnionRank::rounds(4), ls.clone(), adv(), SeedTree::new(21))
-            .unwrap()
-            .run();
-        let threaded = run_threaded(
-            UnionRank::rounds(4),
-            ls,
-            adv(),
-            SeedTree::new(21),
-            EngineOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(sim, threaded);
-    }
-
-    #[test]
-    fn report_is_independent_of_worker_count() {
-        use crate::pipeline::RoundPipeline;
-        use crate::view::NoObserver;
-
-        let ls = labels(11);
-        let adv = || {
-            Scripted::new(vec![
-                ScriptedCrash {
-                    round: Round(0),
-                    victim_index: 2,
-                    modulus: 2,
-                    residue: 0,
-                },
-                ScriptedCrash {
-                    round: Round(1),
-                    victim_index: 4,
-                    modulus: 3,
-                    residue: 1,
-                },
-            ])
-        };
-        let run_with = |workers: usize| {
-            let seeds = SeedTree::new(13);
-            let mut t =
-                ChannelTransport::spawn_with_workers(&UnionRank::rounds(4), &ls, &seeds, workers);
-            assert_eq!(t.workers(), workers.clamp(1, ls.len()));
-            RoundPipeline::new(ls.clone(), adv(), seeds, 1000)
-                .unwrap()
-                .run(&mut t, &mut NoObserver)
-                .unwrap()
-        };
-        let one = run_with(1);
-        for workers in [2, 3, 7, 64] {
-            assert_eq!(one, run_with(workers), "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn threaded_round_limit() {
-        let ls = labels(4);
-        let report = run_threaded(
-            UnionRank::rounds(100),
-            ls,
-            NoFailures,
-            SeedTree::new(1),
-            EngineOptions {
-                max_rounds: Some(2),
-                ..EngineOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(report.outcome, Outcome::RoundLimit);
-        assert_eq!(report.rounds, 2);
-    }
+    ExecutorKind::Threaded.run(protocol, labels, adversary, seeds, options)
 }

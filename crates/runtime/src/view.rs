@@ -14,8 +14,8 @@
 //!
 //! and every executor — the per-process reference engine, the
 //! cluster-sharing engine ([`crate::engine::SyncEngine`]), the
-//! thread-per-process channel executor ([`crate::threaded`]), and the
-//! data-parallel executor ([`crate::parallel`]) — drives those same
+//! data-parallel executor ([`crate::parallel`]), and the slot-range
+//! worker executors ([`crate::worker`]) — drives those same
 //! functions through the one shared round loop
 //! ([`crate::pipeline::RoundPipeline`]). Cross-executor equivalence is
 //! enforced by tests.

@@ -3,16 +3,15 @@
 //! wire codec.
 
 use bil_runtime::adversary::{Scripted, ScriptedCrash};
-use bil_runtime::engine::{EngineMode, EngineOptions, SyncEngine};
+use bil_runtime::engine::{EngineOptions, SyncEngine};
 use bil_runtime::frame::{encode_frame, FrameDecoder};
 use bil_runtime::parallel::ParallelTransport;
 use bil_runtime::pipeline::RoundPipeline;
-use bil_runtime::socket::{run_socket_with, SocketOptions};
+use bil_runtime::socket::SocketOptions;
 use bil_runtime::testproto::{LabelSet, RankOnce, UnionRank};
-use bil_runtime::threaded::run_threaded;
 use bil_runtime::view::NoObserver;
 use bil_runtime::wire::Wire;
-use bil_runtime::{Label, Round, SeedTree};
+use bil_runtime::{ExecutorKind, Label, Round, SeedTree};
 use proptest::prelude::*;
 
 fn schedules() -> impl Strategy<Value = Vec<ScriptedCrash>> {
@@ -35,8 +34,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The five executors agree bit-for-bit on every run. The parallel
-    /// executor runs with a forced shard count > 1 and the socket
-    /// executor with a forced worker count > 1, so their fan-out/merge
+    /// executor also runs with a forced shard count > 1, and both wire
+    /// executors with a forced worker count > 1, so their fan-out/merge
     /// paths are exercised even on single-core CI machines.
     #[test]
     fn executors_agree(
@@ -45,24 +44,22 @@ proptest! {
         seed in any::<u64>(),
         schedule in schedules(),
     ) {
-        let clustered = SyncEngine::with_options(
-            UnionRank::rounds(rounds),
-            labels(n),
-            Scripted::new(schedule.clone()),
-            SeedTree::new(seed),
-            EngineOptions { max_rounds: None, mode: EngineMode::Clustered },
-        )
-        .unwrap()
-        .run();
-        let per_process = SyncEngine::with_options(
-            UnionRank::rounds(rounds),
-            labels(n),
-            Scripted::new(schedule.clone()),
-            SeedTree::new(seed),
-            EngineOptions { max_rounds: None, mode: EngineMode::PerProcess },
-        )
-        .unwrap()
-        .run();
+        let two_workers = SocketOptions { workers: Some(2), ..SocketOptions::default() };
+        let run = |kind: ExecutorKind| {
+            kind.run_with(
+                UnionRank::rounds(rounds),
+                labels(n),
+                Scripted::new(schedule.clone()),
+                SeedTree::new(seed),
+                EngineOptions::default(),
+                two_workers,
+            )
+            .unwrap()
+        };
+        let clustered = run(ExecutorKind::Clustered);
+        for kind in ExecutorKind::ALL {
+            prop_assert_eq!(&clustered, &run(kind), "{}", kind);
+        }
         let parallel = {
             let seeds = SeedTree::new(seed);
             let ls = labels(n);
@@ -73,30 +70,7 @@ proptest! {
                 .run(&mut transport, &mut NoObserver)
                 .unwrap()
         };
-        let threaded = run_threaded(
-            UnionRank::rounds(rounds),
-            labels(n),
-            Scripted::new(schedule.clone()),
-            SeedTree::new(seed),
-            EngineOptions::default(),
-        )
-        .unwrap();
-        let socket = run_socket_with(
-            UnionRank::rounds(rounds),
-            labels(n),
-            Scripted::new(schedule),
-            SeedTree::new(seed),
-            EngineOptions::default(),
-            SocketOptions {
-                workers: Some(2),
-                ..SocketOptions::default()
-            },
-        )
-        .unwrap();
-        prop_assert_eq!(&clustered, &per_process);
         prop_assert_eq!(&clustered, &parallel);
-        prop_assert_eq!(&clustered, &threaded);
-        prop_assert_eq!(&clustered, &socket);
     }
 
     /// Crash semantics: the engine crashes at most the budget, never the

@@ -38,8 +38,9 @@ pub struct ServiceOptions {
     /// Per-epoch round cap; `None` picks the engine default (`8n + 64`
     /// for `n` admitted contenders).
     pub max_rounds: Option<u64>,
-    /// Worker connections for [`ExecutorKind::Socket`] (`None` picks
-    /// `min(parallelism, n)`); reports are independent of this.
+    /// Worker count of the wire executors ([`ExecutorKind::Threaded`]
+    /// and [`ExecutorKind::Socket`]; `None` picks `min(parallelism, n)`);
+    /// reports are independent of this.
     pub socket_workers: Option<usize>,
 }
 

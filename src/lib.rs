@@ -12,9 +12,9 @@
 //!   specification checker, and protocol-aware adversaries;
 //! * [`runtime`] — the synchronous crash-prone message-passing
 //!   substrate: one shared round pipeline behind five interchangeable
-//!   executors (clustered, per-process, data-parallel,
-//!   thread-per-process over wire bytes, and socket workers over
-//!   loopback TCP) and the strong adaptive adversary interface;
+//!   executors (clustered, per-process, data-parallel, and slot-range
+//!   workers exchanging wire bytes over in-process channels or loopback
+//!   TCP) and the strong adaptive adversary interface;
 //! * [`tree`] — the capacity tree (local views, remaining capacity, the
 //!   priority order `<R`, candidate paths);
 //! * [`baselines`] — every comparison point the paper names;
