@@ -127,7 +127,7 @@ impl Anomalies {
 }
 
 /// Reusable per-round working memory: the priority-order snapshot and
-/// the slot→message join column. Purely transient — logically empty
+/// the slot-indexed join columns. Purely transient — logically empty
 /// between rounds (only the warmed capacity persists), excluded from
 /// view equality, and cloning a view resets it, so cluster splits never
 /// copy scratch.
@@ -137,6 +137,9 @@ struct RoundScratch {
     order: Vec<OrderedBall>,
     /// Label-column slot → inbox index (`NO_MSG` for silent slots).
     msg_at: Vec<u32>,
+    /// Label-column slot → has a commit record; empty when nothing is
+    /// committed. See [`index_commits`].
+    committed_at: Vec<bool>,
 }
 
 impl Clone for RoundScratch {
@@ -594,6 +597,7 @@ impl ViewProtocol for BallsIntoLeaves {
                 }
             }
             index_messages(&view.tree, &inbox, &mut scratch.msg_at);
+            index_commits(&view.tree, view.committed.keys(), &mut scratch.committed_at);
             #[cfg(debug_assertions)]
             let gen_sweep = view.tree.shift_generation();
             // NOTE: `fresh` is NOT cleared here — commits learned last
@@ -602,7 +606,9 @@ impl ViewProtocol for BallsIntoLeaves {
             //
             // The sweep mutates positions but never renumbers slots
             // (moves and removals are in-place in the columns), so the
-            // `msg_at` join stays valid throughout.
+            // `msg_at` join stays valid throughout. So does
+            // `committed_at`: echoes were folded in above, and within the
+            // sweep only a ball's own `Commit` changes its record.
             for i in 0..scratch.order.len() {
                 let OrderedBall { ball, slot, .. } = scratch.order[i];
                 let msg = match scratch.msg_at[slot as usize] {
@@ -639,7 +645,7 @@ impl ViewProtocol for BallsIntoLeaves {
                         // Lines 19–20: silence (or the silence-equivalent
                         // repeated `Init`) from an uncommitted ball means
                         // it crashed (committed balls decided; they stay).
-                        if !view.committed.contains_key(&ball) {
+                        if scratch.committed_at.get(slot as usize) != Some(&true) {
                             view.tree.remove(ball);
                         }
                     }
@@ -672,10 +678,12 @@ impl ViewProtocol for BallsIntoLeaves {
             // The snapshot is taken *after* the echoes (matching the
             // echo-first rule above), so slots cannot shift between the
             // snapshot and the sweep: forced position updates move live
-            // balls in place, and removals only vacate slots.
+            // balls in place, and removals only vacate slots. Commit
+            // records are final for the sweep too (evictions run after).
             let mut scratch = std::mem::take(&mut view.scratch);
             view.tree.priority_order_into(&mut scratch.order);
             index_messages(&view.tree, &inbox, &mut scratch.msg_at);
+            index_commits(&view.tree, view.committed.keys(), &mut scratch.committed_at);
             for i in 0..scratch.order.len() {
                 let OrderedBall { ball, slot, .. } = scratch.order[i];
                 let msg = match scratch.msg_at[slot as usize] {
@@ -694,7 +702,7 @@ impl ViewProtocol for BallsIntoLeaves {
                         }
                     }
                     _ => {
-                        if !view.committed.contains_key(&ball) {
+                        if scratch.committed_at.get(slot as usize) != Some(&true) {
                             view.tree.remove(ball);
                         }
                     }
@@ -776,9 +784,43 @@ fn index_messages(tree: &LocalTree, inbox: &RoundInbox<'_, BilMsg>, msg_at: &mut
     }
 }
 
+/// Merge-joins the view's committed balls against the label column, the
+/// same shape as [`index_messages`]: after the call,
+/// `committed_at[slot]` is `true` iff `label_column()[slot]`'s ball has
+/// a commit record. `committed` yields labels in ascending order (the
+/// commit map's keys). With nothing committed — every one-shot view of
+/// the base algorithm — the column is left empty and every slot reads as
+/// uncommitted, at no per-round cost.
+fn index_commits<'a>(
+    tree: &LocalTree,
+    committed: impl Iterator<Item = &'a Label>,
+    committed_at: &mut Vec<bool>,
+) {
+    committed_at.clear();
+    let mut committed = committed.peekable();
+    if committed.peek().is_none() {
+        return;
+    }
+    let labels = tree.label_column();
+    committed_at.resize(labels.len(), false);
+    let mut slot = 0usize;
+    for l in committed {
+        while slot < labels.len() && labels[slot] < *l {
+            slot += 1;
+        }
+        if slot < labels.len() && labels[slot] == *l {
+            committed_at[slot] = true;
+        }
+    }
+}
+
 /// Evicts committed balls from subtrees that forced position updates
-/// pushed over capacity. Deterministic: deepest over-full node first
-/// (ties to the smaller id); within it the preference order is
+/// pushed over capacity. Gated by one pass over the tree's load column
+/// ([`LocalTree::first_overfull`]): the walk over committed balls'
+/// ancestor chains runs only while some node is over-full — without one
+/// it could find no candidate, so the outcome is unchanged.
+/// Deterministic: deepest over-full node first (ties to the smaller
+/// id); within it the preference order is
 ///
 /// 1. **echo-learned commits** — provably crashed before deciding (their
 ///    broadcast missed this view), so eviction is unconditionally safe;
@@ -791,6 +833,9 @@ fn index_messages(tree: &LocalTree, inbox: &RoundInbox<'_, BilMsg>, msg_at: &mut
 ///    pick cannot produce a duplicate claim from this view.
 fn resolve_overfull_subtrees(view: &mut BilView) {
     loop {
+        if view.tree.first_overfull().is_none() {
+            return;
+        }
         // Over-full nodes can only be ancestors of committed balls
         // (every other placement went through the capacity-respecting
         // move-walk, and silent uncommitted balls were removed).

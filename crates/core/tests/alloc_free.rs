@@ -12,9 +12,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bil_core::{BallsIntoLeaves, BilMsg};
+use bil_core::{BallsIntoLeaves, BilConfig, BilMsg, EpochBil};
 use bil_runtime::pipeline::RoundMessages;
-use bil_runtime::{InboxBuf, Label, ProcId, Round, SeedTree, ViewProtocol};
+use bil_runtime::{InboxBuf, Label, Name, ProcId, Round, SeedTree, ViewProtocol};
 
 /// Wraps the system allocator, counting every allocation (fresh or
 /// growing) made by the allocating thread. Deallocations are not
@@ -273,6 +273,58 @@ fn applying_a_warm_failure_free_round_allocates_nothing() {
         .views
         .iter()
         .all(|v| s.labels.iter().all(|l| v.tree().current_node(*l).is_some())));
+}
+
+#[test]
+fn applying_a_warm_epoch_round_allocates_nothing() {
+    // The resident-heavy shape of a service epoch: 256 contenders over
+    // 2 048 names, 85 % of which are held by silent, committed residents
+    // whose labels interleave with the contenders'. Warm path and sync
+    // rounds must not touch the heap either: the snapshot is a counting
+    // sort into scratch, the commit flags are a scratch column joined
+    // against the label column, and the over-full check reads the load
+    // column.
+    let names = 2048usize;
+    let contenders = 256u64;
+    let held = names * 85 / 100;
+    // 7 is odd, so `i * 7 mod 2048` names distinct leaves.
+    let holders: Vec<(Label, Name)> = (0..held)
+        .map(|i| (Label(2 * i as u64 + 1), Name((i * 7 % names) as u32)))
+        .collect();
+    let epoch = EpochBil::new(BilConfig::new(), names, &holders).expect("valid holders");
+    let labels: Vec<Label> = (0..contenders).map(|i| Label(2 * i)).collect();
+    let mut view = epoch.init_view(labels.len());
+    let init: InboxBuf<BilMsg> = labels.iter().map(|l| (*l, BilMsg::Init)).collect();
+    epoch.apply(&mut view, Round(0), init.as_inbox());
+    let seeds = SeedTree::new(11);
+    let mut rngs: Vec<_> = (0..labels.len())
+        .map(|p| seeds.process_rng(ProcId(p as u32)))
+        .collect();
+    for r in 1..=6u64 {
+        let round = Round(r);
+        let inbox: InboxBuf<BilMsg> = labels
+            .iter()
+            .zip(rngs.iter_mut())
+            .map(|(l, rng)| (*l, epoch.compose(&view, *l, round, rng)))
+            .collect();
+        let (allocs, ()) = allocations_during(|| epoch.apply(&mut view, round, inbox.as_inbox()));
+        // Rounds 1 and 2 warm the scratch; as above, the hard zero is a
+        // release property.
+        if r > 2 && cfg!(not(debug_assertions)) {
+            let kind = if round.is_path_round() {
+                "path"
+            } else {
+                "sync"
+            };
+            assert_eq!(
+                allocs, 0,
+                "warm {kind}-round epoch apply (round {r}) must not allocate"
+            );
+        }
+    }
+    // Failure-free: every contender and every resident is still placed.
+    assert_eq!(view.tree().len(), held + labels.len());
+    assert_eq!(view.committed().count(), held);
 }
 
 #[test]

@@ -9,15 +9,20 @@
 //! uniqueness), the Lemma 2 path-isolation property, and executor
 //! equivalence.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
-use bil_core::{check_tight_renaming, BallsIntoLeaves, BilConfig, BilMsg, BilView, PathRule};
+use bil_core::{
+    check_tight_renaming, Anomalies, BallsIntoLeaves, BilConfig, BilMsg, BilView, EpochBil,
+    PathRule,
+};
 use bil_runtime::adversary::{Scripted, ScriptedCrash};
 use bil_runtime::engine::{EngineMode, EngineOptions, SyncEngine};
+use bil_runtime::rng::split_mix64;
 use bil_runtime::threaded::run_threaded;
 use bil_runtime::view::{Cluster, FnObserver, ObserverCtx};
-use bil_runtime::{InboxBuf, Label, ProcId, Round, SeedTree, ViewProtocol};
-use bil_tree::{CoinRule, LocalTree, OrderedBall};
+use bil_runtime::{InboxBuf, Label, Name, ProcId, Round, SeedTree, Status, ViewProtocol};
+use bil_tree::{CoinRule, LocalTree, NodeId, PackedPath, ROOT};
 use proptest::prelude::*;
 
 /// Arbitrary crash schedules: up to 8 crashes in rounds 0..14 with
@@ -51,6 +56,16 @@ fn labels(n: usize) -> Vec<Label> {
     (0..n as u64).map(|i| Label((i * 53 + 19) % 1021)).collect()
 }
 
+/// The priority order `<R` by comparison sort over `balls()`: deeper
+/// first, then smaller label. Independent of the kernel's counting-sort
+/// snapshot (`LocalTree::priority_order_into`).
+fn priority_sorted(tree: &LocalTree) -> Vec<Label> {
+    let topo = *tree.topology();
+    let mut balls: Vec<(Label, NodeId)> = tree.balls().collect();
+    balls.sort_by(|a, b| topo.depth(b.1).cmp(&topo.depth(a.1)).then(a.0.cmp(&b.0)));
+    balls.into_iter().map(|(ball, _)| ball).collect()
+}
+
 /// The legacy (pre-SoA) apply semantics for the base protocol, spelled
 /// out over public [`LocalTree`] ops: per-round `BTreeMap` from the
 /// inbox, priority-order snapshot, map lookup per ball. The base config
@@ -58,10 +73,7 @@ fn labels(n: usize) -> Vec<Label> {
 /// sweep are vacuous here.
 fn reference_apply(tree: &mut LocalTree, round: Round, pairs: &[(Label, BilMsg)]) {
     let map: BTreeMap<Label, BilMsg> = pairs.iter().cloned().collect();
-    let mut snapshot: Vec<OrderedBall> = Vec::new();
-    tree.priority_order_into(&mut snapshot);
-    for e in snapshot {
-        let ball = e.ball;
+    for ball in priority_sorted(tree) {
         if round.is_path_round() {
             match map.get(&ball) {
                 Some(BilMsg::Path(path)) => {
@@ -86,6 +98,262 @@ fn reference_apply(tree: &mut LocalTree, round: Round, pairs: &[(Label, BilMsg)]
                 }
             }
         }
+    }
+}
+
+/// How a reference view learned a commit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RefProvenance {
+    Direct,
+    Echoed,
+}
+
+/// A reference commit record.
+#[derive(Debug, Clone, Copy)]
+struct RefCommit {
+    leaf: NodeId,
+    round: Round,
+    provenance: RefProvenance,
+}
+
+/// Every variant's apply semantics — commits, echoes, evictions and
+/// anomaly counting included — spelled out with the per-ball log factors
+/// the kernel avoids: a `BTreeMap` commit lookup per silent ball, a
+/// comparison-sorted snapshot, and an unconditional over-full walk over
+/// every committed ball's ancestors each sync round. It shares only
+/// `LocalTree`'s public operations with `BilView`.
+struct ReferenceView {
+    tree: LocalTree,
+    committed: BTreeMap<Label, RefCommit>,
+    fresh: Vec<(Label, NodeId)>,
+    dismissed: BTreeSet<Label>,
+    anomalies: Anomalies,
+}
+
+impl ReferenceView {
+    /// Mirrors a freshly admitted epoch view: its residents are direct
+    /// round-0 commits, and nothing awaits an echo.
+    fn of(view: &BilView) -> Self {
+        ReferenceView {
+            tree: view.tree().clone(),
+            committed: view
+                .committed()
+                .map(|(ball, leaf)| {
+                    let record = RefCommit {
+                        leaf,
+                        round: Round(0),
+                        provenance: RefProvenance::Direct,
+                    };
+                    (ball, record)
+                })
+                .collect(),
+            fresh: Vec::new(),
+            dismissed: BTreeSet::new(),
+            anomalies: view.anomalies(),
+        }
+    }
+
+    fn learn_commit(&mut self, ball: Label, leaf: NodeId, round: Round, provenance: RefProvenance) {
+        let topo = *self.tree.topology();
+        if !topo.is_node(leaf) || !topo.is_leaf(leaf) {
+            self.anomalies.malformed_commits += 1;
+            return;
+        }
+        if self.dismissed.contains(&ball) {
+            return;
+        }
+        if let Some(existing) = self.committed.get(&ball) {
+            if existing.leaf != leaf {
+                self.anomalies.malformed_commits += 1;
+            }
+            return;
+        }
+        let here = self.tree.current_node(ball);
+        if provenance == RefProvenance::Direct && here != Some(leaf) {
+            self.anomalies.malformed_commits += 1;
+            return;
+        }
+        if here != Some(leaf) {
+            self.tree.update_node(ball, leaf).unwrap();
+        }
+        let record = RefCommit {
+            leaf,
+            round,
+            provenance,
+        };
+        self.committed.insert(ball, record);
+        self.fresh.push((ball, leaf));
+    }
+
+    fn learn_echoes(&mut self, round: Round, msgs: &BTreeMap<Label, BilMsg>) {
+        for msg in msgs.values() {
+            if let BilMsg::Pos { echo, .. } = msg {
+                for (ball, leaf) in echo {
+                    self.learn_commit(*ball, *leaf, round, RefProvenance::Echoed);
+                }
+            }
+        }
+    }
+
+    fn apply(&mut self, round: Round, msgs: &BTreeMap<Label, BilMsg>) {
+        if round.is_path_round() {
+            let order = priority_sorted(&self.tree);
+            self.learn_echoes(round, msgs);
+            for ball in order {
+                match msgs.get(&ball) {
+                    Some(BilMsg::Commit(leaf)) => {
+                        self.learn_commit(ball, *leaf, round, RefProvenance::Direct);
+                    }
+                    Some(BilMsg::Path(path)) => {
+                        if self.tree.place_along(ball, path).is_err() {
+                            self.anomalies.malformed_paths += 1;
+                            self.tree.remove(ball);
+                        }
+                    }
+                    Some(BilMsg::Pos { .. }) => {}
+                    Some(BilMsg::Init) | None => {
+                        if !self.committed.contains_key(&ball) {
+                            self.tree.remove(ball);
+                        }
+                    }
+                }
+            }
+        } else {
+            self.fresh.clear();
+            self.learn_echoes(round, msgs);
+            for ball in priority_sorted(&self.tree) {
+                match msgs.get(&ball) {
+                    Some(BilMsg::Pos { node, .. }) => {
+                        if self.tree.update_node(ball, *node).is_err() {
+                            self.anomalies.malformed_positions += 1;
+                            self.tree.remove(ball);
+                        }
+                    }
+                    _ => {
+                        if !self.committed.contains_key(&ball) {
+                            self.tree.remove(ball);
+                        }
+                    }
+                }
+            }
+            self.resolve_overfull();
+        }
+    }
+
+    /// Evicts from the deepest over-full ancestor of any committed ball
+    /// (ties to the smaller id) its preferred committed victim —
+    /// echo-learned first, then latest round, then larger label — until
+    /// no committed ball sits under an over-full node, or one holds no
+    /// commit at all (counted as an orphan).
+    fn resolve_overfull(&mut self) {
+        let topo = *self.tree.topology();
+        loop {
+            let mut worst: Option<(u32, Reverse<NodeId>)> = None;
+            for ball in self.committed.keys() {
+                let Some(node) = self.tree.current_node(*ball) else {
+                    continue;
+                };
+                for v in topo.ancestors_inclusive(node) {
+                    if self.tree.load(v) > topo.capacity(v) {
+                        worst = worst.max(Some((topo.depth(v), Reverse(v))));
+                    }
+                }
+            }
+            let Some((_, Reverse(overfull))) = worst else {
+                return;
+            };
+            let victim = self
+                .committed
+                .iter()
+                .filter(|(ball, _)| {
+                    self.tree
+                        .current_node(**ball)
+                        .is_some_and(|node| topo.is_ancestor_or_self(overfull, node))
+                })
+                .max_by_key(|(ball, c)| (c.provenance == RefProvenance::Echoed, c.round, **ball))
+                .map(|(ball, c)| (*ball, *c));
+            let Some((ball, record)) = victim else {
+                self.anomalies.orphan_overfull += 1;
+                return;
+            };
+            self.tree.remove(ball);
+            if record.provenance == RefProvenance::Direct
+                && self.tree.block_leaf(record.leaf).is_err()
+            {
+                self.anomalies.malformed_commits += 1;
+            }
+            self.committed.remove(&ball);
+            self.dismissed.insert(ball);
+            self.fresh.retain(|(b, _)| *b != ball);
+        }
+    }
+}
+
+/// A message no correct resident sends (residents are silent), sent
+/// under `resident`'s label: `kind` picks the variant, `arg` its
+/// payload. Decide-at-leaf views get arbitrary moves and echoes, except
+/// that a path round carries at most one echo, placing a never-seen
+/// label on a leaf with spare capacity along its whole chain: an
+/// over-fill in the middle of a path round trips the move-walk's
+/// feasibility assertion, and that is not what this test is about. The
+/// base variant gets no move that could evict a resident: eviction
+/// poisons a leaf, and base compose has no cornered-ball fallback.
+fn hostile_msg(
+    view: &BilView,
+    resident: Label,
+    round: Round,
+    (kind, arg): (u8, u32),
+    decide_at_leaf: bool,
+    path_echo_sent: &mut bool,
+) -> BilMsg {
+    let tree = view.tree();
+    let topo = *tree.topology();
+    let slots = topo.node_slots() as u32;
+    let padded = topo.padded_leaves() as u32;
+    // Half the time a leaf slot (most are held, some phantom), else any
+    // id: node 0 and ids past the last slot are out of range.
+    let any_node = if arg % 2 == 0 {
+        padded + (arg >> 1) % padded
+    } else {
+        arg % (slots + 2)
+    };
+    let own = tree.current_node(resident);
+    let node = match own {
+        Some(_) if decide_at_leaf => any_node,
+        Some(node) if arg % 2 == 0 => node,
+        _ => slots + arg % 3,
+    };
+    let mut echo = Vec::new();
+    if decide_at_leaf && kind == 5 {
+        let fresh_label = Label(3 * u64::from(arg % 40));
+        if round.is_sync_round() {
+            let ball = match arg % 3 {
+                0 => Label(3 * u64::from(arg % 64) + 1),
+                1 => Label(3 * u64::from(arg % 64) + 2),
+                _ => fresh_label,
+            };
+            let leaf = topo.padded_leaves() as u32 + (arg >> 8) % topo.padded_leaves() as u32;
+            echo.push((ball, leaf));
+        } else if !*path_echo_sent {
+            let spare: Vec<NodeId> = (0..topo.leaves() as u32)
+                .map(|rank| topo.leaf_for_rank(rank).unwrap())
+                .filter(|leaf| {
+                    topo.ancestors_inclusive(*leaf)
+                        .all(|v| tree.load(v) < topo.capacity(v))
+                })
+                .collect();
+            if !spare.is_empty() {
+                *path_echo_sent = true;
+                echo.push((fresh_label, spare[(arg >> 8) as usize % spare.len()]));
+            }
+        }
+    }
+    match kind {
+        0 => BilMsg::Init,
+        1 => BilMsg::Commit(any_node),
+        2 => BilMsg::Path(PackedPath::single(own.unwrap_or(ROOT))),
+        3 => BilMsg::Path(PackedPath::new(any_node, (arg % 7) as u8)),
+        _ => BilMsg::Pos { node, echo },
     }
 }
 
@@ -323,6 +591,99 @@ proptest! {
                 n,
                 seed
             );
+        }
+    }
+
+    /// The epoch kernel's linear apply — counting-sort snapshot,
+    /// slot-indexed commit column, gated over-full resolution — lands on
+    /// the same tree, commits and anomaly counts as `ReferenceView` on
+    /// resident-heavy views (50–90 % of the names held, resident labels
+    /// interleaved with the contenders'), under contender crashes and
+    /// hostile `Init`/`Commit`/`Path`/`Pos` messages sent under resident
+    /// labels, in the base and decide-at-leaf variants.
+    #[test]
+    fn epoch_apply_matches_reference_on_resident_heavy_views(
+        names in 12usize..64,
+        held_pct in 50usize..90,
+        seed in any::<u64>(),
+        crashes in prop::collection::vec((1u64..11, 0usize..64), 0..6),
+        hostile in prop::collection::vec((1u64..11, 0usize..64, 0u8..6, any::<u32>()), 0..16),
+    ) {
+        for cfg in [BilConfig::new(), BilConfig::new().with_decide_at_leaf(true)] {
+            let held = names * held_pct / 100;
+            let mut shuffled: Vec<u32> = (0..names as u32).collect();
+            shuffled.sort_by_key(|name| split_mix64(seed ^ u64::from(*name)));
+            let holders: Vec<(Label, Name)> = shuffled[..held]
+                .iter()
+                .enumerate()
+                .map(|(k, name)| (Label(3 * k as u64 + 2), Name(*name)))
+                .collect();
+            let contenders: Vec<Label> =
+                (0..(names - held) as u64).map(|i| Label(3 * i + 1)).collect();
+            let epoch = EpochBil::new(cfg, names, &holders).unwrap();
+            let mut view = epoch.init_view(contenders.len());
+            let init: InboxBuf<BilMsg> =
+                contenders.iter().map(|l| (*l, BilMsg::Init)).collect();
+            epoch.apply(&mut view, Round(0), init.as_inbox());
+            let mut reference = ReferenceView::of(&view);
+            let seeds = SeedTree::new(seed);
+            let mut rngs: Vec<_> = (0..contenders.len())
+                .map(|p| seeds.process_rng(ProcId(p as u32)))
+                .collect();
+            // Crashed and decided contenders fall silent.
+            let mut silent: BTreeSet<Label> = BTreeSet::new();
+            for r in 1..=10u64 {
+                let round = Round(r);
+                for (cr, victim) in &crashes {
+                    if *cr == r {
+                        silent.insert(contenders[*victim % contenders.len()]);
+                    }
+                }
+                let mut msgs: BTreeMap<Label, BilMsg> = BTreeMap::new();
+                for (i, ball) in contenders.iter().enumerate() {
+                    if !silent.contains(ball) {
+                        msgs.insert(*ball, epoch.compose(&view, *ball, round, &mut rngs[i]));
+                    }
+                }
+                let mut path_echo_sent = false;
+                for (hr, who, kind, arg) in &hostile {
+                    if *hr == r {
+                        let resident = holders[*who % holders.len()].0;
+                        let msg = hostile_msg(
+                            &view,
+                            resident,
+                            round,
+                            (*kind, *arg),
+                            cfg.decide_at_leaf,
+                            &mut path_echo_sent,
+                        );
+                        msgs.insert(resident, msg);
+                    }
+                }
+                let inbox: InboxBuf<BilMsg> =
+                    msgs.iter().map(|(l, m)| (*l, m.clone())).collect();
+                reference.apply(round, &msgs);
+                epoch.apply(&mut view, round, inbox.as_inbox());
+                prop_assert_eq!(
+                    view.tree(),
+                    &reference.tree,
+                    "{:?} round {} diverged (names={}, held={}, seed={})",
+                    cfg,
+                    r,
+                    names,
+                    held,
+                    seed
+                );
+                let reference_commits: Vec<(Label, NodeId)> =
+                    reference.committed.iter().map(|(l, c)| (*l, c.leaf)).collect();
+                prop_assert_eq!(view.committed().collect::<Vec<_>>(), reference_commits);
+                prop_assert_eq!(view.anomalies(), reference.anomalies);
+                for ball in &contenders {
+                    if matches!(epoch.status(&view, *ball, round), Status::Decided(_)) {
+                        silent.insert(*ball);
+                    }
+                }
+            }
         }
     }
 

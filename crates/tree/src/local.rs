@@ -35,13 +35,16 @@ use std::fmt;
 
 use bil_runtime::Label;
 
-use crate::topology::{NodeId, Topology, TreeError, ROOT};
+use crate::topology::{NodeId, Topology, TreeError, MAX_LEAVES, ROOT};
 
 /// Intrusive-list terminator / absent-slot marker.
 const NIL: u32 = u32::MAX;
 
 /// The node column's vacant-slot marker (`0` is never a valid node).
 const VACANT: NodeId = 0;
+
+/// One priority-snapshot bucket per possible depth, `0 ..= log2(MAX_LEAVES)`.
+const DEPTH_BUCKETS: usize = MAX_LEAVES.trailing_zeros() as usize + 1;
 
 /// A detected breach of the tree's internal invariants. Seeing one of
 /// these means a bug in the algorithm or the engine, never a recoverable
@@ -215,10 +218,8 @@ impl LocalTree {
         for (ball, node) in placements {
             tree.insert(ball, node)?;
         }
-        for v in 1..topo.node_slots() as NodeId {
-            if tree.balls_in[v as usize] > topo.capacity(v) {
-                return Err(TreeError::BadLeafCount(tree.balls_in[v as usize] as usize));
-            }
+        if let Some(v) = tree.first_overfull() {
+            return Err(TreeError::BadLeafCount(tree.balls_in[v as usize] as usize));
         }
         Ok(tree)
     }
@@ -618,24 +619,94 @@ impl LocalTree {
     /// to the view's size — the per-round engine path reuses one
     /// scratch vector per view.
     ///
+    /// A counting sort by depth, in two linear passes over the columns
+    /// and no per-ball comparisons: the label column is already
+    /// label-ascending, so a stable bucket pass yields
+    /// `(depth desc, label asc)` exactly. The histogram lives on the
+    /// stack (depth ≤ 26). When every ball shares one depth — all at the
+    /// root or all on leaves, which the `O(1)` counters tell — label
+    /// order already is `<R` and one pass suffices.
+    ///
     /// Each entry carries the ball's slot, valid until
     /// [`LocalTree::shift_generation`] advances.
     pub fn priority_order_into(&self, out: &mut Vec<OrderedBall>) {
         out.clear();
-        for (slot, (label, node)) in self.labels.iter().zip(self.node_of.iter()).enumerate() {
-            if *node == VACANT {
+        if self.at_internal == 0 || self.at_count[ROOT as usize] as usize == self.live {
+            // Every ball on a leaf (leaves share one depth) or at the
+            // root — the first and last rounds of a run: label order
+            // already is `<R`.
+            for (slot, (&ball, &node)) in self.labels.iter().zip(self.node_of.iter()).enumerate() {
+                if node != VACANT {
+                    out.push(OrderedBall {
+                        depth: self.topo.depth(node),
+                        slot: slot as u32,
+                        ball,
+                    });
+                }
+            }
+            return;
+        }
+        // `next[d]` counts the depth-`d` balls, then becomes the output
+        // index of the next one (deepest bucket first).
+        let mut next = [0u32; DEPTH_BUCKETS];
+        for &node in &self.node_of {
+            if node != VACANT {
+                next[self.topo.depth(node) as usize] += 1;
+            }
+        }
+        let mut start = 0;
+        for bucket in next.iter_mut().rev() {
+            let count = *bucket;
+            *bucket = start;
+            start += count;
+        }
+        out.resize(
+            self.live,
+            OrderedBall {
+                depth: 0,
+                slot: 0,
+                ball: Label(0),
+            },
+        );
+        for (slot, (&ball, &node)) in self.labels.iter().zip(self.node_of.iter()).enumerate() {
+            if node == VACANT {
                 continue;
             }
-            out.push(OrderedBall {
-                depth: self.topo.depth(*node),
+            let depth = self.topo.depth(node);
+            let at = &mut next[depth as usize];
+            out[*at as usize] = OrderedBall {
+                depth,
                 slot: slot as u32,
-                ball: *label,
-            });
+                ball,
+            };
+            *at += 1;
         }
-        // Deeper first (depth descending), then label ascending. Keys
-        // are unique (labels are), so the unstable sort is
-        // deterministic.
-        out.sort_unstable_by(|a, b| b.depth.cmp(&a.depth).then(a.ball.cmp(&b.ball)));
+    }
+
+    /// The lowest-numbered node whose subtree holds more balls than it
+    /// has leaves — a breach of the paper's Lemma 1 — or `None`. One
+    /// linear pass over the per-node load column, a level at a time.
+    pub fn first_overfull(&self) -> Option<NodeId> {
+        let real = self.topo.leaves() as u32;
+        for depth in 0..=self.topo.levels() {
+            let first = 1 << depth;
+            let width = self.topo.padded_leaves() as u32 >> depth;
+            // The level's first `real / width` subtrees cover real leaves
+            // only, so they share one capacity: compare them as a slice.
+            let whole = real / width;
+            let level = &self.balls_in[first as usize..(first + whole) as usize];
+            if let Some(i) = level.iter().position(|&load| load > width) {
+                return Some(first + i as NodeId);
+            }
+            // The rest reach into the phantom padding: at most one
+            // partial subtree, then empty ones.
+            if let Some(v) = (first + whole..2 * first)
+                .find(|&v| self.balls_in[v as usize] > self.topo.capacity(v))
+            {
+                return Some(v);
+            }
+        }
+        None
     }
 
     /// `OrderedBalls()`: all balls sorted by the priority order `<R`
@@ -707,14 +778,12 @@ impl LocalTree {
     pub fn validate(&self) -> Result<(), InvariantViolation> {
         self.validate_consistency()?;
         // Lemma 1: load within capacity, everywhere.
-        for v in 1..self.topo.node_slots() as NodeId {
-            let cap = self.topo.capacity(v);
-            if self.balls_in[v as usize] > cap {
-                return Err(InvariantViolation::new(format!(
-                    "node {v}: load {} exceeds capacity {cap}",
-                    self.balls_in[v as usize]
-                )));
-            }
+        if let Some(v) = self.first_overfull() {
+            return Err(InvariantViolation::new(format!(
+                "node {v}: load {} exceeds capacity {}",
+                self.balls_in[v as usize],
+                self.topo.capacity(v)
+            )));
         }
         Ok(())
     }
@@ -951,6 +1020,121 @@ mod tests {
         }
         // Highest priority first: the leaf ball leads.
         assert_eq!(order[0].ball, Label(20));
+    }
+
+    /// `<R` by comparison sort over the raw columns: the reference the
+    /// counting sort must reproduce entry for entry (slots included).
+    fn comparison_sorted(t: &LocalTree) -> Vec<OrderedBall> {
+        let mut out: Vec<OrderedBall> = t
+            .label_column()
+            .iter()
+            .zip(t.node_column())
+            .enumerate()
+            .filter(|(_, (_, node))| **node != VACANT)
+            .map(|(slot, (ball, node))| OrderedBall {
+                depth: t.topology().depth(*node),
+                slot: slot as u32,
+                ball: *ball,
+            })
+            .collect();
+        out.sort_unstable_by(|a, b| b.depth.cmp(&a.depth).then(a.ball.cmp(&b.ball)));
+        out
+    }
+
+    fn assert_priority_order_is_sorted(t: &LocalTree) {
+        // A warm buffer longer than the view must be fully overwritten.
+        let mut order = vec![
+            OrderedBall {
+                depth: 99,
+                slot: 99,
+                ball: Label(99),
+            };
+            t.label_column().len() + 3
+        ];
+        t.priority_order_into(&mut order);
+        assert_eq!(order, comparison_sorted(t));
+    }
+
+    #[test]
+    fn priority_order_matches_comparison_sort_across_vacancies_and_shifts() {
+        let mut t = LocalTree::new(topo(16));
+        for (l, v) in [
+            (10, 1),
+            (20, 5),
+            (30, 17),
+            (40, 2),
+            (50, 9),
+            (60, 20),
+            (70, 1),
+        ] {
+            t.insert(Label(l), v).unwrap();
+        }
+        t.remove(Label(20)).unwrap();
+        t.remove(Label(60)).unwrap();
+        assert_priority_order_is_sorted(&t);
+        let gen = t.shift_generation();
+        t.insert(Label(15), 31).unwrap(); // out of order: renumbers
+        assert!(t.shift_generation() > gen);
+        assert_priority_order_is_sorted(&t);
+        t.insert(Label(20), 3).unwrap(); // revival in place
+        t.update_node(Label(70), 24).unwrap();
+        assert_priority_order_is_sorted(&t);
+        // One shared depth: all at the root, then all on leaves.
+        let mut one_depth = LocalTree::with_balls_at_root(topo(8), [9, 4, 7, 1].map(Label));
+        one_depth.remove(Label(7)).unwrap();
+        assert_priority_order_is_sorted(&one_depth);
+        for (l, leaf) in [(9, 8), (4, 15), (1, 11)] {
+            one_depth.update_node(Label(l), leaf).unwrap();
+        }
+        assert!(one_depth.all_at_leaves());
+        assert_priority_order_is_sorted(&one_depth);
+        assert_priority_order_is_sorted(&LocalTree::new(topo(4)));
+    }
+
+    #[test]
+    fn priority_order_matches_comparison_sort_on_a_deep_tree() {
+        // 2^20 leaves: every depth 0..=20 populated, labels pushed in
+        // order with a scattered node per ball, some of them removed.
+        let mut t = LocalTree::new(topo(1 << 20));
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..4096u64 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let depth = (x >> 59) % 21;
+            let node = (1u64 << depth) + ((x >> 20) % (1 << depth));
+            t.insert(Label(3 * i + 1), node as NodeId).unwrap();
+            if i % 7 == 3 {
+                t.remove(Label(3 * i + 1)).unwrap();
+            }
+        }
+        let depths: BTreeSet<u32> = comparison_sorted(&t).iter().map(|e| e.depth).collect();
+        assert_eq!(depths.len(), 21, "every depth populated");
+        assert_priority_order_is_sorted(&t);
+    }
+
+    #[test]
+    fn first_overfull_reads_the_load_column() {
+        // Raw inserts skip capacity validation: only corruption (or a
+        // forced update mid-round) overfills.
+        let mut t = LocalTree::new(topo(4));
+        t.insert(Label(1), 4).unwrap();
+        t.insert(Label(2), 2).unwrap();
+        assert_eq!(t.first_overfull(), None);
+        t.insert(Label(3), 4).unwrap();
+        assert_eq!(t.first_overfull(), Some(2), "leaf 4 and node 2 overfull");
+        // A ball on a phantom leaf (n = 3 pads to 4; leaf 7 has capacity 0).
+        let mut phantom = LocalTree::new(topo(3));
+        phantom.insert(Label(1), 7).unwrap();
+        assert_eq!(phantom.first_overfull(), Some(7));
+        // Validated placements never are, full or not.
+        let partial =
+            LocalTree::with_balls_at(topo(4), [(Label(10), 4), (Label(11), 6), (Label(1), ROOT)])
+                .unwrap();
+        assert_eq!(partial.first_overfull(), None);
+        let full = LocalTree::with_balls_at(topo(3), [(Label(1), 4), (Label(2), 5), (Label(3), 6)])
+            .unwrap();
+        assert_eq!(full.first_overfull(), None);
     }
 
     #[test]
