@@ -116,8 +116,9 @@ pub struct LocalTree {
     at_next: Vec<u32>,
     /// Per-slot at-list backward links.
     at_prev: Vec<u32>,
-    /// Number of balls currently at internal (non-leaf) nodes.
-    at_internal: u32,
+    /// Balls at each depth (index = depth; every leaf sits at depth
+    /// `levels`): the priority snapshot's bucket sizes.
+    at_depth: [u32; DEPTH_BUCKETS],
     /// Bumped whenever existing slots are renumbered (out-of-order
     /// insertion of a brand-new label). See
     /// [`LocalTree::shift_generation`].
@@ -156,7 +157,7 @@ impl LocalTree {
             at_head: vec![NIL; topo.node_slots()],
             at_next: Vec::new(),
             at_prev: Vec::new(),
-            at_internal: 0,
+            at_depth: [0; DEPTH_BUCKETS],
             shift_gen: 0,
             blocked: BTreeSet::new(),
         }
@@ -316,9 +317,7 @@ impl LocalTree {
             self.at_prev[head as usize] = slot as u32;
         }
         self.at_head[node as usize] = slot as u32;
-        if !self.topo.is_leaf(node) {
-            self.at_internal += 1;
-        }
+        self.at_depth[self.topo.depth(node) as usize] += 1;
     }
 
     /// Unlinks a live `slot`, leaving it vacant; returns the node it
@@ -344,9 +343,7 @@ impl LocalTree {
         }
         self.at_next[slot] = NIL;
         self.at_prev[slot] = NIL;
-        if !self.topo.is_leaf(node) {
-            self.at_internal -= 1;
-        }
+        self.at_depth[self.topo.depth(node) as usize] -= 1;
         node
     }
 
@@ -619,44 +616,21 @@ impl LocalTree {
     /// to the view's size — the per-round engine path reuses one
     /// scratch vector per view.
     ///
-    /// A counting sort by depth, in two linear passes over the columns
-    /// and no per-ball comparisons: the label column is already
-    /// label-ascending, so a stable bucket pass yields
-    /// `(depth desc, label asc)` exactly. The histogram lives on the
-    /// stack (depth ≤ 26). When every ball shares one depth — all at the
-    /// root or all on leaves, which the `O(1)` counters tell — label
-    /// order already is `<R` and one pass suffices.
+    /// A counting sort by depth, in one linear pass over the columns and
+    /// no per-ball comparisons: the bucket sizes are the per-depth
+    /// counters `link`/`unlink` maintain, and the label column is
+    /// already label-ascending, so a stable bucket pass yields
+    /// `(depth desc, label asc)` exactly.
     ///
     /// Each entry carries the ball's slot, valid until
     /// [`LocalTree::shift_generation`] advances.
     pub fn priority_order_into(&self, out: &mut Vec<OrderedBall>) {
         out.clear();
-        if self.at_internal == 0 || self.at_count[ROOT as usize] as usize == self.live {
-            // Every ball on a leaf (leaves share one depth) or at the
-            // root — the first and last rounds of a run: label order
-            // already is `<R`.
-            for (slot, (&ball, &node)) in self.labels.iter().zip(self.node_of.iter()).enumerate() {
-                if node != VACANT {
-                    out.push(OrderedBall {
-                        depth: self.topo.depth(node),
-                        slot: slot as u32,
-                        ball,
-                    });
-                }
-            }
-            return;
-        }
-        // `next[d]` counts the depth-`d` balls, then becomes the output
-        // index of the next one (deepest bucket first).
+        // `next[d]`: the output index of the next depth-`d` ball
+        // (deepest bucket first).
         let mut next = [0u32; DEPTH_BUCKETS];
-        for &node in &self.node_of {
-            if node != VACANT {
-                next[self.topo.depth(node) as usize] += 1;
-            }
-        }
         let mut start = 0;
-        for bucket in next.iter_mut().rev() {
-            let count = *bucket;
+        for (bucket, &count) in next.iter_mut().zip(&self.at_depth).rev() {
             *bucket = start;
             start += count;
         }
@@ -685,28 +659,10 @@ impl LocalTree {
 
     /// The lowest-numbered node whose subtree holds more balls than it
     /// has leaves — a breach of the paper's Lemma 1 — or `None`. One
-    /// linear pass over the per-node load column, a level at a time.
+    /// linear pass over the per-node load column.
     pub fn first_overfull(&self) -> Option<NodeId> {
-        let real = self.topo.leaves() as u32;
-        for depth in 0..=self.topo.levels() {
-            let first = 1 << depth;
-            let width = self.topo.padded_leaves() as u32 >> depth;
-            // The level's first `real / width` subtrees cover real leaves
-            // only, so they share one capacity: compare them as a slice.
-            let whole = real / width;
-            let level = &self.balls_in[first as usize..(first + whole) as usize];
-            if let Some(i) = level.iter().position(|&load| load > width) {
-                return Some(first + i as NodeId);
-            }
-            // The rest reach into the phantom padding: at most one
-            // partial subtree, then empty ones.
-            if let Some(v) = (first + whole..2 * first)
-                .find(|&v| self.balls_in[v as usize] > self.topo.capacity(v))
-            {
-                return Some(v);
-            }
-        }
-        None
+        (1..self.topo.node_slots() as NodeId)
+            .find(|&v| self.balls_in[v as usize] > self.topo.capacity(v))
     }
 
     /// `OrderedBalls()`: all balls sorted by the priority order `<R`
@@ -722,7 +678,7 @@ impl LocalTree {
     /// `true` if every ball sits on a leaf — Algorithm 1's termination
     /// condition (line 29). `O(1)`.
     pub fn all_at_leaves(&self) -> bool {
-        self.at_internal == 0
+        self.at_depth[self.topo.levels() as usize] as usize == self.live
     }
 
     /// Occupancy map: node → number of balls exactly at it, for nodes
@@ -816,7 +772,7 @@ impl LocalTree {
         let mut want_in = vec![0u32; self.topo.node_slots()];
         let mut want_at = vec![0u32; self.topo.node_slots()];
         let mut live = 0usize;
-        let mut internal = 0u32;
+        let mut want_depth = [0u32; DEPTH_BUCKETS];
         for slot in 0..slots {
             let node = self.node_of[slot];
             if node == VACANT {
@@ -833,9 +789,7 @@ impl LocalTree {
                 want_in[v as usize] += 1;
             }
             want_at[node as usize] += 1;
-            if !self.topo.is_leaf(node) {
-                internal += 1;
-            }
+            want_depth[self.topo.depth(node) as usize] += 1;
         }
         if want_in != self.balls_in {
             return Err(InvariantViolation::new(
@@ -850,9 +804,9 @@ impl LocalTree {
         if live != self.live {
             return Err(InvariantViolation::new("live counter out of sync".into()));
         }
-        if internal != self.at_internal {
+        if want_depth != self.at_depth {
             return Err(InvariantViolation::new(
-                "at_internal counter out of sync".into(),
+                "at_depth counters out of sync".into(),
             ));
         }
         // The at-lists: each node's list threads exactly its live slots,
@@ -1051,6 +1005,7 @@ mod tests {
             };
             t.label_column().len() + 3
         ];
+        t.validate_consistency().unwrap();
         t.priority_order_into(&mut order);
         assert_eq!(order, comparison_sorted(t));
     }
