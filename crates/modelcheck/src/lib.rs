@@ -624,6 +624,53 @@ mod tests {
         assert!(pf.violations.is_empty() && ex.violations.is_empty());
     }
 
+    /// Pins the exploration itself, not only its verdict: the exact
+    /// `(violations, states, terminal states)` counts at seed 0. Any
+    /// change to how a branch composes, delivers, merges or sweeps shows
+    /// up here.
+    #[test]
+    fn exploration_counts_are_pinned() {
+        let counts = |protocol: BallsIntoLeaves, n, cfg: ExploreConfig| {
+            let stats = Explorer::new(protocol, n, cfg).explore();
+            (
+                stats.violations.len(),
+                stats.states_explored,
+                stats.terminal_states,
+            )
+        };
+        let budget = |crash_budget| ExploreConfig {
+            crash_budget,
+            ..ExploreConfig::default()
+        };
+        assert_eq!(
+            counts(BallsIntoLeaves::base(), 3, budget(2)),
+            (0, 1227, 749)
+        );
+        assert_eq!(
+            counts(
+                BallsIntoLeaves::base(),
+                5,
+                ExploreConfig {
+                    subsets: SubsetPolicy::Prefixes,
+                    ..budget(2)
+                }
+            ),
+            (0, 19458, 9976)
+        );
+        assert_eq!(
+            counts(BallsIntoLeaves::early_terminating(), 3, budget(2)),
+            (0, 501, 341)
+        );
+        assert_eq!(
+            counts(
+                BallsIntoLeaves::new(BilConfig::new().with_decide_at_leaf(true)),
+                4,
+                budget(1)
+            ),
+            (0, 324, 129)
+        );
+    }
+
     #[test]
     #[should_panic(expected = "bounded to 1..=16")]
     fn oversized_n_rejected() {
