@@ -72,7 +72,7 @@ fn bench_service_churn(c: &mut Criterion) {
             }
             group.bench_with_input(
                 BenchmarkId::new(executor.to_string(), capacity),
-                &executor.kind(),
+                &executor,
                 |b, kind| {
                     let mut seed = 0u64;
                     b.iter(|| {

@@ -48,7 +48,7 @@ pub fn churn_run(
     opts: &EvalOpts,
 ) -> ChurnOutcome {
     let options = ServiceOptions {
-        executor: opts.executor.kind(),
+        executor: opts.executor,
         ..ServiceOptions::default()
     };
     let mut service = RenamingService::new(capacity, seed, options).expect("valid capacity");

@@ -105,7 +105,7 @@ pub fn scale_run(
 ) -> ScaleOutcome {
     let options = ShardedOptions {
         shard: ServiceOptions {
-            executor: opts.executor.kind(),
+            executor: opts.executor,
             ..ServiceOptions::default()
         },
         // Thread-per-process shard epochs already spawn one OS thread

@@ -12,9 +12,9 @@ use bil_baselines::{det_rank, FloodRank, RetryBins};
 use bil_core::adversary::{AdaptiveSplitter, LeafDenier, Sandwich, SyncSplitter};
 use bil_core::{check_tight_renaming, BallsIntoLeaves, BilConfig, BilMsg, PathRule};
 use bil_runtime::adversary::{Adversary, CrashBurst, NoFailures, RandomCrash, SteadyAttrition};
-use bil_runtime::engine::{ConfigError, EngineMode, EngineOptions};
+use bil_runtime::engine::{ConfigError, EngineOptions};
 use bil_runtime::rng::split_mix64;
-use bil_runtime::{ExecutorKind, Label, Round, RunError, RunReport, SeedTree, ViewProtocol};
+use bil_runtime::{Label, Round, RunError, RunReport, SeedTree, ViewProtocol};
 use bil_tree::CoinRule;
 use rand::seq::SliceRandom;
 
@@ -78,103 +78,12 @@ impl Algorithm {
     }
 }
 
-/// Which executor carries a scenario's rounds. All five produce
-/// bit-identical [`RunReport`]s (enforced by workspace tests), so the
-/// choice only affects wall-clock time and what is being demonstrated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Executor {
-    /// Cluster-sharing in-memory engine (fast, default).
-    #[default]
-    Clustered,
-    /// One view per process (reference semantics).
-    PerProcess,
-    /// Slot-range worker threads over in-process channels.
-    Threaded,
-    /// Clustered views with rounds sharded across OS threads.
-    Parallel,
-    /// The same slot-range workers over loopback TCP, exchanging
-    /// length-prefixed frames of wire bytes — messages cross a real OS
-    /// boundary.
-    Socket,
-}
-
-impl Executor {
-    /// Every executor, in the order used by comparison sweeps.
-    pub const ALL: [Executor; 5] = [
-        Executor::Clustered,
-        Executor::PerProcess,
-        Executor::Threaded,
-        Executor::Parallel,
-        Executor::Socket,
-    ];
-
-    /// Parses a CLI name (`clustered`, `per-process`, `threaded`,
-    /// `parallel`, `socket`).
-    pub fn parse(name: &str) -> Option<Executor> {
-        match name {
-            "clustered" => Some(Executor::Clustered),
-            "per-process" => Some(Executor::PerProcess),
-            "threaded" => Some(Executor::Threaded),
-            "parallel" => Some(Executor::Parallel),
-            "socket" => Some(Executor::Socket),
-            _ => None,
-        }
-    }
-
-    /// The [`bil_runtime::exec::ExecutorKind`] this CLI-level choice maps
-    /// onto; the runtime's uniform dispatch carries the actual run.
-    pub fn kind(&self) -> ExecutorKind {
-        match self {
-            Executor::Clustered => ExecutorKind::Clustered,
-            Executor::PerProcess => ExecutorKind::PerProcess,
-            Executor::Threaded => ExecutorKind::Threaded,
-            Executor::Parallel => ExecutorKind::Parallel,
-            Executor::Socket => ExecutorKind::Socket,
-        }
-    }
-
-    /// The [`EngineMode`] backing this executor, or `None` for the wire
-    /// executors (channel and socket), which are drivers rather than
-    /// engine modes and have no observer support.
-    pub fn engine_mode(&self) -> Option<EngineMode> {
-        self.kind().engine_mode()
-    }
-
-    /// The largest `n` this executor can feasibly carry, if bounded.
-    ///
-    /// The wire executors (threaded and socket) both run a few
-    /// slot-range workers that share views by delivery history (one
-    /// view per divergence class instead of one per slot), so neither
-    /// is bounded by threads or per-slot view memory any more; both
-    /// are capped at `2^16` by per-round wire traffic — every round
-    /// still ships `O(n)` encoded broadcasts across the thread (resp.
-    /// loopback) boundary. Per-process is capped at `2^16` by its
-    /// `O(n)` per-slot round bookkeeping (RNG streams, compose
-    /// fan-out). Scenario dispatch refuses larger systems loudly
-    /// instead of crashing or OOMing mid-sweep; the clustered and
-    /// parallel executors are unbounded.
-    pub fn max_n(&self) -> Option<usize> {
-        match self {
-            Executor::Clustered | Executor::Parallel => None,
-            Executor::PerProcess => Some(1 << 16),
-            Executor::Socket => Some(1 << 16),
-            Executor::Threaded => Some(1 << 16),
-        }
-    }
-}
-
-impl fmt::Display for Executor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Executor::Clustered => "clustered",
-            Executor::PerProcess => "per-process",
-            Executor::Threaded => "threaded",
-            Executor::Parallel => "parallel",
-            Executor::Socket => "socket",
-        };
-        f.write_str(s)
-    }
-}
+/// Which executor carries a scenario's rounds: the runtime's
+/// [`bil_runtime::ExecutorKind`], under the name the harness and its CLI use. All
+/// five produce bit-identical [`RunReport`]s (enforced by workspace
+/// tests), so the choice only affects wall-clock time and what is being
+/// demonstrated.
+pub use bil_runtime::ExecutorKind as Executor;
 
 /// Which adversary a scenario runs against.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -475,7 +384,6 @@ impl Scenario {
         }
         Ok(self
             .executor
-            .kind()
             .run(protocol, labels, adversary, seeds, options)?)
     }
 

@@ -38,8 +38,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use rand::rngs::SmallRng;
-
+use bil_runtime::adversary::Recipients;
+use bil_runtime::pipeline::{LocalTransport, RoundMessages, Transport};
 use bil_runtime::{Label, Name, ProcId, Round, SeedTree, Status, ViewProtocol};
 
 /// How delivery subsets for a dying broadcast are enumerated.
@@ -144,33 +144,17 @@ pub struct ExploreStats {
     pub violations: Vec<Violation>,
 }
 
-/// One branchable execution state: views shared per identical-view
-/// cluster (exactly the cluster engine's representation), plus liveness
-/// and decisions.
+/// One branchable execution state: the clustered engine's own store
+/// ([`LocalTransport::clustered`]), cloned at every branch, plus
+/// liveness, decisions, the crash budget and the decision path.
+#[derive(Clone)]
 struct BranchState<P: ViewProtocol> {
     round: Round,
-    clusters: Vec<(Vec<ProcId>, P::View)>,
+    transport: LocalTransport<P>,
     alive: Vec<bool>,
     decided: Vec<Option<Name>>,
-    rngs: Vec<SmallRng>,
     budget_left: usize,
     path: Vec<DecisionTrace>,
-}
-
-// Manual impl: `derive(Clone)` would demand `P: Clone`, but only
-// `P::View` is stored.
-impl<P: ViewProtocol> Clone for BranchState<P> {
-    fn clone(&self) -> Self {
-        BranchState {
-            round: self.round,
-            clusters: self.clusters.clone(),
-            alive: self.alive.clone(),
-            decided: self.decided.clone(),
-            rngs: self.rngs.clone(),
-            budget_left: self.budget_left,
-            path: self.path.clone(),
-        }
-    }
 }
 
 /// Bounded exhaustive explorer over the adaptive adversary's choices.
@@ -190,7 +174,7 @@ impl<P: ViewProtocol + fmt::Debug> fmt::Debug for Explorer<P> {
     }
 }
 
-impl<P: ViewProtocol> Explorer<P> {
+impl<P: ViewProtocol + Clone> Explorer<P> {
     /// An explorer over `n` processes with labels `3, 10, 17, …`
     /// (non-contiguous by design).
     ///
@@ -211,17 +195,11 @@ impl<P: ViewProtocol> Explorer<P> {
     pub fn explore(&self) -> ExploreStats {
         let n = self.labels.len();
         let seeds = SeedTree::new(self.cfg.seed);
-        let root = BranchState::<P> {
+        let root = BranchState {
             round: Round(0),
-            clusters: vec![(
-                (0..n as u32).map(ProcId).collect(),
-                self.protocol.init_view(n),
-            )],
+            transport: LocalTransport::clustered(self.protocol.clone(), &self.labels, &seeds),
             alive: vec![true; n],
             decided: vec![None; n],
-            rngs: (0..n as u32)
-                .map(|p| seeds.process_rng(ProcId(p)))
-                .collect(),
             budget_left: self.cfg.crash_budget.min(n.saturating_sub(1)),
             path: Vec::new(),
         };
@@ -230,7 +208,7 @@ impl<P: ViewProtocol> Explorer<P> {
         stats
     }
 
-    fn dfs(&self, state: BranchState<P>, stats: &mut ExploreStats) {
+    fn dfs(&self, mut state: BranchState<P>, stats: &mut ExploreStats) {
         let n = self.labels.len();
         // Terminal: everyone alive decided.
         if (0..n).all(|p| !state.alive[p] || state.decided[p].is_some()) {
@@ -248,48 +226,31 @@ impl<P: ViewProtocol> Explorer<P> {
 
         // Compose this round's broadcasts once; branches differ only in
         // delivery.
-        let mut outgoing: Vec<(ProcId, Label, P::Msg)> = Vec::new();
-        let mut composed_state = state;
-        {
-            // Borrow juggling: compose needs &view and &mut rng.
-            let BranchState {
-                clusters,
-                rngs,
-                decided,
-                alive,
-                round,
-                ..
-            } = &mut composed_state;
-            for (members, view) in clusters.iter() {
-                for pid in members {
-                    if alive[pid.index()] && decided[pid.index()].is_none() {
-                        let label = self.labels[pid.index()];
-                        let msg =
-                            self.protocol
-                                .compose(view, label, *round, &mut rngs[pid.index()]);
-                        outgoing.push((*pid, label, msg));
-                    }
-                }
-            }
-        }
-        outgoing.sort_by_key(|(p, _, _)| *p);
+        let participants: Vec<ProcId> = (0..n as u32)
+            .map(ProcId)
+            .filter(|p| state.alive[p.index()] && state.decided[p.index()].is_none())
+            .collect();
+        let outgoing = state
+            .transport
+            .compose(state.round, &participants)
+            .expect("the in-memory transport is infallible");
 
         // Branch 1: no crash this round.
         stats.states_explored += 1;
-        let next = self.deliver(&composed_state, &outgoing, None);
+        let next = self.deliver(&state, &outgoing, None);
         self.dfs(next, stats);
 
         // Branches 2..: every victim × every delivery subset, while
         // budget and participant count allow.
-        if composed_state.budget_left == 0 || outgoing.len() <= 1 {
+        if state.budget_left == 0 || outgoing.len() <= 1 {
             return;
         }
         for (victim, _, _) in &outgoing {
             for mask in self.masks_for(*victim) {
                 stats.states_explored += 1;
-                let mut next = self.deliver(&composed_state, &outgoing, Some((*victim, mask)));
+                let mut next = self.deliver(&state, &outgoing, Some((*victim, mask)));
                 next.path.push(DecisionTrace {
-                    round: composed_state.round,
+                    round: state.round,
                     victim: *victim,
                     recipients_mask: mask,
                 });
@@ -349,8 +310,10 @@ impl<P: ViewProtocol> Explorer<P> {
         }
     }
 
-    /// Applies one round with an optional `(victim, recipients_mask)`
-    /// crash, returning the successor state.
+    /// Delivers and applies one round with an optional
+    /// `(victim, recipients_mask)` crash, returning the successor state:
+    /// the round's messages go through the pipeline's own
+    /// [`RoundMessages`], and the branch's store applies and sweeps them.
     fn deliver(
         &self,
         state: &BranchState<P>,
@@ -358,81 +321,32 @@ impl<P: ViewProtocol> Explorer<P> {
         crash: Option<(ProcId, u64)>,
     ) -> BranchState<P> {
         let mut next = state.clone();
-        if let Some((victim, _)) = crash {
+        let mut crashes = Vec::new();
+        if let Some((victim, mask)) = crash {
             next.alive[victim.index()] = false;
             next.budget_left -= 1;
-        }
-
-        // Partition each cluster by received-set signature (0 or 1 bit:
-        // whether the member hears the victim's dying broadcast).
-        let mut base: Vec<(Label, P::Msg)> = Vec::new();
-        let mut partial: Option<(Label, P::Msg, u64)> = None;
-        for (pid, label, msg) in outgoing {
-            match crash {
-                Some((victim, mask)) if *pid == victim => {
-                    partial = Some((*label, msg.clone(), mask));
-                }
-                _ => base.push((*label, msg.clone())),
-            }
-        }
-        base.sort_by_key(|(l, _)| *l);
-
-        let mut new_clusters: Vec<(Vec<ProcId>, P::View)> = Vec::new();
-        for (members, view) in &next.clusters {
-            let live: Vec<ProcId> = members
-                .iter()
-                .copied()
-                .filter(|m| next.alive[m.index()])
+            let heard = (0..self.labels.len() as u32)
+                .filter(|b| (mask >> b) & 1 == 1)
+                .map(ProcId)
                 .collect();
-            if live.is_empty() {
-                continue;
-            }
-            let mut groups: BTreeMap<bool, Vec<ProcId>> = BTreeMap::new();
-            for m in live {
-                let hears = partial
-                    .as_ref()
-                    .map(|(_, _, mask)| (mask >> m.0) & 1 == 1)
-                    .unwrap_or(false);
-                groups.entry(hears).or_default().push(m);
-            }
-            for (hears, group) in groups {
-                let mut v = view.clone();
-                let mut inbox = base.clone();
-                if hears {
-                    let (l, m, _) = partial.as_ref().expect("hears implies partial");
-                    inbox.push((*l, m.clone()));
-                }
-                let inbox = bil_runtime::view::InboxBuf::from_pairs(inbox);
-                self.protocol.apply(&mut v, next.round, inbox.as_inbox());
-                new_clusters.push((group, v));
+            crashes.push((victim, Recipients::Set(heard)));
+        }
+        let survivors: Vec<ProcId> = outgoing
+            .iter()
+            .map(|&(pid, _, _)| pid)
+            .filter(|pid| next.alive[pid.index()])
+            .collect();
+        let mut msgs = RoundMessages::new(outgoing.to_vec(), &next.alive, &crashes);
+        msgs.prepare(&survivors);
+        let infallible = "the in-memory transport is infallible";
+        next.transport
+            .apply(next.round, &next.alive, &survivors, &msgs)
+            .expect(infallible);
+        for (pid, status) in next.transport.sweep(next.round).expect(infallible) {
+            if let Status::Decided(name) = status {
+                next.decided[pid.index()] = Some(name);
             }
         }
-
-        // Merge identical views; sweep statuses.
-        let mut merged: Vec<(Vec<ProcId>, P::View)> = Vec::new();
-        for (members, view) in new_clusters {
-            if let Some((m, _)) = merged.iter_mut().find(|(_, v)| *v == view) {
-                m.extend(members);
-            } else {
-                merged.push((members, view));
-            }
-        }
-        for (members, view) in &mut merged {
-            members.sort_unstable();
-            members.retain(|pid| {
-                let label = self.labels[pid.index()];
-                match self.protocol.status(view, label, next.round) {
-                    Status::Running => true,
-                    Status::Decided(name) => {
-                        next.decided[pid.index()] = Some(name);
-                        false
-                    }
-                }
-            });
-        }
-        merged.retain(|(m, _)| !m.is_empty());
-        merged.sort_by_key(|(m, _)| m[0]);
-        next.clusters = merged;
         next.round = next.round.next();
         next
     }

@@ -22,7 +22,8 @@
 //!   makes the common case). Failure-free this is a single shared view.
 //! * [`EngineMode::Parallel`] — clustered semantics with each round's
 //!   compose and apply work sharded across OS threads
-//!   ([`crate::parallel::ParallelTransport`]), merged deterministically.
+//!   ([`crate::parallel::ParallelTransport`]: the clustered store with a
+//!   shard count above 1), merged deterministically.
 //!
 //! Equivalence of the modes is asserted by unit, property, and workspace
 //! tests.
@@ -32,7 +33,7 @@ use std::fmt;
 use crate::adversary::Adversary;
 use crate::ids::Label;
 use crate::parallel::ParallelTransport;
-use crate::pipeline::{validate_labels, LocalTransport, RoundPipeline};
+use crate::pipeline::{LocalTransport, RoundPipeline};
 use crate::rng::SeedTree;
 use crate::trace::RunReport;
 use crate::view::{NoObserver, Observer, ViewProtocol};
@@ -97,8 +98,8 @@ impl EngineOptions {
 /// ```
 pub struct SyncEngine<P: ViewProtocol, A> {
     protocol: P,
-    adversary: A,
-    labels: Vec<Label>,
+    /// Built, and its labels validated, at construction.
+    pipeline: RoundPipeline<A>,
     seeds: SeedTree,
     options: EngineOptions,
 }
@@ -107,8 +108,7 @@ impl<P: ViewProtocol + fmt::Debug, A: fmt::Debug> fmt::Debug for SyncEngine<P, A
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SyncEngine")
             .field("protocol", &self.protocol)
-            .field("adversary", &self.adversary)
-            .field("n", &self.labels.len())
+            .field("pipeline", &self.pipeline)
             .field("options", &self.options)
             .finish()
     }
@@ -145,11 +145,10 @@ where
         seeds: SeedTree,
         options: EngineOptions,
     ) -> Result<Self, ConfigError> {
-        validate_labels(&labels)?;
+        let round_limit = options.round_limit(labels.len());
         Ok(SyncEngine {
             protocol,
-            adversary,
-            labels,
+            pipeline: RoundPipeline::new(labels, adversary, seeds, round_limit)?,
             seeds,
             options,
         })
@@ -171,28 +170,19 @@ where
     /// one [`crate::worker::WorkerTransport`] over two carriers), whose
     /// drivers return a [`crate::error::RunError`].
     pub fn run_observed(self, observer: &mut dyn Observer<P>) -> RunReport {
-        let round_limit = self.options.round_limit(self.labels.len());
-        let pipeline =
-            RoundPipeline::new(self.labels.clone(), self.adversary, self.seeds, round_limit)
-                // bil-lint: allow(no-panic): labels were validated by the engine constructor; no wire input involved
-                .expect("labels validated at engine construction");
-        let result = match self.options.mode {
-            EngineMode::Clustered => {
-                let mut transport =
-                    LocalTransport::clustered(self.protocol, &self.labels, &self.seeds);
-                pipeline.run(&mut transport, observer)
-            }
-            EngineMode::PerProcess => {
-                let mut transport =
-                    LocalTransport::per_process(self.protocol, &self.labels, &self.seeds);
-                pipeline.run(&mut transport, observer)
-            }
-            EngineMode::Parallel => {
-                let mut transport =
-                    ParallelTransport::new(self.protocol, &self.labels, &self.seeds);
-                pipeline.run(&mut transport, observer)
-            }
+        let SyncEngine {
+            protocol,
+            pipeline,
+            seeds,
+            options,
+        } = self;
+        let labels = pipeline.labels();
+        let mut transport = match options.mode {
+            EngineMode::Clustered => LocalTransport::clustered(protocol, labels, &seeds),
+            EngineMode::PerProcess => LocalTransport::per_process(protocol, labels, &seeds),
+            EngineMode::Parallel => ParallelTransport::new(protocol, labels, &seeds),
         };
+        let result = pipeline.run(&mut transport, observer);
         // bil-lint: allow(no-panic): in-memory transports are infallible past construction; `run` keeps its infallible API
         result.expect("in-memory transports are infallible")
     }

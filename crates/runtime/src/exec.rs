@@ -72,6 +72,34 @@ impl ExecutorKind {
         ExecutorKind::Socket,
     ];
 
+    /// Parses a CLI name (`clustered`, `per-process`, `threaded`,
+    /// `parallel`, `socket`): the inverse of [`fmt::Display`].
+    pub fn parse(name: &str) -> Option<ExecutorKind> {
+        Self::ALL.into_iter().find(|kind| kind.to_string() == name)
+    }
+
+    /// The largest `n` this executor can feasibly carry, if bounded.
+    ///
+    /// The wire executors (threaded and socket) both run a few
+    /// slot-range workers that share views by delivery history (one
+    /// view per divergence class instead of one per slot), so neither
+    /// is bounded by threads or per-slot view memory; both are capped
+    /// at `2^16` by per-round wire traffic — every round still ships
+    /// `O(n)` encoded broadcasts across the thread (resp. loopback)
+    /// boundary. Per-process is capped at `2^16` by its `O(n)` per-slot
+    /// round bookkeeping (RNG streams, compose fan-out). Callers such as
+    /// the experiment harness refuse larger systems loudly instead of
+    /// crashing or running out of memory mid-sweep; the clustered and
+    /// parallel executors are unbounded.
+    pub fn max_n(self) -> Option<usize> {
+        match self {
+            ExecutorKind::Clustered | ExecutorKind::Parallel => None,
+            ExecutorKind::PerProcess | ExecutorKind::Threaded | ExecutorKind::Socket => {
+                Some(1 << 16)
+            }
+        }
+    }
+
     /// The [`EngineMode`] backing this kind, or `None` for the wire
     /// executors (channel and socket), which are standalone drivers.
     pub fn engine_mode(self) -> Option<EngineMode> {
@@ -143,12 +171,13 @@ impl ExecutorKind {
         }
         // Validate the configuration before spawning any worker.
         let round_limit = options.round_limit(labels.len());
-        let pipeline = RoundPipeline::new(labels.clone(), adversary, seeds, round_limit)?;
+        let pipeline = RoundPipeline::new(labels, adversary, seeds, round_limit)?;
+        let labels = pipeline.labels();
         if self == ExecutorKind::Socket {
-            let mut transport = SocketTransport::spawn(&protocol, &labels, &seeds, wire)?;
+            let mut transport = SocketTransport::spawn(&protocol, labels, &seeds, wire)?;
             pipeline.run(&mut transport, &mut NoObserver)
         } else {
-            let mut transport = ChannelTransport::spawn_with(&protocol, &labels, &seeds, wire);
+            let mut transport = ChannelTransport::spawn_with(&protocol, labels, &seeds, wire);
             pipeline.run(&mut transport, &mut NoObserver)
         }
     }
@@ -266,5 +295,9 @@ mod tests {
             names,
             ["clustered", "per-process", "threaded", "parallel", "socket"]
         );
+        for kind in ExecutorKind::ALL {
+            assert_eq!(ExecutorKind::parse(&kind.to_string()), Some(kind));
+        }
+        assert_eq!(ExecutorKind::parse("warp-drive"), None);
     }
 }

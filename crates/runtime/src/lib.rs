@@ -25,14 +25,16 @@
 //!
 //! | executor | transport | use it for |
 //! |---|---|---|
-//! | [`engine::SyncEngine`] with [`engine::EngineMode::PerProcess`] | in-memory, views shared by delivery history, never re-merged | fidelity cross-checks (reference semantics) |
-//! | [`engine::SyncEngine`] with [`engine::EngineMode::Clustered`] | in-memory, identical views shared | large-`n` experiment sweeps |
-//! | [`engine::SyncEngine`] with [`engine::EngineMode::Parallel`] / [`parallel::run_parallel`] | in-memory clustered, rounds sharded across OS threads | multi-core sweeps |
+//! | [`engine::SyncEngine`] with [`engine::EngineMode::PerProcess`] | [`pipeline::LocalTransport`]: in-memory, views shared by delivery history, never re-merged | fidelity cross-checks (reference semantics) |
+//! | [`engine::SyncEngine`] with [`engine::EngineMode::Clustered`] | [`pipeline::LocalTransport`]: in-memory, identical views shared | large-`n` experiment sweeps |
+//! | [`engine::SyncEngine`] with [`engine::EngineMode::Parallel`] / [`parallel::run_parallel`] | [`parallel::ParallelTransport`]: the clustered store, compose and apply chunked across OS threads | multi-core sweeps |
 //! | [`threaded::run_threaded`] | [`worker::WorkerTransport`]: slot-range worker threads over crossbeam channels | demonstrating the protocol over real message passing |
 //! | [`socket::run_socket`] | [`worker::WorkerTransport`]: the same workers over loopback TCP, length-prefixed frames ([`frame`]) of wire bytes | messages crossing a real OS boundary |
 //!
 //! All five produce bit-identical [`trace::RunReport`]s for the same
-//! `(protocol, labels, adversary, seed)`; tests enforce this. The two
+//! `(protocol, labels, adversary, seed)`; tests enforce this. Views live
+//! in one cluster store, [`pipeline::LocalTransport`], everywhere: each
+//! wire worker runs a per-process store over its slot range. The two
 //! wire executors are one coordinator↔worker protocol ([`worker`]) over
 //! two carriers, and they are fallible — malformed frames and hung workers surface as
 //! a structured [`error::RunError`], never as a worker-thread panic.

@@ -12,14 +12,19 @@
 //! A [`Transport`] answers only the executor-specific questions — *where
 //! do views live and how is a composed message carried to its recipients*:
 //!
-//! * [`LocalTransport`] — views in memory on the calling thread, messages
-//!   passed by reference (the clustered and per-process engines);
-//! * [`crate::parallel::ParallelTransport`] — in-memory views with
-//!   per-round compose/apply work sharded across scoped threads;
+//! * [`LocalTransport`] — views in memory, messages passed by reference
+//!   (the clustered and per-process engines, and, with a shard count
+//!   above 1, [`crate::parallel::ParallelTransport`], whose compose and
+//!   apply run on scoped threads);
 //! * [`crate::worker::WorkerTransport`] — views in slot-range worker
 //!   threads, broadcasts as wire-encoded bytes, over in-process channels
 //!   ([`crate::threaded::ChannelTransport`]) or loopback TCP
 //!   ([`crate::socket::SocketTransport`]).
+//!
+//! [`LocalTransport`] is also the one cluster store: each wire worker
+//! runs one over its slot range, and `bil-modelcheck` steps one per
+//! branch, so no other code holds clustered views or calls a protocol's
+//! compose, apply or status.
 //!
 //! Everything else — adversary bookkeeping, crash budgets, message
 //! accounting, inbox planning, round limits, report assembly — lives in
@@ -45,6 +50,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
+use std::thread;
 
 use rand::rngs::SmallRng;
 
@@ -383,6 +389,11 @@ impl<A> RoundPipeline<A> {
         })
     }
 
+    /// The validated labels, by slot.
+    pub(crate) fn labels(&self) -> &[Label] {
+        &self.labels
+    }
+
     /// Runs the synchronous execution to completion (or the round limit)
     /// over `transport`, reporting each round to `observer`.
     ///
@@ -553,43 +564,64 @@ impl<A> RoundPipeline<A> {
     }
 }
 
-/// The in-memory transport: views live on the calling thread as
-/// [`Cluster`]s, messages are passed by reference. Both modes start from
-/// one shared-view cluster and split members apart when a partial
+/// The in-memory cluster store, and the one every executor runs: views
+/// live as [`Cluster`]s, messages are passed by reference. Processes
+/// start in one shared-view cluster and split apart when a partial
 /// delivery hands them different inboxes; with `merge` enabled this is
 /// the clustered engine (equal views re-coalesce after every round),
 /// without it the per-process engine, where diverged delivery histories
 /// stay split forever. Either way a process's view is exactly what its
 /// own delivery history dictates, so reports are bit-identical across
 /// the two — but a failure-free run materializes one view instead of
-/// `n`, which is what lets per-process mode scale past its former
-/// one-view-per-slot 2^14 memory ceiling.
+/// `n`.
+///
+/// The same store serves every executor: the clustered and per-process
+/// engines hold all `n` slots on one thread; the parallel executor
+/// ([`crate::parallel::ParallelTransport`]) is a clustered store with a
+/// shard count above 1; each wire worker ([`crate::worker`]) holds a
+/// per-process store over its contiguous slot range; and
+/// `bil-modelcheck` clones one per branch of the adversary's decision
+/// tree.
+#[derive(Clone)]
 pub struct LocalTransport<P: ViewProtocol> {
-    pub(crate) protocol: P,
-    pub(crate) labels: Vec<Label>,
-    pub(crate) clusters: Vec<Cluster<P::View>>,
-    pub(crate) rngs: Vec<SmallRng>,
-    pub(crate) merge: bool,
+    protocol: P,
+    /// First slot held: the per-slot columns cover slots
+    /// `base..base + labels.len()` of the system.
+    base: usize,
+    /// Labels of the held slots, by slot.
+    labels: Vec<Label>,
+    clusters: Vec<Cluster<P::View>>,
+    merge: bool,
+    /// Compose and apply shard count; 1 runs both inline.
+    pub(crate) threads: usize,
     /// `(label, slot)` pairs sorted by label, built once at
     /// construction: labels never change, so a cluster's label-ordered
     /// ball list is this sequence filtered by membership
     /// (order-preserving) — no per-round sort.
     by_label: Vec<(Label, ProcId)>,
-    /// Scratch, reused across rounds: slot → index of its cluster this
-    /// round (`u32::MAX` = not composing).
+    /// Per-process RNG streams, parallel to `by_label`.
+    rngs: Vec<SmallRng>,
+    /// Scratch, reused across rounds: slot − `base` → index of its
+    /// cluster this round (`u32::MAX` = not composing).
     cluster_of: Vec<u32>,
-    /// Scratch, reused across rounds: per-cluster `(label, slot)`
-    /// buckets, each strictly label-ascending.
-    buckets: Vec<Vec<(Label, ProcId)>>,
+    /// Scratch: the round's ball list, cluster-major and label-ordered
+    /// within a cluster.
+    balls: Vec<Label>,
+    /// Scratch: the slot of each entry of `balls`.
+    ball_slots: Vec<ProcId>,
+    /// Scratch: where each cluster's run of `balls` ends.
+    ends: Vec<usize>,
 }
 
 impl<P: ViewProtocol + fmt::Debug> fmt::Debug for LocalTransport<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LocalTransport")
             .field("protocol", &self.protocol)
-            .field("n", &self.labels.len())
+            .field("base", &self.base)
+            .field("len", &self.labels.len())
             .field("clusters", &self.clusters.len())
             .field("merge", &self.merge)
+            .field("threads", &self.threads)
             .finish()
     }
 }
@@ -598,7 +630,7 @@ impl<P: ViewProtocol> LocalTransport<P> {
     /// A transport where all processes start in one shared-view cluster
     /// and equal views re-merge after every round.
     pub fn clustered(protocol: P, labels: &[Label], seeds: &SeedTree) -> Self {
-        Self::with_merge(protocol, labels, seeds, true)
+        Self::with_range(protocol, labels.len(), 0, labels, seeds, true, 1)
     }
 
     /// A transport where processes share views by delivery history:
@@ -608,151 +640,294 @@ impl<P: ViewProtocol> LocalTransport<P> {
     /// pure function of its own delivery history — the per-process
     /// reference semantics — without materializing `n` identical views.
     pub fn per_process(protocol: P, labels: &[Label], seeds: &SeedTree) -> Self {
-        Self::with_merge(protocol, labels, seeds, false)
+        Self::with_range(protocol, labels.len(), 0, labels, seeds, false, 1)
     }
 
-    fn with_merge(protocol: P, labels: &[Label], seeds: &SeedTree, merge: bool) -> Self {
-        let n = labels.len();
-        // Both modes start from one shared cluster: views only diverge
-        // when delivery histories do (`split_groups`), and `merge`
-        // decides whether equal views re-coalesce afterwards.
-        let clusters = vec![Cluster {
-            members: (0..n as u32).map(ProcId).collect(),
-            view: protocol.init_view(n),
-        }];
+    /// A store over slots `base..base + labels.len()` of an `n`-process
+    /// system, all starting from `init_view(n)` in one cluster.
+    /// `labels` are the held slots' labels, by slot; `threads` (≥ 1) is
+    /// the compose/apply shard count.
+    pub(crate) fn with_range(
+        protocol: P,
+        n: usize,
+        base: usize,
+        labels: &[Label],
+        seeds: &SeedTree,
+        merge: bool,
+        threads: usize,
+    ) -> Self {
+        let len = labels.len();
+        let view = protocol.init_view(n);
         let mut by_label: Vec<(Label, ProcId)> = labels
             .iter()
             .enumerate()
-            .map(|(i, &label)| (label, ProcId(i as u32)))
+            .map(|(i, &label)| (label, ProcId((base + i) as u32)))
             .collect();
-        by_label.sort_unstable();
+        // Labels are unique, so the label alone orders the pairs.
+        by_label.sort_unstable_by_key(|&(label, _)| label);
         LocalTransport {
             protocol,
+            base,
             labels: labels.to_vec(),
-            clusters,
-            rngs: (0..n)
-                .map(|p| seeds.process_rng(ProcId(p as u32)))
-                .collect(),
+            clusters: vec![Cluster {
+                members: (base..base + len).map(|p| ProcId(p as u32)).collect(),
+                view,
+            }],
             merge,
+            threads: threads.max(1),
+            rngs: by_label
+                .iter()
+                .map(|&(_, pid)| seeds.process_rng(pid))
+                .collect(),
             by_label,
-            cluster_of: vec![u32::MAX; n],
-            buckets: Vec::new(),
+            cluster_of: vec![u32::MAX; len],
+            balls: Vec::new(),
+            ball_slots: Vec::new(),
+            ends: Vec::new(),
         }
     }
 
-    /// Splits each cluster's live members into groups by interned
-    /// delivery signature, handing each group an owned view (the sole —
-    /// or last-constructed — group takes the view by move instead of
-    /// clone). Returns `(sig_id, members, view)` work items in
-    /// deterministic order; the caller applies the protocol and
-    /// reassembles clusters.
-    pub(crate) fn split_groups(
-        clusters: &mut Vec<Cluster<P::View>>,
-        alive: &[bool],
-        msgs: &RoundMessages<P::Msg>,
-    ) -> Vec<(SigId, Vec<ProcId>, P::View)> {
-        let mut items = Vec::new();
-        for cluster in clusters.drain(..) {
-            let Cluster { members, view } = cluster;
-            let live: Vec<ProcId> = members.into_iter().filter(|m| alive[m.index()]).collect();
-            if live.is_empty() {
-                continue;
+    /// Composes the broadcast of every held process and returns them in
+    /// slot order.
+    ///
+    /// The round's balls form one list — cluster-major, label-ordered
+    /// within a cluster — with each ball's RNG stream alongside.
+    /// Contiguous chunks of the list compose on scoped threads (a single
+    /// chunk, inline, with one shard), one batched sweep per cluster run
+    /// inside a chunk. Per-process RNG streams make the chunking and the
+    /// cross-ball order unobservable.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Protocol`] if a compose shard panicked.
+    pub(crate) fn compose_held(
+        &mut self,
+        round: Round,
+    ) -> Result<Vec<(ProcId, Label, P::Msg)>, RunError> {
+        let LocalTransport {
+            protocol,
+            base,
+            clusters,
+            threads,
+            by_label,
+            rngs,
+            cluster_of,
+            balls,
+            ball_slots,
+            ends,
+            ..
+        } = self;
+        let base = *base;
+        // Route each held slot to its cluster and size the clusters'
+        // runs; `ends` starts as each run's write cursor.
+        cluster_of.fill(u32::MAX);
+        ends.clear();
+        let mut total = 0;
+        for (ci, cluster) in clusters.iter().enumerate() {
+            for &pid in &cluster.members {
+                cluster_of[pid.index() - base] = ci as u32;
             }
-            // Partition members by which dying broadcasts they hear
-            // (allocation-free: signatures were interned in `prepare`).
-            let mut groups: BTreeMap<SigId, Vec<ProcId>> = BTreeMap::new();
-            for m in live {
-                groups.entry(msgs.sig_id(m)).or_default().push(m);
-            }
-            if groups.len() == 1 {
-                // The common, failure-free case: every live member hears
-                // the same broadcasts, so the cluster's view moves
-                // without a clone.
-                if let Some((sig, group_members)) = groups.pop_first() {
-                    items.push((sig, group_members, view));
-                }
-            } else {
-                for (sig, group_members) in groups {
-                    items.push((sig, group_members, view.clone()));
-                }
+            ends.push(total);
+            total += cluster.members.len();
+        }
+        // One pass over the label-sorted slots places every ball in its
+        // cluster's run: filtering preserves order, so every run comes
+        // out strictly label-ascending — the batched sweep's merge-join
+        // fast path — with no per-round sort.
+        balls.resize(total, Label(0));
+        ball_slots.resize(total, ProcId(0));
+        let mut gathered: Vec<Option<&mut SmallRng>> = Vec::new();
+        gathered.resize_with(total, || None);
+        for (&(label, pid), rng) in by_label.iter().zip(rngs.iter_mut()) {
+            let ci = cluster_of[pid.index() - base];
+            if ci != u32::MAX {
+                let at = &mut ends[ci as usize];
+                balls[*at] = label;
+                ball_slots[*at] = pid;
+                gathered[*at] = Some(rng);
+                *at += 1;
             }
         }
-        items
+        let mut rng_list: Vec<&mut SmallRng> = gathered.into_iter().flatten().collect();
+        debug_assert_eq!(rng_list.len(), total, "every held slot has one RNG");
+
+        // Composes list positions `lo..lo + balls.len()` as one batched
+        // sweep per cluster run they overlap.
+        let (protocol, clusters, ends): (&P, &[Cluster<P::View>], &[usize]) =
+            (protocol, clusters, ends);
+        let compose_chunk = |lo: usize,
+                             balls: &[Label],
+                             rngs: &mut [&mut SmallRng],
+                             out: &mut Vec<(Label, P::Msg)>| {
+            let hi = lo + balls.len();
+            let mut start = 0;
+            for (cluster, &end) in clusters.iter().zip(ends) {
+                let (a, b) = (start.max(lo), end.min(hi));
+                if a < b {
+                    let (balls, rngs) = (&balls[a - lo..b - lo], &mut rngs[a - lo..b - lo]);
+                    protocol.compose_batch(&cluster.view, balls, round, rngs, out);
+                }
+                start = end;
+            }
+        };
+        let mut composed = Vec::with_capacity(total);
+        if *threads < 2 || total < 2 {
+            compose_chunk(0, balls, &mut rng_list, &mut composed);
+        } else {
+            let chunk = total.div_ceil(*threads);
+            let compose_chunk = &compose_chunk;
+            let parts: Vec<_> = thread::scope(|s| {
+                let handles: Vec<_> = balls
+                    .chunks(chunk)
+                    .zip(rng_list.chunks_mut(chunk))
+                    .enumerate()
+                    .map(|(i, (balls, rngs))| {
+                        s.spawn(move || {
+                            let mut out = Vec::with_capacity(balls.len());
+                            compose_chunk(i * chunk, balls, rngs, &mut out);
+                            out
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            });
+            // Chunk order is list order, whatever the thread scheduling.
+            for part in parts {
+                composed.extend(part.map_err(|_| RunError::Protocol {
+                    context: "composing a round in parallel",
+                    detail: "a compose shard panicked".to_string(),
+                })?);
+            }
+        }
+
+        // Permute the list into slot order in place: `cluster_of` turns
+        // into each held slot's rank, and following the permutation's
+        // cycles puts every entry at its rank with one swap each.
+        let held = cluster_of.iter_mut().filter(|at| **at != u32::MAX);
+        for (rank, at) in (0..).zip(held) {
+            *at = rank;
+        }
+        for i in 0..total {
+            loop {
+                let to = cluster_of[ball_slots[i].index() - base] as usize;
+                if to == i {
+                    break;
+                }
+                composed.swap(i, to);
+                ball_slots.swap(i, to);
+            }
+        }
+        Ok(composed
+            .into_iter()
+            .zip(ball_slots.iter())
+            .map(|((label, msg), &pid)| (pid, label, msg))
+            .collect())
+    }
+
+    /// Folds one round into the views. Each cluster's members split by
+    /// delivery signature (`sig_of`; `None` drops a member that
+    /// crashed), and every (cluster × signature) group folds
+    /// `inboxes[sig]` into a view of its own: the last group of a
+    /// cluster takes the cluster's view, only the others clone it. The
+    /// groups' folds are sharded like compose's chunks; with `merge`,
+    /// equal views then re-coalesce.
+    pub(crate) fn apply_groups(
+        &mut self,
+        round: Round,
+        sig_of: impl Fn(ProcId) -> Option<SigId>,
+        inboxes: &[RoundInbox<'_, P::Msg>],
+    ) {
+        let mut items: Vec<(SigId, Cluster<P::View>)> = Vec::with_capacity(self.clusters.len());
+        for Cluster { mut members, view } in self.clusters.drain(..) {
+            let mut sigs = members.iter().filter_map(|&m| sig_of(m));
+            let Some(first) = sigs.next() else {
+                // Every member crashed: the view goes with them.
+                continue;
+            };
+            if sigs.all(|sig| sig == first) {
+                // The common, failure-free case: every live member hears
+                // the same inbox, so the view moves without a clone.
+                members.retain(|&m| sig_of(m).is_some());
+                items.push((first, Cluster { members, view }));
+                continue;
+            }
+            let mut groups: BTreeMap<SigId, Vec<ProcId>> = BTreeMap::new();
+            for m in members {
+                if let Some(sig) = sig_of(m) {
+                    groups.entry(sig).or_default().push(m);
+                }
+            }
+            let last = groups.pop_last();
+            for (sig, members) in groups {
+                let view = view.clone();
+                items.push((sig, Cluster { members, view }));
+            }
+            if let Some((sig, members)) = last {
+                items.push((sig, Cluster { members, view }));
+            }
+        }
+
+        let protocol = &self.protocol;
+        let fold = |items: &mut [(SigId, Cluster<P::View>)]| {
+            for (sig, cluster) in items {
+                protocol.apply(&mut cluster.view, round, inboxes[*sig as usize]);
+            }
+        };
+        if self.threads < 2 || items.len() < 2 {
+            fold(&mut items);
+        } else {
+            let chunk = items.len().div_ceil(self.threads);
+            let fold = &fold;
+            thread::scope(|s| {
+                for part in items.chunks_mut(chunk) {
+                    s.spawn(move || fold(part));
+                }
+            });
+        }
+
+        // Items keep their order (cluster-major, then signature) whatever
+        // the sharding; the coalescing pass is order-independent.
+        let mut next: Vec<Cluster<P::View>> = items.into_iter().map(|(_, c)| c).collect();
+        if self.merge {
+            next = merge_clusters(next);
+        }
+        self.clusters = next;
+    }
+
+    /// Reads the [`Status`] of every held process and retires the
+    /// decided ones. Statuses come cluster by cluster, each cluster's in
+    /// slot order.
+    pub(crate) fn sweep_held(&mut self, round: Round) -> Vec<(ProcId, Status)> {
+        let mut statuses = Vec::new();
+        let LocalTransport {
+            protocol,
+            base,
+            labels,
+            clusters,
+            ..
+        } = self;
+        for cluster in clusters.iter_mut() {
+            let view = &cluster.view;
+            cluster.members.retain(|&pid| {
+                let status = protocol.status(view, labels[pid.index() - *base], round);
+                statuses.push((pid, status));
+                matches!(status, Status::Running)
+            });
+        }
+        clusters.retain(|c| !c.members.is_empty());
+        statuses
     }
 }
 
 impl<P: ViewProtocol> Transport<P> for LocalTransport<P> {
+    /// Composes every held process — the pipeline's participants, by
+    /// construction: the store holds exactly the alive, undecided slots.
     fn compose(
         &mut self,
         round: Round,
-        participants: &[ProcId],
+        _participants: &[ProcId],
     ) -> Result<Vec<(ProcId, Label, P::Msg)>, RunError> {
-        let LocalTransport {
-            protocol,
-            clusters,
-            rngs,
-            by_label,
-            cluster_of,
-            buckets,
-            ..
-        } = self;
-        let mut outgoing: Vec<(ProcId, Label, P::Msg)> = Vec::with_capacity(participants.len());
-        // Route each slot to its cluster for this round; slots outside
-        // every cluster (decided or crashed) stay unmarked and drop out
-        // of the label sweep below.
-        cluster_of.fill(u32::MAX);
-        while buckets.len() < clusters.len() {
-            buckets.push(Vec::new());
-        }
-        for (ci, cluster) in clusters.iter().enumerate() {
-            for &pid in &cluster.members {
-                cluster_of[pid.index()] = ci as u32;
-            }
-            buckets[ci].clear();
-        }
-        // One pass over the label-sorted slot list: filtering preserves
-        // order, so every bucket comes out strictly label-ascending —
-        // the batched sweep's merge-join fast path — with no per-round
-        // sort. Labels are validated duplicate-free up front.
-        for &(label, pid) in by_label.iter() {
-            let ci = cluster_of[pid.index()];
-            if ci != u32::MAX {
-                buckets[ci as usize].push((label, pid));
-            }
-        }
-        // Each participant composes exactly once per round, so its RNG is
-        // handed out at most once — which lets a cluster's RNGs be
-        // gathered in label order (not slot order) without aliasing.
-        let mut rng_slots: Vec<Option<&mut SmallRng>> = rngs.iter_mut().map(Some).collect();
-        let mut balls: Vec<Label> = Vec::new();
-        let mut gathered: Vec<&mut SmallRng> = Vec::new();
-        let mut composed: Vec<(Label, P::Msg)> = Vec::new();
-        for (ci, cluster) in clusters.iter().enumerate() {
-            // One batched sweep per shared view. Per-process RNG streams
-            // make the cross-ball compose order unobservable.
-            let pairs = &buckets[ci];
-            debug_assert_eq!(pairs.len(), cluster.members.len());
-            balls.clear();
-            balls.extend(pairs.iter().map(|&(label, _)| label));
-            gathered.clear();
-            for &(_, pid) in pairs {
-                gathered.push(
-                    rng_slots[pid.index()]
-                        .take()
-                        // bil-lint: allow(no-panic): local invariant — clusters partition the participants, so each RNG is taken exactly once; no wire input involved
-                        .expect("each participant composes once per round"),
-                );
-            }
-            composed.clear();
-            protocol.compose_batch(&cluster.view, &balls, round, &mut gathered, &mut composed);
-            for ((label, msg), &(_, pid)) in composed.drain(..).zip(pairs) {
-                outgoing.push((pid, label, msg));
-            }
-        }
-        // Slots are unique, so the unstable sort is deterministic (and
-        // allocates no merge scratch).
-        outgoing.sort_unstable_by_key(|(p, _, _)| *p);
-        Ok(outgoing)
+        self.compose_held(round)
     }
 
     fn apply(
@@ -762,16 +937,14 @@ impl<P: ViewProtocol> Transport<P> for LocalTransport<P> {
         _survivors: &[ProcId],
         msgs: &RoundMessages<P::Msg>,
     ) -> Result<(), RunError> {
-        let items = Self::split_groups(&mut self.clusters, alive, msgs);
-        let mut next: Vec<Cluster<P::View>> = Vec::with_capacity(items.len());
-        for (sig, members, mut view) in items {
-            self.protocol.apply(&mut view, round, msgs.inbox_by_id(sig));
-            next.push(Cluster { members, view });
-        }
-        if self.merge {
-            next = merge_clusters(next);
-        }
-        self.clusters = next;
+        let inboxes: Vec<RoundInbox<'_, P::Msg>> = (0..msgs.variant_count() as SigId)
+            .map(|id| msgs.inbox_by_id(id))
+            .collect();
+        self.apply_groups(
+            round,
+            |m| alive[m.index()].then(|| msgs.sig_id(m)),
+            &inboxes,
+        );
         Ok(())
     }
 
@@ -780,19 +953,7 @@ impl<P: ViewProtocol> Transport<P> for LocalTransport<P> {
     }
 
     fn sweep(&mut self, round: Round) -> Result<Vec<(ProcId, Status)>, RunError> {
-        let mut statuses = Vec::new();
-        for cluster in &mut self.clusters {
-            let protocol = &self.protocol;
-            let labels = &self.labels;
-            let view = &cluster.view;
-            cluster.members.retain(|&pid| {
-                let status = protocol.status(view, labels[pid.index()], round);
-                statuses.push((pid, status));
-                matches!(status, Status::Running)
-            });
-        }
-        self.clusters.retain(|c| !c.members.is_empty());
-        Ok(statuses)
+        Ok(self.sweep_held(round))
     }
 }
 
@@ -816,9 +977,11 @@ pub(crate) fn merge_clusters<V: Eq>(clusters: Vec<Cluster<V>>) -> Vec<Cluster<V>
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
     use crate::adversary::NoFailures;
-    use crate::testproto::RankOnce;
+    use crate::testproto::{LabelSet, RankOnce};
     use crate::view::NoObserver;
 
     #[test]
@@ -939,6 +1102,84 @@ mod tests {
         msgs.prepare(&survivors);
         t.apply(Round(2), &alive, &survivors, &msgs).unwrap();
         assert_eq!(t.clusters.len(), 2, "per-process clusters never re-merge");
+    }
+
+    /// A view that counts, in a counter its protocol shares, how often
+    /// it is cloned.
+    #[derive(Debug)]
+    struct Counted {
+        known: Vec<Label>,
+        clones: Arc<AtomicUsize>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, Ordering::Relaxed);
+            Counted {
+                known: self.known.clone(),
+                clones: Arc::clone(&self.clones),
+            }
+        }
+    }
+
+    impl PartialEq for Counted {
+        fn eq(&self, other: &Self) -> bool {
+            self.known == other.known
+        }
+    }
+
+    impl Eq for Counted {}
+
+    /// Broadcasts its own label and collects what it hears, never
+    /// deciding; its views count their clones.
+    #[derive(Debug, Default)]
+    struct CountClones(Arc<AtomicUsize>);
+
+    impl ViewProtocol for CountClones {
+        type Msg = LabelSet;
+        type View = Counted;
+
+        fn init_view(&self, _n: usize) -> Counted {
+            Counted {
+                known: Vec::new(),
+                clones: Arc::clone(&self.0),
+            }
+        }
+
+        fn compose(&self, _: &Counted, ball: Label, _: Round, _: &mut SmallRng) -> LabelSet {
+            LabelSet(vec![ball])
+        }
+
+        fn apply(&self, view: &mut Counted, _: Round, inbox: RoundInbox<'_, LabelSet>) {
+            view.known.extend_from_slice(inbox.labels());
+        }
+
+        fn status(&self, _: &Counted, _: Label, _: Round) -> Status {
+            Status::Running
+        }
+    }
+
+    #[test]
+    fn a_two_way_split_clones_the_view_once() {
+        let protocol = CountClones::default();
+        let clones = Arc::clone(&protocol.0);
+        let labels: Vec<Label> = (0..4u64).map(Label).collect();
+        let mut t = LocalTransport::per_process(protocol, &labels, &SeedTree::new(1));
+        let all: Vec<ProcId> = (0..4).map(ProcId).collect();
+        let outgoing = t.compose(Round(0), &all).unwrap();
+        // Slot 3 crashes mid-broadcast, heard only by slot 0: the
+        // survivors' one cluster splits into two signature groups.
+        let alive = [true, true, true, false];
+        let crashes = [(ProcId(3), Recipients::Set(vec![ProcId(0)]))];
+        let mut msgs = RoundMessages::new(outgoing, &alive, &crashes);
+        msgs.prepare(&all[..3]);
+        t.apply(Round(0), &alive, &all[..3], &msgs).unwrap();
+        assert_eq!(t.clusters.len(), 2);
+        assert_eq!(
+            clones.load(Ordering::Relaxed),
+            1,
+            "the last group takes the view by move"
+        );
     }
 
     #[test]

@@ -39,16 +39,16 @@ use crate::worker::{spawn_workers, Carrier, Cmd, Fault, Rsp, WorkerPort, WorkerT
 /// Frame tags of the coordinator↔worker protocol.
 mod tag {
     pub const HELLO: u64 = 0;
-    pub const COMPOSE: u64 = 1;
     pub const DELIVER: u64 = 2;
     pub const EXIT: u64 = 4;
     pub const COMPOSED: u64 = 5;
     pub const APPLIED: u64 = 6;
     pub const FAULT: u64 = 7;
-    /// A slot list. Tag 3 carried a single slot; the list got a fresh
-    /// tag so a peer that knows only the old layout rejects it instead
-    /// of mis-decoding it.
-    pub const RETIRE: u64 = 8;
+    /// The round alone. Tag 1 also carried a slot list; the round-only
+    /// layout got a fresh tag so a peer that knows only the old layout
+    /// rejects it instead of mis-decoding it. Tags 3 and 8 (retiring
+    /// slots) are retired with their command.
+    pub const COMPOSE: u64 = 9;
 }
 
 /// Fault kinds carried by a `Fault` frame.
@@ -128,10 +128,9 @@ fn get_end(buf: &Bytes) -> Result<(), WireError> {
 
 fn put_cmd<M: Wire>(buf: &mut BytesMut, cmd: &Cmd<M>) {
     match cmd {
-        Cmd::Compose(round, slots) => {
+        Cmd::Compose(round) => {
             put_varint(buf, tag::COMPOSE);
             put_varint(buf, round.0);
-            put_slots(buf, slots);
         }
         Cmd::Deliver(round, groups) => {
             put_varint(buf, tag::DELIVER);
@@ -147,17 +146,13 @@ fn put_cmd<M: Wire>(buf: &mut BytesMut, cmd: &Cmd<M>) {
                 }
             }
         }
-        Cmd::Retire(slots) => {
-            put_varint(buf, tag::RETIRE);
-            put_slots(buf, slots);
-        }
         Cmd::Exit => put_varint(buf, tag::EXIT),
     }
 }
 
 fn get_cmd<M: Wire>(mut buf: Bytes) -> Result<Cmd<M>, Fault> {
     let cmd = match get_varint(&mut buf)? {
-        tag::COMPOSE => Cmd::Compose(Round(get_varint(&mut buf)?), get_slots(&mut buf)?),
+        tag::COMPOSE => Cmd::Compose(Round(get_varint(&mut buf)?)),
         tag::DELIVER => {
             let round = Round(get_varint(&mut buf)?);
             let count = get_len(&mut buf)?;
@@ -176,7 +171,6 @@ fn get_cmd<M: Wire>(mut buf: Bytes) -> Result<Cmd<M>, Fault> {
             }
             Cmd::Deliver(round, groups)
         }
-        tag::RETIRE => Cmd::Retire(get_slots(&mut buf)?),
         tag::EXIT => Cmd::Exit,
         t => return Err(bad_tag(t).into()),
     };
@@ -580,9 +574,8 @@ mod tests {
             (vec![], Arc::new(InboxBuf::new())),
         ];
         for cmd in [
-            Cmd::Compose(Round(7), vec![0, 5, 1 << 33]),
+            Cmd::Compose(Round(7)),
             Cmd::Deliver(Round(2), groups),
-            Cmd::Retire(vec![9, 10]),
             Cmd::Exit,
         ] {
             let mut buf = BytesMut::new();
@@ -603,13 +596,22 @@ mod tests {
     #[test]
     fn hostile_command_frames_fail_to_decode() {
         for (frame, error) in [
-            // A slot count beyond the frame never sizes an allocation.
+            // A group or slot count beyond the frame never sizes an
+            // allocation.
             (
-                vec![tag::COMPOSE, 0, 1 << 40],
+                vec![tag::DELIVER, 0, 1 << 40],
+                WireError::LengthOverflow(1 << 40),
+            ),
+            (
+                vec![tag::DELIVER, 0, 1, 1 << 40],
                 WireError::LengthOverflow(1 << 40),
             ),
             (vec![300], WireError::LengthOverflow(300)),
             (vec![tag::EXIT, 0], WireError::TrailingBytes(1)),
+            (vec![tag::COMPOSE, 0, 5], WireError::TrailingBytes(1)),
+            // The retired slot-list layouts are rejected, not misread.
+            (vec![1, 0, 0], WireError::BadTag(1)),
+            (vec![8, 0], WireError::BadTag(8)),
         ] {
             assert_eq!(get_cmd::<LabelSet>(varints(&frame)), Err(error.into()));
         }

@@ -17,7 +17,8 @@
 //! data-parallel executor ([`crate::parallel`]), and the slot-range
 //! worker executors ([`crate::worker`]) — drives those same
 //! functions through the one shared round loop
-//! ([`crate::pipeline::RoundPipeline`]). Cross-executor equivalence is
+//! ([`crate::pipeline::RoundPipeline`]) and the one cluster store
+//! ([`crate::pipeline::LocalTransport`]). Cross-executor equivalence is
 //! enforced by tests.
 //!
 //! The payoff of the formulation is the **cluster engine**: processes whose

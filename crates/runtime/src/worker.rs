@@ -2,44 +2,45 @@
 //!
 //! The threaded executor ([`crate::threaded`]) and the socket executor
 //! ([`crate::socket`]) are one design over two carriers. A few worker
-//! threads each own a contiguous range of process slots (views and RNG
-//! streams never leave their worker), and a coordinator — the
-//! [`WorkerTransport`] the shared [`crate::pipeline::RoundPipeline`]
-//! drives — lock-steps them with typed commands:
+//! threads each own a contiguous range of process slots, held in a
+//! per-process [`LocalTransport`] over that range (views and RNG streams
+//! never leave their worker), and a coordinator — the [`WorkerTransport`]
+//! the shared [`crate::pipeline::RoundPipeline`] drives — lock-steps them
+//! with typed commands:
 //!
 //! | command | response | meaning |
 //! |---|---|---|
-//! | [`Cmd::Compose`] | [`Rsp::Composed`] | compose the listed slots' broadcasts; answer the encoded bytes, slot-ascending |
-//! | [`Cmd::Deliver`] | [`Rsp::Applied`] | fold one shared inbox per delivery signature into its recipients' views; answer their statuses, slot-ascending |
-//! | [`Cmd::Retire`] | — | slots crashed or decided: drop them |
+//! | [`Cmd::Compose`] | [`Rsp::Composed`] | compose the round's broadcast of every held slot; answer the encoded bytes, slot-ascending |
+//! | [`Cmd::Deliver`] | [`Rsp::Applied`] | fold one shared inbox per delivery signature into its recipients' views, drop held slots no group names (they crashed), retire the decided; answer the recipients' statuses, slot-ascending |
 //! | [`Cmd::Exit`] | — | end the worker's loop |
 //!
-//! A worker that cannot execute a command answers [`Rsp::Fault`] and
-//! exits its loop; it never panics across the boundary. The coordinator
-//! decodes every composed broadcast, so the codec runs every round on
-//! both carriers.
+//! A worker holds exactly its alive, undecided slots — the round's
+//! participants — so `Compose` needs no slot list, and the coordinator's
+//! count and slot checks reject any answer that disagrees. A worker that
+//! cannot execute a command answers [`Rsp::Fault`] and exits its loop;
+//! it never panics across the boundary. The coordinator decodes every
+//! composed broadcast, so the codec runs every round on both carriers.
 //!
 //! A [`Carrier`] only moves these values. [`crate::threaded`]'s channel
 //! carrier hands them over as they are (inboxes by [`Arc`] clone);
 //! [`crate::socket`]'s TCP carrier frames them over loopback sockets.
 //! Everything else — per-worker grouping, response checks, decoding,
-//! retire-on-decide, shutdown — lives here, once. Inside a worker, slots
-//! share views by delivery history.
+//! shutdown — lives here, once; the views themselves live in the same
+//! cluster store every in-memory executor runs.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::Arc;
 use std::thread;
 
 use bytes::Bytes;
-use rand::rngs::SmallRng;
 
 use crate::error::RunError;
 use crate::ids::{Label, ProcId, Round};
-use crate::pipeline::{RoundMessages, SigId, Transport};
+use crate::pipeline::{LocalTransport, RoundMessages, SigId, Transport};
 use crate::rng::SeedTree;
-use crate::view::{InboxBuf, Status, ViewProtocol};
+use crate::view::{InboxBuf, RoundInbox, Status, ViewProtocol};
 use crate::wire::{Wire, WireError};
 
 /// One delivery group of a [`Cmd::Deliver`]: recipient slots and the
@@ -49,15 +50,11 @@ pub type Group<M> = (Vec<u64>, Arc<InboxBuf<M>>);
 /// A coordinator → worker command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Cmd<M> {
-    /// Compose the round's broadcasts of the listed slots (ascending,
-    /// all owned by the worker).
-    Compose(Round, Vec<u64>),
+    /// Compose the round's broadcasts of every slot the worker holds.
+    Compose(Round),
     /// Fold the round's shared inboxes: one group per delivery signature
-    /// present at the worker.
+    /// present at the worker. Held slots in no group crashed.
     Deliver(Round, Vec<Group<M>>),
-    /// Slots that crashed or decided; drop them. Fire-and-forget:
-    /// carriers are FIFO, so it lands before the next command.
-    Retire(Vec<u64>),
     /// End the worker's loop.
     Exit,
 }
@@ -82,7 +79,7 @@ pub enum Fault {
     /// A command, or a message inside one (from the sender, when
     /// known), failed to decode.
     Wire(Option<Label>, WireError),
-    /// A command named a slot the worker does not own (or named one
+    /// A `Deliver` named a slot the worker does not own (or named one
     /// twice).
     UnknownSlot(u64),
 }
@@ -118,222 +115,37 @@ pub(crate) trait WorkerPort<M> {
     fn send(&mut self, rsp: Rsp) -> bool;
 }
 
-/// One shared view inside a worker: all member slots have witnessed the
-/// same delivery history, and views are pure functions of that history,
-/// so one materialized view stands for every member.
-struct ViewCluster<V> {
-    view: V,
-    members: usize,
-}
-
-/// Per-slot worker state: label, private RNG stream, and the index of
-/// the slot's view cluster in [`WorkerState::clusters`].
-struct Proc {
-    label: Label,
-    rng: SmallRng,
-    cluster: usize,
-}
-
-/// A worker's slots plus the view clusters they share — the clustered
-/// engine's signature-refined partition: slots start in one cluster and
-/// split off only when a round delivers them a different inbox than the
-/// rest of their cluster (partial deliveries of dying broadcasts). A
-/// failure-free run therefore holds one view per worker at any `n`.
-struct WorkerState<P: ViewProtocol> {
-    procs: BTreeMap<u64, Proc>,
-    /// Every cluster has at least one member: an emptied cluster is
-    /// removed at once, its view dropped.
-    clusters: Vec<ViewCluster<P::View>>,
-}
-
-impl<P: ViewProtocol> WorkerState<P> {
-    /// The state of a fresh worker owning `slots`: every slot starts from
-    /// the same `init_view(n)` with an empty delivery history — one
-    /// shared cluster for the whole worker.
-    fn new(proto: &P, n: usize, slots: &[(u32, Label)], seeds: &SeedTree) -> Self {
-        let procs: BTreeMap<u64, Proc> = slots
-            .iter()
-            .map(|&(slot, label)| {
-                (
-                    u64::from(slot),
-                    Proc {
-                        label,
-                        rng: seeds.process_rng(ProcId(slot)),
-                        cluster: 0,
-                    },
-                )
-            })
-            .collect();
-        WorkerState {
-            procs,
-            clusters: vec![ViewCluster {
-                view: proto.init_view(n),
-                members: slots.len(),
-            }],
-        }
-    }
-
-    fn leave(&mut self, index: usize, count: usize) {
-        let cluster = &mut self.clusters[index];
-        debug_assert!(cluster.members >= count);
-        cluster.members -= count;
-        if cluster.members == 0 {
-            // Drop the view eagerly: a fragmented run's dead clusters
-            // must release their trees, not linger until exit. The last
-            // cluster moves into the hole.
-            self.clusters.swap_remove(index);
-            let moved = self.clusters.len();
-            for proc in self.procs.values_mut() {
-                if proc.cluster == moved {
-                    proc.cluster = index;
-                }
-            }
-        }
-    }
-
-    /// Removes `slot` from the worker (it crashed or decided). Unknown
-    /// slots are ignored — retirement commands can race a slot that
-    /// already left.
-    fn retire(&mut self, slot: u64) {
-        if let Some(proc) = self.procs.remove(&slot) {
-            self.leave(proc.cluster, 1);
-        }
-    }
-
-    /// Composes the round broadcast of every requested slot, batched as
-    /// **one [`ViewProtocol::compose_batch`] sweep per view cluster**
-    /// (label-ordered within a cluster; per-process RNG streams make that
-    /// ordering unobservable) instead of one tree walk per slot. Returns
-    /// the encoded broadcasts sorted by slot.
-    fn compose(&mut self, proto: &P, round: Round, slots: &[u64]) -> Result<Answers<Bytes>, Fault> {
-        // Bucket the requested slots by their current cluster.
-        let mut by_cluster: BTreeMap<usize, Vec<(Label, u64)>> = BTreeMap::new();
-        for &slot in slots {
-            let proc = self.procs.get(&slot).ok_or(Fault::UnknownSlot(slot))?;
-            by_cluster
-                .entry(proc.cluster)
-                .or_default()
-                .push((proc.label, slot));
-        }
-        // Gather every slot's RNG once so a cluster's draws can happen in
-        // label order while the map is borrowed only here.
-        let WorkerState { procs, clusters } = self;
-        let mut rng_of: BTreeMap<u64, &mut SmallRng> = procs
-            .iter_mut()
-            .map(|(&slot, proc)| (slot, &mut proc.rng))
-            .collect();
-        let mut out: Vec<(u64, Bytes)> = Vec::with_capacity(slots.len());
-        let mut balls: Vec<Label> = Vec::new();
-        let mut gathered: Vec<&mut SmallRng> = Vec::new();
-        let mut composed: Vec<(Label, P::Msg)> = Vec::new();
-        for (ci, mut members) in by_cluster {
-            // Labels are unique across the run, so the sort is strictly
-            // label-ascending — the batched sweep's fast path.
-            members.sort_unstable();
-            balls.clear();
-            balls.extend(members.iter().map(|&(label, _)| label));
-            gathered.clear();
-            for &(_, slot) in &members {
-                // A slot requested twice finds its RNG already taken.
-                gathered.push(rng_of.remove(&slot).ok_or(Fault::UnknownSlot(slot))?);
-            }
-            composed.clear();
-            proto.compose_batch(
-                &clusters[ci].view,
-                &balls,
-                round,
-                &mut gathered,
-                &mut composed,
-            );
-            for ((label, msg), &(ball, slot)) in composed.drain(..).zip(&members) {
-                debug_assert_eq!(label, ball);
-                out.push((slot, msg.to_bytes()));
-            }
-        }
-        out.sort_unstable_by_key(|&(slot, _)| slot);
-        Ok(out)
-    }
-
-    /// Folds each group's shared inbox into the views of its recipients —
-    /// all recipients of one delivery signature — and returns every
-    /// recipient's post-apply status, sorted by slot. Recipients are
-    /// partitioned by current cluster: a cluster fully contained in the
-    /// group applies the inbox once, in place; a partially-covered cluster
-    /// splits — the covered slots move to a fresh cluster (cloned view)
-    /// that then applies once. Views are pure functions of delivery
-    /// history, so the shared result is exactly what per-slot application
-    /// would have produced.
-    fn deliver(
-        &mut self,
-        proto: &P,
-        round: Round,
-        groups: &[Group<P::Msg>],
-    ) -> Result<Answers<Status>, Fault> {
-        let mut statuses = Vec::new();
-        for (dsts, inbox) in groups {
-            let mut by_cluster: BTreeMap<usize, Vec<(u64, Label)>> = BTreeMap::new();
-            for &slot in dsts {
-                let proc = self.procs.get(&slot).ok_or(Fault::UnknownSlot(slot))?;
-                by_cluster
-                    .entry(proc.cluster)
-                    .or_default()
-                    .push((slot, proc.label));
-            }
-            // Only a split (never a full cover) touches the cluster list,
-            // and a split cluster keeps members, so these indices hold.
-            for (ci, members) in by_cluster {
-                let target = if members.len() == self.clusters[ci].members {
-                    ci
-                } else {
-                    let view = self.clusters[ci].view.clone();
-                    self.leave(ci, members.len());
-                    self.clusters.push(ViewCluster {
-                        view,
-                        members: members.len(),
-                    });
-                    for (slot, _) in &members {
-                        if let Some(proc) = self.procs.get_mut(slot) {
-                            proc.cluster = self.clusters.len() - 1;
-                        }
-                    }
-                    self.clusters.len() - 1
-                };
-                let view = &mut self.clusters[target].view;
-                proto.apply(view, round, inbox.as_inbox());
-                for (slot, label) in members {
-                    statuses.push((slot, proto.status(view, label, round)));
-                }
-            }
-        }
-        statuses.sort_unstable_by_key(|&(slot, _)| slot);
-        Ok(statuses)
-    }
-}
-
 /// One worker's command loop: serves commands from `port` against a
-/// fresh [`WorkerState`] over `slots` until `Exit`, a hang-up, or a
-/// fault, which it reports before returning.
+/// per-process [`LocalTransport`] over slots `range` (labelled `labels`)
+/// of an `n`-process system until `Exit`, a hang-up, or a fault, which
+/// it reports before returning.
 fn serve<P: ViewProtocol>(
-    proto: &P,
+    proto: P,
     n: usize,
-    slots: &[(u32, Label)],
+    range: Range<usize>,
+    labels: &[Label],
     seeds: &SeedTree,
     port: &mut impl WorkerPort<P::Msg>,
 ) {
-    let mut state = WorkerState::new(proto, n, slots, seeds);
+    let mut local = LocalTransport::with_range(proto, n, range.start, labels, seeds, false, 1);
+    // Slot − `range.start` → the signature of the `Deliver` group naming
+    // it (`SigId::MAX`: none), reused across rounds.
+    let mut sig_of = vec![SigId::MAX; range.len()];
     while let Some(cmd) = port.recv() {
         let rsp = match cmd {
-            Ok(Cmd::Compose(round, slots)) => {
-                state.compose(proto, round, &slots).map(Rsp::Composed)
+            Ok(Cmd::Compose(round)) => {
+                // One shard composes inline, which cannot fail; hang up,
+                // as a panicking worker would, if it ever did.
+                let Ok(broadcasts) = local.compose_held(round) else {
+                    return;
+                };
+                let encoded = broadcasts
+                    .into_iter()
+                    .map(|(p, _, msg)| (u64::from(p.0), msg.to_bytes()));
+                Ok(Rsp::Composed(encoded.collect()))
             }
             Ok(Cmd::Deliver(round, groups)) => {
-                state.deliver(proto, round, &groups).map(Rsp::Applied)
-            }
-            Ok(Cmd::Retire(slots)) => {
-                for slot in slots {
-                    state.retire(slot);
-                }
-                continue;
+                deliver(&mut local, &range, &mut sig_of, round, &groups).map(Rsp::Applied)
             }
             Ok(Cmd::Exit) => return,
             Err(fault) => Err(fault),
@@ -345,10 +157,47 @@ fn serve<P: ViewProtocol>(
     }
 }
 
+/// Executes one `Deliver` on a worker's store: group `i` is delivery
+/// signature `i`, held slots no group names are dropped (they crashed),
+/// and the decided are retired. Returns the recipients' statuses,
+/// slot-ascending.
+fn deliver<P: ViewProtocol>(
+    local: &mut LocalTransport<P>,
+    range: &Range<usize>,
+    sig_of: &mut [SigId],
+    round: Round,
+    groups: &[Group<P::Msg>],
+) -> Result<Answers<Status>, Fault> {
+    sig_of.fill(SigId::MAX);
+    for (sig, (dsts, _)) in (0..).zip(groups) {
+        for &slot in dsts {
+            let at = usize::try_from(slot)
+                .ok()
+                .filter(|s| range.contains(s))
+                .map(|s| s - range.start);
+            match at {
+                Some(i) if sig_of[i] == SigId::MAX => sig_of[i] = sig,
+                _ => return Err(Fault::UnknownSlot(slot)),
+            }
+        }
+    }
+    let inboxes: Vec<RoundInbox<'_, P::Msg>> =
+        groups.iter().map(|(_, inbox)| inbox.as_inbox()).collect();
+    let sig = |p: ProcId| Some(sig_of[p.index() - range.start]).filter(|&s| s != SigId::MAX);
+    local.apply_groups(round, sig, &inboxes);
+    let mut statuses: Answers<Status> = local
+        .sweep_held(round)
+        .into_iter()
+        .map(|(p, status)| (u64::from(p.0), status))
+        .collect();
+    statuses.sort_unstable_by_key(|&(slot, _)| slot);
+    Ok(statuses)
+}
+
 /// Contiguous slot ranges over `0..n` for `workers` workers, remainder
 /// spread over the first ranges. Ranges ascend, so concatenating
 /// per-worker responses in worker order yields slot order.
-fn slot_ranges(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
+fn slot_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
     let (base, rem) = (n / workers, n % workers);
     let mut start = 0;
     (0..workers)
@@ -388,13 +237,15 @@ where
         .enumerate()
         .map(|(w, range)| {
             worker_of[range.clone()].fill(w);
-            let slots: Vec<(u32, Label)> = range.map(|s| (s as u32, labels[s])).collect();
+            let labels = labels[range.clone()].to_vec();
             let proto = protocol.clone();
             let seeds = *seeds;
             let open = link(w);
+            // The store is built on the worker's own thread, so workers
+            // set up in parallel.
             thread::spawn(move || {
                 if let Some(mut port) = open() {
-                    serve(&proto, n, &slots, &seeds, &mut port);
+                    serve(proto, n, range, &labels, &seeds, &mut port);
                 }
             })
         })
@@ -523,10 +374,6 @@ fn applied(rsp: Rsp) -> Option<Answers<Status>> {
     }
 }
 
-fn slots_of(pids: &[ProcId]) -> Vec<u64> {
-    pids.iter().map(|p| u64::from(p.0)).collect()
-}
-
 impl<P: ViewProtocol, C: Carrier<P::Msg>> Transport<P> for WorkerTransport<P, C> {
     fn compose(
         &mut self,
@@ -536,7 +383,7 @@ impl<P: ViewProtocol, C: Carrier<P::Msg>> Transport<P> for WorkerTransport<P, C>
         let groups = self.per_worker(participants);
         let broadcasts = self.exchange(
             &groups,
-            |pids| Cmd::Compose(round, slots_of(pids)),
+            |_| Cmd::Compose(round),
             ("requesting broadcasts", "collecting broadcasts"),
             composed,
         )?;
@@ -548,12 +395,6 @@ impl<P: ViewProtocol, C: Carrier<P::Msg>> Transport<P> for WorkerTransport<P, C>
                 Ok((p, label, msg))
             })
             .collect()
-    }
-
-    fn crashed(&mut self, pid: ProcId) -> Result<(), RunError> {
-        let w = self.worker_of[pid.index()];
-        let cmd = Cmd::Retire(vec![u64::from(pid.0)]);
-        self.carrier.send(w, cmd, "retiring a crashed process")
     }
 
     fn apply(
@@ -592,20 +433,8 @@ impl<P: ViewProtocol, C: Carrier<P::Msg>> Transport<P> for WorkerTransport<P, C>
     }
 
     fn sweep(&mut self, _round: Round) -> Result<Vec<(ProcId, Status)>, RunError> {
-        let statuses = std::mem::take(&mut self.statuses);
-        let decided: Vec<ProcId> = statuses
-            .iter()
-            .filter(|(_, status)| matches!(status, Status::Decided(_)))
-            .map(|&(pid, _)| pid)
-            .collect();
-        // One batched `Retire` per worker, not one per decided process.
-        for (w, pids) in self.per_worker(&decided).iter().enumerate() {
-            if !pids.is_empty() {
-                let cmd = Cmd::Retire(slots_of(pids));
-                self.carrier.send(w, cmd, "retiring decided processes")?;
-            }
-        }
-        Ok(statuses)
+        // Workers retired their decided slots while answering `Deliver`.
+        Ok(std::mem::take(&mut self.statuses))
     }
 
     fn shutdown(&mut self) {
@@ -693,7 +522,7 @@ mod tests {
         }
     }
 
-    /// Sends worker 0 a `Compose` naming slot 99, which it does not own,
+    /// Sends worker 0 a `Deliver` naming slot 99, which it does not own,
     /// and returns the coordinator's error after checking that the
     /// faulted worker's thread ended on its own, without panicking.
     fn unknown_slot_error<C: Carrier<crate::testproto::LabelSet>>(
@@ -702,9 +531,9 @@ mod tests {
         let err = t
             .exchange(
                 &[vec![ProcId(99)]],
-                |pids| Cmd::Compose(Round(0), slots_of(pids)),
-                ("requesting broadcasts", "collecting broadcasts"),
-                composed,
+                |_| Cmd::Deliver(Round(0), vec![(vec![99], Arc::new(InboxBuf::new()))]),
+                ("delivering inboxes", "collecting round statuses"),
+                applied,
             )
             .unwrap_err();
         let worker = t.handles.remove(0);
@@ -723,7 +552,7 @@ mod tests {
         assert_eq!(
             channel,
             RunError::Protocol {
-                context: "collecting broadcasts",
+                context: "collecting round statuses",
                 detail: "worker 0 was handed unknown slot 99".into(),
             }
         );
