@@ -19,9 +19,9 @@
 //! cargo run --release -p bil-bench --bin round_kernel -- --out target/x.json
 //! ```
 //!
-//! `--smoke` runs only the [`GATE_CELLS`] — the n = 2^16 clustered
-//! kernel plus the n = 2^12 worker transport over both carriers
-//! (threaded and socket) — prints their figures,
+//! `--smoke` runs only the [`GATE_CELLS`] — the n = 2^16 clustered and
+//! parallel kernels plus the n = 2^12 worker transport over both
+//! carriers (threaded and socket) — prints their figures,
 //! and exits non-zero if a run misbehaves; CI wraps it in a `timeout`
 //! so an accidental O(n log n) regression in the hot path turns the
 //! perf-smoke step red instead of silently landing.
@@ -44,13 +44,15 @@ use bil_harness::Executor;
 const ROUNDS: u64 = 4;
 
 /// The smoke/gate cells. Clustered at n = 2^16 (the ≥2× acceptance
-/// point of the SoA refactor) guards the in-memory round kernel;
-/// threaded and socket at n = 2^12 guard the range-batched worker
-/// transport over each carrier — the cell where the old per-ball
-/// `Deliver` re-encoding was three orders of magnitude off the in-memory
-/// figure.
+/// point of the SoA refactor) guards the in-memory round kernel, and
+/// parallel at n = 2^16 the chunked compose and apply of the same
+/// cluster store; threaded and socket at n = 2^12 guard the
+/// range-batched worker transport over each carrier — the cell where
+/// the old per-ball `Deliver` re-encoding was three orders of magnitude
+/// off the in-memory figure.
 const GATE_CELLS: &[(usize, Executor)] = &[
     (1 << 16, Executor::Clustered),
+    (1 << 16, Executor::Parallel),
     (1 << 12, Executor::Threaded),
     (1 << 12, Executor::Socket),
 ];
