@@ -590,16 +590,18 @@ pub struct LocalTransport<P: ViewProtocol> {
     base: usize,
     /// Labels of the held slots, by slot.
     labels: Vec<Label>,
+    seeds: SeedTree,
     clusters: Vec<Cluster<P::View>>,
     merge: bool,
     /// Compose and apply shard count; 1 runs both inline.
     pub(crate) threads: usize,
-    /// `(label, slot)` pairs sorted by label, built once at
-    /// construction: labels never change, so a cluster's label-ordered
-    /// ball list is this sequence filtered by membership
-    /// (order-preserving) — no per-round sort.
+    /// `(label, slot)` pairs sorted by label, built once, at the first
+    /// compose, so that constructing a store sorts nothing: labels never
+    /// change, so a cluster's label-ordered ball list is this sequence
+    /// filtered by membership (order-preserving) — no per-round sort.
     by_label: Vec<(Label, ProcId)>,
-    /// Per-process RNG streams, parallel to `by_label`.
+    /// Per-process RNG streams, parallel to `by_label` and seeded with
+    /// it.
     rngs: Vec<SmallRng>,
     /// Scratch, reused across rounds: slot − `base` → index of its
     /// cluster this round (`u32::MAX` = not composing).
@@ -658,28 +660,19 @@ impl<P: ViewProtocol> LocalTransport<P> {
     ) -> Self {
         let len = labels.len();
         let view = protocol.init_view(n);
-        let mut by_label: Vec<(Label, ProcId)> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, &label)| (label, ProcId((base + i) as u32)))
-            .collect();
-        // Labels are unique, so the label alone orders the pairs.
-        by_label.sort_unstable_by_key(|&(label, _)| label);
         LocalTransport {
             protocol,
             base,
             labels: labels.to_vec(),
+            seeds: *seeds,
             clusters: vec![Cluster {
                 members: (base..base + len).map(|p| ProcId(p as u32)).collect(),
                 view,
             }],
             merge,
             threads: threads.max(1),
-            rngs: by_label
-                .iter()
-                .map(|&(_, pid)| seeds.process_rng(pid))
-                .collect(),
-            by_label,
+            by_label: Vec::new(),
+            rngs: Vec::new(),
             cluster_of: vec![u32::MAX; len],
             balls: Vec::new(),
             ball_slots: Vec::new(),
@@ -704,6 +697,21 @@ impl<P: ViewProtocol> LocalTransport<P> {
         &mut self,
         round: Round,
     ) -> Result<Vec<(ProcId, Label, P::Msg)>, RunError> {
+        if self.by_label.is_empty() {
+            let base = self.base;
+            self.by_label = (base..)
+                .zip(&self.labels)
+                .map(|(slot, &label)| (label, ProcId(slot as u32)))
+                .collect();
+            // Labels are unique, so the label alone orders the pairs.
+            self.by_label.sort_unstable_by_key(|&(label, _)| label);
+            let seeds = self.seeds;
+            self.rngs = self
+                .by_label
+                .iter()
+                .map(|&(_, pid)| seeds.process_rng(pid))
+                .collect();
+        }
         let LocalTransport {
             protocol,
             base,
