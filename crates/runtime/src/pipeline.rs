@@ -590,6 +590,7 @@ pub struct LocalTransport<P: ViewProtocol> {
     base: usize,
     /// Labels of the held slots, by slot.
     labels: Vec<Label>,
+    /// Seeds `rngs` at the first compose.
     seeds: SeedTree,
     clusters: Vec<Cluster<P::View>>,
     merge: bool,
