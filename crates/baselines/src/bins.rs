@@ -151,13 +151,18 @@ impl BinsView {
 /// use bil_baselines::RetryBins;
 /// use bil_core::check_tight_renaming;
 /// use bil_runtime::adversary::NoFailures;
-/// use bil_runtime::engine::SyncEngine;
-/// use bil_runtime::{Label, SeedTree};
+/// use bil_runtime::engine::EngineOptions;
+/// use bil_runtime::{ExecutorKind, Label, SeedTree};
 ///
-/// # fn main() -> Result<(), bil_runtime::engine::ConfigError> {
+/// # fn main() -> Result<(), bil_runtime::RunError> {
 /// let labels: Vec<Label> = (0..16).map(|i| Label(i + 1)).collect();
-/// let report =
-///     SyncEngine::new(RetryBins::uniform(), labels, NoFailures, SeedTree::new(4))?.run();
+/// let report = ExecutorKind::Clustered.run(
+///     RetryBins::uniform(),
+///     labels,
+///     NoFailures,
+///     SeedTree::new(4),
+///     EngineOptions::default(),
+/// )?;
 /// assert!(check_tight_renaming(&report).holds());
 /// # Ok(())
 /// # }
@@ -353,8 +358,8 @@ mod tests {
     use super::*;
     use bil_core::check_tight_renaming;
     use bil_runtime::adversary::{NoFailures, Scripted, ScriptedCrash};
-    use bil_runtime::engine::{EngineOptions, SyncEngine};
-    use bil_runtime::{Outcome, SeedTree};
+    use bil_runtime::engine::EngineOptions;
+    use bil_runtime::{ExecutorKind, Outcome, SeedTree};
 
     fn labels(n: u64) -> Vec<Label> {
         (0..n).map(|i| Label(i * 3 + 1)).collect()
@@ -384,9 +389,15 @@ mod tests {
             RetryBins::hold_strict(),
         ] {
             for seed in 0..4 {
-                let report = SyncEngine::new(proto, labels(16), NoFailures, SeedTree::new(seed))
-                    .unwrap()
-                    .run();
+                let report = ExecutorKind::Clustered
+                    .run(
+                        proto,
+                        labels(16),
+                        NoFailures,
+                        SeedTree::new(seed),
+                        EngineOptions::default(),
+                    )
+                    .unwrap();
                 let v = check_tight_renaming(&report);
                 assert!(v.holds(), "{proto:?} seed={seed}: {v}");
             }
@@ -396,14 +407,15 @@ mod tests {
     #[test]
     fn eager_strict_solves_renaming_failure_free() {
         for seed in 0..4 {
-            let report = SyncEngine::new(
-                RetryBins::eager_strict(),
-                labels(16),
-                NoFailures,
-                SeedTree::new(seed),
-            )
-            .unwrap()
-            .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    RetryBins::eager_strict(),
+                    labels(16),
+                    NoFailures,
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             let v = check_tight_renaming(&report);
             assert!(v.holds(), "seed={seed}: {v}");
         }
@@ -417,18 +429,18 @@ mod tests {
     fn eager_reclaim_duplicates_even_failure_free() {
         let mut violated = false;
         for seed in 0..20 {
-            let report = SyncEngine::with_options(
-                RetryBins::eager_reclaim(),
-                labels(16),
-                NoFailures,
-                SeedTree::new(seed),
-                EngineOptions {
-                    max_rounds: Some(64),
-                    ..EngineOptions::default()
-                },
-            )
-            .unwrap()
-            .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    RetryBins::eager_reclaim(),
+                    labels(16),
+                    NoFailures,
+                    SeedTree::new(seed),
+                    EngineOptions {
+                        max_rounds: Some(64),
+                        ..EngineOptions::default()
+                    },
+                )
+                .unwrap();
             if !check_tight_renaming(&report).uniqueness {
                 violated = true;
                 break;
@@ -439,24 +451,26 @@ mod tests {
 
     #[test]
     fn single_ball_decides_quickly() {
-        let report = SyncEngine::new(
-            RetryBins::eager_strict(),
-            labels(1),
-            NoFailures,
-            SeedTree::new(0),
-        )
-        .unwrap()
-        .run();
+        let report = ExecutorKind::Clustered
+            .run(
+                RetryBins::eager_strict(),
+                labels(1),
+                NoFailures,
+                SeedTree::new(0),
+                EngineOptions::default(),
+            )
+            .unwrap();
         assert!(report.completed());
         assert_eq!(report.rounds, 1);
-        let hold = SyncEngine::new(
-            RetryBins::uniform(),
-            labels(1),
-            NoFailures,
-            SeedTree::new(0),
-        )
-        .unwrap()
-        .run();
+        let hold = ExecutorKind::Clustered
+            .run(
+                RetryBins::uniform(),
+                labels(1),
+                NoFailures,
+                SeedTree::new(0),
+                EngineOptions::default(),
+            )
+            .unwrap();
         assert!(hold.completed());
         assert_eq!(hold.rounds, 2);
     }
@@ -483,18 +497,18 @@ mod tests {
                     residue: 1,
                 },
             ];
-            let report = SyncEngine::with_options(
-                RetryBins::eager_reclaim(),
-                labels(8),
-                Scripted::new(script),
-                SeedTree::new(seed),
-                EngineOptions {
-                    max_rounds: Some(64),
-                    ..EngineOptions::default()
-                },
-            )
-            .unwrap()
-            .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    RetryBins::eager_reclaim(),
+                    labels(8),
+                    Scripted::new(script),
+                    SeedTree::new(seed),
+                    EngineOptions {
+                        max_rounds: Some(64),
+                        ..EngineOptions::default()
+                    },
+                )
+                .unwrap();
             let v = check_tight_renaming(&report);
             if !v.uniqueness {
                 violated = true;
@@ -534,14 +548,15 @@ mod tests {
                     residue: 0,
                 },
             ];
-            let report = SyncEngine::new(
-                RetryBins::eager_strict(),
-                labels(8),
-                Scripted::new(script),
-                SeedTree::new(seed),
-            )
-            .unwrap()
-            .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    RetryBins::eager_strict(),
+                    labels(8),
+                    Scripted::new(script),
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             assert_ne!(report.outcome, Outcome::RoundLimit, "seed={seed}");
             let v = check_tight_renaming(&report);
             assert!(v.holds(), "seed={seed}: {v}");
@@ -568,14 +583,15 @@ mod tests {
                     residue: 1,
                 },
             ];
-            let report = SyncEngine::new(
-                RetryBins::uniform(),
-                labels(12),
-                Scripted::new(script),
-                SeedTree::new(seed),
-            )
-            .unwrap()
-            .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    RetryBins::uniform(),
+                    labels(12),
+                    Scripted::new(script),
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             let v = check_tight_renaming(&report);
             assert!(v.holds(), "seed={seed}: {v}");
         }
@@ -586,24 +602,26 @@ mod tests {
         let mut uni = 0u64;
         let mut two = 0u64;
         for seed in 0..24 {
-            uni += SyncEngine::new(
-                RetryBins::uniform(),
-                labels(64),
-                NoFailures,
-                SeedTree::new(seed),
-            )
-            .unwrap()
-            .run()
-            .rounds;
-            two += SyncEngine::new(
-                RetryBins::two_choice(),
-                labels(64),
-                NoFailures,
-                SeedTree::new(seed),
-            )
-            .unwrap()
-            .run()
-            .rounds;
+            uni += ExecutorKind::Clustered
+                .run(
+                    RetryBins::uniform(),
+                    labels(64),
+                    NoFailures,
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap()
+                .rounds;
+            two += ExecutorKind::Clustered
+                .run(
+                    RetryBins::two_choice(),
+                    labels(64),
+                    NoFailures,
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap()
+                .rounds;
         }
         assert!(
             two <= uni + 24,

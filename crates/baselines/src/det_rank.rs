@@ -27,12 +27,18 @@ use bil_core::{BallsIntoLeaves, BilConfig};
 /// ```
 /// use bil_baselines::det_rank;
 /// use bil_runtime::adversary::NoFailures;
-/// use bil_runtime::engine::SyncEngine;
-/// use bil_runtime::{Label, SeedTree};
+/// use bil_runtime::engine::EngineOptions;
+/// use bil_runtime::{ExecutorKind, Label, SeedTree};
 ///
-/// # fn main() -> Result<(), bil_runtime::engine::ConfigError> {
+/// # fn main() -> Result<(), bil_runtime::RunError> {
 /// let labels: Vec<Label> = (0..32).map(|i| Label(i * 2 + 1)).collect();
-/// let report = SyncEngine::new(det_rank(), labels, NoFailures, SeedTree::new(0))?.run();
+/// let report = ExecutorKind::Clustered.run(
+///     det_rank(),
+///     labels,
+///     NoFailures,
+///     SeedTree::new(0),
+///     EngineOptions::default(),
+/// )?;
 /// // One phase when failure-free: init + 2 rounds.
 /// assert_eq!(report.rounds, 3);
 /// # Ok(())
@@ -48,8 +54,8 @@ mod tests {
     use bil_core::adversary::Sandwich;
     use bil_core::check_tight_renaming;
     use bil_runtime::adversary::NoFailures;
-    use bil_runtime::engine::SyncEngine;
-    use bil_runtime::{Label, SeedTree};
+    use bil_runtime::engine::EngineOptions;
+    use bil_runtime::{ExecutorKind, Label, SeedTree};
 
     fn labels(n: u64) -> Vec<Label> {
         (0..n).map(|i| Label(i * 13 + 7)).collect()
@@ -58,9 +64,15 @@ mod tests {
     #[test]
     fn failure_free_single_phase_for_many_sizes() {
         for n in [2u64, 3, 8, 31, 64] {
-            let report = SyncEngine::new(det_rank(), labels(n), NoFailures, SeedTree::new(1))
-                .unwrap()
-                .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    det_rank(),
+                    labels(n),
+                    NoFailures,
+                    SeedTree::new(1),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             assert!(report.completed());
             assert_eq!(report.rounds, 3, "n={n}");
             assert!(check_tight_renaming(&report).holds());
@@ -71,9 +83,15 @@ mod tests {
     fn sandwich_pattern_slows_det_rank_down() {
         // The sandwich adversary must cost DetRank at least one extra
         // phase relative to its failure-free single phase.
-        let report = SyncEngine::new(det_rank(), labels(32), Sandwich::new(16), SeedTree::new(2))
-            .unwrap()
-            .run();
+        let report = ExecutorKind::Clustered
+            .run(
+                det_rank(),
+                labels(32),
+                Sandwich::new(16),
+                SeedTree::new(2),
+                EngineOptions::default(),
+            )
+            .unwrap();
         assert!(report.completed());
         assert!(check_tight_renaming(&report).holds());
         assert!(

@@ -42,13 +42,18 @@ impl Wire for IdSet {
 /// ```
 /// use bil_baselines::FloodRank;
 /// use bil_runtime::adversary::NoFailures;
-/// use bil_runtime::engine::SyncEngine;
-/// use bil_runtime::{Label, SeedTree};
+/// use bil_runtime::engine::EngineOptions;
+/// use bil_runtime::{ExecutorKind, Label, SeedTree};
 ///
-/// # fn main() -> Result<(), bil_runtime::engine::ConfigError> {
+/// # fn main() -> Result<(), bil_runtime::RunError> {
 /// let labels: Vec<Label> = (0..8).map(|i| Label(i * 5)).collect();
-/// let report =
-///     SyncEngine::new(FloodRank::tolerating(7), labels, NoFailures, SeedTree::new(0))?.run();
+/// let report = ExecutorKind::Clustered.run(
+///     FloodRank::tolerating(7),
+///     labels,
+///     NoFailures,
+///     SeedTree::new(0),
+///     EngineOptions::default(),
+/// )?;
 /// assert!(report.completed());
 /// assert_eq!(report.rounds, 8); // t + 1
 /// # Ok(())
@@ -125,8 +130,8 @@ mod tests {
     use super::*;
     use bil_core::check_tight_renaming;
     use bil_runtime::adversary::{NoFailures, Scripted, ScriptedCrash};
-    use bil_runtime::engine::SyncEngine;
-    use bil_runtime::SeedTree;
+    use bil_runtime::engine::EngineOptions;
+    use bil_runtime::{ExecutorKind, SeedTree};
 
     fn labels(n: u64) -> Vec<Label> {
         (0..n).map(|i| Label(i * 7 + 3)).collect()
@@ -135,14 +140,15 @@ mod tests {
     #[test]
     fn failure_free_decides_in_t_plus_one_rounds() {
         for n in [1usize, 2, 5, 16] {
-            let report = SyncEngine::new(
-                FloodRank::wait_free(n),
-                labels(n as u64),
-                NoFailures,
-                SeedTree::new(1),
-            )
-            .unwrap()
-            .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    FloodRank::wait_free(n),
+                    labels(n as u64),
+                    NoFailures,
+                    SeedTree::new(1),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             assert!(report.completed());
             assert_eq!(report.rounds, n as u64, "t + 1 = n rounds");
             assert!(check_tight_renaming(&report).holds());
@@ -160,14 +166,15 @@ mod tests {
                     residue: i as usize,
                 })
                 .collect();
-            let report = SyncEngine::new(
-                FloodRank::wait_free(10),
-                labels(10),
-                Scripted::new(script),
-                SeedTree::new(seed),
-            )
-            .unwrap()
-            .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    FloodRank::wait_free(10),
+                    labels(10),
+                    Scripted::new(script),
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             let v = check_tight_renaming(&report);
             assert!(v.holds(), "seed={seed}: {v}");
         }
@@ -176,14 +183,15 @@ mod tests {
     #[test]
     fn names_preserve_label_order_failure_free() {
         let ls = labels(9);
-        let report = SyncEngine::new(
-            FloodRank::wait_free(9),
-            ls.clone(),
-            NoFailures,
-            SeedTree::new(2),
-        )
-        .unwrap()
-        .run();
+        let report = ExecutorKind::Clustered
+            .run(
+                FloodRank::wait_free(9),
+                ls.clone(),
+                NoFailures,
+                SeedTree::new(2),
+                EngineOptions::default(),
+            )
+            .unwrap();
         let mut sorted = ls.clone();
         sorted.sort_unstable();
         for (pid, l) in ls.iter().enumerate() {

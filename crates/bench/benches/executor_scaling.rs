@@ -20,24 +20,20 @@
 //! point there, not raw size). Executor-specific size caps keep the grid
 //! honest about physics rather than silently truncating it:
 //!
-//! * per-process shares views by delivery history now (it used to hold
-//!   `n` distinct `O(n)` views and stop at `2^14`), so its bound is the
-//!   `O(n)` per-slot round bookkeeping — it stops at `2^16`;
+//! * per-process is the clustered store with re-merge off (it used to
+//!   hold `n` distinct `O(n)` views and stop at `2^14`): views that
+//!   crashes split never coalesce again, so it keeps the wire workers'
+//!   `2^16` cap;
 //! * threaded and socket run the same slot-range workers, which share
 //!   one view per delivery history (failure-free: one view per worker),
 //!   so their bound is the per-round wire traffic, not view memory —
 //!   they stop at `2^16`, and the socket cells measure real
 //!   kernel-boundary message passing, frames and all.
 //!
-//! Skipped cells are printed explicitly.
-//!
-//! Besides the criterion medians (human-readable, no history), the
-//! failure-free grid also upserts machine-readable rows — tagged
-//! `bench = "executor_scaling"` — into the repo-root
-//! `BENCH_round_kernel.json` via `bil_bench::report`, so this bench and
-//! the `round_kernel` binary feed the same durable perf record.
+//! Skipped cells are printed explicitly. The medians are for eyeballs;
+//! the durable per-round record is `BENCH_round_kernel.json`, written
+//! only by the `round_kernel` binary.
 
-use bil_bench::report::{self, Report};
 use bil_harness::{AdversarySpec, Algorithm, Executor, Scenario};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -105,35 +101,6 @@ fn bench_failure_free(c: &mut Criterion) {
         AdversarySpec::None,
         4,
     );
-    record_json_rows(&SIZES_FF, 4);
-}
-
-/// Re-times every feasible failure-free cell with the shared `Instant`
-/// kernel and upserts the rows into `BENCH_round_kernel.json`. The
-/// criterion shim's medians are not recoverable programmatically, so
-/// the durable record gets its own (identically-defined) measurement;
-/// a write failure only warns — a read-only checkout must not fail the
-/// bench run.
-fn record_json_rows(sizes: &[usize], rounds: u64) {
-    let path = report::default_path();
-    let mut json = Report::load(&path);
-    for &n in sizes {
-        for executor in Executor::ALL {
-            if n > size_cap(executor) {
-                continue;
-            }
-            let row = report::measure("executor_scaling", n, executor, rounds);
-            eprintln!(
-                "json row: n={:>7} {:>11}: {:>8.1} rounds/sec, {:>8.1} ns/ball-round",
-                row.n, row.executor, row.rounds_per_sec, row.ns_per_ball_round
-            );
-            json.upsert(row);
-        }
-    }
-    match json.save(&path) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
 }
 
 fn bench_crashes(c: &mut Criterion) {

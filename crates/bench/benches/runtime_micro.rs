@@ -4,10 +4,10 @@
 
 use bil_core::BilMsg;
 use bil_runtime::adversary::NoFailures;
-use bil_runtime::engine::{EngineMode, EngineOptions, SyncEngine};
+use bil_runtime::engine::EngineOptions;
 use bil_runtime::testproto::UnionRank;
 use bil_runtime::wire::Wire;
-use bil_runtime::{Label, SeedTree};
+use bil_runtime::{ExecutorKind, Label, SeedTree};
 use bil_tree::PackedPath;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -38,26 +38,21 @@ fn bench_engine(c: &mut Criterion) {
     group.sample_size(10);
     for n in [64usize, 256] {
         let labels: Vec<Label> = (0..n as u64).map(|i| Label(i * 3 + 1)).collect();
-        for (name, mode) in [
-            ("clustered", EngineMode::Clustered),
-            ("per-process", EngineMode::PerProcess),
-        ] {
-            group.bench_with_input(BenchmarkId::new(name, n), &labels, |b, labels| {
+        for kind in [ExecutorKind::Clustered, ExecutorKind::PerProcess] {
+            let id = BenchmarkId::new(kind.to_string(), n);
+            group.bench_with_input(id, &labels, |b, labels| {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed += 1;
-                    let report = SyncEngine::with_options(
-                        UnionRank::rounds(4),
-                        labels.clone(),
-                        NoFailures,
-                        SeedTree::new(seed),
-                        EngineOptions {
-                            max_rounds: None,
-                            mode,
-                        },
-                    )
-                    .expect("valid configuration")
-                    .run();
+                    let report = kind
+                        .run(
+                            UnionRank::rounds(4),
+                            labels.clone(),
+                            NoFailures,
+                            SeedTree::new(seed),
+                            EngineOptions::default(),
+                        )
+                        .expect("valid configuration");
                     black_box(report.rounds)
                 });
             });

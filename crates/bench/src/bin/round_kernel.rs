@@ -141,9 +141,10 @@ fn main() -> ExitCode {
     // The grid: the unbounded executors scale to n = 2^20; the bounded
     // ones are measured at their feasible sizes. Both wire executors
     // now run range-batched workers, so threaded covers the same sizes
-    // as socket; per-process still pays O(n) per-slot bookkeeping per
-    // round, so its larger sizes are left to `executor_scaling` rather
-    // than re-timed here.
+    // as socket; per-process is the clustered store with re-merge off,
+    // which failure-free holds one shared view just as clustered does,
+    // so one size pins it and its larger sizes are left to
+    // `executor_scaling`.
     let grid: &[(Executor, &[usize])] = &[
         (Executor::Clustered, &[1 << 12, 1 << 16, 1 << 20]),
         (Executor::Parallel, &[1 << 12, 1 << 16, 1 << 20]),

@@ -2,9 +2,9 @@
 //!
 //! The vendored criterion shim prints human-readable medians but keeps
 //! no history, so per-round throughput was previously only recorded by
-//! hand in EXPERIMENTS.md. This module gives the round-kernel micro and
-//! `executor_scaling` a common sink: a flat JSON file at the repo root,
-//! upserted row by row so the perf trajectory survives across PRs.
+//! hand in EXPERIMENTS.md. This module gives the `round_kernel` binary a
+//! durable sink: a flat JSON file at the repo root, upserted row by row
+//! so the perf trajectory survives across PRs.
 //!
 //! Schema (`bil-round-kernel/v1`): a top-level object with a `schema`
 //! string and a `rows` array of flat objects, one per measured cell,
@@ -59,8 +59,7 @@ pub const MIN_ITERS: u64 = 5;
 /// code cannot run faster than it is able to, so the minimum is the
 /// noise-robust estimate of a cell's true cost, where a mean moves by
 /// tens of percent whenever one iteration absorbs an interference
-/// burst. Shared by the `round_kernel` binary and the
-/// `executor_scaling` bench so their rows are directly comparable.
+/// burst.
 pub fn measure(bench: &str, n: usize, executor: Executor, rounds: u64) -> Row {
     let scenario = Scenario::failure_free(Algorithm::BilBase, n)
         .on_executor(executor)
@@ -93,7 +92,7 @@ pub fn measure(bench: &str, n: usize, executor: Executor, rounds: u64) -> Row {
 /// One measured cell: per-round throughput of one executor at one size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
-    /// Which bench produced the row (`round_kernel`, `executor_scaling`).
+    /// Which bench produced the row (`round_kernel`).
     pub bench: String,
     /// System size (balls = target names).
     pub n: usize,

@@ -338,17 +338,23 @@ mod tests {
     use super::*;
     use crate::protocol::BallsIntoLeaves;
     use crate::renaming::check_tight_renaming;
-    use bil_runtime::engine::SyncEngine;
-    use bil_runtime::{Label, SeedTree};
+    use bil_runtime::engine::EngineOptions;
+    use bil_runtime::{ExecutorKind, Label, SeedTree};
 
     fn labels(n: u64) -> Vec<Label> {
         (0..n).map(|i| Label(i * 11 + 2)).collect()
     }
 
     fn run_against<A: Adversary<BilMsg>>(adv: A, n: u64, seed: u64) -> bil_runtime::RunReport {
-        SyncEngine::new(BallsIntoLeaves::base(), labels(n), adv, SeedTree::new(seed))
+        ExecutorKind::Clustered
+            .run(
+                BallsIntoLeaves::base(),
+                labels(n),
+                adv,
+                SeedTree::new(seed),
+                EngineOptions::default(),
+            )
             .unwrap()
-            .run()
     }
 
     #[test]
@@ -411,14 +417,15 @@ mod tests {
     #[test]
     fn early_terminating_survives_sandwich() {
         for seed in 0..10 {
-            let report = SyncEngine::new(
-                BallsIntoLeaves::early_terminating(),
-                labels(16),
-                Sandwich::new(8),
-                SeedTree::new(seed),
-            )
-            .unwrap()
-            .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    BallsIntoLeaves::early_terminating(),
+                    labels(16),
+                    Sandwich::new(8),
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             let v = check_tight_renaming(&report);
             assert!(v.holds(), "seed={seed}: {v}");
         }
@@ -429,14 +436,15 @@ mod tests {
         // Safety under the sandwich pattern; round growth is measured in
         // experiment E2, here we only require completion + uniqueness.
         for seed in 0..5 {
-            let report = SyncEngine::new(
-                BallsIntoLeaves::deterministic_rank(),
-                labels(16),
-                Sandwich::new(15),
-                SeedTree::new(seed),
-            )
-            .unwrap()
-            .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    BallsIntoLeaves::deterministic_rank(),
+                    labels(16),
+                    Sandwich::new(15),
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             let v = check_tight_renaming(&report);
             assert!(v.holds(), "seed={seed}: {v}");
         }

@@ -35,16 +35,16 @@
 //! use bil_core::EpochBil;
 //! use bil_core::BilConfig;
 //! use bil_runtime::adversary::NoFailures;
-//! use bil_runtime::engine::SyncEngine;
-//! use bil_runtime::{Label, Name, SeedTree};
+//! use bil_runtime::engine::EngineOptions;
+//! use bil_runtime::{ExecutorKind, Label, Name, SeedTree};
 //!
 //! let holders = [(Label(100), Name(1)), (Label(101), Name(4)), (Label(102), Name(6))];
 //! let epoch = EpochBil::new(BilConfig::new(), 8, &holders)?;
 //! assert_eq!(epoch.free(), 5);
 //! let contenders: Vec<Label> = [7, 9, 21].map(Label).to_vec();
-//! let report = SyncEngine::new(epoch, contenders, NoFailures, SeedTree::new(3))
-//!     .expect("valid configuration")
-//!     .run();
+//! let report = ExecutorKind::Clustered
+//!     .run(epoch, contenders, NoFailures, SeedTree::new(3), EngineOptions::default())
+//!     .expect("valid configuration");
 //! assert!(report.completed());
 //! for name in report.all_names() {
 //!     // New names avoid every held name.
@@ -241,8 +241,8 @@ impl ViewProtocol for EpochBil {
 mod tests {
     use super::*;
     use bil_runtime::adversary::{NoFailures, RandomCrash, Scripted, ScriptedCrash};
-    use bil_runtime::engine::SyncEngine;
-    use bil_runtime::SeedTree;
+    use bil_runtime::engine::EngineOptions;
+    use bil_runtime::{ExecutorKind, SeedTree};
     use bil_tree::ROOT;
 
     fn holders(names: &[u32]) -> Vec<(Label, Name)> {
@@ -291,17 +291,24 @@ mod tests {
         // one-shot algorithm: bit-identical reports.
         let labels: Vec<Label> = (0..8u64).map(|i| Label(i * 13 + 5)).collect();
         let epoch = EpochBil::new(BilConfig::new(), 8, &[]).unwrap();
-        let a = SyncEngine::new(epoch, labels.clone(), NoFailures, SeedTree::new(11))
-            .unwrap()
-            .run();
-        let b = SyncEngine::new(
-            BallsIntoLeaves::base(),
-            labels,
-            NoFailures,
-            SeedTree::new(11),
-        )
-        .unwrap()
-        .run();
+        let a = ExecutorKind::Clustered
+            .run(
+                epoch,
+                labels.clone(),
+                NoFailures,
+                SeedTree::new(11),
+                EngineOptions::default(),
+            )
+            .unwrap();
+        let b = ExecutorKind::Clustered
+            .run(
+                BallsIntoLeaves::base(),
+                labels,
+                NoFailures,
+                SeedTree::new(11),
+                EngineOptions::default(),
+            )
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -317,9 +324,15 @@ mod tests {
             for seed in 0..6 {
                 let epoch = EpochBil::new(cfg, 16, &holders(&held)).unwrap();
                 let contenders: Vec<Label> = (0..epoch.free() as u64).map(Label).collect();
-                let report = SyncEngine::new(epoch, contenders, NoFailures, SeedTree::new(seed))
-                    .unwrap()
-                    .run();
+                let report = ExecutorKind::Clustered
+                    .run(
+                        epoch,
+                        contenders,
+                        NoFailures,
+                        SeedTree::new(seed),
+                        EngineOptions::default(),
+                    )
+                    .unwrap();
                 assert!(report.completed(), "{cfg:?} seed={seed}");
                 let mut names: Vec<u32> = report.all_names().iter().map(|n| n.0).collect();
                 names.sort_unstable();
@@ -349,9 +362,15 @@ mod tests {
             ]);
             let epoch = EpochBil::new(BilConfig::new(), 12, &holders(&held)).unwrap();
             let contenders: Vec<Label> = (0..8u64).map(|i| Label(i * 7 + 2)).collect();
-            let report = SyncEngine::new(epoch, contenders, adv, SeedTree::new(seed))
-                .unwrap()
-                .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    epoch,
+                    contenders,
+                    adv,
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             assert!(report.completed(), "seed={seed}");
             let names = report.all_names();
             let mut sorted = names.clone();
@@ -376,9 +395,15 @@ mod tests {
             )
             .unwrap();
             let contenders: Vec<Label> = (0..8u64).map(|i| Label(i * 3 + 1)).collect();
-            let report = SyncEngine::new(epoch, contenders, adv, SeedTree::new(seed))
-                .unwrap()
-                .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    epoch,
+                    contenders,
+                    adv,
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             assert!(report.completed(), "seed={seed}");
             let names = report.all_names();
             let mut sorted = names.clone();

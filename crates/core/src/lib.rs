@@ -39,7 +39,7 @@
 //! for (label, name) in assignment(&report) {
 //!     println!("server {label} -> name {name}");
 //! }
-//! # Ok::<(), bil_runtime::engine::ConfigError>(())
+//! # Ok::<(), bil_runtime::RunError>(())
 //! ```
 
 #![forbid(unsafe_code)]

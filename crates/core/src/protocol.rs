@@ -314,18 +314,18 @@ impl BilView {
 /// ```
 /// use bil_core::BallsIntoLeaves;
 /// use bil_runtime::adversary::NoFailures;
-/// use bil_runtime::engine::SyncEngine;
-/// use bil_runtime::{Label, SeedTree};
+/// use bil_runtime::engine::EngineOptions;
+/// use bil_runtime::{ExecutorKind, Label, SeedTree};
 ///
-/// # fn main() -> Result<(), bil_runtime::engine::ConfigError> {
+/// # fn main() -> Result<(), bil_runtime::RunError> {
 /// let labels: Vec<Label> = (0..16).map(|i| Label(1000 + 7 * i)).collect();
-/// let report = SyncEngine::new(
+/// let report = ExecutorKind::Clustered.run(
 ///     BallsIntoLeaves::base(),
 ///     labels,
 ///     NoFailures,
 ///     SeedTree::new(2014),
-/// )?
-/// .run();
+///     EngineOptions::default(),
+/// )?;
 /// assert!(report.completed());
 /// let mut names: Vec<u32> = report.all_names().iter().map(|n| n.0).collect();
 /// names.sort_unstable();
@@ -921,8 +921,8 @@ fn evict_one_from(view: &mut BilView, overfull: NodeId) -> bool {
 mod tests {
     use super::*;
     use bil_runtime::adversary::{NoFailures, Scripted, ScriptedCrash};
-    use bil_runtime::engine::{EngineMode, EngineOptions, SyncEngine};
-    use bil_runtime::{InboxBuf, SeedTree};
+    use bil_runtime::engine::EngineOptions;
+    use bil_runtime::{ExecutorKind, InboxBuf, SeedTree};
     use bil_tree::CoinRule;
 
     fn labels(n: u64) -> Vec<Label> {
@@ -941,14 +941,15 @@ mod tests {
     }
 
     fn run_base(n: u64, seed: u64) -> bil_runtime::RunReport {
-        SyncEngine::new(
-            BallsIntoLeaves::base(),
-            labels(n),
-            NoFailures,
-            SeedTree::new(seed),
-        )
-        .unwrap()
-        .run()
+        ExecutorKind::Clustered
+            .run(
+                BallsIntoLeaves::base(),
+                labels(n),
+                NoFailures,
+                SeedTree::new(seed),
+                EngineOptions::default(),
+            )
+            .unwrap()
     }
 
     #[test]
@@ -1064,14 +1065,15 @@ mod tests {
     fn early_terminating_failure_free_is_constant_rounds_and_order_preserving() {
         for n in [2u64, 4, 16, 64, 256] {
             let ls = labels(n);
-            let report = SyncEngine::new(
-                BallsIntoLeaves::early_terminating(),
-                ls.clone(),
-                NoFailures,
-                SeedTree::new(3),
-            )
-            .unwrap()
-            .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    BallsIntoLeaves::early_terminating(),
+                    ls.clone(),
+                    NoFailures,
+                    SeedTree::new(3),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             assert!(report.completed());
             assert_eq!(report.rounds, 3, "Theorem 3: O(1) rounds, here exactly 3");
             // Rank-indexed descent is order-preserving when failure-free.
@@ -1086,14 +1088,15 @@ mod tests {
 
     #[test]
     fn deterministic_rank_failure_free_is_one_phase() {
-        let report = SyncEngine::new(
-            BallsIntoLeaves::deterministic_rank(),
-            labels(32),
-            NoFailures,
-            SeedTree::new(5),
-        )
-        .unwrap()
-        .run();
+        let report = ExecutorKind::Clustered
+            .run(
+                BallsIntoLeaves::deterministic_rank(),
+                labels(32),
+                NoFailures,
+                SeedTree::new(5),
+                EngineOptions::default(),
+            )
+            .unwrap();
         assert!(report.completed());
         assert_eq!(report.rounds, 3);
     }
@@ -1107,10 +1110,15 @@ mod tests {
                 modulus: 2,
                 residue: 1,
             }]);
-            let report =
-                SyncEngine::new(BallsIntoLeaves::base(), labels(9), adv, SeedTree::new(seed))
-                    .unwrap()
-                    .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    BallsIntoLeaves::base(),
+                    labels(9),
+                    adv,
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             assert!(report.completed(), "seed={seed}");
             assert_eq!(report.failures(), 1);
             let mut names = report.all_names();
@@ -1142,14 +1150,15 @@ mod tests {
                     residue: 1,
                 },
             ]);
-            let report = SyncEngine::new(
-                BallsIntoLeaves::base(),
-                labels(12),
-                adv,
-                SeedTree::new(seed),
-            )
-            .unwrap()
-            .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    BallsIntoLeaves::base(),
+                    labels(12),
+                    adv,
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             assert!(report.completed(), "seed={seed}");
             let names = report.all_names();
             let mut sorted = names.clone();
@@ -1168,14 +1177,15 @@ mod tests {
                 modulus: 2,
                 residue: 0,
             }]);
-            let report = SyncEngine::new(
-                BallsIntoLeaves::base(),
-                labels(10),
-                adv,
-                SeedTree::new(seed),
-            )
-            .unwrap()
-            .run();
+            let report = ExecutorKind::Clustered
+                .run(
+                    BallsIntoLeaves::base(),
+                    labels(10),
+                    adv,
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             assert!(report.completed(), "seed={seed}");
             let names = report.all_names();
             let mut sorted = names.clone();
@@ -1197,30 +1207,18 @@ mod tests {
             }])
         };
         for seed in 0..4 {
-            let a = SyncEngine::with_options(
-                BallsIntoLeaves::base(),
-                ls.clone(),
-                adv(),
-                SeedTree::new(seed),
-                EngineOptions {
-                    max_rounds: None,
-                    mode: EngineMode::Clustered,
-                },
-            )
-            .unwrap()
-            .run();
-            let b = SyncEngine::with_options(
-                BallsIntoLeaves::base(),
-                ls.clone(),
-                adv(),
-                SeedTree::new(seed),
-                EngineOptions {
-                    max_rounds: None,
-                    mode: EngineMode::PerProcess,
-                },
-            )
-            .unwrap()
-            .run();
+            let run = |kind: ExecutorKind| {
+                kind.run(
+                    BallsIntoLeaves::base(),
+                    ls.clone(),
+                    adv(),
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap()
+            };
+            let a = run(ExecutorKind::Clustered);
+            let b = run(ExecutorKind::PerProcess);
             assert_eq!(a, b, "seed={seed}");
         }
     }
@@ -1237,22 +1235,24 @@ mod tests {
                     residue: 0,
                 }])
             };
-            let on = SyncEngine::new(
-                BallsIntoLeaves::new(cfg_on),
-                labels(10),
-                adv(),
-                SeedTree::new(seed),
-            )
-            .unwrap()
-            .run();
-            let off = SyncEngine::new(
-                BallsIntoLeaves::base(),
-                labels(10),
-                adv(),
-                SeedTree::new(seed),
-            )
-            .unwrap()
-            .run();
+            let on = ExecutorKind::Clustered
+                .run(
+                    BallsIntoLeaves::new(cfg_on),
+                    labels(10),
+                    adv(),
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
+            let off = ExecutorKind::Clustered
+                .run(
+                    BallsIntoLeaves::base(),
+                    labels(10),
+                    adv(),
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
             assert!(on.completed() && off.completed(), "seed={seed}");
             let names = on.all_names();
             let mut sorted = names.clone();
@@ -1287,9 +1287,16 @@ mod tests {
                         .collect();
                 }
             });
-            SyncEngine::new(BallsIntoLeaves::new(cfg), ls, NoFailures, SeedTree::new(0))
-                .unwrap()
-                .run_observed(&mut obs);
+            ExecutorKind::Clustered
+                .run_observed(
+                    BallsIntoLeaves::new(cfg),
+                    ls,
+                    NoFailures,
+                    SeedTree::new(0),
+                    EngineOptions::default(),
+                    &mut obs,
+                )
+                .unwrap();
         }
         // Ball 1 wins leaf 4 (=leaf rank 0); ball 2 stops at node 2;
         // balls 3 and 4 stop at the root.
@@ -1299,20 +1306,22 @@ mod tests {
     #[test]
     fn deterministic_replay_of_full_protocol() {
         let mk = || {
-            SyncEngine::new(
-                BallsIntoLeaves::base(),
-                labels(16),
-                Scripted::new(vec![ScriptedCrash {
-                    round: Round(1),
-                    victim_index: 3,
-                    modulus: 2,
-                    residue: 0,
-                }]),
-                SeedTree::new(99),
-            )
-            .unwrap()
+            ExecutorKind::Clustered
+                .run(
+                    BallsIntoLeaves::base(),
+                    labels(16),
+                    Scripted::new(vec![ScriptedCrash {
+                        round: Round(1),
+                        victim_index: 3,
+                        modulus: 2,
+                        residue: 0,
+                    }]),
+                    SeedTree::new(99),
+                    EngineOptions::default(),
+                )
+                .unwrap()
         };
-        assert_eq!(mk().run(), mk().run());
+        assert_eq!(mk(), mk());
     }
 
     #[test]
@@ -1487,14 +1496,15 @@ mod tests {
                 residue: 0,
             })
             .collect();
-        let report = SyncEngine::new(
-            BallsIntoLeaves::base(),
-            labels(8),
-            Scripted::new(script),
-            SeedTree::new(1),
-        )
-        .unwrap()
-        .run();
+        let report = ExecutorKind::Clustered
+            .run(
+                BallsIntoLeaves::base(),
+                labels(8),
+                Scripted::new(script),
+                SeedTree::new(1),
+                EngineOptions::default(),
+            )
+            .unwrap();
         assert!(report.completed());
         let decided = report.decisions.iter().flatten().count();
         assert!(decided >= 1);

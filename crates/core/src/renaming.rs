@@ -12,8 +12,8 @@
 use std::fmt;
 
 use bil_runtime::adversary::NoFailures;
-use bil_runtime::engine::{ConfigError, SyncEngine};
-use bil_runtime::{Label, Name, RunReport, SeedTree};
+use bil_runtime::engine::EngineOptions;
+use bil_runtime::{ExecutorKind, Label, Name, RunError, RunReport, SeedTree};
 
 use crate::protocol::BallsIntoLeaves;
 
@@ -59,7 +59,7 @@ impl fmt::Display for RenamingVerdict {
 /// let labels: Vec<Label> = (0..8).map(|i| Label(50 + i)).collect();
 /// let report = solve_tight_renaming(labels, 7)?;
 /// assert!(check_tight_renaming(&report).holds());
-/// # Ok::<(), bil_runtime::engine::ConfigError>(())
+/// # Ok::<(), bil_runtime::RunError>(())
 /// ```
 pub fn check_tight_renaming(report: &RunReport) -> RenamingVerdict {
     let n = report.n;
@@ -127,15 +127,16 @@ pub fn check_tight_renaming(report: &RunReport) -> RenamingVerdict {
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] if `labels` is empty or contains duplicates.
-pub fn solve_tight_renaming(labels: Vec<Label>, seed: u64) -> Result<RunReport, ConfigError> {
-    Ok(SyncEngine::new(
+/// Returns [`RunError::Config`] if `labels` is empty or contains
+/// duplicates; the clustered executor it runs on never fails otherwise.
+pub fn solve_tight_renaming(labels: Vec<Label>, seed: u64) -> Result<RunReport, RunError> {
+    ExecutorKind::Clustered.run(
         BallsIntoLeaves::base(),
         labels,
         NoFailures,
         SeedTree::new(seed),
-    )?
-    .run())
+        EngineOptions::default(),
+    )
 }
 
 /// Whether the decided names preserve the order of the original ids —
@@ -154,7 +155,7 @@ pub fn solve_tight_renaming(labels: Vec<Label>, seed: u64) -> Result<RunReport, 
 /// // The base algorithm may or may not be order-preserving — but the
 /// // check itself is well-defined on any report.
 /// let _ = is_order_preserving(&report);
-/// # Ok::<(), bil_runtime::engine::ConfigError>(())
+/// # Ok::<(), bil_runtime::RunError>(())
 /// ```
 pub fn is_order_preserving(report: &RunReport) -> bool {
     let asg = assignment(report);
@@ -283,17 +284,18 @@ mod tests {
     fn early_terminating_failure_free_is_order_preserving() {
         use crate::protocol::BallsIntoLeaves;
         use bil_runtime::adversary::NoFailures;
-        use bil_runtime::engine::SyncEngine;
-        use bil_runtime::SeedTree;
+        use bil_runtime::engine::EngineOptions;
+        use bil_runtime::{ExecutorKind, SeedTree};
         let labels: Vec<Label> = [90u64, 10, 50, 30, 70].iter().map(|l| Label(*l)).collect();
-        let report = SyncEngine::new(
-            BallsIntoLeaves::early_terminating(),
-            labels,
-            NoFailures,
-            SeedTree::new(4),
-        )
-        .unwrap()
-        .run();
+        let report = ExecutorKind::Clustered
+            .run(
+                BallsIntoLeaves::early_terminating(),
+                labels,
+                NoFailures,
+                SeedTree::new(4),
+                EngineOptions::default(),
+            )
+            .unwrap();
         assert!(is_order_preserving(&report));
     }
 }

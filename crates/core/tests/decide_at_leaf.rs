@@ -10,8 +10,8 @@
 use bil_core::adversary::{AdaptiveSplitter, LeafDenier, Sandwich, SyncSplitter};
 use bil_core::{check_tight_renaming, BallsIntoLeaves, BilConfig, PathRule};
 use bil_runtime::adversary::{Adversary, CrashBurst, RandomCrash};
-use bil_runtime::engine::{EngineMode, EngineOptions, SyncEngine};
-use bil_runtime::{Label, Round, RunReport, SeedTree};
+use bil_runtime::engine::EngineOptions;
+use bil_runtime::{ExecutorKind, Label, Round, RunReport, SeedTree};
 use bil_tree::CoinRule;
 
 fn labels(n: u64) -> Vec<Label> {
@@ -28,9 +28,15 @@ fn run_with<A: Adversary<bil_core::BilMsg>>(
     adv: A,
     seed: u64,
 ) -> RunReport {
-    SyncEngine::new(protocol, labels(n), adv, SeedTree::new(seed))
+    ExecutorKind::Clustered
+        .run(
+            protocol,
+            labels(n),
+            adv,
+            SeedTree::new(seed),
+            EngineOptions::default(),
+        )
         .expect("valid configuration")
-        .run()
 }
 
 /// The regression scenario that broke both naive designs: heavy random
@@ -97,23 +103,19 @@ fn first_round_burst_then_commits() {
 #[test]
 fn decide_at_leaf_executor_equivalence() {
     for seed in 0..10 {
-        let mk = |mode| {
-            SyncEngine::with_options(
+        let mk = |kind: ExecutorKind| {
+            kind.run(
                 dal(),
                 labels(32),
                 AdaptiveSplitter::new(16),
                 SeedTree::new(seed),
-                EngineOptions {
-                    max_rounds: None,
-                    mode,
-                },
+                EngineOptions::default(),
             )
             .expect("valid configuration")
-            .run()
         };
         assert_eq!(
-            mk(EngineMode::Clustered),
-            mk(EngineMode::PerProcess),
+            mk(ExecutorKind::Clustered),
+            mk(ExecutorKind::PerProcess),
             "seed={seed}"
         );
     }

@@ -17,9 +17,10 @@ use rand::rngs::SmallRng;
 use bil_core::{BallsIntoLeaves, BilMsg, BilView};
 use bil_runtime::adversary::NoFailures;
 use bil_runtime::engine::EngineOptions;
-use bil_runtime::threaded::run_threaded;
 use bil_runtime::wire::{put_varint, Wire, WireError};
-use bil_runtime::{InboxBuf, Label, Outcome, Round, RoundInbox, SeedTree, Status, ViewProtocol};
+use bil_runtime::{
+    ExecutorKind, InboxBuf, Label, Outcome, Round, RoundInbox, SeedTree, Status, ViewProtocol,
+};
 
 /// Raw wire bytes of a path message with the given packed key.
 fn raw_path_msg(key: u64) -> Bytes {
@@ -187,17 +188,18 @@ fn wire_tampered_paths_do_not_panic_or_leak_names_end_to_end() {
         inner: BallsIntoLeaves::base(),
         victim,
     };
-    let report = run_threaded(
-        protocol,
-        labels.clone(),
-        NoFailures,
-        SeedTree::new(4),
-        EngineOptions {
-            max_rounds: Some(40),
-            ..EngineOptions::default()
-        },
-    )
-    .expect("tampered paths are a protocol-level rejection, not a wire error");
+    let report = ExecutorKind::Threaded
+        .run(
+            protocol,
+            labels.clone(),
+            NoFailures,
+            SeedTree::new(4),
+            EngineOptions {
+                max_rounds: Some(40),
+                ..EngineOptions::default()
+            },
+        )
+        .expect("tampered paths are a protocol-level rejection, not a wire error");
 
     // The victim is stuck Running (its name is never issued), so the
     // run ends at the round limit rather than completing.

@@ -17,11 +17,12 @@ use bil_core::{
     PathRule,
 };
 use bil_runtime::adversary::{Scripted, ScriptedCrash};
-use bil_runtime::engine::{EngineMode, EngineOptions, SyncEngine};
+use bil_runtime::engine::EngineOptions;
 use bil_runtime::rng::split_mix64;
-use bil_runtime::threaded::run_threaded;
 use bil_runtime::view::{Cluster, FnObserver, ObserverCtx};
-use bil_runtime::{InboxBuf, Label, Name, ProcId, Round, SeedTree, Status, ViewProtocol};
+use bil_runtime::{
+    ExecutorKind, InboxBuf, Label, Name, ProcId, Round, SeedTree, Status, ViewProtocol,
+};
 use bil_tree::{CoinRule, LocalTree, NodeId, PackedPath, ROOT};
 use proptest::prelude::*;
 
@@ -369,14 +370,14 @@ proptest! {
         schedule in schedules(),
     ) {
         for (i, cfg) in configs().into_iter().enumerate() {
-            let report = SyncEngine::new(
+            let report = ExecutorKind::Clustered.run(
                 BallsIntoLeaves::new(cfg),
                 labels(n),
                 Scripted::new(schedule.clone()),
                 SeedTree::new(seed),
+                EngineOptions::default(),
             )
-            .unwrap()
-            .run();
+            .unwrap();
             let verdict = check_tight_renaming(&report);
             prop_assert!(
                 verdict.holds(),
@@ -392,18 +393,17 @@ proptest! {
         seed in any::<u64>(),
         schedule in schedules(),
     ) {
-        let run = |mode| {
-            SyncEngine::with_options(
+        let run = |kind: ExecutorKind| {
+            kind.run(
                 BallsIntoLeaves::base(),
                 labels(n),
                 Scripted::new(schedule.clone()),
                 SeedTree::new(seed),
-                EngineOptions { max_rounds: None, mode },
+                EngineOptions::default(),
             )
             .unwrap()
-            .run()
         };
-        prop_assert_eq!(run(EngineMode::Clustered), run(EngineMode::PerProcess));
+        prop_assert_eq!(run(ExecutorKind::Clustered), run(ExecutorKind::PerProcess));
     }
 
     /// The channel-carried worker executor matches the simulator.
@@ -413,15 +413,15 @@ proptest! {
         seed in any::<u64>(),
         schedule in schedules(),
     ) {
-        let sim = SyncEngine::new(
+        let sim = ExecutorKind::Clustered.run(
             BallsIntoLeaves::base(),
             labels(n),
             Scripted::new(schedule.clone()),
             SeedTree::new(seed),
+            EngineOptions::default(),
         )
-        .unwrap()
-        .run();
-        let threaded = run_threaded(
+        .unwrap();
+        let threaded = ExecutorKind::Threaded.run(
             BallsIntoLeaves::base(),
             labels(n),
             Scripted::new(schedule),
@@ -481,18 +481,15 @@ proptest! {
                     }
                 }
             });
-            SyncEngine::with_options(
+            ExecutorKind::PerProcess.run_observed(
                 BallsIntoLeaves::base(),
                 labels(n),
                 Scripted::new(schedule),
                 SeedTree::new(seed),
-                EngineOptions {
-                    max_rounds: None,
-                    mode: EngineMode::PerProcess,
-                },
+                EngineOptions::default(),
+                &mut obs,
             )
-            .unwrap()
-            .run_observed(&mut obs);
+            .unwrap();
         }
         prop_assert!(violation.is_none(), "{}", violation.unwrap_or_default());
     }
@@ -505,14 +502,14 @@ proptest! {
         seed in any::<u64>(),
         schedule in schedules(),
     ) {
-        let report = SyncEngine::new(
+        let report = ExecutorKind::Clustered.run(
             BallsIntoLeaves::base(),
             labels(n),
             Scripted::new(schedule),
             SeedTree::new(seed),
+            EngineOptions::default(),
         )
-        .unwrap()
-        .run();
+        .unwrap();
         let names = report.all_names();
         let mut sorted: Vec<u32> = names.iter().map(|x| x.0).collect();
         sorted.sort_unstable();
@@ -800,14 +797,14 @@ proptest! {
     ) {
         for cfg in configs() {
             let mk = || {
-                SyncEngine::new(
+                ExecutorKind::Clustered.run(
                     BallsIntoLeaves::new(cfg),
                     labels(n),
                     Scripted::new(schedule.clone()),
                     SeedTree::new(seed),
+                    EngineOptions::default(),
                 )
                 .unwrap()
-                .run()
             };
             prop_assert_eq!(mk(), mk());
         }

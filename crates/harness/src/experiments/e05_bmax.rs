@@ -9,17 +9,17 @@
 
 use bil_core::{BallsIntoLeaves, BilView};
 use bil_runtime::adversary::NoFailures;
-use bil_runtime::engine::{EngineMode, EngineOptions, SyncEngine};
+use bil_runtime::engine::EngineOptions;
 use bil_runtime::view::{Cluster, FnObserver, ObserverCtx};
 use bil_runtime::SeedTree;
 
 use crate::experiments::{f2, section, EvalOpts};
-use crate::scenario::{Algorithm, Scenario};
+use crate::scenario::{Algorithm, Executor, Scenario};
 use crate::table::Table;
 
 /// Per-phase `bmax` for one failure-free run on the given in-memory
-/// engine mode.
-pub fn bmax_trace(n: usize, seed: u64, mode: EngineMode) -> Vec<u32> {
+/// executor (a wire executor calls no observer, so its trace is empty).
+pub fn bmax_trace(n: usize, seed: u64, executor: Executor) -> Vec<u32> {
     let scenario = Scenario::failure_free(Algorithm::BilBase, n);
     let labels = scenario.labels(seed);
     let mut trace = Vec::new();
@@ -38,25 +38,23 @@ pub fn bmax_trace(n: usize, seed: u64, mode: EngineMode) -> Vec<u32> {
             trace.push(bmax);
         }
     });
-    SyncEngine::with_options(
-        BallsIntoLeaves::base(),
-        labels,
-        NoFailures,
-        SeedTree::new(seed),
-        EngineOptions {
-            max_rounds: None,
-            mode,
-        },
-    )
-    .expect("valid configuration")
-    .run_observed(&mut obs);
+    executor
+        .run_observed(
+            BallsIntoLeaves::base(),
+            labels,
+            NoFailures,
+            SeedTree::new(seed),
+            EngineOptions::default(),
+            &mut obs,
+        )
+        .expect("valid configuration");
     trace
 }
 
 /// Runs E5 and renders its markdown section.
 pub fn run(opts: &EvalOpts) -> String {
     // Observer experiment: cap the grid by the executor that actually
-    // runs (the channel executor's fallback is clustered — unbounded).
+    // runs (the wire executors' fallback is clustered — unbounded).
     let opts = opts.observed();
     let ns: Vec<usize> = opts.cap_sizes(if opts.quick {
         vec![1 << 6, 1 << 8]
@@ -64,12 +62,16 @@ pub fn run(opts: &EvalOpts) -> String {
         vec![1 << 10, 1 << 14]
     });
     let seeds: Vec<u64> = opts.seeds(10).collect();
-    let mode = opts.observed_engine_mode();
 
     // traces[i][seed] = per-phase bmax for ns[i].
     let mut all: Vec<Vec<Vec<u32>>> = Vec::new();
     for &n in &ns {
-        all.push(seeds.iter().map(|s| bmax_trace(n, *s, mode)).collect());
+        all.push(
+            seeds
+                .iter()
+                .map(|s| bmax_trace(n, *s, opts.executor))
+                .collect(),
+        );
     }
     let max_phases = all
         .iter()
@@ -117,7 +119,7 @@ mod tests {
 
     #[test]
     fn bmax_starts_high_and_collapses() {
-        let trace = bmax_trace(256, 1, EngineMode::Clustered);
+        let trace = bmax_trace(256, 1, Executor::Clustered);
         assert!(!trace.is_empty());
         // After phase 1 the root pile has dispersed: bmax(1) well below n.
         assert!(trace[0] < 256, "{trace:?}");

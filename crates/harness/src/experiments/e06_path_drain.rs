@@ -10,24 +10,25 @@ use std::cell::RefCell;
 
 use bil_core::{BallsIntoLeaves, BilView};
 use bil_runtime::adversary::NoFailures;
-use bil_runtime::engine::{EngineMode, EngineOptions, SyncEngine};
+use bil_runtime::engine::EngineOptions;
 use bil_runtime::view::{Cluster, FnObserver, ObserverCtx};
 use bil_runtime::SeedTree;
 use bil_tree::NodeId;
 
 use crate::experiments::{f2, section, EvalOpts};
-use crate::scenario::{Algorithm, Scenario};
+use crate::scenario::{Algorithm, Executor, Scenario};
 use crate::stats::Summary;
 use crate::table::Table;
 
 /// Per-phase ball population of `sample` evenly spaced leaf-parent
-/// paths, for one failure-free run on the given in-memory engine mode.
+/// paths, for one failure-free run on the given in-memory executor (a
+/// wire executor calls no observer, so its traces are empty).
 /// Returns the sampled parents and `traces[p][phase]`.
 pub fn path_traces(
     n: usize,
     seed: u64,
     sample: usize,
-    mode: EngineMode,
+    executor: Executor,
 ) -> (Vec<NodeId>, Vec<Vec<u32>>) {
     let scenario = Scenario::failure_free(Algorithm::BilBase, n);
     let labels = scenario.labels(seed);
@@ -52,32 +53,30 @@ pub fn path_traces(
                 t[i].push(tree.balls_on_chain(*p).len() as u32);
             }
         });
-        SyncEngine::with_options(
-            BallsIntoLeaves::base(),
-            labels,
-            NoFailures,
-            SeedTree::new(seed),
-            EngineOptions {
-                max_rounds: None,
-                mode,
-            },
-        )
-        .expect("valid configuration")
-        .run_observed(&mut obs);
+        executor
+            .run_observed(
+                BallsIntoLeaves::base(),
+                labels,
+                NoFailures,
+                SeedTree::new(seed),
+                EngineOptions::default(),
+                &mut obs,
+            )
+            .expect("valid configuration");
     }
     (parents, traces.into_inner())
 }
 
 /// Runs E6 and renders its markdown section.
 pub fn run(opts: &EvalOpts) -> String {
+    let executor = opts.observed().executor;
     let n: usize = if opts.quick { 1 << 6 } else { 1 << 10 };
     let seeds: Vec<u64> = opts.seeds(10).collect();
-    let mode = opts.observed_engine_mode();
 
     let mut escape_fractions: Vec<f64> = Vec::new();
     let mut example_trace: Vec<u32> = Vec::new();
     for &seed in &seeds {
-        let (_, traces) = path_traces(n, seed, 8, mode);
+        let (_, traces) = path_traces(n, seed, 8, executor);
         if seed == seeds[0] {
             example_trace = traces.last().cloned().unwrap_or_default();
         }
@@ -122,7 +121,7 @@ mod tests {
 
     #[test]
     fn paths_drain_to_empty() {
-        let (parents, traces) = path_traces(128, 3, 4, EngineMode::Clustered);
+        let (parents, traces) = path_traces(128, 3, 4, Executor::Clustered);
         assert!(!parents.is_empty());
         for trace in &traces {
             assert_eq!(*trace.last().unwrap(), 0, "{traces:?}");

@@ -12,17 +12,24 @@
 
 use bil_core::{BallsIntoLeaves, BilConfig, BilView, PathRule};
 use bil_runtime::adversary::NoFailures;
-use bil_runtime::engine::{EngineMode, EngineOptions, SyncEngine};
+use bil_runtime::engine::EngineOptions;
 use bil_runtime::view::{Cluster, FnObserver, ObserverCtx};
 use bil_runtime::{Label, Round, SeedTree};
 use bil_tree::{CoinRule, LocalTree, Topology};
 
 use crate::experiments::{section, EvalOpts};
 use crate::render::{render_path_closeup, render_tree};
+use crate::scenario::Executor;
 
 /// Captures the (shared, failure-free) tree at the end of `round` in a
-/// failure-free run on the given in-memory engine mode.
-fn tree_at_round(cfg: BilConfig, n: usize, seed: u64, round: Round, mode: EngineMode) -> LocalTree {
+/// failure-free run on the given in-memory executor.
+fn tree_at_round(
+    cfg: BilConfig,
+    n: usize,
+    seed: u64,
+    round: Round,
+    executor: Executor,
+) -> LocalTree {
     let labels: Vec<Label> = (1..=n as u64).map(Label).collect();
     let mut snapshot: Option<LocalTree> = None;
     {
@@ -31,18 +38,16 @@ fn tree_at_round(cfg: BilConfig, n: usize, seed: u64, round: Round, mode: Engine
                 snapshot = Some(clusters[0].view.tree().clone());
             }
         });
-        SyncEngine::with_options(
-            BallsIntoLeaves::new(cfg),
-            labels,
-            NoFailures,
-            SeedTree::new(seed),
-            EngineOptions {
-                max_rounds: None,
-                mode,
-            },
-        )
-        .expect("valid configuration")
-        .run_observed(&mut obs);
+        executor
+            .run_observed(
+                BallsIntoLeaves::new(cfg),
+                labels,
+                NoFailures,
+                SeedTree::new(seed),
+                EngineOptions::default(),
+                &mut obs,
+            )
+            .expect("valid configuration");
     }
     snapshot.expect("round reached before termination")
 }
@@ -50,16 +55,16 @@ fn tree_at_round(cfg: BilConfig, n: usize, seed: u64, round: Round, mode: Engine
 /// Renders Figures 1 and 2.
 pub fn run_fig12(opts: &EvalOpts) -> String {
     let n = 8;
-    let mode = opts.observed_engine_mode();
-    let initial = tree_at_round(BilConfig::new(), n, 7, Round(0), mode);
+    let executor = opts.observed().executor;
+    let initial = tree_at_round(BilConfig::new(), n, 7, Round(0), executor);
     let pileup = tree_at_round(
         BilConfig::new().with_path_rule(PathRule::Random(CoinRule::Leftmost)),
         n,
         7,
         Round(2),
-        mode,
+        executor,
     );
-    let spread = tree_at_round(BilConfig::new(), n, 7, Round(2), mode);
+    let spread = tree_at_round(BilConfig::new(), n, 7, Round(2), executor);
     section(
         "Figures 1 & 2 — initial configuration and the tree after one phase",
         &format!(
@@ -147,7 +152,7 @@ mod tests {
 
     #[test]
     fn tree_at_round_zero_has_all_at_root() {
-        let t = tree_at_round(BilConfig::new(), 8, 1, Round(0), EngineMode::Clustered);
+        let t = tree_at_round(BilConfig::new(), 8, 1, Round(0), Executor::Clustered);
         assert_eq!(t.load_at(1), 8);
     }
 }

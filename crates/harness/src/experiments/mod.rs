@@ -47,15 +47,15 @@ impl EvalOpts {
 
     /// These options with the executor replaced by the in-memory one
     /// that observer-based experiments (E5, E6, the figures) will
-    /// actually run: they read live cluster state, and the channel
-    /// executor has no observers, so it falls back to the clustered
-    /// engine with a printed note instead of silently pretending. Size
-    /// grids capped through the returned options therefore reflect the
-    /// executor that really runs.
+    /// actually run: they read live cluster state, and the wire
+    /// executors (threaded, socket) never call an observer, so they fall
+    /// back to the clustered engine with a printed note instead of
+    /// silently pretending. Size grids capped through the returned
+    /// options therefore reflect the executor that really runs.
     pub(crate) fn observed(&self) -> EvalOpts {
-        match self.executor.engine_mode() {
-            Some(_) => *self,
-            None => {
+        match self.executor {
+            Executor::Clustered | Executor::PerProcess | Executor::Parallel => *self,
+            Executor::Threaded | Executor::Socket => {
                 eprintln!(
                     "note: the {} executor has no observer hooks; \
                      observer-based experiments run on the clustered engine",
@@ -67,16 +67,6 @@ impl EvalOpts {
                 }
             }
         }
-    }
-
-    /// The engine mode for observer-based experiments: the chosen
-    /// executor's, or the clustered fallback when the channel executor
-    /// (which has no observer hooks) was requested.
-    pub fn observed_engine_mode(&self) -> bil_runtime::engine::EngineMode {
-        self.observed()
-            .executor
-            .engine_mode()
-            .expect("observed executor is in-memory")
     }
 
     /// Caps a size grid to what this evaluation's executor can feasibly

@@ -160,6 +160,7 @@ const MESSAGE_PATH_FILES: &[&str] = &[
 /// reachable or not, and double findings would need double pragmas.
 const TRANSPORT_FILES: &[&str] = &[
     "crates/runtime/src/engine.rs",
+    "crates/runtime/src/exec.rs",
     "crates/runtime/src/pipeline.rs",
     "crates/runtime/src/worker.rs",
     "crates/runtime/src/threaded.rs",

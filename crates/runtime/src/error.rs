@@ -17,10 +17,10 @@ use crate::wire::WireError;
 
 /// An executor failed to carry a run to completion.
 ///
-/// Returned by the fallible drivers ([`crate::threaded::run_threaded`],
-/// [`crate::socket::run_socket`]) and by
-/// [`crate::pipeline::RoundPipeline::run`]. The in-memory transports
-/// never produce one past configuration.
+/// Returned by [`crate::exec::ExecutorKind::run`] and by
+/// [`crate::pipeline::RoundPipeline::run`]. Past configuration, only the
+/// wire executors ([`crate::threaded`], [`crate::socket`]) produce one;
+/// the in-memory transports never do.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// Invalid executor construction (empty system, duplicate labels).

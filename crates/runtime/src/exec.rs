@@ -1,13 +1,14 @@
-//! Uniform dispatch over the five executors.
+//! The one way to start a run: pick one of the five executors.
 //!
 //! Every executor in this crate runs the same [`crate::pipeline`] round
 //! loop and produces a bit-identical [`RunReport`] for the same
 //! `(protocol, labels, adversary, seed)`; they differ only in where
 //! views live and how messages travel. [`ExecutorKind`] names the five
-//! choices as plain data, and [`ExecutorKind::run`] maps a kind onto the
-//! concrete driver — so higher layers (the experiment harness's scenario
-//! dispatch, the long-lived renaming service's epoch driver) can carry
-//! an executor choice around without re-rolling the dispatch match.
+//! choices as plain data, and [`ExecutorKind::run`] builds the kind's
+//! [`crate::pipeline::Transport`] and runs the pipeline over it — so
+//! higher layers (the experiment harness's scenario dispatch, the
+//! long-lived renaming service's epochs) can carry an executor choice
+//! around without re-rolling the dispatch match.
 //!
 //! # Examples
 //!
@@ -33,15 +34,16 @@
 use std::fmt;
 
 use crate::adversary::Adversary;
-use crate::engine::{EngineMode, EngineOptions, SyncEngine};
+use crate::engine::EngineOptions;
 use crate::error::RunError;
 use crate::ids::Label;
-use crate::pipeline::RoundPipeline;
+use crate::parallel::ParallelTransport;
+use crate::pipeline::{LocalTransport, RoundPipeline};
 use crate::rng::SeedTree;
-use crate::socket::{SocketOptions, SocketTransport};
+use crate::socket::SocketTransport;
 use crate::threaded::ChannelTransport;
 use crate::trace::RunReport;
-use crate::view::{NoObserver, ViewProtocol};
+use crate::view::{NoObserver, Observer, ViewProtocol};
 
 /// One of the five interchangeable executors (see the crate docs for the
 /// table). All of them produce bit-identical reports; the choice picks a
@@ -51,7 +53,8 @@ pub enum ExecutorKind {
     /// Cluster-sharing in-memory engine (fast, default).
     #[default]
     Clustered,
-    /// One view per process (reference semantics).
+    /// Views shared by delivery history, never re-merged (reference
+    /// semantics).
     PerProcess,
     /// Slot-range worker threads over in-process channels.
     Threaded,
@@ -86,11 +89,13 @@ impl ExecutorKind {
     /// is bounded by threads or per-slot view memory; both are capped
     /// at `2^16` by per-round wire traffic — every round still ships
     /// `O(n)` encoded broadcasts across the thread (resp. loopback)
-    /// boundary. Per-process is capped at `2^16` by its `O(n)` per-slot
-    /// round bookkeeping (RNG streams, compose fan-out). Callers such as
-    /// the experiment harness refuse larger systems loudly instead of
-    /// crashing or running out of memory mid-sweep; the clustered and
-    /// parallel executors are unbounded.
+    /// boundary. Per-process is the same cluster store as clustered with
+    /// re-merge off: views that crashes split never coalesce again, so a
+    /// crash-heavy run can accumulate up to one view per slot, and it
+    /// keeps the `2^16` cap of the wire workers, which run that same
+    /// store. Callers such as the experiment harness refuse larger
+    /// systems loudly instead of crashing or running out of memory
+    /// mid-sweep; the clustered and parallel executors are unbounded.
     pub fn max_n(self) -> Option<usize> {
         match self {
             ExecutorKind::Clustered | ExecutorKind::Parallel => None,
@@ -100,19 +105,8 @@ impl ExecutorKind {
         }
     }
 
-    /// The [`EngineMode`] backing this kind, or `None` for the wire
-    /// executors (channel and socket), which are standalone drivers.
-    pub fn engine_mode(self) -> Option<EngineMode> {
-        match self {
-            ExecutorKind::Clustered => Some(EngineMode::Clustered),
-            ExecutorKind::PerProcess => Some(EngineMode::PerProcess),
-            ExecutorKind::Parallel => Some(EngineMode::Parallel),
-            ExecutorKind::Threaded | ExecutorKind::Socket => None,
-        }
-    }
-
-    /// Runs `(protocol, labels, adversary, seeds)` on this executor with
-    /// default [`SocketOptions`].
+    /// Runs `(protocol, labels, adversary, seeds)` on this executor to
+    /// completion (or the round limit of `options`).
     ///
     /// # Errors
     ///
@@ -132,54 +126,54 @@ impl ExecutorKind {
         P: ViewProtocol + Clone + Send + 'static,
         A: Adversary<P::Msg>,
     {
-        self.run_with(
-            protocol,
-            labels,
-            adversary,
-            seeds,
-            options,
-            SocketOptions::default(),
-        )
+        self.run_observed(protocol, labels, adversary, seeds, options, &mut NoObserver)
     }
 
-    /// [`ExecutorKind::run`] with explicit [`SocketOptions`]: the worker
-    /// count of both wire executors, and the socket executor's I/O
-    /// timeout. The in-memory executors ignore them, and the report is
-    /// independent of them everywhere (they only change wall-clock time).
+    /// [`ExecutorKind::run`], calling `observer` after every round's
+    /// views are updated — and before decided members retire from their
+    /// clusters, so a deciding process's final view is observable.
+    ///
+    /// Only the in-memory executors (clustered, per-process, parallel)
+    /// call `observer`. The wire executors (threaded, socket) keep their
+    /// views in worker threads, not in the calling thread, so they never
+    /// call it; their reports are still bit-identical.
     ///
     /// # Errors
     ///
     /// As for [`ExecutorKind::run`].
-    pub fn run_with<P, A>(
+    pub fn run_observed<P, A>(
         self,
         protocol: P,
         labels: Vec<Label>,
         adversary: A,
         seeds: SeedTree,
         options: EngineOptions,
-        wire: SocketOptions,
+        observer: &mut dyn Observer<P>,
     ) -> Result<RunReport, RunError>
     where
         P: ViewProtocol + Clone + Send + 'static,
         A: Adversary<P::Msg>,
     {
-        if let Some(mode) = self.engine_mode() {
-            let options = EngineOptions { mode, ..options };
-            return Ok(
-                SyncEngine::with_options(protocol, labels, adversary, seeds, options)?.run(),
-            );
-        }
-        // Validate the configuration before spawning any worker.
+        // Validate the configuration before building a transport, so no
+        // worker is spawned for a run that cannot start.
         let round_limit = options.round_limit(labels.len());
         let pipeline = RoundPipeline::new(labels, adversary, seeds, round_limit)?;
         let labels = pipeline.labels();
-        if self == ExecutorKind::Socket {
-            let mut transport = SocketTransport::spawn(&protocol, labels, &seeds, wire)?;
-            pipeline.run(&mut transport, &mut NoObserver)
-        } else {
-            let mut transport = ChannelTransport::spawn_with(&protocol, labels, &seeds, wire);
-            pipeline.run(&mut transport, &mut NoObserver)
-        }
+        let mut local = match self {
+            ExecutorKind::Clustered => LocalTransport::clustered(protocol, labels, &seeds),
+            ExecutorKind::PerProcess => LocalTransport::per_process(protocol, labels, &seeds),
+            ExecutorKind::Parallel => ParallelTransport::new(protocol, labels, &seeds),
+            ExecutorKind::Threaded => {
+                let mut wire =
+                    ChannelTransport::spawn_with(&protocol, labels, &seeds, options.wire);
+                return pipeline.run(&mut wire, observer);
+            }
+            ExecutorKind::Socket => {
+                let mut wire = SocketTransport::spawn(&protocol, labels, &seeds, options.wire)?;
+                return pipeline.run(&mut wire, observer);
+            }
+        };
+        pipeline.run(&mut local, observer)
     }
 }
 
@@ -199,47 +193,119 @@ impl fmt::Display for ExecutorKind {
 #[cfg(test)]
 mod tests {
     //! One table over all five executors: bad labels, equivalence with
-    //! the clustered engine, and the round limit.
+    //! the clustered engine, round mechanics under scripted crashes, the
+    //! round limit, and observation.
 
     use super::*;
-    use crate::adversary::NoFailures;
+    use crate::adversary::{NoFailures, Scripted, ScriptedCrash};
     use crate::engine::ConfigError;
+    use crate::ids::{Name, ProcId, Round};
     use crate::testproto::{labels, two_crashes, RankOnce, UnionRank};
     use crate::trace::Outcome;
+    use crate::view::{Cluster, FnObserver, ObserverCtx};
+
+    fn run<P, A>(kind: ExecutorKind, protocol: P, n: u64, adversary: A, seed: u64) -> RunReport
+    where
+        P: ViewProtocol + Clone + Send + 'static,
+        A: Adversary<P::Msg>,
+    {
+        let (labels, seeds) = (labels(n), SeedTree::new(seed));
+        let report = kind.run(protocol, labels, adversary, seeds, EngineOptions::default());
+        report.unwrap_or_else(|e| panic!("{kind}: {e}"))
+    }
+
+    /// A crash in `round` of participant `victim_index`, whose broadcast
+    /// reaches the slots `≡ residue (mod modulus)`.
+    fn crash(round: u64, victim_index: usize, modulus: usize, residue: usize) -> ScriptedCrash {
+        ScriptedCrash {
+            round: Round(round),
+            victim_index,
+            modulus,
+            residue,
+        }
+    }
 
     #[test]
     fn every_kind_matches_the_clustered_engine() {
         // Random crash schedules are covered by the runtime property
-        // suite; these fixed ones pin the table in unit-test time.
-        let rank_once = |kind: ExecutorKind| {
-            kind.run(
-                RankOnce,
-                labels(10),
-                NoFailures,
-                SeedTree::new(9),
-                EngineOptions::default(),
-            )
-        };
-        let union_rank = |kind: ExecutorKind, seed| {
-            let options = EngineOptions::default();
-            kind.run(
-                UnionRank::rounds(4),
-                labels(12),
-                two_crashes(),
-                SeedTree::new(seed),
-                options,
-            )
-        };
+        // suite; these fixed ones pin the table in unit-test time. The
+        // clustered row replays each run, so it also pins determinism.
+        let late_crash = || Scripted::new(vec![crash(1, 2, 2, 0)]);
         for kind in ExecutorKind::ALL {
+            let clustered = ExecutorKind::Clustered;
             assert_eq!(
-                rank_once(ExecutorKind::Clustered),
-                rank_once(kind),
+                run(clustered, RankOnce, 10, NoFailures, 9),
+                run(kind, RankOnce, 10, NoFailures, 9),
                 "{kind}"
             );
             for seed in 0..5 {
-                let reference = union_rank(ExecutorKind::Clustered, seed);
-                assert_eq!(reference, union_rank(kind, seed), "{kind}, seed {seed}");
+                assert_eq!(
+                    run(clustered, UnionRank::rounds(4), 12, two_crashes(), seed),
+                    run(kind, UnionRank::rounds(4), 12, two_crashes(), seed),
+                    "{kind}, seed {seed}"
+                );
             }
+            assert_eq!(
+                run(clustered, UnionRank::rounds(3), 9, late_crash(), 11),
+                run(kind, UnionRank::rounds(3), 9, late_crash(), 11),
+                "{kind}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_kind_decides_ranks_and_counts_messages() {
+        for kind in ExecutorKind::ALL {
+            let report = run(kind, RankOnce, 8, NoFailures, 1);
+            assert!(report.completed(), "{kind}");
+            assert_eq!(report.rounds, 1, "{kind}");
+            // `labels` is ascending, so each process's rank is its slot.
+            for (pid, decision) in report.decisions.iter().enumerate() {
+                assert_eq!(decision.unwrap().name, Name(pid as u32), "{kind}");
+            }
+            // One round, 4 broadcasts of n − 1 = 3 messages.
+            let report = run(kind, RankOnce, 4, NoFailures, 1);
+            assert_eq!(report.messages_sent, 12, "{kind}");
+            assert_eq!(report.messages_delivered, 12, "{kind}");
+            assert!(report.wire_bytes_sent > 0, "{kind}");
+        }
+    }
+
+    #[test]
+    fn every_kind_splits_remerges_and_clamps_under_scripted_crashes() {
+        for kind in ExecutorKind::ALL {
+            // A crash mid-broadcast splits views: survivors who heard the
+            // victim rank over 6 labels, the others over 5, so RankOnce
+            // may hand out duplicates — which is why it is NOT a correct
+            // renaming algorithm under crashes. Only the mechanics are
+            // asserted: every correct process decided something and the
+            // victim decided nothing.
+            let split = Scripted::new(vec![crash(0, 0, 2, 0)]);
+            let report = run(kind, RankOnce, 6, split, 2);
+            assert!(report.completed(), "{kind}");
+            assert_eq!(report.failures(), 1, "{kind}");
+            let victim = report.crashes[0].pid;
+            assert!(report.decisions[victim.index()].is_none(), "{kind}");
+            for p in (0..6).filter(|&p| ProcId(p) != victim) {
+                assert!(report.decisions[p as usize].is_some(), "{kind}");
+            }
+
+            // After a crash-free round of flooding the split views agree
+            // again, so every correct name is distinct.
+            let split = Scripted::new(vec![crash(0, 0, 2, 1)]);
+            let report = run(kind, UnionRank::rounds(3), 6, split, 3);
+            assert!(report.completed(), "{kind}");
+            let mut names = report.correct_names();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), 5, "{kind}");
+
+            // A script that kills one process per round for 5 rounds is
+            // clamped to the budget of n − 1 = 2.
+            let script = Scripted::new((0..5).map(|r| crash(r, 0, 1, 0)).collect());
+            let report = run(kind, UnionRank::rounds(6), 3, script, 4);
+            assert!(report.failures() <= 2, "{kind}");
+            assert!(report.completed(), "{kind}");
         }
     }
 
@@ -285,6 +351,32 @@ mod tests {
                 .unwrap();
             assert_eq!(report.outcome, Outcome::RoundLimit, "{kind}");
             assert_eq!(report.rounds, 2, "{kind}");
+        }
+    }
+
+    #[test]
+    fn in_memory_kinds_observe_every_round_and_wire_kinds_none() {
+        for kind in ExecutorKind::ALL {
+            let mut rounds_seen = Vec::new();
+            let mut obs = FnObserver(|ctx: ObserverCtx<'_>, _: &[Cluster<_>]| {
+                rounds_seen.push(ctx.round);
+            });
+            let report = kind
+                .run_observed(
+                    UnionRank::rounds(3),
+                    labels(5),
+                    NoFailures,
+                    SeedTree::new(6),
+                    EngineOptions::default(),
+                    &mut obs,
+                )
+                .unwrap();
+            assert!(report.completed(), "{kind}");
+            let expected = match kind {
+                ExecutorKind::Threaded | ExecutorKind::Socket => vec![],
+                _ => vec![Round(0), Round(1), Round(2)],
+            };
+            assert_eq!(rounds_seen, expected, "{kind}");
         }
     }
 

@@ -23,13 +23,17 @@
 //! buffers ([`pipeline::RoundMessages`]); executors differ only in the
 //! [`pipeline::Transport`] they plug in:
 //!
-//! | executor | transport | use it for |
+//! | [`ExecutorKind`] | transport | use it for |
 //! |---|---|---|
-//! | [`engine::SyncEngine`] with [`engine::EngineMode::PerProcess`] | [`pipeline::LocalTransport`]: in-memory, views shared by delivery history, never re-merged | fidelity cross-checks (reference semantics) |
-//! | [`engine::SyncEngine`] with [`engine::EngineMode::Clustered`] | [`pipeline::LocalTransport`]: in-memory, identical views shared | large-`n` experiment sweeps |
-//! | [`engine::SyncEngine`] with [`engine::EngineMode::Parallel`] / [`parallel::run_parallel`] | [`parallel::ParallelTransport`]: the clustered store, compose and apply chunked across OS threads | multi-core sweeps |
-//! | [`threaded::run_threaded`] | [`worker::WorkerTransport`]: slot-range worker threads over crossbeam channels | demonstrating the protocol over real message passing |
-//! | [`socket::run_socket`] | [`worker::WorkerTransport`]: the same workers over loopback TCP, length-prefixed frames ([`frame`]) of wire bytes | messages crossing a real OS boundary |
+//! | `PerProcess` | [`pipeline::LocalTransport::per_process`]: in-memory, views shared by delivery history, never re-merged | fidelity cross-checks (reference semantics) |
+//! | `Clustered` | [`pipeline::LocalTransport::clustered`]: in-memory, identical views shared | large-`n` experiment sweeps |
+//! | `Parallel` | [`parallel::ParallelTransport`]: the clustered store, compose and apply chunked across OS threads | multi-core sweeps |
+//! | `Threaded` | [`threaded::ChannelTransport`]: slot-range worker threads over crossbeam channels | demonstrating the protocol over real message passing |
+//! | `Socket` | [`socket::SocketTransport`]: the same workers over loopback TCP, length-prefixed frames ([`frame`]) of wire bytes | messages crossing a real OS boundary |
+//!
+//! A run starts one way: [`ExecutorKind::run`] (or
+//! [`ExecutorKind::run_observed`], which also hands an observer the
+//! in-memory executors' views), with one [`engine::EngineOptions`].
 //!
 //! All five produce bit-identical [`trace::RunReport`]s for the same
 //! `(protocol, labels, adversary, seed)`; tests enforce this. Views live
@@ -43,14 +47,19 @@
 //!
 //! ```
 //! use bil_runtime::adversary::NoFailures;
-//! use bil_runtime::engine::SyncEngine;
-//! use bil_runtime::rng::SeedTree;
+//! use bil_runtime::engine::EngineOptions;
 //! use bil_runtime::testproto::RankOnce;
-//! use bil_runtime::Label;
+//! use bil_runtime::{ExecutorKind, Label, SeedTree};
 //!
-//! # fn main() -> Result<(), bil_runtime::engine::ConfigError> {
+//! # fn main() -> Result<(), bil_runtime::RunError> {
 //! let labels: Vec<Label> = (0..16).map(|i| Label(100 + 3 * i)).collect();
-//! let report = SyncEngine::new(RankOnce, labels, NoFailures, SeedTree::new(1))?.run();
+//! let report = ExecutorKind::Clustered.run(
+//!     RankOnce,
+//!     labels,
+//!     NoFailures,
+//!     SeedTree::new(1),
+//!     EngineOptions::default(),
+//! )?;
 //! assert!(report.completed());
 //! assert_eq!(report.rounds, 1);
 //! # Ok(())

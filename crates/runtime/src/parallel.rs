@@ -23,13 +23,9 @@
 //! other executors' for the same `(protocol, labels, adversary, seed)`,
 //! which workspace tests enforce.
 
-use crate::adversary::Adversary;
-use crate::engine::{EngineMode, EngineOptions, SyncEngine};
-use crate::error::RunError;
 use crate::ids::Label;
 use crate::pipeline::LocalTransport;
 use crate::rng::SeedTree;
-use crate::trace::RunReport;
 use crate::view::ViewProtocol;
 
 /// A clustered in-memory [`crate::pipeline::Transport`] whose per-round
@@ -47,8 +43,9 @@ impl<P: ViewProtocol> LocalTransport<P> {
     }
 
     /// A parallel transport with an explicit shard count (≥ 1; a count
-    /// of 1 is the clustered transport). The produced [`RunReport`] does
-    /// not depend on `threads`; tests use this to assert exactly that.
+    /// of 1 is the clustered transport). The produced
+    /// [`crate::trace::RunReport`] does not depend on `threads`; tests
+    /// use this to assert exactly that.
     pub fn with_threads(protocol: P, labels: &[Label], seeds: &SeedTree, threads: usize) -> Self {
         Self::with_range(protocol, labels.len(), 0, labels, seeds, true, threads)
     }
@@ -57,35 +54,6 @@ impl<P: ViewProtocol> LocalTransport<P> {
     pub fn threads(&self) -> usize {
         self.threads
     }
-}
-
-/// Runs `protocol` on the data-parallel executor and returns the same
-/// report every other executor would.
-///
-/// A convenience mirroring [`crate::threaded::run_threaded`]; equivalent
-/// to [`crate::engine::SyncEngine`] with [`crate::engine::EngineMode::Parallel`]
-/// (the `mode` in `options` is ignored).
-///
-/// # Errors
-///
-/// Returns [`RunError::Config`] if `labels` is empty or contains
-/// duplicates; the in-memory transport itself is infallible.
-pub fn run_parallel<P, A>(
-    protocol: P,
-    labels: Vec<Label>,
-    adversary: A,
-    seeds: SeedTree,
-    options: EngineOptions,
-) -> Result<RunReport, RunError>
-where
-    P: ViewProtocol,
-    A: Adversary<P::Msg>,
-{
-    let options = EngineOptions {
-        mode: EngineMode::Parallel,
-        ..options
-    };
-    Ok(SyncEngine::with_options(protocol, labels, adversary, seeds, options)?.run())
 }
 
 #[cfg(test)]

@@ -24,14 +24,10 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 
-use crate::adversary::Adversary;
-use crate::engine::EngineOptions;
 use crate::error::RunError;
-use crate::exec::ExecutorKind;
 use crate::frame::{get_blob, put_blob, read_frame, write_frame, FrameDecoder};
 use crate::ids::{Label, Name, Round};
 use crate::rng::SeedTree;
-use crate::trace::RunReport;
 use crate::view::{InboxBuf, Status, ViewProtocol};
 use crate::wire::{get_varint, put_varint, Wire, WireError, WIRE_FORMAT_VERSION};
 use crate::worker::{spawn_workers, Carrier, Cmd, Fault, Rsp, WorkerPort, WorkerTransport};
@@ -57,12 +53,13 @@ mod fault {
     pub const UNKNOWN_SLOT: u64 = 1;
 }
 
-/// Tuning knobs of the wire executors (threaded and socket).
+/// Tuning knobs of the wire executors (threaded and socket): the
+/// [`crate::engine::EngineOptions::wire`] field of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SocketOptions {
     /// Number of workers; `None` picks `min(available_parallelism, n)`.
-    /// The produced [`RunReport`] does not depend on this — only
-    /// wall-clock time does.
+    /// The produced [`crate::trace::RunReport`] does not depend on this
+    /// — only wall-clock time does.
     pub workers: Option<usize>,
     /// Read/write/accept timeout on every socket. A hung peer then fails
     /// the run with [`RunError::Io`] instead of stalling it; `None`
@@ -504,50 +501,6 @@ where
         let carrier = TcpCarrier::accept(&listener, count, io_timeout)?;
         Ok(WorkerTransport::new(labels, carrier, workers))
     }
-}
-
-/// Runs `protocol` over the socket executor with default
-/// [`SocketOptions`] and returns the same report every other executor
-/// would.
-///
-/// # Errors
-///
-/// [`RunError::Config`] for invalid labels; otherwise any socket-layer
-/// failure ([`RunError::Io`], [`RunError::Frame`], [`RunError::Decode`],
-/// [`RunError::Disconnected`]) after best-effort teardown.
-pub fn run_socket<P, A>(
-    protocol: P,
-    labels: Vec<Label>,
-    adversary: A,
-    seeds: SeedTree,
-    options: EngineOptions,
-) -> Result<RunReport, RunError>
-where
-    P: ViewProtocol + Clone + Send + 'static,
-    A: Adversary<P::Msg>,
-{
-    ExecutorKind::Socket.run(protocol, labels, adversary, seeds, options)
-}
-
-/// [`run_socket`] with explicit [`SocketOptions`] (worker count, I/O
-/// timeout).
-///
-/// # Errors
-///
-/// As [`run_socket`].
-pub fn run_socket_with<P, A>(
-    protocol: P,
-    labels: Vec<Label>,
-    adversary: A,
-    seeds: SeedTree,
-    options: EngineOptions,
-    socket: SocketOptions,
-) -> Result<RunReport, RunError>
-where
-    P: ViewProtocol + Clone + Send + 'static,
-    A: Adversary<P::Msg>,
-{
-    ExecutorKind::Socket.run_with(protocol, labels, adversary, seeds, options, socket)
 }
 
 #[cfg(test)]

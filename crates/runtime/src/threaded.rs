@@ -15,14 +15,10 @@ use std::fmt;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::adversary::Adversary;
-use crate::engine::EngineOptions;
 use crate::error::RunError;
-use crate::exec::ExecutorKind;
 use crate::ids::Label;
 use crate::rng::SeedTree;
 use crate::socket::SocketOptions;
-use crate::trace::RunReport;
 use crate::view::ViewProtocol;
 use crate::worker::{spawn_workers, Carrier, Cmd, Fault, Rsp, WorkerPort, WorkerTransport};
 
@@ -93,7 +89,7 @@ where
 
     /// [`ChannelTransport::spawn`] with the worker count of `options`
     /// (its I/O timeout applies to sockets only). The produced
-    /// [`RunReport`] does not depend on it.
+    /// [`crate::trace::RunReport`] does not depend on it.
     pub fn spawn_with(
         protocol: &P,
         labels: &[Label],
@@ -115,28 +111,4 @@ where
         let workers = spawn_workers(protocol, labels, seeds, count, link);
         WorkerTransport::new(labels, ChannelCarrier { links }, workers)
     }
-}
-
-/// Runs `protocol` on the in-process wire executor (slot-range workers
-/// over channels) and returns the same report the simulator would.
-///
-/// # Errors
-///
-/// Returns [`RunError::Config`] if `labels` is empty or contains
-/// duplicates, [`RunError::Decode`] if a broadcast fails to decode
-/// (codec bug or corrupted frame), and [`RunError::Disconnected`] if a
-/// worker thread hangs up mid-run. The transport is torn down before any
-/// error is returned.
-pub fn run_threaded<P, A>(
-    protocol: P,
-    labels: Vec<Label>,
-    adversary: A,
-    seeds: SeedTree,
-    options: EngineOptions,
-) -> Result<RunReport, RunError>
-where
-    P: ViewProtocol + Clone + Send + 'static,
-    A: Adversary<P::Msg>,
-{
-    ExecutorKind::Threaded.run(protocol, labels, adversary, seeds, options)
 }

@@ -12,10 +12,10 @@
 //! * [`ViewProtocol::apply`] — fold the round's inbox into the view,
 //! * [`ViewProtocol::status`] — read a ball's decision off the view,
 //!
-//! and every executor — the per-process reference engine, the
-//! cluster-sharing engine ([`crate::engine::SyncEngine`]), the
-//! data-parallel executor ([`crate::parallel`]), and the slot-range
-//! worker executors ([`crate::worker`]) — drives those same
+//! and every executor ([`crate::exec::ExecutorKind`]) — the per-process
+//! reference engine, the cluster-sharing engine, the data-parallel
+//! executor ([`crate::parallel`]), and the slot-range worker executors
+//! ([`crate::worker`]) — drives those same
 //! functions through the one shared round loop
 //! ([`crate::pipeline::RoundPipeline`]) and the one cluster store
 //! ([`crate::pipeline::LocalTransport`]). Cross-executor equivalence is

@@ -458,7 +458,7 @@ impl<P: ViewProtocol, C: Carrier<P::Msg>> Transport<P> for WorkerTransport<P, C>
 mod tests {
     use super::*;
     use crate::adversary::NoFailures;
-    use crate::engine::{EngineOptions, SyncEngine};
+    use crate::engine::EngineOptions;
     use crate::exec::ExecutorKind;
     use crate::pipeline::RoundPipeline;
     use crate::socket::{SocketOptions, SocketTransport};
@@ -504,9 +504,15 @@ mod tests {
     fn report_is_independent_of_worker_count() {
         let ls = labels(11);
         let seeds = SeedTree::new(13);
-        let reference = SyncEngine::new(UnionRank::rounds(4), ls.clone(), two_crashes(), seeds)
-            .unwrap()
-            .run();
+        let reference = ExecutorKind::Clustered
+            .run(
+                UnionRank::rounds(4),
+                ls.clone(),
+                two_crashes(),
+                seeds,
+                EngineOptions::default(),
+            )
+            .unwrap();
         for count in [1, 2, 3, 7, 64] {
             let expected = count.clamp(1, ls.len());
             let proto = UnionRank::rounds(4);

@@ -3,7 +3,7 @@
 //! wire codec.
 
 use bil_runtime::adversary::{Scripted, ScriptedCrash};
-use bil_runtime::engine::{EngineOptions, SyncEngine};
+use bil_runtime::engine::EngineOptions;
 use bil_runtime::frame::{encode_frame, FrameDecoder};
 use bil_runtime::parallel::ParallelTransport;
 use bil_runtime::pipeline::RoundPipeline;
@@ -44,14 +44,16 @@ proptest! {
         seed in any::<u64>(),
         schedule in schedules(),
     ) {
-        let two_workers = SocketOptions { workers: Some(2), ..SocketOptions::default() };
+        let two_workers = EngineOptions {
+            wire: SocketOptions { workers: Some(2), ..SocketOptions::default() },
+            ..EngineOptions::default()
+        };
         let run = |kind: ExecutorKind| {
-            kind.run_with(
+            kind.run(
                 UnionRank::rounds(rounds),
                 labels(n),
                 Scripted::new(schedule.clone()),
                 SeedTree::new(seed),
-                EngineOptions::default(),
                 two_workers,
             )
             .unwrap()
@@ -83,14 +85,14 @@ proptest! {
         schedule in schedules(),
     ) {
         let budget = schedule.len();
-        let report = SyncEngine::new(
+        let report = ExecutorKind::Clustered.run(
             UnionRank::rounds(6),
             labels(n),
             Scripted::new(schedule),
             SeedTree::new(seed),
+            EngineOptions::default(),
         )
-        .unwrap()
-        .run();
+        .unwrap();
         prop_assert!(report.failures() <= budget.min(n.saturating_sub(1)));
         let mut victims: Vec<_> = report.crashes.iter().map(|c| c.pid).collect();
         victims.sort_unstable();
@@ -113,14 +115,14 @@ proptest! {
         seed in any::<u64>(),
         schedule in schedules(),
     ) {
-        let report = SyncEngine::new(
+        let report = ExecutorKind::Clustered.run(
             UnionRank::rounds(5),
             labels(n),
             Scripted::new(schedule),
             SeedTree::new(seed),
+            EngineOptions::default(),
         )
-        .unwrap()
-        .run();
+        .unwrap();
         prop_assert!(report.messages_delivered <= report.messages_sent);
         // Upper bound: everyone broadcasting every round.
         prop_assert!(report.messages_sent <= report.rounds * (n as u64) * (n as u64).saturating_sub(1));
@@ -234,14 +236,14 @@ proptest! {
     #[test]
     fn rank_once_correctness(n in 1usize..32, seed in any::<u64>()) {
         let ls = labels(n);
-        let report = SyncEngine::new(
+        let report = ExecutorKind::Clustered.run(
             RankOnce,
             ls.clone(),
             bil_runtime::adversary::NoFailures,
             SeedTree::new(seed),
+            EngineOptions::default(),
         )
-        .unwrap()
-        .run();
+        .unwrap();
         prop_assert!(report.completed());
         prop_assert_eq!(report.rounds, 1);
         let mut sorted = ls.clone();

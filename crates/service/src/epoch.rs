@@ -123,19 +123,17 @@ impl EpochRun {
             Some(protocol) => {
                 let engine_options = EngineOptions {
                     max_rounds: options.max_rounds,
-                    ..EngineOptions::default()
+                    wire: SocketOptions {
+                        workers: options.socket_workers,
+                        ..SocketOptions::default()
+                    },
                 };
-                let socket_options = SocketOptions {
-                    workers: options.socket_workers,
-                    ..SocketOptions::default()
-                };
-                match options.executor.run_with(
+                match options.executor.run(
                     protocol,
                     admitted.clone(),
                     adversary,
                     seeds,
                     engine_options,
-                    socket_options,
                 ) {
                     Ok(report) if report.completed() => Ok(Some(report)),
                     Ok(_) => Err(ServiceError::Stalled { epoch }),

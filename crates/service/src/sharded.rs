@@ -44,11 +44,12 @@
 //! stream, adversary choices)`: routing reads only the booking counters
 //! (pure function of the stream, see above), each shard is seeded by a
 //! `split_mix64` mix of the root seed and its index, and outcomes are
-//! folded in shard order regardless of which thread finished first. The
-//! one schedule-visible edge: a label's route is retired when its
-//! release *completes*, so re-acquiring a just-released label may be
-//! rejected for one extra epoch under pipelining (fresh labels — the
-//! normal workload shape — never notice).
+//! folded in shard order regardless of which thread finished first. A
+//! label's route is retired when its shard applies the release, at
+//! [`ShardedService::begin`] — before the next batch can be submitted
+//! under either drive — so a label released in batch `k` can be
+//! re-acquired in batch `k+1` whether epochs run pipelined or
+//! sequentially, and whether or not the shard's epoch `k` run succeeds.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -192,7 +193,8 @@ pub struct ShardedService {
     partition: NamePartition,
     shards: Vec<RenamingService>,
     /// Label → shard currently responsible for it (queued, admitted, or
-    /// holding). Retired when the label's release or crash completes.
+    /// holding). Retired when its shard applies the label's release (at
+    /// `begin`) or when its crash completes.
     routes: BTreeMap<Label, usize>,
     /// Bookings per shard: routed acquires not yet released. Crashed
     /// bookings stay spent (see module docs).
@@ -334,10 +336,8 @@ impl ShardedService {
                 Request::Acquire(l) => {
                     if let Some(&s) = self.routes.get(l) {
                         // The responsible shard names the precise
-                        // conflict; a route that survives only because
-                        // its release has not *completed* yet (the
-                        // pipelined one-epoch window) reads as
-                        // still-queued.
+                        // conflict; a route the shard cannot explain
+                        // reads as still-queued.
                         return Err(ShardError::Request(
                             self.shards[s]
                                 .validate_acquire(*l)
@@ -418,11 +418,15 @@ impl ShardedService {
         }
         let mut runs = Vec::with_capacity(self.shards.len());
         for (s, shard) in self.shards.iter_mut().enumerate() {
-            runs.push(
-                shard
-                    .begin_epoch()
-                    .map_err(|source| ShardError::Shard { shard: s, source })?,
-            );
+            let run = shard
+                .begin_epoch()
+                .map_err(|source| ShardError::Shard { shard: s, source })?;
+            // The shard has applied these releases, whatever becomes of
+            // the run, so their routes retire now.
+            for (label, _) in &run.released {
+                self.routes.remove(label);
+            }
+            runs.push(run);
         }
         self.in_flight = true;
         Ok(runs)
@@ -470,8 +474,9 @@ impl ShardedService {
     /// Stage 2b: folds every shard's outcome back in, in shard order,
     /// and advances the front-end epoch. Failed shards keep their cohort
     /// (re-queued on that same shard, original order) and report the
-    /// error in [`ShardedEpochReport::shards`]; completed releases and
-    /// crashes retire their labels' routes.
+    /// error in [`ShardedEpochReport::shards`]; crashes retire their
+    /// labels' routes (releases retired theirs at
+    /// [`ShardedService::begin`]).
     ///
     /// # Errors
     ///
@@ -503,7 +508,6 @@ impl ShardedService {
                     }
                     for (l, n) in &report.released {
                         released.push((*l, Name(start + n.0)));
-                        self.routes.remove(l);
                     }
                     for n in &report.recycled {
                         recycled.push(Name(start + n.0));

@@ -5,13 +5,13 @@ use bil_service::{Request, ServiceOptions, ShardedOptions, ShardedService};
 fn released_label_after_failed_epoch() {
     let options = ShardedOptions {
         shard: ServiceOptions {
-            max_rounds: Some(1),
+            max_rounds: Some(3),
             ..ServiceOptions::default()
         },
         concurrent: false,
     };
     let mut svc = ShardedService::new(16, 1, 31, options).unwrap();
-    // Epoch 0: single acquire — should complete even under max_rounds=1.
+    // Epoch 0: a lone contender decides in 3 rounds (init, path, sync).
     let r0 = svc.step(&[Request::Acquire(Label(0))]).unwrap();
     assert_eq!(r0.granted.len(), 1, "epoch 0: {:?}", r0.shards);
     // Epoch 1: release label 0 plus 8 acquires -> the shard stalls.

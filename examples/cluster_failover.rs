@@ -22,21 +22,21 @@ fn epoch(
 ) -> Result<RunReport, Box<dyn std::error::Error>> {
     let n = servers.len();
     let report = if crash_budget == 0 {
-        SyncEngine::new(
+        ExecutorKind::Clustered.run(
             BallsIntoLeaves::early_terminating(),
             servers,
             NoFailures,
             SeedTree::new(seed),
+            EngineOptions::default(),
         )?
-        .run()
     } else {
-        SyncEngine::new(
+        ExecutorKind::Clustered.run(
             BallsIntoLeaves::early_terminating(),
             servers,
             Sandwich::new(crash_budget),
             SeedTree::new(seed),
+            EngineOptions::default(),
         )?
-        .run()
     };
 
     let verdict = check_tight_renaming(&report);

@@ -52,13 +52,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     });
 
-    let report = SyncEngine::new(
+    let report = ExecutorKind::Clustered.run_observed(
         BallsIntoLeaves::new(cfg),
         labels,
         NoFailures,
         SeedTree::new(7),
-    )?
-    .run_observed(&mut obs);
+        EngineOptions::default(),
+        &mut obs,
+    )?;
 
     println!("decisions:");
     for (label, name) in balls_into_leaves::core::assignment(&report) {

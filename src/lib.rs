@@ -35,7 +35,7 @@
 //! let servers: Vec<Label> = [19, 4, 2025, 7, 42, 99, 1, 512].map(Label).to_vec();
 //! let report = solve_tight_renaming(servers, 2014)?;
 //! assert!(check_tight_renaming(&report).holds());
-//! # Ok::<(), balls_into_leaves::runtime::engine::ConfigError>(())
+//! # Ok::<(), balls_into_leaves::runtime::RunError>(())
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `DESIGN.md` /
@@ -61,10 +61,8 @@ pub mod prelude {
     };
     pub use bil_harness::Executor;
     pub use bil_runtime::adversary::NoFailures;
-    pub use bil_runtime::engine::{EngineMode, EngineOptions, SyncEngine};
-    pub use bil_runtime::parallel::run_parallel;
-    pub use bil_runtime::socket::{run_socket, SocketOptions};
-    pub use bil_runtime::threaded::run_threaded;
+    pub use bil_runtime::engine::EngineOptions;
+    pub use bil_runtime::socket::SocketOptions;
     pub use bil_runtime::{
         ExecutorKind, Label, Name, Outcome, ProcId, Round, RunError, RunReport, SeedTree,
     };

@@ -19,9 +19,6 @@ use balls_into_leaves::prelude::*;
 use balls_into_leaves::runtime::adversary::{
     Adversary, NoFailures, RandomCrash, Scripted, ScriptedCrash,
 };
-use balls_into_leaves::runtime::parallel::run_parallel;
-use balls_into_leaves::runtime::socket::{run_socket, run_socket_with};
-use balls_into_leaves::runtime::threaded::run_threaded;
 use balls_into_leaves::runtime::ViewProtocol;
 
 /// Shuffle-ish unique labels so no executor can rely on label = slot.
@@ -67,46 +64,21 @@ where
     A: Adversary<P::Msg>,
     F: Fn() -> A,
 {
-    let run_mode = |mode| {
-        SyncEngine::with_options(
+    let run = |kind: ExecutorKind| {
+        kind.run(
             protocol.clone(),
             labels.clone(),
             adversary(),
             SeedTree::new(seed),
-            EngineOptions {
-                max_rounds: None,
-                mode,
-            },
+            EngineOptions::default(),
         )
-        .expect("valid configuration")
-        .run()
+        .unwrap_or_else(|e| panic!("{kind} executor failed: {e}"))
     };
-    let clustered = run_mode(EngineMode::Clustered);
-    let per_process = run_mode(EngineMode::PerProcess);
-    let parallel = run_parallel(
-        protocol.clone(),
-        labels.clone(),
-        adversary(),
-        SeedTree::new(seed),
-        EngineOptions::default(),
-    )
-    .expect("valid configuration");
-    let threaded = run_threaded(
-        protocol.clone(),
-        labels.clone(),
-        adversary(),
-        SeedTree::new(seed),
-        EngineOptions::default(),
-    )
-    .expect("valid configuration");
-    let socket = run_socket(
-        protocol,
-        labels,
-        adversary(),
-        SeedTree::new(seed),
-        EngineOptions::default(),
-    )
-    .expect("socket executor completed");
+    let clustered = run(ExecutorKind::Clustered);
+    let per_process = run(ExecutorKind::PerProcess);
+    let parallel = run(ExecutorKind::Parallel);
+    let threaded = run(ExecutorKind::Threaded);
+    let socket = run(ExecutorKind::Socket);
 
     // Bit-identical: RunReport's derived Eq covers decisions (name and
     // round per process), crash events, rounds, and all accounting
@@ -174,22 +146,24 @@ fn socket_executor_is_bit_identical_to_clustered_failure_free() {
     // `executors_are_bit_identical_under_crash_heavy_schedule`, whose
     // helper runs the socket executor too).
     let ls = labels(20);
-    let clustered = SyncEngine::new(
-        BallsIntoLeaves::base(),
-        ls.clone(),
-        NoFailures,
-        SeedTree::new(41),
-    )
-    .expect("valid configuration")
-    .run();
-    let socket = run_socket(
-        BallsIntoLeaves::base(),
-        ls,
-        NoFailures,
-        SeedTree::new(41),
-        EngineOptions::default(),
-    )
-    .expect("socket executor completed");
+    let clustered = ExecutorKind::Clustered
+        .run(
+            BallsIntoLeaves::base(),
+            ls.clone(),
+            NoFailures,
+            SeedTree::new(41),
+            EngineOptions::default(),
+        )
+        .expect("valid configuration");
+    let socket = ExecutorKind::Socket
+        .run(
+            BallsIntoLeaves::base(),
+            ls,
+            NoFailures,
+            SeedTree::new(41),
+            EngineOptions::default(),
+        )
+        .expect("socket executor completed");
     assert_eq!(clustered, socket);
     assert!(check_tight_renaming(&socket).holds());
 }
@@ -197,18 +171,22 @@ fn socket_executor_is_bit_identical_to_clustered_failure_free() {
 #[test]
 fn socket_report_is_independent_of_worker_count() {
     let run_with = |workers: usize| {
-        run_socket_with(
-            BallsIntoLeaves::base(),
-            labels(14),
-            schedule(),
-            SeedTree::new(8),
-            EngineOptions::default(),
-            SocketOptions {
+        let options = EngineOptions {
+            wire: SocketOptions {
                 workers: Some(workers),
                 ..SocketOptions::default()
             },
-        )
-        .expect("socket executor completed")
+            ..EngineOptions::default()
+        };
+        ExecutorKind::Socket
+            .run(
+                BallsIntoLeaves::base(),
+                labels(14),
+                schedule(),
+                SeedTree::new(8),
+                options,
+            )
+            .expect("socket executor completed")
     };
     let one = run_with(1);
     for workers in [2, 5, 14] {
@@ -219,14 +197,15 @@ fn socket_report_is_independent_of_worker_count() {
 #[test]
 fn reports_are_reproducible_across_repeated_runs() {
     let mk = || {
-        SyncEngine::new(
-            BallsIntoLeaves::base(),
-            labels(16),
-            schedule(),
-            SeedTree::new(7),
-        )
-        .expect("valid configuration")
-        .run()
+        ExecutorKind::Clustered
+            .run(
+                BallsIntoLeaves::base(),
+                labels(16),
+                schedule(),
+                SeedTree::new(7),
+                EngineOptions::default(),
+            )
+            .expect("valid configuration")
     };
     assert_eq!(mk(), mk());
 }

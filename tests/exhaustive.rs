@@ -69,7 +69,7 @@ fn labels(n: usize) -> Vec<Label> {
 /// subsets, and runs `protocol` against each.
 fn enumerate_single_crash<P>(protocol: P, n: usize, rounds: u64, seeds: &[u64])
 where
-    P: ViewProtocol + Clone,
+    P: ViewProtocol + Clone + Send + 'static,
 {
     let mut runs = 0u64;
     for round in 0..rounds {
@@ -84,10 +84,15 @@ where
                         }],
                         n,
                     };
-                    let report =
-                        SyncEngine::new(protocol.clone(), labels(n), adv, SeedTree::new(seed))
-                            .expect("valid configuration")
-                            .run();
+                    let report = ExecutorKind::Clustered
+                        .run(
+                            protocol.clone(),
+                            labels(n),
+                            adv,
+                            SeedTree::new(seed),
+                            EngineOptions::default(),
+                        )
+                        .expect("valid configuration");
                     let verdict = check_tight_renaming(&report);
                     assert!(
                         verdict.holds(),
@@ -105,7 +110,7 @@ where
 /// reduced (but complete w.r.t. view partition) delivery-subset space.
 fn enumerate_double_crash<P>(protocol: P, n: usize, rounds: u64, seeds: &[u64])
 where
-    P: ViewProtocol + Clone,
+    P: ViewProtocol + Clone + Send + 'static,
 {
     // Every subset of slots is enumerated for the first crash; the
     // second crash uses the quarter-resolution masks (every subset of
@@ -142,10 +147,15 @@ where
                             ],
                             n,
                         };
-                        let report =
-                            SyncEngine::new(protocol.clone(), labels(n), adv, SeedTree::new(seed))
-                                .expect("valid configuration")
-                                .run();
+                        let report = ExecutorKind::Clustered
+                            .run(
+                                protocol.clone(),
+                                labels(n),
+                                adv,
+                                SeedTree::new(seed),
+                                EngineOptions::default(),
+                            )
+                            .expect("valid configuration");
                         let verdict = check_tight_renaming(&report);
                         assert!(
                             verdict.holds(),

@@ -8,7 +8,6 @@ use balls_into_leaves::core::{
 use balls_into_leaves::harness::{AdversarySpec, Algorithm, Batch, Scenario};
 use balls_into_leaves::prelude::*;
 use balls_into_leaves::runtime::adversary::{Scripted, ScriptedCrash};
-use balls_into_leaves::runtime::threaded::run_threaded;
 
 fn labels(n: u64) -> Vec<Label> {
     (0..n).map(|i| Label(i * 101 + 13)).collect()
@@ -28,32 +27,34 @@ fn facade_solves_and_checks() {
 
 #[test]
 fn threaded_executor_runs_full_protocol() {
-    let sim = SyncEngine::new(
-        BallsIntoLeaves::base(),
-        labels(16),
-        Scripted::new(vec![ScriptedCrash {
-            round: Round(1),
-            victim_index: 2,
-            modulus: 2,
-            residue: 0,
-        }]),
-        SeedTree::new(5),
-    )
-    .expect("valid configuration")
-    .run();
-    let threaded = run_threaded(
-        BallsIntoLeaves::base(),
-        labels(16),
-        Scripted::new(vec![ScriptedCrash {
-            round: Round(1),
-            victim_index: 2,
-            modulus: 2,
-            residue: 0,
-        }]),
-        SeedTree::new(5),
-        EngineOptions::default(),
-    )
-    .expect("valid configuration");
+    let sim = ExecutorKind::Clustered
+        .run(
+            BallsIntoLeaves::base(),
+            labels(16),
+            Scripted::new(vec![ScriptedCrash {
+                round: Round(1),
+                victim_index: 2,
+                modulus: 2,
+                residue: 0,
+            }]),
+            SeedTree::new(5),
+            EngineOptions::default(),
+        )
+        .expect("valid configuration");
+    let threaded = ExecutorKind::Threaded
+        .run(
+            BallsIntoLeaves::base(),
+            labels(16),
+            Scripted::new(vec![ScriptedCrash {
+                round: Round(1),
+                victim_index: 2,
+                modulus: 2,
+                residue: 0,
+            }]),
+            SeedTree::new(5),
+            EngineOptions::default(),
+        )
+        .expect("valid configuration");
     assert_eq!(sim, threaded);
     assert!(check_tight_renaming(&threaded).holds());
 }
@@ -61,30 +62,18 @@ fn threaded_executor_runs_full_protocol() {
 #[test]
 fn per_process_mode_full_protocol_with_adaptive_adversary() {
     for seed in 0..3 {
-        let clustered = SyncEngine::with_options(
-            BallsIntoLeaves::base(),
-            labels(24),
-            AdaptiveSplitter::new(8),
-            SeedTree::new(seed),
-            EngineOptions {
-                max_rounds: None,
-                mode: EngineMode::Clustered,
-            },
-        )
-        .expect("valid configuration")
-        .run();
-        let per_process = SyncEngine::with_options(
-            BallsIntoLeaves::base(),
-            labels(24),
-            AdaptiveSplitter::new(8),
-            SeedTree::new(seed),
-            EngineOptions {
-                max_rounds: None,
-                mode: EngineMode::PerProcess,
-            },
-        )
-        .expect("valid configuration")
-        .run();
+        let run = |kind: ExecutorKind| {
+            kind.run(
+                BallsIntoLeaves::base(),
+                labels(24),
+                AdaptiveSplitter::new(8),
+                SeedTree::new(seed),
+                EngineOptions::default(),
+            )
+            .expect("valid configuration")
+        };
+        let clustered = run(ExecutorKind::Clustered);
+        let per_process = run(ExecutorKind::PerProcess);
         assert_eq!(clustered, per_process, "seed={seed}");
         assert!(check_tight_renaming(&clustered).holds());
     }
@@ -102,10 +91,15 @@ fn every_protocol_adversary_is_survivable_at_scale() {
                 Box::new(LeafDenier::new(budget)),
             ];
             for adv in advs {
-                let report =
-                    SyncEngine::new(BallsIntoLeaves::base(), labels(n), adv, SeedTree::new(seed))
-                        .expect("valid configuration")
-                        .run();
+                let report = ExecutorKind::Clustered
+                    .run(
+                        BallsIntoLeaves::base(),
+                        labels(n),
+                        adv,
+                        SeedTree::new(seed),
+                        EngineOptions::default(),
+                    )
+                    .expect("valid configuration");
                 let verdict = check_tight_renaming(&report);
                 assert!(verdict.holds(), "seed={seed} budget={budget}: {verdict}");
             }
@@ -117,14 +111,15 @@ fn every_protocol_adversary_is_survivable_at_scale() {
 fn early_terminating_with_decide_at_leaf_under_stress() {
     for seed in 0..5 {
         let cfg = BilConfig::early_terminating().with_decide_at_leaf(true);
-        let report = SyncEngine::new(
-            BallsIntoLeaves::new(cfg),
-            labels(40),
-            Sandwich::new(20),
-            SeedTree::new(seed),
-        )
-        .expect("valid configuration")
-        .run();
+        let report = ExecutorKind::Clustered
+            .run(
+                BallsIntoLeaves::new(cfg),
+                labels(40),
+                Sandwich::new(20),
+                SeedTree::new(seed),
+                EngineOptions::default(),
+            )
+            .expect("valid configuration");
         let verdict = check_tight_renaming(&report);
         assert!(verdict.holds(), "seed={seed}: {verdict}");
     }
