@@ -6,7 +6,7 @@
 //! inbox construction, apply dispatch — rather than full-protocol
 //! termination time. Two generations of per-round optimisation show up
 //! here. First, the shared-`Arc` `RoundMessages` representation gives all
-//! members with the same delivery signature one physical inbox (sorted
+//! members with the same delivery signature one physical inbox (built
 //! once per round), removing an `O(n²)` clone+sort term from per-process
 //! mode. Second, the SoA round kernel: `LocalTree` keeps resident state
 //! as dense columns (sorted label column + parallel node/occupancy/at-list

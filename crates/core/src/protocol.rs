@@ -739,6 +739,11 @@ impl ViewProtocol for BallsIntoLeaves {
             return Status::Running;
         }
         let tree = &view.tree;
+        // Until every ball is on a leaf nobody decides, so the ball's own
+        // position is looked up only once it can matter.
+        if !tree.all_at_leaves() {
+            return Status::Running;
+        }
         let Some(node) = tree.current_node(ball) else {
             // A view that no longer contains its own ball is corrupt
             // (correct runs never produce one: a ball always hears its
@@ -749,12 +754,8 @@ impl ViewProtocol for BallsIntoLeaves {
             // silently absorbed.
             return Status::Running;
         };
-        if tree.all_at_leaves() {
-            debug_assert!(tree.topology().is_leaf(node));
-            Status::Decided(Name(tree.topology().leaf_rank(node)))
-        } else {
-            Status::Running
-        }
+        debug_assert!(tree.topology().is_leaf(node));
+        Status::Decided(Name(tree.topology().leaf_rank(node)))
     }
 }
 

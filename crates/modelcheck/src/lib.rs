@@ -237,7 +237,7 @@ impl<P: ViewProtocol + Clone> Explorer<P> {
 
         // Branch 1: no crash this round.
         stats.states_explored += 1;
-        let next = self.deliver(&state, &outgoing, None);
+        let next = self.deliver(&state, &participants, &outgoing, None);
         self.dfs(next, stats);
 
         // Branches 2..: every victim × every delivery subset, while
@@ -245,13 +245,13 @@ impl<P: ViewProtocol + Clone> Explorer<P> {
         if state.budget_left == 0 || outgoing.len() <= 1 {
             return;
         }
-        for (victim, _, _) in &outgoing {
-            for mask in self.masks_for(*victim) {
+        for &victim in &participants {
+            for mask in self.masks_for(victim) {
                 stats.states_explored += 1;
-                let mut next = self.deliver(&state, &outgoing, Some((*victim, mask)));
+                let mut next = self.deliver(&state, &participants, &outgoing, Some((victim, mask)));
                 next.path.push(DecisionTrace {
                     round: state.round,
-                    victim: *victim,
+                    victim,
                     recipients_mask: mask,
                 });
                 self.dfs(next, stats);
@@ -317,6 +317,7 @@ impl<P: ViewProtocol + Clone> Explorer<P> {
     fn deliver(
         &self,
         state: &BranchState<P>,
+        participants: &[ProcId],
         outgoing: &[(ProcId, Label, P::Msg)],
         crash: Option<(ProcId, u64)>,
     ) -> BranchState<P> {
@@ -331,9 +332,9 @@ impl<P: ViewProtocol + Clone> Explorer<P> {
                 .collect();
             crashes.push((victim, Recipients::Set(heard)));
         }
-        let survivors: Vec<ProcId> = outgoing
+        let survivors: Vec<ProcId> = participants
             .iter()
-            .map(|&(pid, _, _)| pid)
+            .copied()
             .filter(|pid| next.alive[pid.index()])
             .collect();
         let mut msgs = RoundMessages::new(outgoing.to_vec(), &next.alive, &crashes);

@@ -8,10 +8,15 @@
 //! the outcomes of this round's coin flips — *before* deciding whom to
 //! crash and who still hears the dying broadcast.
 //!
-//! [`Adversary::plan`] is handed exactly that view. Generic adversaries
-//! (failure-free, oblivious random, bursts, scripted schedules) live here;
-//! adversaries that inspect Balls-into-Leaves message *content* live in
-//! `bil-core::adversary`, since they are protocol-specific.
+//! [`Adversary::plan`] is handed exactly that view: the round's
+//! participants in slot order, and their broadcasts in label order, the
+//! order the round delivers them in. Position-based choices (a scripted
+//! victim index, a random pick) index the slot-ordered participants, so
+//! they do not depend on how the round orders its broadcasts. Generic
+//! adversaries (failure-free, oblivious random, bursts, scripted
+//! schedules) live here; adversaries that inspect Balls-into-Leaves
+//! message *content* live in `bil-core::adversary`, since they are
+//! protocol-specific.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -77,12 +82,19 @@ impl CrashPlan {
 /// Everything the strong adaptive adversary sees in a round, *before*
 /// delivery: every participating process's outgoing message for this round
 /// (coin flips included), plus liveness/decision status.
+///
+/// The round's participants come in two orders: `participants` in slot
+/// order, and `outgoing` in label order, the order the round delivers
+/// in. An adversary that picks a victim by position reads
+/// `participants`; one that inspects messages reads `outgoing`.
 #[derive(Debug)]
 pub struct AdversaryView<'a, M> {
     /// The current round.
     pub round: Round,
-    /// `(slot, label, message)` for every alive, undecided process, in
-    /// slot order. Processes broadcast, so one entry per participant.
+    /// Every alive, undecided process, in slot order.
+    pub participants: &'a [ProcId],
+    /// `(slot, label, message)` for every participant, sorted by label.
+    /// Processes broadcast, so one entry per participant.
     pub outgoing: &'a [(ProcId, Label, M)],
     /// `alive[p]` is false once `p` has crashed.
     pub alive: &'a [bool],
@@ -97,12 +109,12 @@ pub struct AdversaryView<'a, M> {
 impl<M> AdversaryView<'_, M> {
     /// Slots that are alive and undecided this round, in slot order.
     pub fn participants(&self) -> impl Iterator<Item = ProcId> + '_ {
-        self.outgoing.iter().map(|(p, _, _)| *p)
+        self.participants.iter().copied()
     }
 
     /// Number of alive, undecided processes.
     pub fn participant_count(&self) -> usize {
-        self.outgoing.len()
+        self.participants.len()
     }
 }
 
@@ -313,7 +325,8 @@ impl<M> Adversary<M> for SteadyAttrition {
 pub struct ScriptedCrash {
     /// The round in which to crash.
     pub round: Round,
-    /// Index into the round's participant list, taken mod its length.
+    /// Index into the round's participant list (slot order), taken mod
+    /// its length.
     pub victim_index: usize,
     /// Recipient pattern: `dst` receives iff `(dst.0 as usize) % modulus == residue`.
     /// `modulus == 0` means deliver to nobody; `modulus == 1` to everyone.
@@ -356,7 +369,7 @@ impl<M> Adversary<M> for Scripted {
             if k <= 1 {
                 break;
             }
-            let victim = view.outgoing[d.victim_index % k].0;
+            let victim = view.participants[d.victim_index % k];
             let deliver_to = match d.modulus {
                 0 => Recipients::None,
                 1 => Recipients::All,
@@ -383,6 +396,7 @@ mod tests {
     use crate::rng::SeedTree;
 
     fn view_of<'a>(
+        participants: &'a [ProcId],
         outgoing: &'a [(ProcId, Label, u32)],
         alive: &'a [bool],
         decided: &'a [bool],
@@ -390,6 +404,7 @@ mod tests {
     ) -> AdversaryView<'a, u32> {
         AdversaryView {
             round: Round(1),
+            participants,
             outgoing,
             alive,
             decided,
@@ -398,8 +413,11 @@ mod tests {
         }
     }
 
-    fn mk_outgoing(n: u32) -> Vec<(ProcId, Label, u32)> {
-        (0..n).map(|i| (ProcId(i), Label(i as u64), i)).collect()
+    /// Slots `0..n`, each labelled with its own index, so label order is
+    /// slot order.
+    fn mk_outgoing(n: u32) -> (Vec<ProcId>, Vec<(ProcId, Label, u32)>) {
+        let out: Vec<_> = (0..n).map(|i| (ProcId(i), Label(i as u64), i)).collect();
+        (out.iter().map(|&(p, _, _)| p).collect(), out)
     }
 
     #[test]
@@ -413,21 +431,21 @@ mod tests {
 
     #[test]
     fn no_failures_never_crashes() {
-        let out = mk_outgoing(4);
+        let (slots, out) = mk_outgoing(4);
         let alive = vec![true; 4];
         let decided = vec![false; 4];
         let mut a = NoFailures;
-        let plan = Adversary::<u32>::plan(&mut a, &view_of(&out, &alive, &decided, 3));
+        let plan = Adversary::<u32>::plan(&mut a, &view_of(&slots, &out, &alive, &decided, 3));
         assert!(plan.crashes.is_empty());
     }
 
     #[test]
     fn random_crash_respects_budget_left() {
-        let out = mk_outgoing(8);
+        let (slots, out) = mk_outgoing(8);
         let alive = vec![true; 8];
         let decided = vec![false; 8];
         let mut a = RandomCrash::new(8, 1.0, SeedTree::new(1).adversary_rng());
-        let plan = Adversary::<u32>::plan(&mut a, &view_of(&out, &alive, &decided, 3));
+        let plan = Adversary::<u32>::plan(&mut a, &view_of(&slots, &out, &alive, &decided, 3));
         assert!(plan.crashes.len() <= 3);
         // With rate 1.0 and budget_left 3 and 8 participants, all 3 fire.
         assert_eq!(plan.crashes.len(), 3);
@@ -439,46 +457,47 @@ mod tests {
 
     #[test]
     fn random_crash_spares_last_participant() {
-        let out = mk_outgoing(1);
+        let (slots, out) = mk_outgoing(1);
         let alive = vec![true];
         let decided = vec![false];
         let mut a = RandomCrash::new(4, 1.0, SeedTree::new(2).adversary_rng());
-        let plan = Adversary::<u32>::plan(&mut a, &view_of(&out, &alive, &decided, 4));
+        let plan = Adversary::<u32>::plan(&mut a, &view_of(&slots, &out, &alive, &decided, 4));
         assert!(plan.crashes.is_empty());
     }
 
     #[test]
     fn crash_burst_fires_only_in_its_round() {
-        let out = mk_outgoing(6);
+        let (slots, out) = mk_outgoing(6);
         let alive = vec![true; 6];
         let decided = vec![false; 6];
         let mut a = CrashBurst::new(Round(1), 2, SeedTree::new(3).adversary_rng());
-        let plan = Adversary::<u32>::plan(&mut a, &view_of(&out, &alive, &decided, 5));
+        let plan = Adversary::<u32>::plan(&mut a, &view_of(&slots, &out, &alive, &decided, 5));
         assert_eq!(plan.crashes.len(), 2);
 
         let mut a2 = CrashBurst::new(Round(7), 2, SeedTree::new(3).adversary_rng());
-        let plan2 = Adversary::<u32>::plan(&mut a2, &view_of(&out, &alive, &decided, 5));
+        let plan2 = Adversary::<u32>::plan(&mut a2, &view_of(&slots, &out, &alive, &decided, 5));
         assert!(plan2.crashes.is_empty());
     }
 
     #[test]
     fn steady_attrition_picks_lowest_label() {
+        let slots = [ProcId(0), ProcId(1), ProcId(2)];
         let out = vec![
-            (ProcId(0), Label(30), 0u32),
-            (ProcId(1), Label(10), 1),
+            (ProcId(1), Label(10), 1u32),
             (ProcId(2), Label(20), 2),
+            (ProcId(0), Label(30), 0),
         ];
         let alive = vec![true; 3];
         let decided = vec![false; 3];
         let mut a = SteadyAttrition::new(2);
-        let plan = Adversary::<u32>::plan(&mut a, &view_of(&out, &alive, &decided, 2));
+        let plan = Adversary::<u32>::plan(&mut a, &view_of(&slots, &out, &alive, &decided, 2));
         assert_eq!(plan.crashes.len(), 1);
         assert_eq!(plan.crashes[0].victim, ProcId(1));
     }
 
     #[test]
     fn scripted_replays_patterns() {
-        let out = mk_outgoing(4);
+        let (slots, out) = mk_outgoing(4);
         let alive = vec![true; 4];
         let decided = vec![false; 4];
         let mut a = Scripted::new(vec![ScriptedCrash {
@@ -489,7 +508,7 @@ mod tests {
         }]);
         assert_eq!(a.len(), 1);
         assert!(!a.is_empty());
-        let plan = Adversary::<u32>::plan(&mut a, &view_of(&out, &alive, &decided, 4));
+        let plan = Adversary::<u32>::plan(&mut a, &view_of(&slots, &out, &alive, &decided, 4));
         assert_eq!(plan.crashes.len(), 1);
         assert_eq!(plan.crashes[0].victim, ProcId(2));
         match &plan.crashes[0].deliver_to {
@@ -499,8 +518,32 @@ mod tests {
     }
 
     #[test]
+    fn scripted_indexes_participants_in_slot_order_not_label_order() {
+        // Label order (outgoing) is 2, 0, 3, 1; slot order is 0, 1, 2, 3.
+        let slots = [ProcId(0), ProcId(1), ProcId(2), ProcId(3)];
+        let out = vec![
+            (ProcId(2), Label(5), 2u32),
+            (ProcId(0), Label(7), 0),
+            (ProcId(3), Label(8), 3),
+            (ProcId(1), Label(9), 1),
+        ];
+        let alive = vec![true; 4];
+        let decided = vec![false; 4];
+        for (index, victim) in [(0, 0), (1, 1), (2, 2), (3, 3), (6, 2)] {
+            let mut a = Scripted::new(vec![ScriptedCrash {
+                round: Round(1),
+                victim_index: index,
+                modulus: 0,
+                residue: 0,
+            }]);
+            let plan = Adversary::<u32>::plan(&mut a, &view_of(&slots, &out, &alive, &decided, 4));
+            assert_eq!(plan.crashes[0].victim, ProcId(victim), "index {index}");
+        }
+    }
+
+    #[test]
     fn scripted_modulus_extremes() {
-        let out = mk_outgoing(3);
+        let (slots, out) = mk_outgoing(3);
         let alive = vec![true; 3];
         let decided = vec![false; 3];
         let mut a = Scripted::new(vec![
@@ -517,7 +560,7 @@ mod tests {
                 residue: 0,
             },
         ]);
-        let plan = Adversary::<u32>::plan(&mut a, &view_of(&out, &alive, &decided, 4));
+        let plan = Adversary::<u32>::plan(&mut a, &view_of(&slots, &out, &alive, &decided, 4));
         assert_eq!(plan.crashes[0].deliver_to, Recipients::None);
         assert_eq!(plan.crashes[1].deliver_to, Recipients::All);
     }

@@ -200,9 +200,11 @@ mod tests {
     use crate::adversary::{NoFailures, Scripted, ScriptedCrash};
     use crate::engine::ConfigError;
     use crate::ids::{Name, ProcId, Round};
+    use crate::pipeline::{RoundMessages, Transport};
+    use crate::socket::SocketOptions;
     use crate::testproto::{labels, two_crashes, RankOnce, UnionRank};
     use crate::trace::Outcome;
-    use crate::view::{Cluster, FnObserver, ObserverCtx};
+    use crate::view::{Cluster, FnObserver, ObserverCtx, Status};
 
     fn run<P, A>(kind: ExecutorKind, protocol: P, n: u64, adversary: A, seed: u64) -> RunReport
     where
@@ -377,6 +379,133 @@ mod tests {
                 _ => vec![Round(0), Round(1), Round(2)],
             };
             assert_eq!(rounds_seen, expected, "{kind}");
+        }
+    }
+
+    /// Forwards every call to `inner`, checking each compose against
+    /// the transport contract: exactly the participants, each with its
+    /// own label, strictly label-ascending. Counts the clusters the
+    /// in-memory stores show, to prove the schedule split them.
+    struct ContractCheck<T> {
+        inner: T,
+        labels: Vec<Label>,
+        most_clusters: usize,
+    }
+
+    impl<P: ViewProtocol, T: Transport<P>> Transport<P> for ContractCheck<T> {
+        fn compose(
+            &mut self,
+            round: Round,
+            participants: &[ProcId],
+        ) -> Result<Vec<(ProcId, Label, P::Msg)>, RunError> {
+            let out = self.inner.compose(round, participants)?;
+            let order: Vec<Label> = out.iter().map(|&(_, label, _)| label).collect();
+            assert!(order.windows(2).all(|w| w[0] < w[1]), "{round}: {order:?}");
+            for &(p, label, _) in &out {
+                assert_eq!(label, self.labels[p.index()], "{round}: {p}'s label");
+            }
+            let mut slots: Vec<ProcId> = out.iter().map(|&(p, _, _)| p).collect();
+            slots.sort_unstable();
+            assert_eq!(slots, participants, "{round}: composed slots");
+            Ok(out)
+        }
+
+        fn crashed(&mut self, pid: ProcId) -> Result<(), RunError> {
+            self.inner.crashed(pid)
+        }
+
+        fn apply(
+            &mut self,
+            round: Round,
+            alive: &[bool],
+            survivors: &[ProcId],
+            msgs: &RoundMessages<P::Msg>,
+        ) -> Result<(), RunError> {
+            self.inner.apply(round, alive, survivors, msgs)
+        }
+
+        fn observe(&mut self, ctx: ObserverCtx<'_>, _: &mut dyn Observer<P>) {
+            let most = &mut self.most_clusters;
+            let mut count = FnObserver(|_: ObserverCtx<'_>, clusters: &[Cluster<P::View>]| {
+                *most = (*most).max(clusters.len());
+            });
+            self.inner.observe(ctx, &mut count);
+        }
+
+        fn sweep(&mut self, round: Round) -> Result<Vec<(ProcId, Status)>, RunError> {
+            self.inner.sweep(round)
+        }
+
+        fn shutdown(&mut self) {
+            self.inner.shutdown();
+        }
+    }
+
+    /// Labels a permutation of slot order, and crashes in rounds 0–2
+    /// whose partial deliveries split the views, so later rounds compose
+    /// from several clusters.
+    fn contract_run() -> (Vec<Label>, SeedTree, Scripted) {
+        let labels = (0..12u64).map(|i| Label(i * 5 % 12 * 3 + 1)).collect();
+        let schedule = vec![crash(0, 3, 2, 0), crash(1, 5, 3, 1), crash(2, 1, 2, 1)];
+        (labels, SeedTree::new(21), Scripted::new(schedule))
+    }
+
+    /// Runs [`contract_run`] over `inner` wrapped in a [`ContractCheck`],
+    /// returning the report and the most clusters any round showed.
+    fn run_checked<P: ViewProtocol, T: Transport<P>>(inner: T) -> (RunReport, usize) {
+        let (labels, seeds, schedule) = contract_run();
+        let mut t = ContractCheck {
+            inner,
+            labels: labels.clone(),
+            most_clusters: 0,
+        };
+        let pipeline = RoundPipeline::new(labels, schedule, seeds, 100).unwrap();
+        let report = pipeline.run(&mut t, &mut NoObserver).unwrap();
+        (report, t.most_clusters)
+    }
+
+    #[test]
+    fn every_kind_composes_exactly_the_participants_in_label_order() {
+        // The parallel store over 3 shards, each wire kind over 3
+        // workers, so runs of several clusters cross shard and worker
+        // boundaries.
+        let (labels, seeds, schedule) = contract_run();
+        let p = UnionRank::rounds(6);
+        let reference = ExecutorKind::Clustered
+            .run(p, labels.clone(), schedule, seeds, EngineOptions::default())
+            .unwrap();
+        assert_eq!(reference.failures(), 3);
+        let three = SocketOptions {
+            workers: Some(3),
+            ..SocketOptions::default()
+        };
+        let socket = SocketTransport::spawn(&p, &labels, &seeds, three).unwrap();
+        let runs = [
+            (
+                ExecutorKind::Clustered,
+                run_checked(LocalTransport::clustered(p, &labels, &seeds)),
+            ),
+            (
+                ExecutorKind::PerProcess,
+                run_checked(LocalTransport::per_process(p, &labels, &seeds)),
+            ),
+            (
+                ExecutorKind::Parallel,
+                run_checked(ParallelTransport::with_threads(p, &labels, &seeds, 3)),
+            ),
+            (
+                ExecutorKind::Threaded,
+                run_checked(ChannelTransport::spawn_with(&p, &labels, &seeds, three)),
+            ),
+            (ExecutorKind::Socket, run_checked(socket)),
+        ];
+        for (kind, (report, most_clusters)) in runs {
+            assert_eq!(report, reference, "{kind}");
+            let in_memory = !matches!(kind, ExecutorKind::Threaded | ExecutorKind::Socket);
+            assert!(
+                !in_memory || most_clusters >= 2,
+                "{kind}: views never split"
+            );
         }
     }
 

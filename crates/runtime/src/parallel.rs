@@ -14,7 +14,8 @@
 //!   way.
 //!
 //! Determinism is by construction, not by luck: chunk results are joined
-//! in list order and scattered by slot (compose), groups keep their
+//! in list order and, with several clusters, merged into label order by
+//! one walk over the label-sorted slots (compose), groups keep their
 //! construction order and then pass through the same cluster-coalescing
 //! pass as the clustered engine (apply), and every per-process RNG
 //! stream is identical to the serial engines'. The thread count

@@ -31,20 +31,32 @@
 //! the pipeline, which is what makes the executors bit-identical **by
 //! construction** rather than by parallel maintenance.
 //!
+//! ## Label order
+//!
+//! A round's broadcasts travel in one order: by label, the order of the
+//! processes' original names. [`Transport::compose`] returns them sorted
+//! by label, inboxes are label-sorted, and the kernel's merge-joins read
+//! label order, so no stage of a round sorts, permutes or searches the
+//! broadcasts. Slot order (process index order) is what the adversary
+//! indexes by position: [`AdversaryView`] carries the slot-ordered
+//! participant list beside the label-ordered broadcasts.
+//!
 //! ## Shared round messages
 //!
 //! A round's broadcasts are stored once, in a [`RoundMessages`]: the
 //! reliably-delivered messages as a single label-sorted
-//! structure-of-arrays buffer ([`InboxBuf`]) behind an [`Arc`], plus the
-//! (rare) partial deliveries of crashing senders. Recipients with the
-//! same *delivery signature* — the subset of dying broadcasts they hear
-//! — share one physical inbox, so a failure-free round builds and sorts
-//! **one** inbox for all `n` recipients instead of cloning `O(n)`
-//! messages per recipient, and a round with `c` crashes builds at most
-//! `2^c` (in practice a handful of) inbox variants. With
-//! `Copy`-dominated messages (packed candidate paths), a failure-free
-//! round's delivery is a constant number of buffer allocations total —
-//! independent of `n` — and zero per recipient.
+//! structure-of-arrays buffer ([`InboxBuf`]) behind an [`Arc`], filled
+//! from the label-sorted broadcasts without a sort, plus the (rare)
+//! partial deliveries of crashing senders. Recipients with the same
+//! *delivery signature* — the subset of dying broadcasts they hear —
+//! share one physical inbox, so a failure-free round builds **one**
+//! inbox for all `n` recipients instead of cloning `O(n)` messages per
+//! recipient, and a round with `c` crashes builds at most `2^c` (in
+//! practice a handful of) inbox variants, each the base buffer merged
+//! with the dying broadcasts it hears. With `Copy`-dominated messages
+//! (packed candidate paths), a failure-free round's delivery is a
+//! constant number of buffer allocations total — independent of `n` —
+//! and zero per recipient.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -123,12 +135,12 @@ pub type SigId = u32;
 pub struct RoundMessages<M> {
     /// Broadcasts of senders that survived the round, sorted by label.
     base: Inbox<M>,
-    /// Broadcasts of senders that crashed this round, with the recipient
-    /// set the adversary chose for each.
+    /// Broadcasts of senders that crashed this round, sorted by label,
+    /// with the recipient set the adversary chose for each.
     partial: Vec<(Label, M, Recipients)>,
-    /// Distinct delivery signatures with their shared inboxes, indexed by
+    /// The shared inbox of each distinct delivery signature, indexed by
     /// [`SigId`]; built by [`RoundMessages::prepare`].
-    variants: Vec<(Vec<bool>, Inbox<M>)>,
+    variants: Vec<Inbox<M>>,
     /// Slot → interned signature id, filled by [`RoundMessages::prepare`].
     sig_of: Vec<Option<SigId>>,
 }
@@ -147,92 +159,133 @@ impl<M: fmt::Debug> fmt::Debug for RoundMessages<M> {
 }
 
 impl<M: Clone> RoundMessages<M> {
-    /// Splits a round's outgoing broadcasts into reliably-delivered and
-    /// partially-delivered, according to post-crash liveness.
+    /// Splits a round's outgoing broadcasts — sorted by label, as
+    /// [`Transport::compose`] returns them — into reliably-delivered and
+    /// partially-delivered, according to post-crash liveness. The base
+    /// inbox is the survivors' broadcasts in the order given: nothing is
+    /// sorted.
     pub fn new(
         outgoing: Vec<(ProcId, Label, M)>,
         alive: &[bool],
         crashes: &[(ProcId, Recipients)],
     ) -> Self {
-        let mut pairs: Vec<(Label, M)> = Vec::with_capacity(outgoing.len());
+        let mut labels = Vec::with_capacity(outgoing.len());
         let mut partial: Vec<(Label, M, Recipients)> = Vec::new();
-        for (pid, label, msg) in outgoing {
-            if alive[pid.index()] {
-                pairs.push((label, msg));
-            } else {
+        // Collecting out of `outgoing` lets the message column reuse its
+        // buffer, so the round never holds its broadcasts twice.
+        let msgs: Vec<M> = outgoing
+            .into_iter()
+            .filter_map(|(pid, label, msg)| {
+                if alive[pid.index()] {
+                    labels.push(label);
+                    return Some(msg);
+                }
                 let rec = crashes
                     .iter()
                     .find(|(v, _)| *v == pid)
                     .map(|(_, r)| r.clone())
                     .unwrap_or(Recipients::None);
                 partial.push((label, msg, rec));
-            }
-        }
+                None
+            })
+            .collect();
+        debug_assert!(
+            partial.windows(2).all(|w| w[0].0 < w[1].0),
+            "dying broadcasts strictly ascend by label"
+        );
         RoundMessages {
-            base: Arc::new(InboxBuf::from_pairs(pairs)),
+            base: Arc::new(InboxBuf::from_sorted(labels, msgs)),
             partial,
             variants: Vec::new(),
             sig_of: vec![None; alive.len()],
         }
     }
 
-    /// `dst`'s delivery signature: for each dying broadcast (in partial
-    /// order), whether `dst` receives it. Empty in crash-free rounds.
-    pub fn signature(&self, dst: ProcId) -> Vec<bool> {
-        self.partial
-            .iter()
-            .map(|(_, _, r)| r.contains(dst))
-            .collect()
-    }
-
     /// Interns the signature of every `dst` and builds one shared inbox
     /// per distinct signature. In crash-free rounds this is a single
     /// variant — the base buffer itself — assigned to every destination
     /// without computing any signatures.
+    ///
+    /// With crashes, one walk over each dying broadcast's recipient set
+    /// marks its bit in the heard-set of every slot it reaches (`All`,
+    /// `None`, repeated and out-of-range slots read as
+    /// [`Recipients::contains`] reads them); the survivors' heard-sets
+    /// are then interned in `dsts` order.
     pub fn prepare(&mut self, dsts: &[ProcId]) {
         if self.partial.is_empty() {
-            if self.variants.is_empty() {
-                self.variants.push((Vec::new(), Arc::clone(&self.base)));
-            }
+            self.variants = vec![Arc::clone(&self.base)];
             for &dst in dsts {
                 self.sig_of[dst.index()] = Some(0);
             }
             return;
         }
+        let words = self.partial.len().div_ceil(64);
+        let mut heard = vec![0u64; self.sig_of.len() * words];
+        for (i, (_, _, recipients)) in self.partial.iter().enumerate() {
+            let (word, bit) = (i / 64, 1u64 << (i % 64));
+            match recipients {
+                Recipients::None => {}
+                Recipients::All => {
+                    for &dst in dsts {
+                        heard[dst.index() * words + word] |= bit;
+                    }
+                }
+                Recipients::Set(set) => {
+                    for dst in set {
+                        if let Some(w) = heard.get_mut(dst.index() * words + word) {
+                            *w |= bit;
+                        }
+                    }
+                }
+            }
+        }
+        let mut interned: BTreeMap<&[u64], SigId> = BTreeMap::new();
         for &dst in dsts {
-            let sig = self.signature(dst);
-            let id = match self.variants.iter().position(|(s, _)| *s == sig) {
-                Some(i) => i,
+            let sig = &heard[dst.index() * words..][..words];
+            let id = match interned.get(sig) {
+                Some(&id) => id,
                 None => {
-                    let inbox = self.build(&sig);
-                    self.variants.push((sig, inbox));
-                    self.variants.len() - 1
+                    let id = self.variants.len() as SigId;
+                    self.variants.push(self.build(sig));
+                    interned.insert(sig, id);
+                    id
                 }
             };
-            self.sig_of[dst.index()] = Some(id as SigId);
+            self.sig_of[dst.index()] = Some(id);
         }
     }
 
-    fn build(&self, sig: &[bool]) -> Inbox<M> {
-        if !sig.iter().any(|&heard| heard) {
+    /// The inbox of heard-set `sig`: the base buffer merged with the
+    /// dying broadcasts whose bits are set. Both sides ascend by label,
+    /// so each heard broadcast lands after one binary search and the
+    /// base runs between them are copied whole.
+    fn build(&self, sig: &[u64]) -> Inbox<M> {
+        if sig.iter().all(|&w| w == 0) {
             // No dying broadcast heard: the shared base buffer *is* the
-            // inbox — no clone, no sort.
+            // inbox — no copy.
             return Arc::clone(&self.base);
         }
-        let heard = sig.iter().filter(|&&h| h).count();
-        let mut pairs: Vec<(Label, M)> = Vec::with_capacity(self.base.len() + heard);
-        pairs.extend(
-            self.base
-                .as_inbox()
-                .iter()
-                .map(|(label, msg)| (label, msg.clone())),
-        );
-        for (i, (label, msg, _)) in self.partial.iter().enumerate() {
-            if sig[i] {
-                pairs.push((*label, msg.clone()));
-            }
+        let heard = self
+            .partial
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| (sig[i / 64] >> (i % 64)) & 1 == 1)
+            .map(|(_, (label, msg, _))| (*label, msg));
+        let base = self.base.as_inbox();
+        let size = base.len() + sig.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let (mut labels, mut msgs) = (Vec::with_capacity(size), Vec::with_capacity(size));
+        let mut from = 0;
+        for (label, msg) in heard {
+            let to = from + base.labels()[from..].partition_point(|&l| l < label);
+            labels.extend_from_slice(&base.labels()[from..to]);
+            msgs.extend_from_slice(&base.msgs()[from..to]);
+            labels.push(label);
+            msgs.push(msg.clone());
+            from = to;
         }
-        Arc::new(InboxBuf::from_pairs(pairs))
+        labels.extend_from_slice(&base.labels()[from..]);
+        msgs.extend_from_slice(&base.msgs()[from..]);
+        Arc::new(InboxBuf::from_sorted(labels, msgs))
     }
 
     /// The number of distinct delivery signatures interned so far.
@@ -256,7 +309,7 @@ impl<M: Clone> RoundMessages<M> {
     ///
     /// Panics if `id` was not produced by [`RoundMessages::prepare`].
     pub fn inbox_by_id(&self, id: SigId) -> RoundInbox<'_, M> {
-        self.variants[id as usize].1.as_inbox()
+        self.variants[id as usize].as_inbox()
     }
 
     /// The shared inbox buffer for interned signature `id`, by [`Arc`]
@@ -267,7 +320,7 @@ impl<M: Clone> RoundMessages<M> {
     ///
     /// Panics if `id` was not produced by [`RoundMessages::prepare`].
     pub fn inbox_arc(&self, id: SigId) -> Arc<InboxBuf<M>> {
-        Arc::clone(&self.variants[id as usize].1)
+        Arc::clone(&self.variants[id as usize])
     }
 
     /// The shared inbox of recipient `dst`. Allocation-free.
@@ -297,8 +350,10 @@ impl<M: Clone> RoundMessages<M> {
 /// infallible and always return `Ok`.
 pub trait Transport<P: ViewProtocol> {
     /// Composes the round broadcast of every process in `participants`
-    /// (all alive and undecided, in slot order). The result must be
-    /// sorted by slot with exactly one entry per participant.
+    /// (all alive and undecided, in slot order). The result must hold
+    /// exactly one entry per participant, sorted by label — the order
+    /// every inbox and merge-join kernel reads, so no later stage of the
+    /// round sorts, permutes or searches the broadcasts.
     fn compose(
         &mut self,
         round: Round,
@@ -331,8 +386,8 @@ pub trait Transport<P: ViewProtocol> {
         let _ = (ctx, observer);
     }
 
-    /// Reads the post-apply [`Status`] of every survivor (slot order) and
-    /// retires the decided ones: they must not participate in later
+    /// Reads the post-apply [`Status`] of every survivor (in any order)
+    /// and retires the decided ones: they must not participate in later
     /// rounds.
     fn sweep(&mut self, round: Round) -> Result<Vec<(ProcId, Status)>, RunError>;
 
@@ -461,16 +516,19 @@ impl<A> RoundPipeline<A> {
             let outgoing = transport.compose(round, &participants)?;
             debug_assert!(
                 outgoing.len() == participants.len()
-                    && outgoing
-                        .iter()
-                        .zip(&participants)
-                        .all(|((p, _, _), q)| p == q),
-                "transport composed exactly the participants, in slot order"
+                    && outgoing.windows(2).all(|w| w[0].1 < w[1].1)
+                    && outgoing.iter().all(|&(p, label, _)| {
+                        label == self.labels[p.index()]
+                            && alive[p.index()]
+                            && !decided_flags[p.index()]
+                    }),
+                "transport composed exactly the participants, in label order"
             );
 
             // 2. Adversary plans crashes with the full-information view.
             let plan = self.adversary.plan(&AdversaryView {
                 round,
+                participants: &participants,
                 outgoing: &outgoing,
                 alive: &alive,
                 decided: &decided_flags,
@@ -682,14 +740,17 @@ impl<P: ViewProtocol> LocalTransport<P> {
     }
 
     /// Composes the broadcast of every held process and returns them in
-    /// slot order.
+    /// label order.
     ///
     /// The round's balls form one list — cluster-major, label-ordered
     /// within a cluster — with each ball's RNG stream alongside.
     /// Contiguous chunks of the list compose on scoped threads (a single
     /// chunk, inline, with one shard), one batched sweep per cluster run
     /// inside a chunk. Per-process RNG streams make the chunking and the
-    /// cross-ball order unobservable.
+    /// cross-ball order unobservable. With one cluster the list already
+    /// is label order; with several, a second walk over the label-sorted
+    /// slots takes each ball's entry from the front of its cluster's
+    /// run.
     ///
     /// # Errors
     ///
@@ -809,27 +870,29 @@ impl<P: ViewProtocol> LocalTransport<P> {
             }
         }
 
-        // Permute the list into slot order in place: `cluster_of` turns
-        // into each held slot's rank, and following the permutation's
-        // cycles puts every entry at its rank with one swap each.
-        let held = cluster_of.iter_mut().filter(|at| **at != u32::MAX);
-        for (rank, at) in (0..).zip(held) {
-            *at = rank;
+        if ends.len() < 2 {
+            return Ok(ball_slots
+                .iter()
+                .zip(composed)
+                .map(|(&pid, (label, msg))| (pid, label, msg))
+                .collect());
         }
-        for i in 0..total {
-            loop {
-                let to = cluster_of[ball_slots[i].index() - base] as usize;
-                if to == i {
-                    break;
-                }
-                composed.swap(i, to);
-                ball_slots.swap(i, to);
-            }
+        // Several runs, each label-ascending: split the list into one
+        // iterator per run, then walk the label-sorted slots again and
+        // take each composing slot's entry from the front of its run.
+        let mut runs = Vec::with_capacity(ends.len());
+        for w in ends.windows(2).rev() {
+            runs.push(composed.split_off(w[0]).into_iter());
         }
-        Ok(composed
-            .into_iter()
-            .zip(ball_slots.iter())
-            .map(|((label, msg), &pid)| (pid, label, msg))
+        runs.push(composed.into_iter());
+        runs.reverse();
+        Ok(by_label
+            .iter()
+            .filter_map(|&(_, pid)| {
+                let run = runs.get_mut(cluster_of[pid.index() - base] as usize)?;
+                let (label, msg) = run.next()?;
+                Some((pid, label, msg))
+            })
             .collect())
     }
 
@@ -1009,7 +1072,8 @@ mod tests {
 
     #[test]
     fn round_messages_share_base_without_crashes() {
-        let outgoing = vec![(ProcId(0), Label(20), 1u32), (ProcId(1), Label(10), 2u32)];
+        // Composed in label order, as every transport returns it.
+        let outgoing = vec![(ProcId(1), Label(10), 2u32), (ProcId(0), Label(20), 1u32)];
         let alive = vec![true, true];
         let mut msgs = RoundMessages::new(outgoing, &alive, &[]);
         msgs.prepare(&[ProcId(0), ProcId(1)]);
@@ -1021,7 +1085,7 @@ mod tests {
         );
         // Both recipients intern the same signature id.
         assert_eq!(msgs.sig_id(ProcId(0)), msgs.sig_id(ProcId(1)));
-        let a = &msgs.variants[0].1;
+        let a = &msgs.variants[0];
         assert!(
             Arc::ptr_eq(a, &msgs.base),
             "crash-free inbox is the base buffer"
@@ -1050,6 +1114,77 @@ mod tests {
             pairs_of(msgs.inbox(ProcId(2))),
             vec![(Label(5), 0), (Label(8), 2)]
         );
+    }
+
+    #[test]
+    fn interned_signatures_match_the_per_destination_definition() {
+        // Eight slots, labels descending with the slot; slots 1, 4, 5
+        // and 6 die with every recipient shape: a set with repeats and
+        // out-of-range slots, `All`, `None`, and a plain set.
+        let n = 8u32;
+        let mut outgoing: Vec<(ProcId, Label, u32)> = (0..n)
+            .map(|p| (ProcId(p), Label(u64::from(100 - p)), p))
+            .collect();
+        outgoing.reverse();
+        let dying = [
+            (ProcId(4), Recipients::All),
+            (ProcId(1), Recipients::None),
+            (
+                ProcId(5),
+                Recipients::Set(vec![ProcId(7), ProcId(0), ProcId(7), ProcId(42)]),
+            ),
+            (ProcId(6), Recipients::Set(vec![ProcId(3), ProcId(0)])),
+        ];
+        let alive: Vec<bool> = (0..n).map(|p| ![1, 4, 5, 6].contains(&p)).collect();
+        let survivors: Vec<ProcId> = (0..n).map(ProcId).filter(|p| alive[p.index()]).collect();
+        let mut msgs = RoundMessages::new(outgoing.clone(), &alive, &dying);
+        msgs.prepare(&survivors);
+
+        // The definition: `dst` hears dying broadcast `i` iff its
+        // recipient set contains `dst`; the partial list is label-ordered.
+        let mut partial: Vec<(Label, u32, &Recipients)> = outgoing
+            .iter()
+            .filter(|(p, _, _)| !alive[p.index()])
+            .map(|&(p, label, msg)| {
+                let rec = &dying.iter().find(|(v, _)| *v == p).unwrap().1;
+                (label, msg, rec)
+            })
+            .collect();
+        partial.sort_by_key(|&(label, _, _)| label);
+        let signature = |dst: ProcId| -> Vec<bool> {
+            partial.iter().map(|(_, _, r)| r.contains(dst)).collect()
+        };
+        let mut seen: Vec<Vec<bool>> = Vec::new();
+        for &dst in &survivors {
+            let sig = signature(dst);
+            let id = match seen.iter().position(|s| *s == sig) {
+                Some(id) => id,
+                None => {
+                    seen.push(sig.clone());
+                    seen.len() - 1
+                }
+            };
+            assert_eq!(msgs.sig_id(dst) as usize, id, "{dst}: first-encounter id");
+            let expected: InboxBuf<u32> = outgoing
+                .iter()
+                .filter(|(p, _, _)| alive[p.index()])
+                .map(|&(_, label, msg)| (label, msg))
+                .chain(
+                    partial
+                        .iter()
+                        .zip(&sig)
+                        .filter(|(_, &heard)| heard)
+                        .map(|(&(label, msg, _), _)| (label, msg)),
+                )
+                .collect();
+            assert_eq!(
+                pairs_of(msgs.inbox(dst)),
+                pairs_of(expected.as_inbox()),
+                "{dst}"
+            );
+        }
+        assert_eq!(msgs.variant_count(), seen.len());
+        assert!(seen.len() >= 3, "the shapes split the survivors");
     }
 
     #[test]

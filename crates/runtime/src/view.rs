@@ -149,6 +149,18 @@ impl<M> InboxBuf<M> {
         InboxBuf { labels, msgs }
     }
 
+    /// Wraps two parallel columns that are already strictly
+    /// label-ascending, as the round pipeline builds them; nothing is
+    /// sorted.
+    pub(crate) fn from_sorted(labels: Vec<Label>, msgs: Vec<M>) -> Self {
+        debug_assert_eq!(labels.len(), msgs.len(), "parallel columns");
+        debug_assert!(
+            labels.windows(2).all(|w| w[0] < w[1]),
+            "inbox labels strictly ascend"
+        );
+        InboxBuf { labels, msgs }
+    }
+
     /// Number of buffered broadcasts.
     pub fn len(&self) -> usize {
         self.labels.len()

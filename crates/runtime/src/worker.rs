@@ -10,16 +10,19 @@
 //!
 //! | command | response | meaning |
 //! |---|---|---|
-//! | [`Cmd::Compose`] | [`Rsp::Composed`] | compose the round's broadcast of every held slot; answer the encoded bytes, slot-ascending |
+//! | [`Cmd::Compose`] | [`Rsp::Composed`] | compose the round's broadcast of every held slot; answer the encoded bytes, label-ascending |
 //! | [`Cmd::Deliver`] | [`Rsp::Applied`] | fold one shared inbox per delivery signature into its recipients' views, drop held slots no group names (they crashed), retire the decided; answer the recipients' statuses, slot-ascending |
 //! | [`Cmd::Exit`] | — | end the worker's loop |
 //!
 //! A worker holds exactly its alive, undecided slots — the round's
 //! participants — so `Compose` needs no slot list, and the coordinator's
-//! count and slot checks reject any answer that disagrees. A worker that
-//! cannot execute a command answers [`Rsp::Fault`] and exits its loop;
-//! it never panics across the boundary. The coordinator decodes every
-//! composed broadcast, so the codec runs every round on both carriers.
+//! count and slot checks reject any answer that disagrees. A worker
+//! answers `Compose` in its store's label order, so the coordinator
+//! merges the workers' runs by label, decoding every broadcast as it
+//! goes, straight into the label order the round delivers in; the codec
+//! runs every round on both carriers. A worker that cannot execute a
+//! command answers [`Rsp::Fault`] and exits its loop; it never panics
+//! across the boundary.
 //!
 //! A [`Carrier`] only moves these values. [`crate::threaded`]'s channel
 //! carrier hands them over as they are (inboxes by [`Arc`] clone);
@@ -28,6 +31,8 @@
 //! shutdown — lives here, once; the views themselves live in the same
 //! cluster store every in-memory executor runs.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -59,15 +64,16 @@ pub enum Cmd<M> {
     Exit,
 }
 
-/// A worker's per-slot answers to one command, slot-ascending.
+/// A worker's per-slot answers to one command: label-ascending for
+/// [`Rsp::Composed`], slot-ascending for [`Rsp::Applied`].
 pub type Answers<T> = Vec<(u64, T)>;
 
 /// A worker → coordinator response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rsp {
-    /// Encoded broadcasts.
+    /// Encoded broadcasts, label-ascending.
     Composed(Answers<Bytes>),
-    /// Post-apply statuses.
+    /// Post-apply statuses, slot-ascending.
     Applied(Answers<Status>),
     /// The command could not be executed; the worker has exited.
     Fault(Fault),
@@ -135,7 +141,9 @@ fn serve<P: ViewProtocol>(
         let rsp = match cmd {
             Ok(Cmd::Compose(round)) => {
                 // One shard composes inline, which cannot fail; hang up,
-                // as a panicking worker would, if it ever did.
+                // as a panicking worker would, if it ever did. The store
+                // answers in its label order, which the coordinator
+                // merges across workers.
                 let Ok(broadcasts) = local.compose_held(round) else {
                     return;
                 };
@@ -196,7 +204,7 @@ fn deliver<P: ViewProtocol>(
 
 /// Contiguous slot ranges over `0..n` for `workers` workers, remainder
 /// spread over the first ranges. Ranges ascend, so concatenating
-/// per-worker responses in worker order yields slot order.
+/// per-worker statuses in worker order yields slot order.
 fn slot_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
     let (base, rem) = (n / workers, n % workers);
     let mut start = 0;
@@ -260,7 +268,7 @@ pub struct WorkerTransport<P: ViewProtocol, C> {
     labels: Vec<Label>,
     carrier: C,
     /// Slot → owning worker index. Ranges are contiguous and ascending,
-    /// so concatenating per-worker responses in worker order yields slot
+    /// so concatenating per-worker statuses in worker order yields slot
     /// order.
     worker_of: Vec<usize>,
     workers: usize,
@@ -310,54 +318,90 @@ impl<P: ViewProtocol, C: Carrier<P::Msg>> WorkerTransport<P, C> {
 
     /// Sends every worker with a non-empty group `cmd(group)`, then
     /// collects the responses in worker order, each checked by `unpack`
-    /// to be the expected kind and to answer exactly its group's slots.
-    /// Returns the answers paired with their processes, slot-ascending.
+    /// to be the expected kind. Returns each busy worker's index and
+    /// answers; the caller checks them against the worker's group.
     fn exchange<T>(
         &mut self,
         groups: &[Vec<ProcId>],
         mut cmd: impl FnMut(&[ProcId]) -> Cmd<P::Msg>,
         (requesting, collecting): (&'static str, &'static str),
         unpack: fn(Rsp) -> Option<Answers<T>>,
-    ) -> Result<Vec<(ProcId, T)>, RunError> {
+    ) -> Result<Vec<(usize, Answers<T>)>, RunError> {
         let busy = || groups.iter().enumerate().filter(|(_, g)| !g.is_empty());
         for (w, group) in busy() {
             self.carrier.send(w, cmd(group), requesting)?;
         }
         let mut out = Vec::new();
-        for (w, group) in busy() {
-            let protocol = |detail| RunError::Protocol {
-                context: collecting,
-                detail,
-            };
+        for (w, _) in busy() {
             let batch = match self.carrier.recv(w, collecting)? {
                 Rsp::Fault(Fault::Wire(sender, error)) => {
                     return Err(RunError::Decode { sender, error })
                 }
                 Rsp::Fault(Fault::UnknownSlot(slot)) => {
-                    return Err(protocol(format!(
-                        "worker {w} was handed unknown slot {slot}"
-                    )))
+                    return Err(protocol_error(
+                        collecting,
+                        format!("worker {w} was handed unknown slot {slot}"),
+                    ))
                 }
-                rsp => unpack(rsp)
-                    .ok_or_else(|| protocol(format!("worker {w} answered out of turn")))?,
+                rsp => unpack(rsp).ok_or_else(|| {
+                    protocol_error(collecting, format!("worker {w} answered out of turn"))
+                })?,
             };
-            if batch.len() != group.len() {
-                let (got, want) = (batch.len(), group.len());
-                return Err(protocol(format!(
-                    "worker {w} answered {got} slots, expected {want}"
-                )));
-            }
-            for (&p, (slot, answer)) in group.iter().zip(batch) {
-                if slot != u64::from(p.0) {
-                    return Err(protocol(format!(
-                        "worker {w} answered slot {slot}, expected {p}"
-                    )));
-                }
-                out.push((p, answer));
-            }
+            out.push((w, batch));
         }
         Ok(out)
     }
+}
+
+fn protocol_error(context: &'static str, detail: String) -> RunError {
+    RunError::Protocol { context, detail }
+}
+
+/// Checks worker `w`'s answer to [`Cmd::Compose`] against `group`, the
+/// composing slots it holds (slot-ascending): every answered slot must
+/// be held by `w` (`worker_of`) and composing, the labels must strictly
+/// ascend — so no slot repeats — and the answer must name as many slots
+/// as the group. The answer then names exactly the group, in label
+/// order.
+fn check_composed(
+    w: usize,
+    group: &[ProcId],
+    batch: &Answers<Bytes>,
+    labels: &[Label],
+    worker_of: &[usize],
+) -> Result<(), RunError> {
+    let fail = |detail| Err(protocol_error("collecting broadcasts", detail));
+    if batch.len() != group.len() {
+        let (got, want) = (batch.len(), group.len());
+        return fail(format!("worker {w} answered {got} slots, expected {want}"));
+    }
+    let mut last = None;
+    for &(slot, _) in batch {
+        let held = usize::try_from(slot)
+            .ok()
+            .filter(|&s| worker_of.get(s) == Some(&w));
+        let Some(index) = held else {
+            return fail(format!(
+                "worker {w} answered slot {slot}, which it does not hold"
+            ));
+        };
+        if group
+            .binary_search_by_key(&slot, |p| u64::from(p.0))
+            .is_err()
+        {
+            return fail(format!(
+                "worker {w} answered slot {slot}, which is not composing"
+            ));
+        }
+        let label = labels[index];
+        if last.is_some_and(|last| last >= label) {
+            return fail(format!(
+                "worker {w} answered slot {slot} out of label order"
+            ));
+        }
+        last = Some(label);
+    }
+    Ok(())
 }
 
 fn composed(rsp: Rsp) -> Option<Answers<Bytes>> {
@@ -375,26 +419,54 @@ fn applied(rsp: Rsp) -> Option<Answers<Status>> {
 }
 
 impl<P: ViewProtocol, C: Carrier<P::Msg>> Transport<P> for WorkerTransport<P, C> {
+    /// Each worker answers its composing slots in label order; once
+    /// each answer is checked to name exactly the worker's group, a k-way
+    /// merge of the workers' runs by label decodes every broadcast
+    /// straight into the round's label order.
     fn compose(
         &mut self,
         round: Round,
         participants: &[ProcId],
     ) -> Result<Vec<(ProcId, Label, P::Msg)>, RunError> {
         let groups = self.per_worker(participants);
-        let broadcasts = self.exchange(
+        let answers = self.exchange(
             &groups,
             |_| Cmd::Compose(round),
             ("requesting broadcasts", "collecting broadcasts"),
             composed,
         )?;
-        broadcasts
+        for (w, batch) in &answers {
+            check_composed(*w, &groups[*w], batch, &self.labels, &self.worker_of)?;
+        }
+        // Every answered slot is checked to be in range, so indexing by
+        // it cannot fail.
+        let labels = &self.labels;
+        let head = |run: &std::vec::IntoIter<(u64, Bytes)>| {
+            run.as_slice()
+                .first()
+                .map(|&(slot, _)| labels[slot as usize])
+        };
+        let mut runs: Vec<_> = answers
             .into_iter()
-            .map(|(p, bytes)| {
-                let label = self.labels[p.index()];
-                let msg = P::Msg::from_bytes(bytes).map_err(|e| RunError::decode(label, e))?;
-                Ok((p, label, msg))
-            })
-            .collect()
+            .map(|(_, batch)| batch.into_iter())
+            .collect();
+        let mut heads: BinaryHeap<Reverse<(Label, usize)>> = runs
+            .iter()
+            .enumerate()
+            .filter_map(|(r, run)| Some(Reverse((head(run)?, r))))
+            .collect();
+        let mut out = Vec::with_capacity(participants.len());
+        while let Some(Reverse((label, r))) = heads.pop() {
+            let Some((slot, bytes)) = runs[r].next() else {
+                continue;
+            };
+            let msg = P::Msg::from_bytes(bytes).map_err(|e| RunError::decode(label, e))?;
+            out.push((ProcId(slot as u32), label, msg));
+            if let Some(next) = head(&runs[r]) {
+                heads.push(Reverse((next, r)));
+            }
+        }
+        Ok(out)
     }
 
     fn apply(
@@ -423,12 +495,34 @@ impl<P: ViewProtocol, C: Carrier<P::Msg>> Transport<P> for WorkerTransport<P, C>
             Cmd::Deliver(round, groups)
         };
         let groups = self.per_worker(survivors);
-        self.statuses = self.exchange(
+        let answers = self.exchange(
             &groups,
             deliver,
             ("delivering inboxes", "collecting round statuses"),
             applied,
         )?;
+        // Statuses come slot-ascending: each must answer its group's
+        // slot at the same position.
+        let mut statuses = Vec::with_capacity(survivors.len());
+        for (w, batch) in answers {
+            let group = &groups[w];
+            let fail = |detail| protocol_error("collecting round statuses", detail);
+            if batch.len() != group.len() {
+                let (got, want) = (batch.len(), group.len());
+                return Err(fail(format!(
+                    "worker {w} answered {got} slots, expected {want}"
+                )));
+            }
+            for (&p, (slot, status)) in group.iter().zip(batch) {
+                if slot != u64::from(p.0) {
+                    return Err(fail(format!(
+                        "worker {w} answered slot {slot}, expected {p}"
+                    )));
+                }
+                statuses.push((p, status));
+            }
+        }
+        self.statuses = statuses;
         Ok(())
     }
 
@@ -481,6 +575,41 @@ mod tests {
     fn slot_ranges_cover_every_slot_in_order() {
         assert_eq!(slot_ranges(10, 3), vec![0..4, 4..7, 7..10]);
         assert_eq!(slot_ranges(2, 2), vec![0..1, 1..2]);
+    }
+
+    #[test]
+    fn composed_answers_must_name_exactly_the_group_in_label_order() {
+        // Worker 0 holds slots 0..3, worker 1 slots 3..6; slot 1 has
+        // decided, so worker 0 composes slots 0 and 2: label order 2, 0.
+        let labels = [50, 10, 40, 20, 30, 60].map(Label);
+        let worker_of = [0, 0, 0, 1, 1, 1];
+        let group = [ProcId(0), ProcId(2)];
+        let check = |slots: &[u64]| {
+            let batch: Answers<Bytes> = slots.iter().map(|&s| (s, Bytes::new())).collect();
+            check_composed(0, &group, &batch, &labels, &worker_of)
+        };
+        assert_eq!(check(&[2, 0]), Ok(()));
+        for (case, slots) in [
+            ("out of label order", &[0, 2][..]),
+            ("duplicated", &[2, 2]),
+            ("held by another worker", &[2, 3]),
+            ("not composing", &[1, 0]),
+            ("out of range", &[2, 99]),
+            ("missing", &[2]),
+            ("extra", &[2, 0, 1]),
+        ] {
+            assert!(
+                matches!(
+                    check(slots),
+                    Err(RunError::Protocol {
+                        context: "collecting broadcasts",
+                        ..
+                    })
+                ),
+                "{case}: {:?}",
+                check(slots)
+            );
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl<M> Adversary<M> for Exact {
             if view.participant_count() <= 1 {
                 continue;
             }
-            let victim = view.outgoing[c.victim_index % view.participant_count()].0;
+            let victim = view.participants[c.victim_index % view.participant_count()];
             let recipients: Vec<ProcId> = (0..self.n as u32)
                 .map(ProcId)
                 .filter(|p| *p != victim && (c.recipients_mask >> p.0) & 1 == 1)
