@@ -359,16 +359,14 @@ fn protocol_error(context: &'static str, detail: String) -> RunError {
 
 /// Checks worker `w`'s answer to [`Cmd::Compose`] against `group`, the
 /// composing slots it holds (slot-ascending): every answered slot must
-/// be held by `w` (`worker_of`) and composing, the labels must strictly
-/// ascend — so no slot repeats — and the answer must name as many slots
-/// as the group. The answer then names exactly the group, in label
-/// order.
+/// be in the group, the labels must strictly ascend — so no slot
+/// repeats — and the answer must name as many slots as the group. The
+/// answer then names exactly the group, in label order.
 fn check_composed(
     w: usize,
     group: &[ProcId],
     batch: &Answers<Bytes>,
     labels: &[Label],
-    worker_of: &[usize],
 ) -> Result<(), RunError> {
     let fail = |detail| Err(protocol_error("collecting broadcasts", detail));
     if batch.len() != group.len() {
@@ -377,23 +375,12 @@ fn check_composed(
     }
     let mut last = None;
     for &(slot, _) in batch {
-        let held = usize::try_from(slot)
-            .ok()
-            .filter(|&s| worker_of.get(s) == Some(&w));
-        let Some(index) = held else {
+        let Ok(at) = group.binary_search_by_key(&slot, |p| u64::from(p.0)) else {
             return fail(format!(
-                "worker {w} answered slot {slot}, which it does not hold"
+                "worker {w} answered slot {slot}, which it does not compose"
             ));
         };
-        if group
-            .binary_search_by_key(&slot, |p| u64::from(p.0))
-            .is_err()
-        {
-            return fail(format!(
-                "worker {w} answered slot {slot}, which is not composing"
-            ));
-        }
-        let label = labels[index];
+        let label = labels[group[at].index()];
         if last.is_some_and(|last| last >= label) {
             return fail(format!(
                 "worker {w} answered slot {slot} out of label order"
@@ -436,7 +423,7 @@ impl<P: ViewProtocol, C: Carrier<P::Msg>> Transport<P> for WorkerTransport<P, C>
             composed,
         )?;
         for (w, batch) in &answers {
-            check_composed(*w, &groups[*w], batch, &self.labels, &self.worker_of)?;
+            check_composed(*w, &groups[*w], batch, &self.labels)?;
         }
         // Every answered slot is checked to be in range, so indexing by
         // it cannot fail.
@@ -582,11 +569,10 @@ mod tests {
         // Worker 0 holds slots 0..3, worker 1 slots 3..6; slot 1 has
         // decided, so worker 0 composes slots 0 and 2: label order 2, 0.
         let labels = [50, 10, 40, 20, 30, 60].map(Label);
-        let worker_of = [0, 0, 0, 1, 1, 1];
         let group = [ProcId(0), ProcId(2)];
         let check = |slots: &[u64]| {
             let batch: Answers<Bytes> = slots.iter().map(|&s| (s, Bytes::new())).collect();
-            check_composed(0, &group, &batch, &labels, &worker_of)
+            check_composed(0, &group, &batch, &labels)
         };
         assert_eq!(check(&[2, 0]), Ok(()));
         for (case, slots) in [
