@@ -425,8 +425,8 @@ impl<P: ViewProtocol, C: Carrier<P::Msg>> Transport<P> for WorkerTransport<P, C>
         for (w, batch) in &answers {
             check_composed(*w, &groups[*w], batch, &self.labels)?;
         }
-        // Every answered slot is checked to be in range, so indexing by
-        // it cannot fail.
+        // Every answered slot is one of its worker's composing slots, so
+        // it indexes `labels` and fits a `ProcId`.
         let labels = &self.labels;
         let head = |run: &std::vec::IntoIter<(u64, Bytes)>| {
             run.as_slice()
