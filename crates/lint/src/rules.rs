@@ -14,7 +14,7 @@
 //!   structured `RunError` instead of panicking across threads (the PR 3
 //!   bug class).
 //! * [`UNSAFE_CODE`] — `unsafe` stays confined to the allowlisted
-//!   counting allocators, and every crate root forbids it.
+//!   counting allocator, and every crate root forbids it.
 //! * [`WIRE_EXHAUSTIVE`] — every `BilMsg` variant is pinned by a golden
 //!   byte fixture, so encodings cannot drift silently (the PR 5 wire
 //!   version discipline).
@@ -209,12 +209,9 @@ const ALLOC_TOKENS: &[&str] = &[
     "collect(",
 ];
 
-/// The only files allowed to contain `unsafe`: the counting allocators
-/// that assert the message plane is allocation-free.
-const UNSAFE_ALLOWLIST: &[&str] = &[
-    "crates/core/tests/alloc_free.rs",
-    "crates/bench/benches/message_plane.rs",
-];
+/// The only file allowed to contain `unsafe`: the counting allocator
+/// that asserts the message plane is allocation-free.
+const UNSAFE_ALLOWLIST: &[&str] = &["crates/core/tests/alloc_free.rs"];
 
 /// Wire-decode files checked for bare narrowing casts: the codecs of
 /// messages, frames, and the socket carrier's commands and faults.
@@ -466,7 +463,7 @@ fn check_unsafe(path: &str, raw: &str, s: &Stripped, findings: &mut Vec<Finding>
                 path,
                 s.line_of(off),
                 UNSAFE_CODE,
-                "`unsafe` outside the allowlisted counting-allocator files".to_string(),
+                "`unsafe` outside the allowlisted counting-allocator file".to_string(),
             );
         }
     }
