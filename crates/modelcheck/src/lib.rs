@@ -55,11 +55,10 @@ pub enum SubsetPolicy {
 /// Bounds of one exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreConfig {
-    /// Total crashes the adversary may spend (clamped to `n − 1`).
+    /// Total crashes the adversary may spend (clamped to `n − 1`), at
+    /// most one per round: that keeps branching tractable and already
+    /// covers the paper's failure patterns round by round.
     pub crash_budget: usize,
-    /// At most this many crashes per round (1 keeps branching tractable
-    /// and already covers the paper's failure patterns round by round).
-    pub max_crashes_per_round: usize,
     /// Rounds after which a branch is reported as a liveness violation.
     pub max_rounds: u64,
     /// Delivery-subset enumeration policy.
@@ -74,7 +73,6 @@ impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
             crash_budget: 1,
-            max_crashes_per_round: 1,
             max_rounds: 40,
             subsets: SubsetPolicy::Exhaustive,
             seed: 0,
