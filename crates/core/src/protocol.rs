@@ -897,11 +897,6 @@ fn evict_one_from(view: &mut BilView, overfull: NodeId) -> bool {
         view.anomalies.orphan_overfull += 1;
         return false;
     };
-    #[cfg(feature = "evict-trace")]
-    eprintln!(
-        "EVICT ball={ball:?} leaf={} round={:?} prov={:?} overfull={overfull}",
-        record.leaf, record.round, record.provenance
-    );
     view.tree.remove(ball);
     if record.provenance == Provenance::Direct && view.tree.block_leaf(record.leaf).is_err() {
         // A commit record can only name a leaf (`learn_commit` validates
