@@ -29,7 +29,7 @@
 //! [`LocalTree::place_along`] and checkable at any time with
 //! [`LocalTree::validate`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -593,23 +593,6 @@ impl LocalTree {
         rank
     }
 
-    /// The rank of `ball` among **all** balls in the view, in `<R` order
-    /// (the early-terminating extension's leaf index, §6).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::UnknownBall`] if absent.
-    pub fn rank_overall(&self, ball: Label) -> Result<usize, TreeError> {
-        if !self.contains(ball) {
-            return Err(TreeError::UnknownBall(ball));
-        }
-        Ok(self
-            .ordered_balls()
-            .iter()
-            .position(|b| *b == ball)
-            .expect("ball present"))
-    }
-
     /// Snapshots the priority order `<R` (Definition 1) into `out`:
     /// deeper balls first, ties broken by smaller label; the first entry
     /// has the highest priority. Allocation-free once `out` has warmed
@@ -679,17 +662,6 @@ impl LocalTree {
     /// condition (line 29). `O(1)`.
     pub fn all_at_leaves(&self) -> bool {
         self.at_depth[self.topo.levels() as usize] as usize == self.live
-    }
-
-    /// Occupancy map: node → number of balls exactly at it, for nodes
-    /// with at least one ball. Used by the per-phase experiments
-    /// (`bmax`, Lemma 6).
-    pub fn occupancy(&self) -> BTreeMap<NodeId, u32> {
-        let mut out = BTreeMap::new();
-        for (_, node) in self.balls() {
-            *out.entry(node).or_insert(0) += 1;
-        }
-        out
     }
 
     /// The most populated node and its load — the paper's `bmax(φ)`.
@@ -1093,7 +1065,7 @@ mod tests {
     }
 
     #[test]
-    fn rank_at_node_and_overall() {
+    fn rank_at_node_orders_by_label() {
         let mut t = LocalTree::new(topo(8));
         t.insert(Label(3), ROOT).unwrap();
         t.insert(Label(1), ROOT).unwrap();
@@ -1101,9 +1073,7 @@ mod tests {
         assert_eq!(t.rank_at_node(Label(1)).unwrap(), 0);
         assert_eq!(t.rank_at_node(Label(2)).unwrap(), 1);
         assert_eq!(t.rank_at_node(Label(3)).unwrap(), 2);
-        assert_eq!(t.rank_overall(Label(2)).unwrap(), 1);
         assert!(t.rank_at_node(Label(9)).is_err());
-        assert!(t.rank_overall(Label(9)).is_err());
     }
 
     #[test]
@@ -1137,16 +1107,13 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_and_max_load() {
+    fn max_load_and_balls_at_a_node() {
         let mut t = LocalTree::new(topo(8));
         assert_eq!(t.max_load_at(), None);
         for l in 0..5 {
             t.insert(Label(l), ROOT).unwrap();
         }
         t.insert(Label(10), 3).unwrap();
-        let occ = t.occupancy();
-        assert_eq!(occ.get(&ROOT), Some(&5));
-        assert_eq!(occ.get(&3), Some(&1));
         assert_eq!(t.max_load_at(), Some((ROOT, 5)));
         assert_eq!(t.load_at(ROOT), 5);
         assert_eq!(t.balls_at(3), &[Label(10)]);

@@ -272,13 +272,13 @@ impl LocalTree {
         // `route(left) + route(right) = route(v) + at(v) >= 1` holds at
         // every node *entered with* route >= 1 (saturation only helps);
         // only the start node can be cornered, which callers must check
-        // with [`LocalTree::is_cornered`] before composing a path.
+        // with [`LocalTree::routable_below`] before composing a path.
         while !topo.is_leaf(v) {
             let l = self.routing_capacity(topo.left(v));
             let r = self.routing_capacity(topo.right(v));
             assert!(
                 l + r > 0,
-                "no routable capacity below node {v}; caller must check is_cornered"
+                "no routable capacity below node {v}; caller must check routable_below"
             );
             let go_left = match rule {
                 _ if l == 0 => false,
@@ -291,27 +291,6 @@ impl LocalTree {
             len += 1;
         }
         PackedPath { leaf: v, len }
-    }
-
-    /// Composes the deterministic path used by the early-terminating
-    /// extension (§6): straight toward the leaf of rank `leaf_rank`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::UnknownBall`] if `ball` is absent,
-    /// [`TreeError::BadLeafCount`] if the rank is out of range, or
-    /// [`TreeError::NotInSubtree`] if the leaf is not below the ball.
-    pub fn path_toward_rank(&self, ball: Label, leaf_rank: u32) -> Result<PackedPath, TreeError> {
-        let start = self
-            .current_node(ball)
-            .ok_or(TreeError::UnknownBall(ball))?;
-        let topo = self.topology();
-        let leaf = topo.leaf_for_rank(leaf_rank)?;
-        if !topo.is_ancestor_or_self(start, leaf) {
-            return Err(TreeError::NotInSubtree { start, leaf });
-        }
-        let len = (topo.depth(leaf) - topo.depth(start) + 1) as u8;
-        Ok(PackedPath { leaf, len })
     }
 
     /// Composes the deterministic slot-indexed path used by the
@@ -587,27 +566,6 @@ mod tests {
         }
         let frac = rights as f64 / trials as f64;
         assert!((0.72..0.88).contains(&frac), "right fraction {frac}");
-    }
-
-    #[test]
-    fn path_toward_rank_builds_straight_chain() {
-        let t = LocalTree::with_balls_at_root(topo(8), (0..8).map(Label));
-        let p = t.path_toward_rank(Label(2), 5).unwrap();
-        assert_eq!(p.to_nodes(), vec![1, 3, 6, 13]);
-        assert!(t.path_toward_rank(Label(2), 8).is_err());
-        assert!(t.path_toward_rank(Label(99), 0).is_err());
-    }
-
-    #[test]
-    fn path_toward_rank_rejects_foreign_subtrees() {
-        let mut t = LocalTree::new(topo(8));
-        t.insert(Label(1), 2).unwrap(); // left half: leaves 0..4
-        assert!(matches!(
-            t.path_toward_rank(Label(1), 5),
-            Err(TreeError::NotInSubtree { start: 2, leaf: 13 })
-        ));
-        let p = t.path_toward_rank(Label(1), 1).unwrap();
-        assert_eq!(p.to_nodes(), vec![2, 4, 9]);
     }
 
     #[test]
