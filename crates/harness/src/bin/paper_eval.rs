@@ -3,7 +3,7 @@
 //! ```text
 //! paper-eval [--quick] [--executor {clustered|per-process|threaded|parallel|socket}]
 //!            [all | e1 | e2 | e3 | e4 | e5 | e6 | e7 | e8 |
-//!             e11 | e12 | e13 | e14 | e15 | fig12 | fig4]...
+//!             fig12 | fig4 | e11 | e12 | e13 | e14 | e15]...
 //! ```
 //!
 //! With no experiment ids, runs everything. `--quick` shrinks sizes and
@@ -11,17 +11,21 @@
 //! from a full `--release` run. `--executor` selects which of the five
 //! bit-identical executors carries the rounds (default: `clustered`, the
 //! fast one; `socket` runs every round over loopback TCP and caps sizes
-//! at `2^14`). Unknown flags are rejected rather than being mistaken for
-//! experiment ids.
+//! at `2^16`). Unknown flags are rejected rather than being mistaken for
+//! experiment ids. The ids are `bil_harness::experiments::ALL`'s.
 
 use std::process::ExitCode;
 
 use bil_harness::experiments::{self, EvalOpts};
 use bil_harness::Executor;
 
-fn usage() -> &'static str {
-    "usage: paper-eval [--quick] [--executor {clustered|per-process|threaded|parallel|socket}]\n\
-     \x20                 [all|e1|e2|e3|e4|e5|e6|e7|e8|e11|e12|e13|e14|e15|fig12|fig4]..."
+fn usage() -> String {
+    let ids: Vec<&str> = experiments::ALL.iter().map(|(id, _)| *id).collect();
+    format!(
+        "usage: paper-eval [--quick] [--executor {{clustered|per-process|threaded|parallel|socket}}]\n\
+         \x20                 [all|{}]...",
+        ids.join("|")
+    )
 }
 
 fn parse_executor(name: &str) -> Result<Executor, ExitCode> {
@@ -73,31 +77,20 @@ fn main() -> ExitCode {
     }
     let opts = EvalOpts { quick, executor };
 
-    let mut out = String::new();
+    let mut runs: Vec<experiments::Run> = Vec::new();
     for id in &ids {
-        let sectioned = match id.as_str() {
-            "all" => experiments::run_all(&opts),
-            "e1" => experiments::e01_rounds_vs_n::run(&opts),
-            "e2" => experiments::e02_separation::run(&opts),
-            "e3" => experiments::e03_early_ff::run(&opts),
-            "e4" => experiments::e04_early_f::run(&opts),
-            "e5" => experiments::e05_bmax::run(&opts),
-            "e6" => experiments::e06_path_drain::run(&opts),
-            "e7" => experiments::e07_crashes::run(&opts),
-            "e8" => experiments::e08_deterministic_termination::run(&opts),
-            "e11" => experiments::e11_messages::run(&opts),
-            "e12" => experiments::e12_ablations::run(&opts),
-            "e13" => experiments::e13_baseline_failures::run(&opts),
-            "e14" => experiments::e14_churn::run(&opts),
-            "e15" => experiments::e15_service_scale::run(&opts),
-            "fig12" => experiments::figures::run_fig12(&opts),
-            "fig4" => experiments::figures::run_fig4(&opts),
-            unknown => {
-                eprintln!("unknown experiment id `{unknown}`\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        };
-        out.push_str(&sectioned);
+        if id == "all" {
+            runs.push(experiments::run_all);
+        } else if let Some((_, run)) = experiments::ALL.iter().find(|(known, _)| known == id) {
+            runs.push(*run);
+        } else {
+            eprintln!("unknown experiment id `{id}`\n{}", usage());
+            return ExitCode::FAILURE;
+        }
+    }
+    let mut out = String::new();
+    for run in runs {
+        out.push_str(&run(&opts));
         out.push('\n');
     }
     print!("{out}");

@@ -108,9 +108,9 @@ pub fn scale_run(
             executor: opts.executor,
             ..ServiceOptions::default()
         },
-        // Thread-per-process shard epochs already spawn one OS thread
-        // per contender; running shards concurrently on top would
-        // multiply that.
+        // A threaded shard epoch already runs one worker thread per
+        // core (`SocketOptions::workers`); running shards concurrently
+        // on top would multiply that by the shard count.
         concurrent: opts.executor != Executor::Threaded,
     };
     let mut service =

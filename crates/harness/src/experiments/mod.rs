@@ -126,25 +126,33 @@ pub(crate) fn section(title: &str, body: &str) -> String {
     format!("## {title}\n\n{body}\n")
 }
 
+/// An experiment: runs under the given options and returns its
+/// markdown section.
+pub type Run = fn(&EvalOpts) -> String;
+
+/// Every experiment as `(id, run)`, in index order: the ids
+/// `paper-eval` accepts and the order [`run_all`] runs them in.
+pub const ALL: &[(&str, Run)] = &[
+    ("e1", e01_rounds_vs_n::run),
+    ("e2", e02_separation::run),
+    ("e3", e03_early_ff::run),
+    ("e4", e04_early_f::run),
+    ("e5", e05_bmax::run),
+    ("e6", e06_path_drain::run),
+    ("e7", e07_crashes::run),
+    ("e8", e08_deterministic_termination::run),
+    ("fig12", figures::run_fig12),
+    ("fig4", figures::run_fig4),
+    ("e11", e11_messages::run),
+    ("e12", e12_ablations::run),
+    ("e13", e13_baseline_failures::run),
+    ("e14", e14_churn::run),
+    ("e15", e15_service_scale::run),
+];
+
 /// Runs every experiment and concatenates the sections in index order.
 pub fn run_all(opts: &EvalOpts) -> String {
-    let parts = [
-        e01_rounds_vs_n::run(opts),
-        e02_separation::run(opts),
-        e03_early_ff::run(opts),
-        e04_early_f::run(opts),
-        e05_bmax::run(opts),
-        e06_path_drain::run(opts),
-        e07_crashes::run(opts),
-        e08_deterministic_termination::run(opts),
-        figures::run_fig12(opts),
-        figures::run_fig4(opts),
-        e11_messages::run(opts),
-        e12_ablations::run(opts),
-        e13_baseline_failures::run(opts),
-        e14_churn::run(opts),
-        e15_service_scale::run(opts),
-    ];
+    let parts: Vec<String> = ALL.iter().map(|(_, run)| run(opts)).collect();
     parts.join("\n")
 }
 
