@@ -136,11 +136,6 @@ impl BinsView {
             .find(|(_, l)| **l == ball)
             .map(|(b, _)| *b)
     }
-
-    /// Number of bins currently free in this view.
-    pub fn free_bins(&self) -> usize {
-        self.n as usize - self.owners.len()
-    }
 }
 
 /// The retry balls-into-bins baseline. See the module docs.
@@ -215,40 +210,6 @@ impl RetryBins {
             decide: DecideRule::Eager,
             reclaim: true,
         }
-    }
-
-    /// Hold rule without reclaim (for the ablation table: safe, but a
-    /// crashed *placed* ball leaks its bin forever).
-    pub fn hold_strict() -> Self {
-        RetryBins {
-            choices: 1,
-            decide: DecideRule::Hold,
-            reclaim: false,
-        }
-    }
-
-    /// Explicit construction for sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `choices` is not 1 or 2.
-    pub fn custom(choices: u8, decide: DecideRule, reclaim: bool) -> Self {
-        assert!(choices == 1 || choices == 2, "choices must be 1 or 2");
-        RetryBins {
-            choices,
-            decide,
-            reclaim,
-        }
-    }
-
-    /// The decide rule in force.
-    pub fn decide_rule(&self) -> DecideRule {
-        self.decide
-    }
-
-    /// Whether silent owners' bins are released.
-    pub fn reclaims(&self) -> bool {
-        self.reclaim
     }
 }
 
@@ -383,11 +344,7 @@ mod tests {
 
     #[test]
     fn hold_variants_solve_renaming_failure_free() {
-        for proto in [
-            RetryBins::uniform(),
-            RetryBins::two_choice(),
-            RetryBins::hold_strict(),
-        ] {
+        for proto in [RetryBins::uniform(), RetryBins::two_choice()] {
             for seed in 0..4 {
                 let report = ExecutorKind::Clustered
                     .run(
@@ -627,18 +584,5 @@ mod tests {
             two <= uni + 24,
             "two-choice should not be meaningfully slower: {two} vs {uni}"
         );
-    }
-
-    #[test]
-    fn accessors_and_custom() {
-        let p = RetryBins::custom(2, DecideRule::Eager, true);
-        assert_eq!(p.decide_rule(), DecideRule::Eager);
-        assert!(p.reclaims());
-    }
-
-    #[test]
-    #[should_panic(expected = "choices must be 1 or 2")]
-    fn custom_rejects_bad_choices() {
-        let _ = RetryBins::custom(3, DecideRule::Hold, false);
     }
 }

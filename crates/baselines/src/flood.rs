@@ -48,7 +48,7 @@ impl Wire for IdSet {
 /// # fn main() -> Result<(), bil_runtime::RunError> {
 /// let labels: Vec<Label> = (0..8).map(|i| Label(i * 5)).collect();
 /// let report = ExecutorKind::Clustered.run(
-///     FloodRank::tolerating(7),
+///     FloodRank::wait_free(8),
 ///     labels,
 ///     NoFailures,
 ///     SeedTree::new(0),
@@ -65,20 +65,13 @@ pub struct FloodRank {
 }
 
 impl FloodRank {
-    /// Tolerates up to `t` crashes; decides at the end of round `t`
-    /// (i.e. after `t + 1` rounds).
-    pub fn tolerating(t: usize) -> Self {
-        FloodRank { t: t as u64 }
-    }
-
-    /// The wait-free instantiation for `n` processes (`t = n − 1`).
+    /// The wait-free instantiation for `n` processes: tolerates up to
+    /// `t = n − 1` crashes and decides at the end of round `t` (i.e.
+    /// after `t + 1` rounds).
     pub fn wait_free(n: usize) -> Self {
-        Self::tolerating(n.saturating_sub(1))
-    }
-
-    /// The crash budget this instance tolerates.
-    pub fn tolerance(&self) -> usize {
-        self.t as usize
+        FloodRank {
+            t: n.saturating_sub(1) as u64,
+        }
     }
 }
 
@@ -198,11 +191,5 @@ mod tests {
             let rank = sorted.iter().position(|x| x == l).unwrap() as u32;
             assert_eq!(report.decisions[pid].unwrap().name.0, rank);
         }
-    }
-
-    #[test]
-    fn tolerance_accessor() {
-        assert_eq!(FloodRank::tolerating(5).tolerance(), 5);
-        assert_eq!(FloodRank::wait_free(8).tolerance(), 7);
     }
 }

@@ -8,7 +8,7 @@
 //! | baseline | paper reference | behaviour |
 //! |---|---|---|
 //! | [`FloodRank`] | §2: renaming via reliable broadcast / consensus [6, 15, 11] | deterministic, wait-free, `t + 1` rounds (linear) |
-//! | [`det_rank`] | §2: Chaudhuri–Herlihy–Tuttle deterministic renaming \[9\] | comparison-based, `Θ(log ·)` under the sandwich pattern (see `DESIGN.md` substitutions) |
+//! | [`BallsIntoLeaves::deterministic_rank`](bil_core::BallsIntoLeaves::deterministic_rank) (in `bil-core`) | §2: Chaudhuri–Herlihy–Tuttle deterministic renaming \[9\] | comparison-based, `Θ(log ·)` under the sandwich pattern (see `DESIGN.md` substitutions) |
 //! | [`RetryBins::uniform`] | §2: naive parallel balls-into-bins, repaired for faults | safe, `Θ(log n)` rounds, **not** wait-free per-ball |
 //! | [`RetryBins::two_choice`] | §2: parallel load balancing [1, 17, 18] | as above, with power-of-two-choices claims |
 //! | [`RetryBins::eager_strict`] | §2: "naive random balls-into-bins strategy" | wait-free and safe, but `Θ(log n)` rounds — never sub-logarithmic |
@@ -23,9 +23,7 @@
 #![warn(missing_debug_implementations)]
 
 mod bins;
-mod det_rank;
 mod flood;
 
 pub use bins::{Bin, BinsMsg, BinsView, DecideRule, RetryBins};
-pub use det_rank::det_rank;
 pub use flood::{FloodRank, IdSet};

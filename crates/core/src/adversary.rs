@@ -448,5 +448,23 @@ mod tests {
             let v = check_tight_renaming(&report);
             assert!(v.holds(), "seed={seed}: {v}");
         }
+        // ...and it costs at least one phase beyond the failure-free
+        // single phase (init + 2 rounds).
+        let report = ExecutorKind::Clustered
+            .run(
+                BallsIntoLeaves::deterministic_rank(),
+                labels(32),
+                Sandwich::new(16),
+                SeedTree::new(2),
+                EngineOptions::default(),
+            )
+            .unwrap();
+        assert!(report.completed());
+        assert!(check_tight_renaming(&report).holds());
+        assert!(
+            report.rounds > 3,
+            "sandwich should force extra phases, got {} rounds",
+            report.rounds
+        );
     }
 }

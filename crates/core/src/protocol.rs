@@ -354,7 +354,7 @@ impl BallsIntoLeaves {
         Self::new(BilConfig::early_terminating())
     }
 
-    /// The deterministic comparison-based baseline.
+    /// The deterministic comparison-based baseline, DetRank (`DESIGN.md` §1).
     pub fn deterministic_rank() -> Self {
         Self::new(BilConfig::deterministic_rank())
     }
@@ -1084,17 +1084,20 @@ mod tests {
 
     #[test]
     fn deterministic_rank_failure_free_is_one_phase() {
-        let report = ExecutorKind::Clustered
-            .run(
-                BallsIntoLeaves::deterministic_rank(),
-                labels(32),
-                NoFailures,
-                SeedTree::new(5),
-                EngineOptions::default(),
-            )
-            .unwrap();
-        assert!(report.completed());
-        assert_eq!(report.rounds, 3);
+        for n in [2u64, 3, 8, 31, 32, 64] {
+            let report = ExecutorKind::Clustered
+                .run(
+                    BallsIntoLeaves::deterministic_rank(),
+                    labels(n),
+                    NoFailures,
+                    SeedTree::new(5),
+                    EngineOptions::default(),
+                )
+                .unwrap();
+            assert!(report.completed());
+            assert_eq!(report.rounds, 3, "n={n}");
+            assert!(crate::check_tight_renaming(&report).holds(), "n={n}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::error::Error;
 use std::fmt;
 
-use bil_baselines::{det_rank, FloodRank, RetryBins};
+use bil_baselines::{FloodRank, RetryBins};
 use bil_core::adversary::{AdaptiveSplitter, LeafDenier, Sandwich, SyncSplitter};
 use bil_core::{check_tight_renaming, BallsIntoLeaves, BilConfig, BilMsg, PathRule};
 use bil_runtime::adversary::{Adversary, CrashBurst, NoFailures, RandomCrash, SteadyAttrition};
@@ -60,21 +60,6 @@ impl fmt::Display for Algorithm {
             Algorithm::EagerReclaim => "retry-eager-reclaim",
         };
         f.write_str(s)
-    }
-}
-
-impl Algorithm {
-    /// `true` for the Balls-into-Leaves family (protocol-specific
-    /// adversaries apply only to these).
-    pub fn is_bil(&self) -> bool {
-        matches!(
-            self,
-            Algorithm::BilBase
-                | Algorithm::BilEarly
-                | Algorithm::BilUniformCoin
-                | Algorithm::BilDecideAtLeaf
-                | Algorithm::DetRank
-        )
     }
 }
 
@@ -316,7 +301,12 @@ impl Scenario {
                 seeds,
                 options,
             ),
-            Algorithm::DetRank => self.run_bil(det_rank(), labels, seeds, options),
+            Algorithm::DetRank => self.run_bil(
+                BallsIntoLeaves::deterministic_rank(),
+                labels,
+                seeds,
+                options,
+            ),
             Algorithm::FloodRank => {
                 self.run_generic(FloodRank::wait_free(self.n), labels, seeds, options)
             }

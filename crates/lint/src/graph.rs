@@ -6,7 +6,9 @@
 //! extracts `fn` items (with `impl`-block owner tracking) and heuristic
 //! call edges from the stripped text of every in-scope file, then runs a
 //! BFS whose parent pointers reconstruct a human-readable call path for
-//! each finding (`root → f → g → finding`).
+//! each finding (`root → f → g → finding`). The `fn` items and their
+//! body spans come from the crate's one item scanner, the same spans the
+//! rules scope pragmas and casts by.
 //!
 //! The extraction is deliberately lexical, like the rest of `bil-lint`:
 //!
@@ -28,7 +30,8 @@
 //! Nodes are restricted by the caller-supplied scope filter and never
 //! include test-region functions.
 
-use crate::lexer::{word_occurrences, Stripped};
+use crate::items::{fn_spans, ident_end, match_delim, skip_ws};
+use crate::lexer::{is_ident_byte, word_occurrences, Stripped};
 
 /// One `fn` item in the graph.
 #[derive(Debug, Clone)]
@@ -131,8 +134,7 @@ fn impl_spans(code: &str) -> Vec<(String, usize, usize)> {
         let Some(owner) = impl_owner(header) else {
             continue;
         };
-        let end = match_brace(bytes, open);
-        spans.push((owner, open, end));
+        spans.push((owner, open, match_delim(bytes, open)));
     }
     spans
 }
@@ -144,22 +146,7 @@ fn impl_owner(header: &str) -> Option<String> {
     // Drop the generic parameter list directly after `impl`, if any.
     let mut rest = header.trim_start();
     if rest.starts_with('<') {
-        let mut depth = 0i64;
-        let mut cut = rest.len();
-        for (i, c) in rest.char_indices() {
-            match c {
-                '<' => depth += 1,
-                '>' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        cut = i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        rest = &rest[cut..];
+        rest = &rest[match_delim(rest.as_bytes(), 0)..];
     }
     // `Trait for Type` → the self type is after the top-level ` for `.
     let ty = match split_top_level_for(rest) {
@@ -169,7 +156,7 @@ fn impl_owner(header: &str) -> Option<String> {
     let ty = ty.trim().trim_start_matches('&').trim_start_matches("dyn ");
     let ty = ty.split('<').next().unwrap_or(ty);
     let name = ty.rsplit("::").next().unwrap_or(ty).trim();
-    let valid = !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+    let valid = !name.is_empty() && name.bytes().all(is_ident_byte);
     valid.then(|| name.to_string())
 }
 
@@ -193,24 +180,6 @@ fn split_top_level_for(header: &str) -> Option<&str> {
     None
 }
 
-/// Offset one past the `}` matching the `{` at `open` (or `len`).
-fn match_brace(bytes: &[u8], open: usize) -> usize {
-    let mut depth = 0i64;
-    for (k, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return k + 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    bytes.len()
-}
-
 /// Extracts every bodied, non-test `fn` item of one file.
 fn collect_fns(
     file_idx: usize,
@@ -218,54 +187,23 @@ fn collect_fns(
     impls: &[(String, usize, usize)],
     out: &mut Vec<FnItem>,
 ) {
-    let code = &s.code;
-    let bytes = code.as_bytes();
-    for off in word_occurrences(code, "fn") {
-        let line = s.line_of(off);
+    for f in fn_spans(&s.code) {
+        let line = s.line_of(f.decl);
         if s.is_test_line(line) {
             continue;
         }
-        let mut j = off + 2;
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        let name_start = j;
-        while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
-            j += 1;
-        }
-        if j == name_start {
-            continue;
-        }
-        let name = code[name_start..j].to_string();
-        // The signature contains no `{`; a trait declaration ends at `;`
-        // before any body opens — skip those.
-        let mut body_start = None;
-        for (k, &b) in bytes.iter().enumerate().skip(j) {
-            match b {
-                b'{' => {
-                    body_start = Some(k);
-                    break;
-                }
-                b';' => break,
-                _ => {}
-            }
-        }
-        let Some(start) = body_start else {
-            continue;
-        };
-        let end = match_brace(bytes, start);
         let owner = impls
             .iter()
-            .filter(|(_, s_, e_)| (*s_..*e_).contains(&off))
+            .filter(|(_, s_, e_)| (*s_..*e_).contains(&f.decl))
             .max_by_key(|(_, s_, _)| *s_)
             .map(|(name, _, _)| name.clone());
         out.push(FnItem {
             file: file_idx,
-            name,
+            name: f.name.to_string(),
             owner,
             line,
-            decl: off,
-            body: (start, end),
+            decl: f.decl,
+            body: f.body,
         });
     }
 }
@@ -286,7 +224,7 @@ fn mask_debug_asserts(code: &str) -> String {
         if j >= masked.len() || masked[j] != b'(' {
             continue;
         }
-        let end = match_paren(&masked, j);
+        let end = match_delim(&masked, j);
         for b in &mut masked[j..end] {
             if *b != b'\n' {
                 *b = b' ';
@@ -294,24 +232,6 @@ fn mask_debug_asserts(code: &str) -> String {
         }
     }
     String::from_utf8(masked).expect("masking is ASCII-preserving")
-}
-
-/// Offset one past the `)` matching the `(` at `open` (or `len`).
-fn match_paren(bytes: &[u8], open: usize) -> usize {
-    let mut depth = 0i64;
-    for (k, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return k + 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    bytes.len()
 }
 
 /// Keywords and value constructors that look like `ident(` but are
@@ -345,16 +265,11 @@ fn collect_calls(
             continue;
         }
         let ident_start = i;
-        while i < end && is_ident_byte(bytes[i]) {
-            i += 1;
-        }
+        i = ident_end(bytes, i);
         let ident = &masked[ident_start..i];
         // A call site is an identifier *directly* followed by `(`
         // (whitespace allowed); `ident!`, `ident::<`, `ident {` are not.
-        let mut j = i;
-        while j < end && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
+        let j = skip_ws(bytes, i);
         if j >= end || bytes[j] != b'(' || NOT_CALLS.contains(&ident) {
             continue;
         }
@@ -365,10 +280,6 @@ fn collect_calls(
         let qual = qualifier_of(masked, ident_start, caller, fns);
         out.push((caller, ident.to_string(), qual));
     }
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Whether the last word before `at` (skipping whitespace) is `word`.

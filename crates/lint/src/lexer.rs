@@ -61,6 +61,15 @@ impl Stripped {
             .copied()
             .unwrap_or(false)
     }
+
+    /// The [`word_occurrences`] of `needle` in [`Stripped::code`] outside
+    /// test-only regions, as `(offset, 1-based line)`.
+    pub(crate) fn code_hits(&self, needle: &str) -> impl Iterator<Item = (usize, usize)> + '_ {
+        word_occurrences(&self.code, needle)
+            .into_iter()
+            .map(|off| (off, self.line_of(off)))
+            .filter(|&(_, line)| !self.is_test_line(line))
+    }
 }
 
 /// Lexer state: what kind of region the cursor is inside.
@@ -263,7 +272,8 @@ fn char_literal_at(bytes: &[u8], i: usize) -> bool {
     }
 }
 
-fn is_ident_byte(b: u8) -> bool {
+/// Whether `b` can appear in an identifier (ASCII letters, digits, `_`).
+pub(crate) fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 

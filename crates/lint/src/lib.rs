@@ -18,6 +18,7 @@
 #![forbid(unsafe_code)]
 
 pub mod graph;
+mod items;
 pub mod lexer;
 pub mod rules;
 pub mod schema;

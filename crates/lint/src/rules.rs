@@ -75,6 +75,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::graph::{self, CallGraph, Reach};
+use crate::items::{self, ident_end, match_delim, skip_ws, FnSpan};
 use crate::lexer::{strip, word_occurrences, Stripped};
 use crate::schema;
 
@@ -361,11 +362,7 @@ fn check_determinism(path: &str, s: &Stripped, findings: &mut Vec<Finding>) {
         return;
     }
     for token in DETERMINISM_TOKENS {
-        for off in word_occurrences(&s.code, token) {
-            let line = s.line_of(off);
-            if s.is_test_line(line) {
-                continue;
-            }
+        for (_, line) in s.code_hits(token) {
             push(
                 findings,
                 path,
@@ -377,11 +374,7 @@ fn check_determinism(path: &str, s: &Stripped, findings: &mut Vec<Finding>) {
     }
     // `Instant` alone is inert; only taking a wall-clock reading is a
     // determinism hazard.
-    for off in word_occurrences(&s.code, "Instant") {
-        let line = s.line_of(off);
-        if s.is_test_line(line) {
-            continue;
-        }
+    for (off, line) in s.code_hits("Instant") {
         let rest = s.code[off + "Instant".len()..].trim_start();
         if rest.starts_with("::now") {
             push(
@@ -399,11 +392,7 @@ fn check_release_honesty(path: &str, s: &Stripped, findings: &mut Vec<Finding>) 
     if !MESSAGE_PATH_FILES.contains(&path) {
         return;
     }
-    for off in word_occurrences(&s.code, "debug_assert!") {
-        let line = s.line_of(off);
-        if s.is_test_line(line) {
-            continue;
-        }
+    for (off, line) in s.code_hits("debug_assert!") {
         let rest = s.code[off + "debug_assert!".len()..].trim_start();
         let Some(rest) = rest.strip_prefix('(') else {
             continue;
@@ -418,11 +407,7 @@ fn check_release_honesty(path: &str, s: &Stripped, findings: &mut Vec<Finding>) 
             );
         }
     }
-    for off in word_occurrences(&s.code, "unreachable!") {
-        let line = s.line_of(off);
-        if s.is_test_line(line) {
-            continue;
-        }
+    for (_, line) in s.code_hits("unreachable!") {
         push(
             findings,
             path,
@@ -438,11 +423,7 @@ fn check_no_panic(path: &str, s: &Stripped, findings: &mut Vec<Finding>) {
         return;
     }
     for token in PANIC_TOKENS {
-        for off in word_occurrences(&s.code, token) {
-            let line = s.line_of(off);
-            if s.is_test_line(line) {
-                continue;
-            }
+        for (_, line) in s.code_hits(token) {
             let shown = token.trim_start_matches('.').trim_end_matches('(');
             push(
                 findings,
@@ -481,61 +462,6 @@ fn check_unsafe(path: &str, raw: &str, s: &Stripped, findings: &mut Vec<Finding>
     }
 }
 
-/// `fn` item spans in stripped text:
-/// `(name, decl_offset, body_start, body_end)`. Bodyless trait
-/// declarations are skipped.
-fn fn_spans(code: &str) -> Vec<(String, usize, usize, usize)> {
-    let bytes = code.as_bytes();
-    let mut spans = Vec::new();
-    for off in word_occurrences(code, "fn") {
-        let mut j = off + 2;
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        let name_start = j;
-        while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
-            j += 1;
-        }
-        if j == name_start {
-            continue;
-        }
-        let name = code[name_start..j].to_string();
-        // A signature contains no `{`, so the next brace opens the body
-        // (or a trait declaration ends at `;` first — skip those).
-        let mut body_start = None;
-        for (k, &b) in bytes.iter().enumerate().skip(j) {
-            match b {
-                b'{' => {
-                    body_start = Some(k);
-                    break;
-                }
-                b';' => break,
-                _ => {}
-            }
-        }
-        let Some(start) = body_start else {
-            continue;
-        };
-        let mut depth = 0i64;
-        let mut end = code.len();
-        for (k, &b) in bytes.iter().enumerate().skip(start) {
-            match b {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = k + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        spans.push((name, off, start, end));
-    }
-    spans
-}
-
 /// Whether a function, by name, is a wire-decode path: it consumes
 /// attacker-controlled bytes.
 fn is_decode_fn(name: &str) -> bool {
@@ -556,26 +482,19 @@ fn check_cast_truncation(path: &str, s: &Stripped, findings: &mut Vec<Finding>) 
     if !DECODE_FILES.contains(&path) {
         return;
     }
-    let spans = fn_spans(&s.code);
-    for off in word_occurrences(&s.code, "as") {
-        let line = s.line_of(off);
-        if s.is_test_line(line) {
-            continue;
-        }
+    let spans = items::fn_spans(&s.code);
+    for (off, line) in s.code_hits("as") {
         let rest = s.code[off + 2..].trim_start();
-        let target: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if !NARROW_TYPES.contains(&target.as_str()) {
+        let target = &rest[..ident_end(rest.as_bytes(), 0)];
+        if !NARROW_TYPES.contains(&target) {
             continue;
         }
         // Innermost enclosing fn decides whether this is a decode path.
         let enclosing = spans
             .iter()
-            .filter(|(_, _, start, end)| (*start..*end).contains(&off))
-            .max_by_key(|(_, _, start, _)| *start);
-        let Some((name, _, _, _)) = enclosing else {
+            .filter(|f| (f.body.0..f.body.1).contains(&off))
+            .max_by_key(|f| f.body.0);
+        let Some(FnSpan { name, .. }) = enclosing else {
             continue;
         };
         if is_decode_fn(name) {
@@ -696,7 +615,7 @@ fn scan_reachable(
             continue;
         };
         for token in tokens {
-            for off in word_occurrences(&s.code, token) {
+            for (off, line) in s.code_hits(token) {
                 let enclosing = graph
                     .fns
                     .iter()
@@ -707,10 +626,6 @@ fn scan_reachable(
                     continue;
                 };
                 if !reach.contains(fn_idx) {
-                    continue;
-                }
-                let line = s.line_of(off);
-                if s.is_test_line(line) {
                     continue;
                 }
                 let shown = token.trim_start_matches('.').trim_end_matches('(');
@@ -793,73 +708,18 @@ fn check_wire_schema(
     });
 }
 
-/// Top-level field names (with lines) of `struct <name> { ... }`.
+/// Top-level field names (with lines) of `struct <name> { ... }`: the
+/// members whose name a single `:` follows.
 fn struct_fields(s: &Stripped, struct_name: &str) -> Vec<(String, usize)> {
-    let code = &s.code;
-    let bytes = code.as_bytes();
-    for off in word_occurrences(code, "struct") {
-        let rest = code[off + "struct".len()..].trim_start();
-        let is_target = rest.starts_with(struct_name)
-            && !rest[struct_name.len()..]
-                .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_');
-        if !is_target {
-            continue;
-        }
-        let Some(open_rel) = code[off..].find('{') else {
-            continue;
-        };
-        let mut i = off + open_rel + 1;
-        let mut depth = 1i64;
-        let mut fields = Vec::new();
-        let mut expect_field = true;
-        while i < bytes.len() && depth > 0 {
-            let b = bytes[i];
-            match b {
-                b'{' | b'(' | b'[' => {
-                    depth += 1;
-                    i += 1;
-                }
-                b'}' | b')' | b']' => {
-                    depth -= 1;
-                    i += 1;
-                }
-                b',' if depth == 1 => {
-                    expect_field = true;
-                    i += 1;
-                }
-                b'#' if depth == 1 && expect_field => {
-                    while i < bytes.len() && bytes[i] != b']' {
-                        i += 1;
-                    }
-                    i += 1;
-                }
-                _ if depth == 1 && expect_field && (b.is_ascii_alphabetic() || b == b'_') => {
-                    let start = i;
-                    while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                    {
-                        i += 1;
-                    }
-                    let word = &code[start..i];
-                    if word == "pub" {
-                        // Visibility modifier; the field name follows
-                        // (any `(crate)` group is depth-tracked above).
-                        continue;
-                    }
-                    let mut j = i;
-                    while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                        j += 1;
-                    }
-                    if bytes.get(j) == Some(&b':') && bytes.get(j + 1) != Some(&b':') {
-                        fields.push((word.to_string(), s.line_of(start)));
-                    }
-                    expect_field = false;
-                }
-                _ => i += 1,
-            }
-        }
-        return fields;
-    }
-    Vec::new()
+    let bytes = s.code.as_bytes();
+    items::braced_members(&s.code, "struct", struct_name)
+        .into_iter()
+        .filter(|m| {
+            let j = skip_ws(bytes, m.name_end);
+            bytes.get(j) == Some(&b':') && bytes.get(j + 1) != Some(&b':')
+        })
+        .map(|m| (s.code[m.start..m.name_end].to_string(), s.line_of(m.start)))
+        .collect()
 }
 
 /// Every `Anomalies` counter must be incremented *and* read outside
@@ -877,10 +737,7 @@ fn check_exhaustiveness(stripped: &BTreeMap<&str, Stripped>, findings: &mut Vec<
                 if in_test_dir(path) {
                     continue;
                 }
-                for off in word_occurrences(&sf.code, &needle) {
-                    if sf.is_test_line(sf.line_of(off)) {
-                        continue;
-                    }
+                for (off, _) in sf.code_hits(&needle) {
                     let rest = sf.code[off + needle.len()..].trim_start();
                     if rest.starts_with("+=") {
                         incremented = true;
@@ -921,11 +778,7 @@ fn check_exhaustiveness(stripped: &BTreeMap<&str, Stripped>, findings: &mut Vec<
                 if in_test_dir(path) {
                     continue;
                 }
-                for off in word_occurrences(&sf.code, &needle) {
-                    let line = sf.line_of(off);
-                    if sf.is_test_line(line) {
-                        continue;
-                    }
+                for (off, _) in sf.code_hits(&needle) {
                     if variant_use_is_observation(sf, off, needle.len()) {
                         observed = true;
                     } else {
@@ -968,34 +821,12 @@ fn variant_use_is_observation(s: &Stripped, off: usize, needle_len: usize) -> bo
     if before.contains("if let") || before.contains("while let") || before.contains("matches!") {
         return true;
     }
-    let mut i = off + needle_len;
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
+    let mut i = skip_ws(bytes, off + needle_len);
     // Skip one balanced payload group, `{ .. }` or `( .. )`.
-    if i < bytes.len() && (bytes[i] == b'{' || bytes[i] == b'(') {
-        let (open, close) = if bytes[i] == b'{' {
-            (b'{', b'}')
-        } else {
-            (b'(', b')')
-        };
-        let mut depth = 0i64;
-        while i < bytes.len() {
-            if bytes[i] == open {
-                depth += 1;
-            } else if bytes[i] == close {
-                depth -= 1;
-                if depth == 0 {
-                    i += 1;
-                    break;
-                }
-            }
-            i += 1;
-        }
+    if matches!(bytes.get(i), Some(b'{' | b'(')) {
+        i = match_delim(bytes, i);
     }
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
+    let i = skip_ws(bytes, i);
     bytes.get(i) == Some(&b'=') && bytes.get(i + 1) == Some(&b'>')
 }
 
@@ -1012,7 +843,7 @@ fn apply_pragmas(stripped: &BTreeMap<&str, Stripped>, findings: Vec<Finding>) ->
     let mut suppressed = vec![false; findings.len()];
     let mut extra = Vec::new();
     for (path, s) in stripped {
-        let mut spans: Option<Vec<(String, usize, usize, usize)>> = None;
+        let mut spans: Option<Vec<FnSpan<'_>>> = None;
         for pragma in &s.pragmas {
             if !ALL_RULES.contains(&pragma.rule.as_str()) {
                 extra.push(Finding {
@@ -1041,16 +872,16 @@ fn apply_pragmas(stripped: &BTreeMap<&str, Stripped>, findings: Vec<Finding>) ->
             }
             let mut hit = false;
             if pragma.fn_scope {
-                let spans = spans.get_or_insert_with(|| fn_spans(&s.code));
+                let spans = spans.get_or_insert_with(|| items::fn_spans(&s.code));
                 // The fn directly beneath the pragma: its `fn` keyword
                 // within three lines (attributes may intervene).
                 let target = spans
                     .iter()
-                    .filter(|(_, decl, _, _)| {
-                        let decl_line = s.line_of(*decl);
+                    .filter(|f| {
+                        let decl_line = s.line_of(f.decl);
                         decl_line > pragma.line && decl_line <= pragma.line + 3
                     })
-                    .min_by_key(|(_, decl, _, _)| *decl);
+                    .min_by_key(|f| f.decl);
                 match target {
                     None => {
                         extra.push(Finding {
@@ -1064,9 +895,9 @@ fn apply_pragmas(stripped: &BTreeMap<&str, Stripped>, findings: Vec<Finding>) ->
                         });
                         continue;
                     }
-                    Some((_, decl, _, end)) => {
-                        let first = s.line_of(*decl);
-                        let last = s.line_of(end.saturating_sub(1).max(*decl));
+                    Some(&FnSpan { decl, body, .. }) => {
+                        let first = s.line_of(decl);
+                        let last = s.line_of(body.1.saturating_sub(1).max(decl));
                         for (i, f) in findings.iter().enumerate() {
                             if f.file == **path
                                 && f.rule == pragma.rule

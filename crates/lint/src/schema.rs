@@ -19,7 +19,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{word_occurrences, Stripped};
+use crate::items::{braced_members, const_decls};
+use crate::lexer::Stripped;
 
 /// Files the schema is extracted from.
 pub const WIRE_FILE: &str = "crates/runtime/src/wire.rs";
@@ -141,50 +142,20 @@ fn first_diff(committed: &[String], current: &[String]) -> String {
     "line order changed".to_string()
 }
 
-/// The normalized initializer text of `const NAME: ... = <init>;`.
+/// The normalized initializer text of the first `const NAME: ... =
+/// <init>;`.
 fn const_initializer(s: &Stripped, name: &str) -> Option<String> {
-    let code = &s.code;
-    for off in word_occurrences(code, name) {
-        // Require the declaration form `const NAME`, not a mere use.
-        let before = &code[..off];
-        let prev = before.trim_end();
-        if !prev.ends_with("const") {
-            continue;
-        }
-        let rest = &code[off + name.len()..];
-        let eq = rest.find('=')?;
-        let semi = rest[eq..].find(';')? + eq;
-        return Some(normalize_ws(&rest[eq + 1..semi]));
-    }
-    None
+    const_decls(&s.code)
+        .find(|c| c.name == name)
+        .map(|c| normalize_ws(c.init))
 }
 
 /// All `const TAG_* = <init>` declarations of one file.
 fn tag_consts(s: &Stripped) -> Vec<(String, String)> {
-    let code = &s.code;
-    let bytes = code.as_bytes();
-    let mut out = Vec::new();
-    for off in word_occurrences(code, "const") {
-        let mut j = off + "const".len();
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        let name_start = j;
-        while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
-            j += 1;
-        }
-        let name = &code[name_start..j];
-        if !name.starts_with("TAG_") {
-            continue;
-        }
-        let rest = &code[j..];
-        let Some(eq) = rest.find('=') else { continue };
-        let Some(semi_rel) = rest[eq..].find(';') else {
-            continue;
-        };
-        out.push((name.to_string(), normalize_ws(&rest[eq + 1..eq + semi_rel])));
-    }
-    out
+    const_decls(&s.code)
+        .filter(|c| c.name.starts_with("TAG_"))
+        .map(|c| (c.name.to_string(), normalize_ws(c.init)))
+        .collect()
 }
 
 /// One parsed enum variant.
@@ -202,78 +173,14 @@ pub struct Variant {
 /// Attributes between variants are skipped; nested braces/parens/angle
 /// payloads are captured verbatim (normalized).
 pub fn enum_variants(s: &Stripped, enum_name: &str) -> Vec<Variant> {
-    let code = &s.code;
-    let bytes = code.as_bytes();
-    for off in word_occurrences(code, "enum") {
-        let rest = code[off + "enum".len()..].trim_start();
-        let is_target = rest.starts_with(enum_name)
-            && !rest[enum_name.len()..]
-                .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_');
-        if !is_target {
-            continue;
-        }
-        let Some(open_rel) = code[off..].find('{') else {
-            continue;
-        };
-        let mut i = off + open_rel + 1;
-        let mut depth = 1i64;
-        let mut variants = Vec::new();
-        let mut cur: Option<(usize, usize)> = None; // (name_start, name_end)
-        let mut payload_start = 0usize;
-        let mut expect_variant = true;
-        while i < bytes.len() && depth > 0 {
-            let b = bytes[i];
-            match b {
-                b'{' | b'(' | b'[' => {
-                    depth += 1;
-                    i += 1;
-                }
-                b'}' | b')' | b']' => {
-                    depth -= 1;
-                    i += 1;
-                }
-                b',' if depth == 1 => {
-                    if let Some((ns, ne)) = cur.take() {
-                        variants.push(make_variant(s, ns, ne, payload_start, i));
-                    }
-                    expect_variant = true;
-                    i += 1;
-                }
-                b'#' if depth == 1 && expect_variant => {
-                    while i < bytes.len() && bytes[i] != b']' {
-                        i += 1;
-                    }
-                    i += 1;
-                }
-                _ if depth == 1 && expect_variant && (b.is_ascii_alphabetic() || b == b'_') => {
-                    let start = i;
-                    while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                    {
-                        i += 1;
-                    }
-                    cur = Some((start, i));
-                    payload_start = start;
-                    expect_variant = false;
-                }
-                _ => i += 1,
-            }
-        }
-        if let Some((ns, ne)) = cur.take() {
-            // The last variant may lack a trailing comma; `i` now sits
-            // one past the closing `}`.
-            variants.push(make_variant(s, ns, ne, payload_start, i.saturating_sub(1)));
-        }
-        return variants;
-    }
-    Vec::new()
-}
-
-fn make_variant(s: &Stripped, ns: usize, ne: usize, payload_start: usize, end: usize) -> Variant {
-    Variant {
-        name: s.code[ns..ne].to_string(),
-        line: s.line_of(ns),
-        payload: normalize_ws(&s.code[payload_start..end]),
-    }
+    braced_members(&s.code, "enum", enum_name)
+        .into_iter()
+        .map(|m| Variant {
+            name: s.code[m.start..m.name_end].to_string(),
+            line: s.line_of(m.start),
+            payload: normalize_ws(&s.code[m.start..m.end]),
+        })
+        .collect()
 }
 
 /// Collapses all whitespace runs to single spaces and trims.

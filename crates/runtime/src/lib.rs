@@ -28,7 +28,7 @@
 //! | `PerProcess` | [`pipeline::LocalTransport::per_process`]: in-memory, views shared by delivery history, never re-merged | fidelity cross-checks (reference semantics) |
 //! | `Clustered` | [`pipeline::LocalTransport::clustered`]: in-memory, identical views shared | large-`n` experiment sweeps |
 //! | `Parallel` | [`parallel::ParallelTransport`]: the clustered store, compose and apply chunked across OS threads | multi-core sweeps |
-//! | `Threaded` | [`threaded::ChannelTransport`]: slot-range worker threads over crossbeam channels | demonstrating the protocol over real message passing |
+//! | `Threaded` | [`threaded::ChannelTransport`]: slot-range worker threads over `std::sync::mpsc` channels | demonstrating the protocol over real message passing |
 //! | `Socket` | [`socket::SocketTransport`]: the same workers over loopback TCP, length-prefixed frames ([`frame`]) of wire bytes | messages crossing a real OS boundary |
 //!
 //! A run starts one way: [`ExecutorKind::run`] (or

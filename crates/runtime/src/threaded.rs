@@ -1,5 +1,5 @@
 //! In-process wire executor: the worker protocol of [`crate::worker`]
-//! over crossbeam channels.
+//! over `std::sync::mpsc` channels.
 //!
 //! Where the in-memory transports *simulate* the synchronous network,
 //! this executor *is* one, in miniature: slot-range worker threads
@@ -12,8 +12,7 @@
 //! round. Reports are **bit-identical** to the in-memory executors'.
 
 use std::fmt;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::error::RunError;
 use crate::ids::Label;
@@ -98,8 +97,8 @@ where
     ) -> Self {
         let mut links = Vec::new();
         let link = |_| {
-            let (to_worker, commands) = unbounded();
-            let (responses, from_worker) = unbounded();
+            let (to_worker, commands) = channel();
+            let (responses, from_worker) = channel();
             links.push((to_worker, from_worker));
             let port = ChannelPort {
                 commands,

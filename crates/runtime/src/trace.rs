@@ -93,14 +93,6 @@ impl RunReport {
             .collect()
     }
 
-    /// The round of the last decision by any process, if any decided.
-    pub fn last_decision_round(&self) -> Option<Round> {
-        self.decisions
-            .iter()
-            .filter_map(|d| d.map(|d| d.round))
-            .max()
-    }
-
     /// Per-process decision latency (rounds until decision), for processes
     /// that decided. Round 0 counts, so a decision at the end of round `r`
     /// has latency `r + 1`.
@@ -172,9 +164,8 @@ mod tests {
     }
 
     #[test]
-    fn last_decision_round_and_latencies() {
+    fn decision_latencies_count_round_zero() {
         let r = sample();
-        assert_eq!(r.last_decision_round(), Some(Round(4)));
         assert_eq!(r.decision_latencies(), vec![5, 3]);
     }
 

@@ -70,21 +70,6 @@ impl<M> Clone for RoundInbox<'_, M> {
 impl<M> Copy for RoundInbox<'_, M> {}
 
 impl<'a, M> RoundInbox<'a, M> {
-    /// Wraps two parallel columns. Callers must pass columns of equal
-    /// length, sorted by label with at most one entry per sender.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the columns differ in length.
-    pub fn from_parts(labels: &'a [Label], msgs: &'a [M]) -> Self {
-        assert_eq!(
-            labels.len(),
-            msgs.len(),
-            "inbox columns must be parallel arrays"
-        );
-        RoundInbox { labels, msgs }
-    }
-
     /// Number of delivered broadcasts.
     pub fn len(&self) -> usize {
         self.labels.len()
@@ -367,14 +352,6 @@ mod tests {
         let a = inbox;
         let b = inbox;
         assert_eq!(a.len(), b.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "parallel arrays")]
-    fn round_inbox_rejects_ragged_columns() {
-        let labels = [Label(1)];
-        let msgs: [u32; 2] = [1, 2];
-        let _ = RoundInbox::from_parts(&labels, &msgs);
     }
 
     #[test]

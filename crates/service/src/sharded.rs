@@ -250,11 +250,6 @@ impl ShardedService {
         &self.partition
     }
 
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Read access to one per-shard engine.
     ///
     /// # Panics

@@ -54,7 +54,7 @@ pub use bil_tree as tree;
 
 /// The most common imports, bundled.
 pub mod prelude {
-    pub use bil_baselines::{det_rank, FloodRank, RetryBins};
+    pub use bil_baselines::{FloodRank, RetryBins};
     pub use bil_core::{
         assignment, check_tight_renaming, solve_tight_renaming, BallsIntoLeaves, BilConfig,
         EpochBil, PathRule, RenamingVerdict,
