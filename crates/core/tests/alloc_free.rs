@@ -6,7 +6,8 @@
 //! **deliver** stage allocates a constant number of shared buffers —
 //! independent of `n` — instead of per-recipient inbox clones. A bench
 //! can only suggest that; this test asserts it against a counting
-//! global allocator.
+//! global allocator, which also bounds the largest single request a
+//! hostile wire body can provoke.
 #![allow(unsafe_code)] // a GlobalAlloc impl is unavoidably unsafe
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -14,12 +15,14 @@ use std::cell::Cell;
 
 use bil_core::{BallsIntoLeaves, BilConfig, BilMsg, EpochBil};
 use bil_runtime::pipeline::RoundMessages;
+use bil_runtime::wire::{Wire, WireError};
 use bil_runtime::{InboxBuf, Label, Name, ProcId, Round, SeedTree, ViewProtocol};
+use bytes::Bytes;
 
 /// Wraps the system allocator, counting every allocation (fresh or
-/// growing) made by the allocating thread. Deallocations are not
-/// counted: the assertions below are about *acquiring* memory on the hot
-/// path.
+/// growing) made by the allocating thread and keeping its largest
+/// request. Deallocations are not counted: the assertions below are
+/// about *acquiring* memory.
 struct CountingAlloc;
 
 thread_local! {
@@ -27,17 +30,20 @@ thread_local! {
     /// pollute a measured window. Const-initialized: no lazy setup and no
     /// destructor, so the allocator can touch it without recursing.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// The largest single request, in bytes, made by this thread.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_allocation() {
+fn count_allocation(size: usize) {
     // `try_with` fails only while the thread's TLS is being torn down;
     // no measured window is open then.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -46,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -59,6 +65,14 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Runs `f`, returning the largest single allocation request, in bytes,
+/// it made on this thread.
+fn largest_request_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    LARGEST.with(|c| c.set(0));
+    let out = f();
+    (LARGEST.with(Cell::get), out)
 }
 
 /// A failure-free system after round 0: every ball admitted at the root,
@@ -369,4 +383,15 @@ fn applying_a_shared_inbox_never_clones_the_messages() {
         a1 <= budget,
         "apply allocations {a1} exceed budget {budget}"
     );
+}
+
+#[test]
+fn a_hostile_sequence_length_reserves_no_more_than_its_body() {
+    // A 4-byte body whose length prefix declares 2^26 labels, the
+    // `MAX_SEQ_LEN` cap: the label sets of the wire executors' `Composed`
+    // and `Deliver` bodies decode through this path.
+    let body = Bytes::from_static(&[0x80, 0x80, 0x80, 0x20]);
+    let (largest, decoded) = largest_request_during(|| Vec::<Label>::from_bytes(body));
+    assert_eq!(decoded, Err(WireError::UnexpectedEnd));
+    assert!(largest < 1024, "decoding requested {largest} bytes at once");
 }

@@ -8,12 +8,21 @@
 //! *adaptively* against the observed execution so far (strictly stronger
 //! than replaying pre-committed schedules).
 //!
+//! Every explored schedule is a whole [`ExecutorKind::Clustered`] run,
+//! through the round pipeline that every executor and the renaming
+//! service share, so the checker has no round loop of its own. The
+//! search is stateless: a schedule is a path of [`DecisionTrace`]s, one
+//! crash per round. A replay adversary crashes each listed victim in its
+//! round and nobody after, and in every later round records the crashes
+//! it could have made instead; each of those extends the path into a
+//! schedule still to visit.
+//!
 //! At each terminal state the §3 specification (termination, validity,
 //! uniqueness) is checked; a reported [`Violation`] carries the exact
-//! decision path for replay. The checker is protocol-generic, so it
-//! both *verifies* the Balls-into-Leaves family and *finds the
-//! counterexample* for the broken reclaim baseline (a useful negative
-//! control: the tool can actually detect bugs).
+//! decision path, and [`Explorer::check`] replays it. The checker is
+//! protocol-generic, so it both *verifies* the Balls-into-Leaves family
+//! and *finds the counterexample* for the broken reclaim baseline (a
+//! useful negative control: the tool can actually detect bugs).
 //!
 //! ## Example
 //!
@@ -35,12 +44,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
-use bil_runtime::adversary::Recipients;
-use bil_runtime::pipeline::{LocalTransport, RoundMessages, Transport};
-use bil_runtime::{Label, Name, ProcId, Round, SeedTree, Status, ViewProtocol};
+use bil_runtime::adversary::{Adversary, AdversaryView, Crash, CrashPlan, Recipients};
+use bil_runtime::engine::EngineOptions;
+use bil_runtime::{ExecutorKind, Label, Name, ProcId, Round, RunReport, SeedTree, ViewProtocol};
 
 /// How delivery subsets for a dying broadcast are enumerated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +59,27 @@ pub enum SubsetPolicy {
     /// All label-sorted prefixes (`n` subsets) plus the parity split —
     /// a symmetry-reduced frontier for slightly larger `n`.
     Prefixes,
+}
+
+impl SubsetPolicy {
+    /// The delivery masks to branch over for `victim` among `n` slots,
+    /// ascending; none includes the victim.
+    fn masks(self, n: usize, victim: ProcId) -> Vec<u64> {
+        let others = ((1u64 << n) - 1) & !(1 << victim.0);
+        match self {
+            SubsetPolicy::Exhaustive => (0..1u64 << n).filter(|m| m & !others == 0).collect(),
+            SubsetPolicy::Prefixes => {
+                let even = 0x5555_5555_5555_5555u64;
+                let mut masks: Vec<u64> = (0..=n)
+                    .map(|k| ((1u64 << k) - 1) & others)
+                    .chain([even & others, !even & others, others])
+                    .collect();
+                masks.sort_unstable();
+                masks.dedup();
+                masks
+            }
+        }
+    }
 }
 
 /// Bounds of one exploration.
@@ -115,19 +145,25 @@ pub enum Violation {
     },
 }
 
+impl Violation {
+    /// The adversary path leading here; [`Explorer::check`] replays it.
+    pub fn path(&self) -> &[DecisionTrace] {
+        match self {
+            Violation::DuplicateName { path, .. }
+            | Violation::InvalidName { path, .. }
+            | Violation::NonTermination { path } => path,
+        }
+    }
+}
+
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Violation::DuplicateName { name, path } => {
-                write!(f, "duplicate name {name} after {} crashes", path.len())
-            }
-            Violation::InvalidName { name, path } => {
-                write!(f, "invalid name {name} after {} crashes", path.len())
-            }
-            Violation::NonTermination { path } => {
-                write!(f, "non-termination after {} crashes", path.len())
-            }
+            Violation::DuplicateName { name, .. } => write!(f, "duplicate name {name}")?,
+            Violation::InvalidName { name, .. } => write!(f, "invalid name {name}")?,
+            Violation::NonTermination { .. } => write!(f, "non-termination")?,
         }
+        write!(f, " after {} crashes", self.path().len())
     }
 }
 
@@ -142,17 +178,50 @@ pub struct ExploreStats {
     pub violations: Vec<Violation>,
 }
 
-/// One branchable execution state: the clustered engine's own store
-/// ([`LocalTransport::clustered`]), cloned at every branch, plus
-/// liveness, decisions, the crash budget and the decision path.
-#[derive(Clone)]
-struct BranchState<P: ViewProtocol> {
-    round: Round,
-    transport: LocalTransport<P>,
-    alive: Vec<bool>,
-    decided: Vec<Option<Name>>,
-    budget_left: usize,
-    path: Vec<DecisionTrace>,
+/// The adversary of one explored run: crashes each decision of `path` in
+/// its round and nobody after. In every round past the path where a
+/// crash is still possible — budget left and more than one process
+/// broadcasting — it records in `branches` every victim × delivery-mask
+/// decision it could have made instead, in slot and mask order.
+struct Replay<'a> {
+    path: &'a [DecisionTrace],
+    cfg: &'a ExploreConfig,
+    branches: &'a mut Vec<DecisionTrace>,
+}
+
+impl<M> Adversary<M> for Replay<'_> {
+    fn plan(&mut self, view: &AdversaryView<'_, M>) -> CrashPlan {
+        let past = self.path.iter().all(|d| d.round < view.round);
+        if past && view.budget_left > 0 && view.participant_count() > 1 {
+            for &victim in view.participants {
+                for recipients_mask in self.cfg.subsets.masks(view.n, victim) {
+                    self.branches.push(DecisionTrace {
+                        round: view.round,
+                        victim,
+                        recipients_mask,
+                    });
+                }
+            }
+        }
+        let crashes = self.path.iter().filter(|d| d.round == view.round);
+        CrashPlan {
+            crashes: crashes
+                .map(|d| Crash {
+                    victim: d.victim,
+                    deliver_to: Recipients::Set(
+                        (0..view.n as u32)
+                            .filter(|b| (d.recipients_mask >> b) & 1 == 1)
+                            .map(ProcId)
+                            .collect(),
+                    ),
+                })
+                .collect(),
+        }
+    }
+
+    fn budget(&self) -> usize {
+        self.cfg.crash_budget
+    }
 }
 
 /// Bounded exhaustive explorer over the adaptive adversary's choices.
@@ -172,7 +241,7 @@ impl<P: ViewProtocol + fmt::Debug> fmt::Debug for Explorer<P> {
     }
 }
 
-impl<P: ViewProtocol + Clone> Explorer<P> {
+impl<P: ViewProtocol + Clone + Send + 'static> Explorer<P> {
     /// An explorer over `n` processes with labels `3, 10, 17, …`
     /// (non-contiguous by design).
     ///
@@ -189,185 +258,82 @@ impl<P: ViewProtocol + Clone> Explorer<P> {
         }
     }
 
-    /// Runs the exploration to completion.
+    /// Runs the exploration to completion: one run per terminal state,
+    /// in the order a recursive search over the decision tree visits
+    /// them.
     pub fn explore(&self) -> ExploreStats {
-        let n = self.labels.len();
-        let seeds = SeedTree::new(self.cfg.seed);
-        let root = BranchState {
-            round: Round(0),
-            transport: LocalTransport::clustered(self.protocol.clone(), &self.labels, &seeds),
-            alive: vec![true; n],
-            decided: vec![None; n],
-            budget_left: self.cfg.crash_budget.min(n.saturating_sub(1)),
-            path: Vec::new(),
-        };
         let mut stats = ExploreStats::default();
-        self.dfs(root, &mut stats);
+        let mut stack = vec![Vec::new()];
+        while let Some(path) = stack.pop() {
+            let mut branches = Vec::new();
+            let report = self.run(&path, &mut branches);
+            // This run's own round transitions: its last crash and every
+            // round after it (earlier rounds belong to shorter paths).
+            stats.states_explored += report.rounds - path.last().map_or(0, |d| d.round.0);
+            stats.terminal_states += 1;
+            stats.violations.extend(self.verdict(&report, &path));
+            // A later round's branches are visited before an earlier
+            // round's, each round's in victim × mask order; the stack
+            // pops the last push first.
+            for round in branches.chunk_by(|a, b| a.round == b.round) {
+                stack.extend(
+                    round
+                        .iter()
+                        .rev()
+                        .map(|d| [&path[..], std::slice::from_ref(d)].concat()),
+                );
+            }
+        }
         stats
     }
 
-    fn dfs(&self, mut state: BranchState<P>, stats: &mut ExploreStats) {
-        let n = self.labels.len();
-        // Terminal: everyone alive decided.
-        if (0..n).all(|p| !state.alive[p] || state.decided[p].is_some()) {
-            stats.terminal_states += 1;
-            self.check_terminal(&state, stats);
-            return;
-        }
-        if state.round.0 >= self.cfg.max_rounds {
-            stats.terminal_states += 1;
-            stats.violations.push(Violation::NonTermination {
-                path: state.path.clone(),
-            });
-            return;
-        }
-
-        // Compose this round's broadcasts once; branches differ only in
-        // delivery.
-        let participants: Vec<ProcId> = (0..n as u32)
-            .map(ProcId)
-            .filter(|p| state.alive[p.index()] && state.decided[p.index()].is_none())
-            .collect();
-        let outgoing = state
-            .transport
-            .compose(state.round, &participants)
-            .expect("the in-memory transport is infallible");
-
-        // Branch 1: no crash this round.
-        stats.states_explored += 1;
-        let next = self.deliver(&state, &participants, &outgoing, None);
-        self.dfs(next, stats);
-
-        // Branches 2..: every victim × every delivery subset, while
-        // budget and participant count allow.
-        if state.budget_left == 0 || outgoing.len() <= 1 {
-            return;
-        }
-        for &victim in &participants {
-            for mask in self.masks_for(victim) {
-                stats.states_explored += 1;
-                let mut next = self.deliver(&state, &participants, &outgoing, Some((victim, mask)));
-                next.path.push(DecisionTrace {
-                    round: state.round,
-                    victim,
-                    recipients_mask: mask,
-                });
-                self.dfs(next, stats);
-            }
-        }
+    /// Replays one decision path — a reported [`Violation::path`], or
+    /// any crash schedule — and returns the violations of the run it
+    /// reaches. Each listed crash happens in its round (several may
+    /// share one) and nobody crashes after; the pipeline drops a crash
+    /// of a crashed or decided victim, or one beyond the crash budget,
+    /// as in any run.
+    pub fn check(&self, path: &[DecisionTrace]) -> Vec<Violation> {
+        let report = self.run(path, &mut Vec::new());
+        self.verdict(&report, path)
     }
 
-    /// The delivery masks to branch over for `victim`.
-    fn masks_for(&self, victim: ProcId) -> Vec<u64> {
-        let n = self.labels.len();
-        let all = ((1u64 << n) - 1) & !(1 << victim.0);
-        match self.cfg.subsets {
-            SubsetPolicy::Exhaustive => {
-                // Enumerate subsets of the other slots by masking out the
-                // victim bit from a dense enumeration.
-                let others: Vec<u32> = (0..n as u32).filter(|b| *b != victim.0).collect();
-                (0u64..(1 << others.len()))
-                    .map(|m| {
-                        let mut mask = 0u64;
-                        for (i, b) in others.iter().enumerate() {
-                            if (m >> i) & 1 == 1 {
-                                mask |= 1 << b;
-                            }
-                        }
-                        mask
-                    })
-                    .collect()
-            }
-            SubsetPolicy::Prefixes => {
-                let mut masks: Vec<u64> = (0..=n)
-                    .map(|k| {
-                        let mut mask = 0u64;
-                        for b in 0..k {
-                            mask |= 1 << b;
-                        }
-                        mask & !(1 << victim.0)
-                    })
-                    .collect();
-                // Parity split, both phases.
-                let mut even = 0u64;
-                let mut odd = 0u64;
-                for b in 0..n as u32 {
-                    if b % 2 == 0 {
-                        even |= 1 << b;
-                    } else {
-                        odd |= 1 << b;
-                    }
-                }
-                masks.push(even & !(1 << victim.0));
-                masks.push(odd & !(1 << victim.0));
-                masks.push(all);
-                masks.sort_unstable();
-                masks.dedup();
-                masks
-            }
-        }
+    /// Runs the clustered executor against the replay of `path`,
+    /// collecting in `branches` the decisions past it still to visit.
+    fn run(&self, path: &[DecisionTrace], branches: &mut Vec<DecisionTrace>) -> RunReport {
+        let replay = Replay {
+            path,
+            cfg: &self.cfg,
+            branches,
+        };
+        let options = EngineOptions {
+            max_rounds: Some(self.cfg.max_rounds),
+            ..EngineOptions::default()
+        };
+        let (protocol, labels) = (self.protocol.clone(), self.labels.clone());
+        let seeds = SeedTree::new(self.cfg.seed);
+        ExecutorKind::Clustered
+            .run(protocol, labels, replay, seeds, options)
+            .expect("the in-memory executor never fails on distinct labels")
     }
 
-    /// Delivers and applies one round with an optional
-    /// `(victim, recipients_mask)` crash, returning the successor state:
-    /// the round's messages go through the pipeline's own
-    /// [`RoundMessages`], and the branch's store applies and sweeps them.
-    fn deliver(
-        &self,
-        state: &BranchState<P>,
-        participants: &[ProcId],
-        outgoing: &[(ProcId, Label, P::Msg)],
-        crash: Option<(ProcId, u64)>,
-    ) -> BranchState<P> {
-        let mut next = state.clone();
-        let mut crashes = Vec::new();
-        if let Some((victim, mask)) = crash {
-            next.alive[victim.index()] = false;
-            next.budget_left -= 1;
-            let heard = (0..self.labels.len() as u32)
-                .filter(|b| (mask >> b) & 1 == 1)
-                .map(ProcId)
-                .collect();
-            crashes.push((victim, Recipients::Set(heard)));
+    /// The §3 violations of the run that `path` reached.
+    fn verdict(&self, report: &RunReport, path: &[DecisionTrace]) -> Vec<Violation> {
+        let path = || path.to_vec();
+        if !report.completed() {
+            return vec![Violation::NonTermination { path: path() }];
         }
-        let survivors: Vec<ProcId> = participants
-            .iter()
-            .copied()
-            .filter(|pid| next.alive[pid.index()])
-            .collect();
-        let mut msgs = RoundMessages::new(outgoing.to_vec(), &next.alive, &crashes);
-        msgs.prepare(&survivors);
-        let infallible = "the in-memory transport is infallible";
-        next.transport
-            .apply(next.round, &next.alive, &survivors, &msgs)
-            .expect(infallible);
-        for (pid, status) in next.transport.sweep(next.round).expect(infallible) {
-            if let Status::Decided(name) = status {
-                next.decided[pid.index()] = Some(name);
+        let mut violations = Vec::new();
+        let mut seen = BTreeSet::new();
+        for name in report.all_names() {
+            if name.0 as usize >= report.n {
+                violations.push(Violation::InvalidName { name, path: path() });
+            }
+            if !seen.insert(name) {
+                violations.push(Violation::DuplicateName { name, path: path() });
             }
         }
-        next.round = next.round.next();
-        next
-    }
-
-    fn check_terminal(&self, state: &BranchState<P>, stats: &mut ExploreStats) {
-        let n = self.labels.len();
-        let mut seen: BTreeMap<Name, ProcId> = BTreeMap::new();
-        for (pid, decision) in state.decided.iter().enumerate() {
-            let Some(name) = decision else { continue };
-            if name.0 as usize >= n {
-                stats.violations.push(Violation::InvalidName {
-                    name: *name,
-                    path: state.path.clone(),
-                });
-            }
-            if seen.insert(*name, ProcId(pid as u32)).is_some() {
-                stats.violations.push(Violation::DuplicateName {
-                    name: *name,
-                    path: state.path.clone(),
-                });
-            }
-        }
+        violations
     }
 }
 
@@ -605,5 +571,36 @@ mod tests {
         ] {
             assert!(!v.to_string().is_empty());
         }
+    }
+
+    /// A reported counterexample replays: [`Explorer::check`] on the
+    /// eager-reclaim baseline's duplicate-name path reaches the same
+    /// violation.
+    #[test]
+    fn reported_violation_replays_through_check() {
+        let found = (0..64).find_map(|seed| {
+            let explorer = Explorer::new(
+                RetryBins::eager_reclaim(),
+                4,
+                ExploreConfig {
+                    crash_budget: 1,
+                    max_rounds: 24,
+                    seed,
+                    ..ExploreConfig::default()
+                },
+            );
+            let stats = explorer.explore();
+            let duplicate = stats
+                .violations
+                .into_iter()
+                .find(|v| matches!(v, Violation::DuplicateName { .. }))?;
+            Some((explorer, duplicate))
+        });
+        let (explorer, duplicate) = found.expect("a duplicate-name counterexample");
+        assert!(!duplicate.path().is_empty(), "{duplicate}");
+        assert!(
+            explorer.check(duplicate.path()).contains(&duplicate),
+            "{duplicate:?}"
+        );
     }
 }

@@ -7,7 +7,8 @@
 //! ones) → **apply** (fold inboxes into views) → **status sweep** (decided
 //! processes retire and go silent). Historically each executor re-rolled
 //! that loop by hand; this module owns it once, as [`RoundPipeline`],
-//! parameterized by a [`Transport`].
+//! parameterized by a [`Transport`]. Every executor, every service epoch
+//! and every schedule `bil-modelcheck` explores runs through it.
 //!
 //! A [`Transport`] answers only the executor-specific questions — *where
 //! do views live and how is a composed message carried to its recipients*:
@@ -22,9 +23,8 @@
 //!   ([`crate::socket::SocketTransport`]).
 //!
 //! [`LocalTransport`] is also the one cluster store: each wire worker
-//! runs one over its slot range, and `bil-modelcheck` steps one per
-//! branch, so no other code holds clustered views or calls a protocol's
-//! compose, apply or status.
+//! runs one over its slot range, so no other code holds clustered views
+//! or calls a protocol's compose, apply or status.
 //!
 //! Everything else — adversary bookkeeping, crash budgets, message
 //! accounting, inbox planning, round limits, report assembly — lives in
@@ -636,11 +636,8 @@ impl<A> RoundPipeline<A> {
 /// The same store serves every executor: the clustered and per-process
 /// engines hold all `n` slots on one thread; the parallel executor
 /// ([`crate::parallel::ParallelTransport`]) is a clustered store with a
-/// shard count above 1; each wire worker ([`crate::worker`]) holds a
-/// per-process store over its contiguous slot range; and
-/// `bil-modelcheck` clones one per branch of the adversary's decision
-/// tree.
-#[derive(Clone)]
+/// shard count above 1; and each wire worker ([`crate::worker`]) holds a
+/// per-process store over its contiguous slot range.
 pub struct LocalTransport<P: ViewProtocol> {
     protocol: P,
     /// First slot held: the per-slot columns cover slots

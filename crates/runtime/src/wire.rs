@@ -205,7 +205,11 @@ impl<T: Wire> Wire for Vec<T> {
             return Err(WireError::LengthOverflow(len));
         }
         let len = usize::try_from(len).map_err(|_| WireError::LengthOverflow(len))?;
-        let mut out = Vec::with_capacity(len);
+        // Clamp the preallocation to what the buffer could possibly hold
+        // (each element is ≥ 1 encoded byte): honest frames reserve
+        // exactly `len`, while a hostile length prefix on a truncated
+        // frame cannot amplify into a large speculative allocation.
+        let mut out = Vec::with_capacity(len.min(buf.remaining()));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }

@@ -146,6 +146,7 @@ impl EpochRun {
             admitted,
             deferred,
             released,
+            seeds,
             result,
         }
     }
@@ -159,6 +160,10 @@ pub struct EpochOutcome {
     pub(crate) admitted: Vec<Label>,
     pub(crate) deferred: usize,
     pub(crate) released: Vec<(Label, Name)>,
+    /// The run's seed tree, re-derived from the service's root seed per
+    /// epoch: it ties the outcome to the service and epoch that detached
+    /// the run.
+    pub(crate) seeds: SeedTree,
     /// `Ok(None)`: an epoch with no admissions. `Ok(Some(report))`: the
     /// protocol ran to completion. `Err`: the executor failed or
     /// stalled; the cohort must be re-queued.

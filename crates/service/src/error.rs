@@ -98,8 +98,8 @@ impl From<EpochError> for ServiceError {
 /// A sharded front-end error; see [`crate::ShardedService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
-    /// The namespace cannot be partitioned: zero shards, or fewer names
-    /// than shards.
+    /// The namespace cannot be partitioned: zero shards, fewer names
+    /// than shards, or more than `2^32` names (global names are `u32`).
     BadPartition {
         /// The requested namespace size.
         capacity: usize,

@@ -259,20 +259,18 @@ impl RenamingService {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Pipeline`] if `outcome` does not belong to the
-    /// in-flight epoch. If the run itself failed, the admitted cohort
-    /// returns to the *front* of the backlog in its original FIFO order
-    /// (ahead of anything enqueued while the epoch was in flight), the
-    /// epoch counter stays put, and the run's error
-    /// ([`ServiceError::Run`] / [`ServiceError::Stalled`]) is returned.
+    /// [`ServiceError::Pipeline`] if `outcome` is not the outcome of the
+    /// run this service detached for its in-flight epoch. If the run
+    /// itself failed, the admitted cohort returns to the *front* of the
+    /// backlog in its original FIFO order (ahead of anything enqueued
+    /// while the epoch was in flight), the epoch counter stays put, and
+    /// the run's error ([`ServiceError::Run`] /
+    /// [`ServiceError::Stalled`]) is returned.
     pub fn finish_epoch(&mut self, outcome: EpochOutcome) -> Result<EpochReport, ServiceError> {
-        match &self.in_flight {
-            Some((e, _)) if *e == outcome.epoch => {}
-            other => {
-                return Err(ServiceError::Pipeline {
-                    in_flight: other.as_ref().map(|(e, _)| *e),
-                })
-            }
+        if !self.awaits(&outcome) {
+            return Err(ServiceError::Pipeline {
+                in_flight: self.in_flight(),
+            });
         }
         self.in_flight = None;
         let EpochOutcome {
@@ -281,6 +279,7 @@ impl RenamingService {
             deferred,
             released,
             result,
+            ..
         } = outcome;
         let run = match result {
             Ok(run) => run,
@@ -323,6 +322,13 @@ impl RenamingService {
             rounds: run.as_ref().map_or(0, |r| r.rounds),
             run,
         })
+    }
+
+    /// Whether `outcome` comes from the run this service detached for
+    /// its in-flight epoch: the same epoch and the same seed tree.
+    pub(crate) fn awaits(&self, outcome: &EpochOutcome) -> bool {
+        self.in_flight()
+            .is_some_and(|e| e == outcome.epoch && self.seeds.epoch(e) == outcome.seeds)
     }
 
     /// Returns failed-epoch contenders to the *front* of the backlog, in
@@ -630,6 +636,18 @@ mod tests {
             svc.begin_epoch().unwrap_err(),
             ServiceError::Pipeline { in_flight: Some(0) }
         );
+        // Another service's epoch-0 outcome: only the run this service
+        // detached may finish its epoch.
+        let foreign = {
+            let mut other = RenamingService::new(8, 18, ServiceOptions::default()).unwrap();
+            other.enqueue(&acquires(0..2)).unwrap();
+            other.begin_epoch().unwrap().execute(NoFailures)
+        };
+        assert_eq!(
+            svc.finish_epoch(foreign).unwrap_err(),
+            ServiceError::Pipeline { in_flight: Some(0) }
+        );
+        assert_eq!(svc.held(), 0);
         let outcome = run.execute(NoFailures);
         svc.finish_epoch(outcome).unwrap();
         // Finishing with no epoch in flight.
@@ -673,6 +691,7 @@ mod tests {
             admitted: run.admitted().to_vec(),
             deferred: 0,
             released: Vec::new(),
+            seeds: run.seeds,
             result: Err(ServiceError::Run {
                 epoch,
                 source: source.clone(),

@@ -84,9 +84,10 @@ impl NamePartition {
     /// # Errors
     ///
     /// [`ShardError::BadPartition`] if `shards` is zero or exceeds
-    /// `capacity` (every shard must own at least one name).
+    /// `capacity` (every shard must own at least one name), or if
+    /// `capacity` exceeds `2^32` (every global name must fit a [`Name`]).
     pub fn new(capacity: usize, shards: usize) -> Result<NamePartition, ShardError> {
-        if shards == 0 || capacity < shards {
+        if shards == 0 || capacity < shards || capacity as u64 > 1 << 32 {
             return Err(ShardError::BadPartition { capacity, shards });
         }
         Ok(NamePartition {
@@ -475,8 +476,10 @@ impl ShardedService {
     ///
     /// # Errors
     ///
-    /// [`ShardError::Pipeline`] if no epoch is in flight or `outcomes`
-    /// is not one-per-shard.
+    /// [`ShardError::Pipeline`] if no epoch is in flight, or if
+    /// `outcomes` is not, shard by shard, the outcome of the run
+    /// [`ShardedService::begin`] detached on that shard — checked before
+    /// any shard changes.
     pub fn complete(
         &mut self,
         outcomes: Vec<EpochOutcome>,
@@ -484,7 +487,9 @@ impl ShardedService {
         if !self.in_flight {
             return Err(ShardError::Pipeline { in_flight: false });
         }
-        if outcomes.len() != self.shards.len() {
+        if outcomes.len() != self.shards.len()
+            || !self.shards.iter().zip(&outcomes).all(|(s, o)| s.awaits(o))
+        {
             return Err(ShardError::Pipeline { in_flight: true });
         }
         self.in_flight = false;
@@ -661,6 +666,18 @@ mod tests {
             NamePartition::new(3, 5),
             Err(ShardError::BadPartition { .. })
         ));
+        // Past 2^32 names, shard 255's start would truncate onto shard
+        // 127's and the two would issue the same global names.
+        assert!(matches!(
+            NamePartition::new((1 << 32) + 1, 256),
+            Err(ShardError::BadPartition { .. })
+        ));
+        assert!(matches!(
+            ShardedService::new(1 << 33, 256, 1, ShardedOptions::default()),
+            Err(ShardError::BadPartition { .. })
+        ));
+        let widest = NamePartition::new(1 << 32, 256).unwrap();
+        assert_eq!(widest.range(255).end, 1 << 32);
     }
 
     #[test]
@@ -802,6 +819,29 @@ mod tests {
     }
 
     #[test]
+    fn complete_rejects_outcomes_in_the_wrong_shard_order() {
+        // Both shards run the same epoch index, so only the runs
+        // themselves tell the two outcomes apart.
+        let mut svc = ShardedService::new(16, 2, 17, ShardedOptions::default()).unwrap();
+        svc.step(&acquires(0..4)).unwrap();
+        svc.submit(&acquires(4..10)).unwrap();
+        let state = |svc: &ShardedService| {
+            let routes: Vec<_> = (0..10).map(|l| svc.route_of(Label(l))).collect();
+            (svc.holders().collect::<Vec<_>>(), routes)
+        };
+        let before = state(&svc);
+        let runs = svc.begin().unwrap();
+        let mut outcomes = ShardedService::execute_all(runs, vec![NoFailures, NoFailures], false);
+        outcomes.swap(0, 1);
+        assert_eq!(
+            svc.complete(outcomes).unwrap_err(),
+            ShardError::Pipeline { in_flight: true }
+        );
+        assert!(svc.in_flight());
+        assert_eq!(state(&svc), before);
+    }
+
+    #[test]
     fn concurrent_and_sequential_shard_execution_agree() {
         let drive = |concurrent: bool| {
             let mut svc = ShardedService::new(
@@ -863,6 +903,7 @@ mod tests {
                     admitted,
                     deferred: 0,
                     released: Vec::new(),
+                    seeds: run.seeds,
                     result: Err(ServiceError::Run {
                         epoch,
                         source: RunError::Io {
