@@ -1,5 +1,6 @@
-//! Service-layer errors: per-shard engine errors ([`ServiceError`]) and
-//! sharded front-end errors ([`ShardError`]).
+//! Service-layer errors: per-shard engine errors ([`ServiceError`]),
+//! sharded front-end errors ([`ShardError`]), and refused epoch outcomes
+//! handed back to their caller ([`Rejected`]).
 
 use std::error::Error;
 use std::fmt;
@@ -119,8 +120,8 @@ pub enum ShardError {
     /// changed anywhere.
     Request(ServiceError),
     /// A two-stage front-end call out of order: `begin` while an epoch
-    /// is in flight, or `complete` without one (or with the wrong number
-    /// of shard outcomes).
+    /// is in flight, or `complete` without one (or with outcomes that are
+    /// not, shard by shard, the in-flight runs').
     Pipeline {
         /// Whether an epoch was in flight when the misordered call
         /// arrived.
@@ -152,6 +153,43 @@ impl Error for ShardError {
             ShardError::Shard { source, .. } | ShardError::Request(source) => Some(source),
             _ => None,
         }
+    }
+}
+
+/// Epoch outcomes that a completion call refused before changing any
+/// state, handed back untouched beside the reason so the caller can
+/// retry with the right ones. [`crate::ShardedService::complete`]
+/// returns `Rejected<ShardError, Vec<EpochOutcome>>` and
+/// [`crate::RenamingService::finish_epoch`] returns
+/// `Rejected<ServiceError, Box<EpochOutcome>>`; either way `error` is the
+/// `Pipeline` variant and the epoch stays in flight.
+///
+/// [`EpochOutcome`]: crate::EpochOutcome
+#[derive(Debug)]
+pub struct Rejected<E, T> {
+    /// Why the outcomes were refused.
+    pub error: E,
+    /// The refused outcomes, as passed in.
+    pub outcomes: T,
+}
+
+impl<E: fmt::Display, T> fmt::Display for Rejected<E, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.error.fmt(f)
+    }
+}
+
+impl<E: Error, T: fmt::Debug> Error for Rejected<E, T> {}
+
+impl<T> From<Rejected<ServiceError, T>> for ServiceError {
+    fn from(rejected: Rejected<ServiceError, T>) -> Self {
+        rejected.error
+    }
+}
+
+impl<T> From<Rejected<ShardError, T>> for ShardError {
+    fn from(rejected: Rejected<ShardError, T>) -> Self {
+        rejected.error
     }
 }
 

@@ -38,8 +38,9 @@
 //!
 //! ## Crate layout
 //!
-//! * [`mod@error`] — [`ServiceError`] (per-shard engine) and
-//!   [`ShardError`] (sharded front-end).
+//! * [`mod@error`] — [`ServiceError`] (per-shard engine),
+//!   [`ShardError`] (sharded front-end) and [`Rejected`] (refused
+//!   outcomes, handed back).
 //! * [`mod@epoch`] — [`Request`], [`ServiceOptions`], [`EpochReport`],
 //!   and the detached [`EpochRun`] / [`EpochOutcome`] pair that makes
 //!   epoch pipelining possible.
@@ -98,6 +99,6 @@ pub mod shard;
 pub mod sharded;
 
 pub use epoch::{EpochOutcome, EpochReport, EpochRun, Request, ServiceOptions};
-pub use error::{ServiceError, ShardError};
+pub use error::{Rejected, ServiceError, ShardError};
 pub use shard::RenamingService;
 pub use sharded::{NamePartition, ShardedEpochReport, ShardedOptions, ShardedService};

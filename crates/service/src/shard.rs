@@ -32,7 +32,7 @@ use bil_runtime::{Label, Name, SeedTree};
 use bil_tree::Topology;
 
 use crate::epoch::{EpochOutcome, EpochReport, EpochRun, Request, ServiceOptions};
-use crate::error::ServiceError;
+use crate::error::{Rejected, ServiceError};
 
 /// The long-lived renaming service over one tree; used standalone or as
 /// the per-shard engine behind [`crate::ShardedService`]. See the crate
@@ -164,7 +164,7 @@ impl RenamingService {
         self.enqueue(requests)?;
         let run = self.begin_epoch()?;
         let outcome = run.execute(adversary);
-        self.finish_epoch(outcome)
+        self.finish_epoch(outcome)?
     }
 
     /// Stage 1: validates `requests` and stages them for the next epoch
@@ -259,17 +259,25 @@ impl RenamingService {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Pipeline`] if `outcome` is not the outcome of the
-    /// run this service detached for its in-flight epoch. If the run
-    /// itself failed, the admitted cohort returns to the *front* of the
-    /// backlog in its original FIFO order (ahead of anything enqueued
-    /// while the epoch was in flight), the epoch counter stays put, and
-    /// the run's error ([`ServiceError::Run`] /
-    /// [`ServiceError::Stalled`]) is returned.
-    pub fn finish_epoch(&mut self, outcome: EpochOutcome) -> Result<EpochReport, ServiceError> {
+    /// The outer `Err` is a [`Rejected`] with [`ServiceError::Pipeline`]
+    /// if `outcome` is not the outcome of the run this service detached
+    /// for its in-flight epoch: nothing changes and `outcome` comes back
+    /// untouched, so it can still go to the service it belongs to.
+    /// The inner `Err` means the run itself failed: the admitted cohort
+    /// returns to the *front* of the backlog in its original FIFO order
+    /// (ahead of anything enqueued while the epoch was in flight), the
+    /// epoch counter stays put, and the run's error
+    /// ([`ServiceError::Run`] / [`ServiceError::Stalled`]) is returned.
+    pub fn finish_epoch(
+        &mut self,
+        outcome: EpochOutcome,
+    ) -> Result<Result<EpochReport, ServiceError>, Rejected<ServiceError, Box<EpochOutcome>>> {
         if !self.awaits(&outcome) {
-            return Err(ServiceError::Pipeline {
-                in_flight: self.in_flight(),
+            return Err(Rejected {
+                error: ServiceError::Pipeline {
+                    in_flight: self.in_flight(),
+                },
+                outcomes: Box::new(outcome),
             });
         }
         self.in_flight = None;
@@ -285,7 +293,7 @@ impl RenamingService {
             Ok(run) => run,
             Err(e) => {
                 self.requeue(admitted);
-                return Err(e);
+                return Ok(Err(e));
             }
         };
 
@@ -310,7 +318,7 @@ impl RenamingService {
             .filter(|n| self.ever_released.contains(n))
             .collect();
         self.epoch += 1;
-        Ok(EpochReport {
+        Ok(Ok(EpochReport {
             epoch,
             admitted,
             deferred,
@@ -321,7 +329,7 @@ impl RenamingService {
             density: self.density(),
             rounds: run.as_ref().map_or(0, |r| r.rounds),
             run,
-        })
+        }))
     }
 
     /// Whether `outcome` comes from the run this service detached for
@@ -587,11 +595,11 @@ mod tests {
                 // Epoch k is in flight; stage epoch k+1's batch first.
                 let outcome = run.execute(NoFailures);
                 svc.enqueue(next).unwrap();
-                reports.push(svc.finish_epoch(outcome).unwrap());
+                reports.push(svc.finish_epoch(outcome).unwrap().unwrap());
                 run = svc.begin_epoch().unwrap();
             }
             let outcome = run.execute(NoFailures);
-            reports.push(svc.finish_epoch(outcome).unwrap());
+            reports.push(svc.finish_epoch(outcome).unwrap().unwrap());
             reports
         };
         assert_eq!(sequential, pipelined);
@@ -622,7 +630,7 @@ mod tests {
             ServiceError::DuplicateRequest(Label(0))
         );
         let outcome = run.execute(NoFailures);
-        svc.finish_epoch(outcome).unwrap();
+        svc.finish_epoch(outcome).unwrap().unwrap();
         assert_eq!(svc.held(), 4);
     }
 
@@ -638,30 +646,33 @@ mod tests {
         );
         // Another service's epoch-0 outcome: only the run this service
         // detached may finish its epoch.
-        let foreign = {
-            let mut other = RenamingService::new(8, 18, ServiceOptions::default()).unwrap();
-            other.enqueue(&acquires(0..2)).unwrap();
-            other.begin_epoch().unwrap().execute(NoFailures)
-        };
+        let mut other = RenamingService::new(8, 18, ServiceOptions::default()).unwrap();
+        other.enqueue(&acquires(0..2)).unwrap();
+        let foreign = other.begin_epoch().unwrap().execute(NoFailures);
+        let rejected = svc.finish_epoch(foreign).unwrap_err();
         assert_eq!(
-            svc.finish_epoch(foreign).unwrap_err(),
+            rejected.error,
             ServiceError::Pipeline { in_flight: Some(0) }
         );
         assert_eq!(svc.held(), 0);
         let outcome = run.execute(NoFailures);
-        svc.finish_epoch(outcome).unwrap();
+        // Each outcome goes to the service it belongs to, the refused
+        // one included: it came back untouched.
+        other.finish_epoch(*rejected.outcomes).unwrap().unwrap();
+        assert_eq!(other.held(), 2);
+        svc.finish_epoch(outcome).unwrap().unwrap();
         // Finishing with no epoch in flight.
         svc.enqueue(&acquires(2..4)).unwrap();
         let run = svc.begin_epoch().unwrap();
         let outcome = run.execute(NoFailures);
-        svc.finish_epoch(outcome).unwrap();
+        svc.finish_epoch(outcome).unwrap().unwrap();
         let stale = {
             let mut other = RenamingService::new(8, 17, ServiceOptions::default()).unwrap();
             other.enqueue(&acquires(50..51)).unwrap();
             other.begin_epoch().unwrap().execute(NoFailures)
         };
         assert_eq!(
-            svc.finish_epoch(stale).unwrap_err(),
+            svc.finish_epoch(stale).unwrap_err().error,
             ServiceError::Pipeline { in_flight: None }
         );
     }
@@ -698,7 +709,7 @@ mod tests {
             }),
         };
         assert_eq!(
-            svc.finish_epoch(failed).unwrap_err(),
+            svc.finish_epoch(failed).unwrap().unwrap_err(),
             ServiceError::Run { epoch, source }
         );
         // The epoch counter did not advance, and the retry admits the

@@ -61,7 +61,7 @@ use bil_runtime::rng::split_mix64;
 use bil_runtime::{Label, Name};
 
 use crate::epoch::{EpochOutcome, EpochReport, EpochRun, Request, ServiceOptions};
-use crate::error::{ServiceError, ShardError};
+use crate::error::{Rejected, ServiceError, ShardError};
 use crate::shard::RenamingService;
 
 /// A contiguous range partition of `capacity` names into `shards`
@@ -476,21 +476,26 @@ impl ShardedService {
     ///
     /// # Errors
     ///
-    /// [`ShardError::Pipeline`] if no epoch is in flight, or if
-    /// `outcomes` is not, shard by shard, the outcome of the run
-    /// [`ShardedService::begin`] detached on that shard — checked before
-    /// any shard changes.
+    /// A [`Rejected`] with [`ShardError::Pipeline`] if no epoch is in
+    /// flight, or if `outcomes` is not, shard by shard, the outcome of
+    /// the run [`ShardedService::begin`] detached on that shard —
+    /// checked before any shard changes. The outcomes come back
+    /// untouched, so the caller can complete the epoch with them in the
+    /// right order.
     pub fn complete(
         &mut self,
         outcomes: Vec<EpochOutcome>,
-    ) -> Result<ShardedEpochReport, ShardError> {
-        if !self.in_flight {
-            return Err(ShardError::Pipeline { in_flight: false });
-        }
-        if outcomes.len() != self.shards.len()
+    ) -> Result<ShardedEpochReport, Rejected<ShardError, Vec<EpochOutcome>>> {
+        if !self.in_flight
+            || outcomes.len() != self.shards.len()
             || !self.shards.iter().zip(&outcomes).all(|(s, o)| s.awaits(o))
         {
-            return Err(ShardError::Pipeline { in_flight: true });
+            return Err(Rejected {
+                error: ShardError::Pipeline {
+                    in_flight: self.in_flight,
+                },
+                outcomes,
+            });
         }
         self.in_flight = false;
         let epoch = self.epoch;
@@ -501,7 +506,11 @@ impl ShardedService {
         let mut recycled = Vec::new();
         for (s, outcome) in outcomes.into_iter().enumerate() {
             let start = self.partition.range(s).start as u32;
-            match self.shards[s].finish_epoch(outcome) {
+            // Every outcome passed `awaits` above, so no shard rejects it.
+            match self.shards[s]
+                .finish_epoch(outcome)
+                .unwrap_or_else(|rejected| Err(rejected.error))
+            {
                 Ok(report) => {
                     for (l, n) in &report.granted {
                         granted.push((*l, Name(start + n.0)));
@@ -566,7 +575,7 @@ impl ShardedService {
         let runs = self.begin()?;
         let adversaries: Vec<A> = (0..self.shards.len()).map(&mut adversary).collect();
         let outcomes = Self::execute_all(runs, adversaries, self.concurrent);
-        self.complete(outcomes)
+        Ok(self.complete(outcomes)?)
     }
 
     /// The pipelined epoch driver: runs `epochs` front-end epochs where
@@ -809,13 +818,20 @@ mod tests {
         );
         let mut outcomes = ShardedService::execute_all(runs, vec![NoFailures, NoFailures], false);
         let short = vec![outcomes.pop().unwrap()];
-        assert_eq!(
-            svc.complete(short).unwrap_err(),
-            ShardError::Pipeline { in_flight: true }
-        );
+        let rejected = svc.complete(short).unwrap_err();
+        assert_eq!(rejected.error, ShardError::Pipeline { in_flight: true });
+        assert_eq!(rejected.to_string(), rejected.error.to_string());
         svc.submit(&[]).unwrap();
-        // Still in flight: re-run the epoch properly.
-        let _ = svc.in_flight();
+        // Still in flight: the refused outcome came back, so the epoch
+        // completes once the missing one joins it.
+        assert!(svc.in_flight());
+        outcomes.extend(rejected.outcomes);
+        let report = svc.complete(outcomes).unwrap();
+        assert_eq!(report.granted.len(), 2);
+        assert!(!svc.in_flight());
+        // Completing with no epoch in flight.
+        let stale = svc.complete(Vec::new()).unwrap_err();
+        assert_eq!(stale.error, ShardError::Pipeline { in_flight: false });
     }
 
     #[test]
@@ -833,12 +849,19 @@ mod tests {
         let runs = svc.begin().unwrap();
         let mut outcomes = ShardedService::execute_all(runs, vec![NoFailures, NoFailures], false);
         outcomes.swap(0, 1);
-        assert_eq!(
-            svc.complete(outcomes).unwrap_err(),
-            ShardError::Pipeline { in_flight: true }
-        );
+        let rejected = svc.complete(outcomes).unwrap_err();
+        assert_eq!(rejected.error, ShardError::Pipeline { in_flight: true });
         assert!(svc.in_flight());
         assert_eq!(state(&svc), before);
+        // The same epoch completes with the outcomes handed back, in
+        // shard order.
+        let mut outcomes = rejected.outcomes;
+        outcomes.swap(0, 1);
+        let report = svc.complete(outcomes).unwrap();
+        assert_eq!(report.epoch, 1);
+        assert_eq!(report.granted.len(), 6);
+        assert!(!svc.in_flight());
+        assert_eq!(svc.held(), 10);
     }
 
     #[test]

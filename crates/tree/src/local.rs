@@ -17,12 +17,14 @@
 //!   only operation that ever renumbers slots is the insertion of a
 //!   brand-new label out of order ([`LocalTree::shift_generation`]);
 //! * `balls_in` — node → number of balls in its *subtree* (for `O(1)`
-//!   remaining-capacity queries), as a dense per-node column;
-//! * the **at-lists** — for rank queries, an intrusive doubly-linked
-//!   list per node threading the slots positioned exactly there
-//!   (`at_head`/`at_next`/`at_prev`), plus a dense `at_count` column.
-//!   List order is arbitrary and never observable: every consumer
-//!   counts, sorts, or tests membership.
+//!   remaining-capacity queries), as a dense per-node column.
+//!
+//! Who sits *exactly at* a node is derived, not stored: the count is
+//! `balls_in(v) − balls_in(2v) − balls_in(2v+1)`, and the balls
+//! themselves are the slots of the node column that hold `v`, already
+//! in label order. Among the protocols only the rank-indexed descents
+//! ask (§6's early-terminating phase 1 and the deterministic rank
+//! rule), so no move pays to keep a per-node list.
 //!
 //! The central safety invariant (the paper's Lemma 1) — **no subtree ever
 //! holds more balls than it has leaves** — is enforced by
@@ -36,9 +38,6 @@ use std::fmt;
 use bil_runtime::Label;
 
 use crate::topology::{NodeId, Topology, TreeError, MAX_LEAVES, ROOT};
-
-/// Intrusive-list terminator / absent-slot marker.
-const NIL: u32 = u32::MAX;
 
 /// The node column's vacant-slot marker (`0` is never a valid node).
 const VACANT: NodeId = 0;
@@ -108,14 +107,6 @@ pub struct LocalTree {
     node_of: Vec<NodeId>,
     /// Number of live (non-vacant) slots.
     live: usize,
-    /// Balls exactly at each node (index = `NodeId`).
-    at_count: Vec<u32>,
-    /// Head slot of each node's intrusive at-list (index = `NodeId`).
-    at_head: Vec<u32>,
-    /// Per-slot at-list forward links.
-    at_next: Vec<u32>,
-    /// Per-slot at-list backward links.
-    at_prev: Vec<u32>,
     /// Balls at each depth (index = depth; every leaf sits at depth
     /// `levels`): the priority snapshot's bucket sizes.
     at_depth: [u32; DEPTH_BUCKETS],
@@ -153,10 +144,6 @@ impl LocalTree {
             labels: Vec::new(),
             node_of: Vec::new(),
             live: 0,
-            at_count: vec![0; topo.node_slots()],
-            at_head: vec![NIL; topo.node_slots()],
-            at_next: Vec::new(),
-            at_prev: Vec::new(),
             at_depth: [0; DEPTH_BUCKETS],
             shift_gen: 0,
             blocked: BTreeSet::new(),
@@ -309,14 +296,6 @@ impl LocalTree {
         for v in self.topo.ancestors_inclusive(node) {
             self.balls_in[v as usize] += 1;
         }
-        self.at_count[node as usize] += 1;
-        let head = self.at_head[node as usize];
-        self.at_next[slot] = head;
-        self.at_prev[slot] = NIL;
-        if head != NIL {
-            self.at_prev[head as usize] = slot as u32;
-        }
-        self.at_head[node as usize] = slot as u32;
         self.at_depth[self.topo.depth(node) as usize] += 1;
     }
 
@@ -331,46 +310,8 @@ impl LocalTree {
             debug_assert!(self.balls_in[v as usize] > 0);
             self.balls_in[v as usize] -= 1;
         }
-        self.at_count[node as usize] -= 1;
-        let (prev, next) = (self.at_prev[slot], self.at_next[slot]);
-        if prev != NIL {
-            self.at_next[prev as usize] = next;
-        } else {
-            self.at_head[node as usize] = next;
-        }
-        if next != NIL {
-            self.at_prev[next as usize] = prev;
-        }
-        self.at_next[slot] = NIL;
-        self.at_prev[slot] = NIL;
         self.at_depth[self.topo.depth(node) as usize] -= 1;
         node
-    }
-
-    /// Re-threads every at-list from the node column — needed after an
-    /// out-of-order label insertion renumbers slots. Cold by design:
-    /// round-0 admissions arrive in label order (pure pushes), so only
-    /// crash-echo re-introductions ever pay this.
-    fn rebuild_at_lists(&mut self) {
-        for h in self.at_head.iter_mut() {
-            *h = NIL;
-        }
-        for slot in 0..self.labels.len() {
-            self.at_next[slot] = NIL;
-            self.at_prev[slot] = NIL;
-        }
-        for slot in 0..self.labels.len() {
-            let node = self.node_of[slot];
-            if node == VACANT {
-                continue;
-            }
-            let head = self.at_head[node as usize];
-            self.at_next[slot] = head;
-            if head != NIL {
-                self.at_prev[head as usize] = slot as u32;
-            }
-            self.at_head[node as usize] = slot as u32;
-        }
     }
 
     /// Inserts `ball` at `node`.
@@ -394,13 +335,10 @@ impl LocalTree {
             Err(idx) => {
                 self.labels.insert(idx, ball);
                 self.node_of.insert(idx, VACANT);
-                self.at_next.insert(idx, NIL);
-                self.at_prev.insert(idx, NIL);
                 if idx != self.labels.len() - 1 {
-                    // Existing slots above `idx` were renumbered: every
-                    // stored slot index (the at-lists, and any snapshot
-                    // a consumer holds) is stale.
-                    self.rebuild_at_lists();
+                    // Existing slots above `idx` were renumbered: any
+                    // slot index a consumer holds (a priority snapshot)
+                    // is stale.
                     self.shift_gen += 1;
                 }
                 self.link(idx, node);
@@ -447,22 +385,25 @@ impl LocalTree {
         self.balls_in[node as usize]
     }
 
-    /// Balls exactly at `node`.
+    /// Balls exactly at `node`: its subtree's load minus its children's.
+    /// `O(1)`.
     pub fn load_at(&self, node: NodeId) -> u32 {
         debug_assert!(self.topo.is_node(node));
-        self.at_count[node as usize]
+        let below = if self.topo.is_leaf(node) {
+            0
+        } else {
+            self.load(self.topo.left(node)) + self.load(self.topo.right(node))
+        };
+        self.load(node) - below
     }
 
-    /// Balls exactly at `node`, sorted by label.
+    /// Balls exactly at `node`, sorted by label. One pass over the
+    /// columns, which are already in label order.
     pub fn balls_at(&self, node: NodeId) -> Vec<Label> {
-        let mut out = Vec::with_capacity(self.load_at(node) as usize);
-        let mut cur = self.at_head[node as usize];
-        while cur != NIL {
-            out.push(self.labels[cur as usize]);
-            cur = self.at_next[cur as usize];
-        }
-        out.sort_unstable();
-        out
+        self.balls()
+            .filter(|&(_, v)| v == node)
+            .map(|(ball, _)| ball)
+            .collect()
     }
 
     /// `RemainingCapacity(node)`: leaves of the subtree minus balls in the
@@ -548,8 +489,9 @@ impl LocalTree {
     /// (0-based). Used by the deterministic descent rules.
     ///
     /// Cost: `O(1)` for a ball alone at its node and for the
-    /// all-at-one-node configuration (phase 1 of the deterministic
-    /// descents); otherwise one walk of the node's at-list.
+    /// all-at-one-node configuration with no vacant slot (phase 1 of the
+    /// deterministic descents); otherwise `O(slot)`, one count over the
+    /// node column below the ball's slot.
     ///
     /// # Errors
     ///
@@ -572,7 +514,7 @@ impl LocalTree {
     pub fn rank_at_slot(&self, slot: usize) -> usize {
         let node = self.node_of[slot];
         debug_assert_ne!(node, VACANT, "rank_at_slot on a vacant slot");
-        let group = self.at_count[node as usize];
+        let group = self.load_at(node);
         if group == 1 {
             return 0;
         }
@@ -581,16 +523,9 @@ impl LocalTree {
             // order is slot order, so the rank is the slot itself.
             return slot;
         }
-        let ball = self.labels[slot];
-        let mut rank = 0;
-        let mut cur = self.at_head[node as usize];
-        while cur != NIL {
-            if self.labels[cur as usize] < ball {
-                rank += 1;
-            }
-            cur = self.at_next[cur as usize];
-        }
-        rank
+        // Labels ascend with the slot, so the balls at `node` with
+        // smaller labels are exactly those in earlier slots.
+        self.node_of[..slot].iter().filter(|&&v| v == node).count()
     }
 
     /// Snapshots the priority order `<R` (Definition 1) into `out`:
@@ -669,7 +604,7 @@ impl LocalTree {
     pub fn max_load_at(&self) -> Option<(NodeId, u32)> {
         let mut best: Option<(NodeId, u32)> = None;
         for (_, node) in self.balls() {
-            let count = self.at_count[node as usize];
+            let count = self.load_at(node);
             let better = match best {
                 None => true,
                 Some((bn, bc)) => (count, std::cmp::Reverse(node)) > (bc, std::cmp::Reverse(bn)),
@@ -683,19 +618,22 @@ impl LocalTree {
 
     /// All balls positioned on the chain from the root down to `node`
     /// (inclusive) — the paper's "balls on path π" (§5.2). Sorted by
-    /// depth descending then label.
+    /// depth descending then label: one pass over the label-ordered
+    /// columns into one bucket per chain node.
     pub fn balls_on_chain(&self, node: NodeId) -> Vec<Label> {
         debug_assert!(self.topo.is_node(node));
-        let mut out = Vec::new();
-        for v in self.topo.ancestors_inclusive(node) {
-            out.extend(self.balls_at(v));
+        let mut by_depth = vec![Vec::new(); self.topo.depth(node) as usize + 1];
+        for (ball, v) in self.balls() {
+            if self.topo.is_ancestor_or_self(v, node) {
+                by_depth[self.topo.depth(v) as usize].push(ball);
+            }
         }
-        out
+        by_depth.into_iter().rev().flatten().collect()
     }
 
     /// Verifies all internal invariants:
     ///
-    /// 1. the columns and at-lists agree with each other
+    /// 1. the columns agree with each other
     ///    ([`LocalTree::validate_consistency`]);
     /// 2. every node's load is within its capacity (the paper's Lemma 1),
     ///    which also implies no ball sits on a phantom (capacity-0) leaf.
@@ -716,21 +654,19 @@ impl LocalTree {
         Ok(())
     }
 
-    /// Verifies that the columns (`labels`/`node_of`), the derived
-    /// per-node columns (`balls_in`, `at_count`), and the intrusive
-    /// at-lists agree, without checking capacities. Unlike Lemma 1 —
-    /// which the *algorithm* maintains and raw
-    /// [`LocalTree::update_node`] calls can legitimately breach
-    /// mid-round — index consistency must hold after **every**
-    /// operation.
+    /// Verifies that the slot columns (`labels`/`node_of`) and the
+    /// counters derived from them (`balls_in`, `live`, `at_depth`) agree,
+    /// without checking capacities. Unlike Lemma 1 — which the
+    /// *algorithm* maintains and raw [`LocalTree::update_node`] calls can
+    /// legitimately breach mid-round — index consistency must hold after
+    /// **every** operation.
     ///
     /// # Errors
     ///
     /// Returns a descriptive [`InvariantViolation`] on the first breach.
     pub fn validate_consistency(&self) -> Result<(), InvariantViolation> {
         let slots = self.labels.len();
-        if self.node_of.len() != slots || self.at_next.len() != slots || self.at_prev.len() != slots
-        {
+        if self.node_of.len() != slots {
             return Err(InvariantViolation::new(
                 "slot columns have unequal lengths".into(),
             ));
@@ -742,7 +678,6 @@ impl LocalTree {
         }
         // Recompute every derived per-node column from the node column.
         let mut want_in = vec![0u32; self.topo.node_slots()];
-        let mut want_at = vec![0u32; self.topo.node_slots()];
         let mut live = 0usize;
         let mut want_depth = [0u32; DEPTH_BUCKETS];
         for slot in 0..slots {
@@ -760,17 +695,11 @@ impl LocalTree {
             for v in self.topo.ancestors_inclusive(node) {
                 want_in[v as usize] += 1;
             }
-            want_at[node as usize] += 1;
             want_depth[self.topo.depth(node) as usize] += 1;
         }
         if want_in != self.balls_in {
             return Err(InvariantViolation::new(
                 "balls_in column disagrees with positions".into(),
-            ));
-        }
-        if want_at != self.at_count {
-            return Err(InvariantViolation::new(
-                "at_count column disagrees with positions".into(),
             ));
         }
         if live != self.live {
@@ -780,58 +709,6 @@ impl LocalTree {
             return Err(InvariantViolation::new(
                 "at_depth counters out of sync".into(),
             ));
-        }
-        // The at-lists: each node's list threads exactly its live slots,
-        // once each, with coherent back-links.
-        let mut seen = vec![false; slots];
-        for node in 1..self.topo.node_slots() as NodeId {
-            let mut cur = self.at_head[node as usize];
-            let mut prev = NIL;
-            let mut count = 0u32;
-            while cur != NIL {
-                let s = cur as usize;
-                if s >= slots || seen[s] {
-                    return Err(InvariantViolation::new(format!(
-                        "at-list of node {node} links slot {cur} twice or out of range"
-                    )));
-                }
-                seen[s] = true;
-                if self.node_of[s] != node {
-                    return Err(InvariantViolation::new(format!(
-                        "at-list of node {node} links ball {} positioned elsewhere",
-                        self.labels[s]
-                    )));
-                }
-                if self.at_prev[s] != prev {
-                    return Err(InvariantViolation::new(format!(
-                        "at-list back-link broken at node {node}, slot {cur}"
-                    )));
-                }
-                prev = cur;
-                cur = self.at_next[s];
-                count += 1;
-            }
-            if count != self.at_count[node as usize] {
-                return Err(InvariantViolation::new(format!(
-                    "at-list of node {node} has {count} members, at_count says {}",
-                    self.at_count[node as usize]
-                )));
-            }
-        }
-        for (slot, seen_in_at_list) in seen.iter().enumerate() {
-            if self.node_of[slot] != VACANT && !seen_in_at_list {
-                return Err(InvariantViolation::new(format!(
-                    "live ball {} is in no at-list",
-                    self.labels[slot]
-                )));
-            }
-            if self.node_of[slot] == VACANT
-                && (self.at_next[slot] != NIL || self.at_prev[slot] != NIL)
-            {
-                return Err(InvariantViolation::new(format!(
-                    "vacant slot {slot} still carries at-list links"
-                )));
-            }
         }
         for leaf in &self.blocked {
             if !self.topo.is_node(*leaf) || !self.topo.is_leaf(*leaf) {
@@ -1128,12 +1005,10 @@ mod tests {
         t.insert(Label(4), 15).unwrap();
         t.insert(Label(5), 2).unwrap(); // off the chain to 15
         t.insert(Label(6), 14).unwrap(); // off the chain to 15
-        let on = t.balls_on_chain(15);
-        assert_eq!(on.len(), 4);
-        assert!(on.contains(&Label(1)));
-        assert!(on.contains(&Label(2)));
-        assert!(on.contains(&Label(3)));
-        assert!(on.contains(&Label(4)));
+        t.insert(Label(0), 7).unwrap(); // shares node 7 with ball 3
+        let deepest_first_then_by_label = [4, 0, 3, 2, 1].map(Label);
+        assert_eq!(t.balls_on_chain(15), deepest_first_then_by_label);
+        assert_eq!(t.balls_on_chain(ROOT), [Label(1)]);
     }
 
     #[test]
@@ -1161,7 +1036,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_insert_renumbers_and_rebuilds() {
+    fn out_of_order_insert_renumbers_slots() {
         let mut t = LocalTree::new(topo(8));
         t.insert(Label(10), ROOT).unwrap();
         t.insert(Label(30), 3).unwrap();

@@ -54,6 +54,21 @@ proptest! {
                 }
             }
             tree.validate_consistency().unwrap();
+            // The at-node readers against a recount from the positions:
+            // `balls()` is label-ordered, so each node's list comes out
+            // sorted and a ball's rank is its index in it.
+            let mut at = vec![Vec::new(); slots as usize];
+            for (ball, node) in tree.balls() {
+                at[node as usize].push(ball);
+            }
+            for node in 1..slots {
+                let want = &at[node as usize];
+                prop_assert_eq!(tree.load_at(node) as usize, want.len());
+                prop_assert_eq!(&tree.balls_at(node), want);
+                for (rank, ball) in want.iter().enumerate() {
+                    prop_assert_eq!(tree.rank_at_node(*ball).unwrap(), rank);
+                }
+            }
         }
     }
 
