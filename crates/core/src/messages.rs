@@ -19,7 +19,7 @@
 //! is deliberately permissive about *semantic* validity (any in-range
 //! pair decodes): hostile pairs whose implied chain is wrong for the
 //! receiver's tree are rejected at placement time by
-//! [`bil_tree::LocalTree::place_along`] and counted in
+//! [`bil_tree::LocalTree::place_at_slot`] and counted in
 //! [`crate::BilView`]'s anomaly counters — identically in debug and
 //! release builds — rather than killing the whole frame.
 

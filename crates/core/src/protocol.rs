@@ -8,9 +8,10 @@
 //!   candidate path per the configured [`PathRule`] and broadcast it.
 //!   On receive, iterate all balls in the priority order `<R` *snapshotted
 //!   at phase start*: balls whose paths arrived follow them until just
-//!   before the first full subtree ([`bil_tree::LocalTree::place_along`]);
-//!   silent balls are removed (lines 19–20) — they crashed, or decided
-//!   and hold a leaf (see below).
+//!   before the first full subtree ([`bil_tree::LocalTree::place_at_slot`],
+//!   the move-walk addressed by the ball's snapshot slot); silent balls
+//!   are removed (lines 19–20) — they crashed, or decided and hold a leaf
+//!   (see below).
 //! * **Round `2φ`** (lines 22–28): broadcast the current node; overwrite
 //!   every heard ball's position; remove silent balls. Then check the
 //!   termination condition (line 29): every ball in the local view on a
@@ -545,6 +546,9 @@ impl ViewProtocol for BallsIntoLeaves {
 
     fn apply(&self, view: &mut BilView, round: Round, inbox: RoundInbox<'_, BilMsg>) {
         if round.is_init() {
+            // The inbox is label-sorted, so on a fresh view every
+            // admission appends to the label column with no search; so
+            // does an epoch newcomer whose label exceeds every resident's.
             for (label, msg) in inbox.iter() {
                 if *msg != BilMsg::Init {
                     // A round-0 broadcast that is not `Init` is corrupt:
@@ -608,10 +612,13 @@ impl ViewProtocol for BallsIntoLeaves {
             // (moves and removals are in-place in the columns), so the
             // `msg_at` join stays valid throughout. So does
             // `committed_at`: echoes were folded in above, and within the
-            // sweep only a ball's own `Commit` changes its record.
+            // sweep only a ball's own `Commit` changes its record. For the
+            // same reason each ball's snapshot slot addresses the tree
+            // mutators directly.
             for i in 0..scratch.order.len() {
                 let OrderedBall { ball, slot, .. } = scratch.order[i];
-                let msg = match scratch.msg_at[slot as usize] {
+                let slot = slot as usize;
+                let msg = match scratch.msg_at[slot] {
                     NO_MSG => None,
                     m => Some(&inbox.msgs()[m as usize]),
                 };
@@ -632,9 +639,9 @@ impl ViewProtocol for BallsIntoLeaves {
                         // the sender as crashed and counting the drop —
                         // the same explicit path in debug and release
                         // builds.
-                        if view.tree.place_along(ball, path).is_err() {
+                        if view.tree.place_at_slot(slot, path).is_err() {
                             view.anomalies.malformed_paths += 1;
-                            view.tree.remove(ball);
+                            view.tree.remove_at_slot(slot);
                         }
                     }
                     Some(BilMsg::Pos { .. }) => {
@@ -645,8 +652,8 @@ impl ViewProtocol for BallsIntoLeaves {
                         // Lines 19–20: silence (or the silence-equivalent
                         // repeated `Init`) from an uncommitted ball means
                         // it crashed (committed balls decided; they stay).
-                        if scratch.committed_at.get(slot as usize) != Some(&true) {
-                            view.tree.remove(ball);
+                        if scratch.committed_at.get(slot) != Some(&true) {
+                            view.tree.remove_at_slot(slot);
                         }
                     }
                 }
@@ -685,8 +692,8 @@ impl ViewProtocol for BallsIntoLeaves {
             index_messages(&view.tree, &inbox, &mut scratch.msg_at);
             index_commits(&view.tree, view.committed.keys(), &mut scratch.committed_at);
             for i in 0..scratch.order.len() {
-                let OrderedBall { ball, slot, .. } = scratch.order[i];
-                let msg = match scratch.msg_at[slot as usize] {
+                let slot = scratch.order[i].slot as usize;
+                let msg = match scratch.msg_at[slot] {
                     NO_MSG => None,
                     m => Some(&inbox.msgs()[m as usize]),
                 };
@@ -696,14 +703,14 @@ impl ViewProtocol for BallsIntoLeaves {
                         // wire codec bounds it to u32, not to this
                         // tree): reject by removing the sender as
                         // crashed, identically in both profiles.
-                        if view.tree.update_node(ball, *node).is_err() {
+                        if view.tree.update_at_slot(slot, *node).is_err() {
                             view.anomalies.malformed_positions += 1;
-                            view.tree.remove(ball);
+                            view.tree.remove_at_slot(slot);
                         }
                     }
                     _ => {
-                        if scratch.committed_at.get(slot as usize) != Some(&true) {
-                            view.tree.remove(ball);
+                        if scratch.committed_at.get(slot) != Some(&true) {
+                            view.tree.remove_at_slot(slot);
                         }
                     }
                 }

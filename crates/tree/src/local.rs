@@ -26,6 +26,13 @@
 //! ask (§6's early-terminating phase 1 and the deterministic rank
 //! rule), so no move pays to keep a per-node list.
 //!
+//! The paper's operations are keyed by ball, and so are their label
+//! forms here, each one search of the label column plus a slot form:
+//! [`LocalTree::node_at_slot`], [`LocalTree::rank_at_slot`],
+//! [`LocalTree::place_at_slot`], [`LocalTree::update_at_slot`] and
+//! [`LocalTree::remove_at_slot`]. Callers that already hold a ball's slot
+//! (the batched compose and apply sweeps) call the slot forms directly.
+//!
 //! The central safety invariant (the paper's Lemma 1) — **no subtree ever
 //! holds more balls than it has leaves** — is enforced by
 //! [`LocalTree::place_along`] and checkable at any time with
@@ -232,7 +239,8 @@ impl LocalTree {
         self.slot_of(ball).is_some()
     }
 
-    /// Current node of `ball` (`CurrentNode` in the paper).
+    /// Current node of `ball` (`CurrentNode` in the paper). Its slot
+    /// form is [`LocalTree::node_at_slot`].
     pub fn current_node(&self, ball: Label) -> Option<NodeId> {
         self.slot_of(ball).map(|s| self.node_of[s])
     }
@@ -314,7 +322,9 @@ impl LocalTree {
         node
     }
 
-    /// Inserts `ball` at `node`.
+    /// Inserts `ball` at `node`. A label that sorts after every label in
+    /// the column is appended, with no search and no renumbering: round
+    /// 0's label-sorted inbox admits every ball this way.
     ///
     /// # Errors
     ///
@@ -323,6 +333,12 @@ impl LocalTree {
     pub fn insert(&mut self, ball: Label, node: NodeId) -> Result<(), TreeError> {
         if !self.topo.is_node(node) {
             return Err(TreeError::BadNode(node));
+        }
+        if self.labels.last().is_none_or(|&last| last < ball) {
+            self.labels.push(ball);
+            self.node_of.push(VACANT);
+            self.link(self.labels.len() - 1, node);
+            return Ok(());
         }
         match self.labels.binary_search(&ball) {
             Ok(slot) => {
@@ -333,14 +349,12 @@ impl LocalTree {
                 self.link(slot, node);
             }
             Err(idx) => {
+                // A brand-new label below the column's last: existing
+                // slots above `idx` are renumbered, so any slot index a
+                // consumer holds (a priority snapshot) is stale.
                 self.labels.insert(idx, ball);
                 self.node_of.insert(idx, VACANT);
-                if idx != self.labels.len() - 1 {
-                    // Existing slots above `idx` were renumbered: any
-                    // slot index a consumer holds (a priority snapshot)
-                    // is stale.
-                    self.shift_gen += 1;
-                }
+                self.shift_gen += 1;
                 self.link(idx, node);
             }
         }
@@ -350,33 +364,66 @@ impl LocalTree {
     /// Removes `ball` (`Remove` in the paper), returning the node it was
     /// at, or `None` if absent (removing an already-removed ball is a
     /// no-op, matching Algorithm 1's idempotent crash handling). The
-    /// ball's slot goes vacant; it is never renumbered away.
+    /// ball's slot goes vacant; it is never renumbered away. One
+    /// [`LocalTree::slot_of`] plus [`LocalTree::remove_at_slot`].
     pub fn remove(&mut self, ball: Label) -> Option<NodeId> {
-        let slot = self.slot_of(ball)?;
-        Some(self.unlink(slot))
+        self.remove_at_slot(self.slot_of(ball)?)
+    }
+
+    /// The slot-resolved form of [`LocalTree::remove`]: vacates `slot`
+    /// and returns the node its ball was at, or `None` if the slot is
+    /// already vacant. The apply sweep removes silent balls this way, by
+    /// their snapshot slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range of [`LocalTree::label_column`].
+    pub fn remove_at_slot(&mut self, slot: usize) -> Option<NodeId> {
+        (self.node_of[slot] != VACANT).then(|| self.unlink(slot))
     }
 
     /// Moves `ball` to `node` unconditionally (`UpdateNode` in the paper;
     /// used by the position-resynchronization round). Inserts the ball if
-    /// it was absent.
+    /// it was absent. One search of the label column plus
+    /// [`LocalTree::update_at_slot`]; only a label the column has never
+    /// held goes through [`LocalTree::insert`].
     ///
     /// # Errors
     ///
     /// Returns [`TreeError::BadNode`] for an out-of-range node.
     pub fn update_node(&mut self, ball: Label, node: NodeId) -> Result<(), TreeError> {
+        match self.labels.binary_search(&ball) {
+            Ok(slot) => self.update_at_slot(slot, node),
+            Err(_) => self.insert(ball, node),
+        }
+    }
+
+    /// The slot-resolved form of [`LocalTree::update_node`]: puts the
+    /// ball in `slot` at `node`, linking the slot if it was vacant (as
+    /// `update_node` inserts an absent ball). The sync-round sweep adopts
+    /// announced positions this way, by their snapshot slot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TreeError::BadNode`] for an out-of-range node; the tree
+    /// is then unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range of [`LocalTree::label_column`].
+    pub fn update_at_slot(&mut self, slot: usize, node: NodeId) -> Result<(), TreeError> {
         if !self.topo.is_node(node) {
             return Err(TreeError::BadNode(node));
         }
-        match self.slot_of(ball) {
-            Some(slot) => {
-                if self.node_of[slot] != node {
-                    self.unlink(slot);
-                    self.link(slot, node);
-                }
-                Ok(())
+        match self.node_of[slot] {
+            VACANT => self.link(slot, node),
+            current if current != node => {
+                self.unlink(slot);
+                self.link(slot, node);
             }
-            None => self.insert(ball, node),
+            _ => {}
         }
+        Ok(())
     }
 
     /// Balls in the subtree rooted at `node`.
@@ -486,7 +533,8 @@ impl LocalTree {
     }
 
     /// The rank of `ball` among the balls at its own node, by label
-    /// (0-based). Used by the deterministic descent rules.
+    /// (0-based). Used by the deterministic descent rules. One
+    /// [`LocalTree::slot_of`] plus [`LocalTree::rank_at_slot`].
     ///
     /// Cost: `O(1)` for a ball alone at its node and for the
     /// all-at-one-node configuration with no vacant slot (phase 1 of the
@@ -1054,6 +1102,29 @@ mod tests {
             &[Label(10), Label(20), Label(30), Label(40)]
         );
         assert_eq!(t.rank_at_node(Label(20)).unwrap(), 0);
+        t.validate().unwrap();
+    }
+
+    #[test]
+    fn ascending_admission_appends_without_renumbering() {
+        let mut t = LocalTree::new(topo(8));
+        for l in [3, 5, 9] {
+            t.insert(Label(l), ROOT).unwrap();
+        }
+        assert_eq!(t.shift_generation(), 0, "an ascending run appends");
+        // The live last label is refused, not appended a second time.
+        assert_eq!(t.insert(Label(9), 2), Err(TreeError::BallExists(Label(9))));
+        // A removed last label revives its own slot.
+        t.remove(Label(9)).unwrap();
+        t.insert(Label(9), 3).unwrap();
+        assert_eq!(t.label_column(), &[Label(3), Label(5), Label(9)]);
+        assert_eq!(t.node_column(), &[ROOT, ROOT, 3]);
+        assert_eq!(t.shift_generation(), 0);
+        // A smaller brand-new label renumbers the slots above it.
+        t.insert(Label(4), 6).unwrap();
+        assert_eq!(t.shift_generation(), 1);
+        assert_eq!(t.label_column(), &[Label(3), Label(4), Label(5), Label(9)]);
+        assert_eq!(t.node_column(), &[ROOT, 6, ROOT, 3]);
         t.validate().unwrap();
     }
 

@@ -16,13 +16,14 @@
 //!   extension (§6) and by the comparison-based baseline;
 //! * two scripted rules (`uniform`, `leftmost`) for the ablation and
 //!   figure-reproduction experiments;
-//! * [`LocalTree::place_along`] — the move-walk of lines 12–18: follow the
-//!   path until just before the first *full* subtree, as resolved in the
-//!   fidelity notes of `DESIGN.md` §4.
+//! * [`LocalTree::place_at_slot`] — the move-walk of lines 12–18: follow
+//!   the path until just before the first *full* subtree, as resolved in
+//!   the fidelity notes of `DESIGN.md` §4. [`LocalTree::place_along`] is
+//!   its label form.
 //!
 //! Paths built by the rules in this module are valid by construction;
 //! paths received from the network are re-validated by
-//! [`LocalTree::place_along`], which rejects (without touching the tree)
+//! [`LocalTree::place_at_slot`], which rejects (without touching the tree)
 //! any packed pair whose implied chain does not start at the ball's
 //! current node or does not end on a real leaf. Chains that are not
 //! contiguous are *unrepresentable* in packed form — the class of
@@ -73,7 +74,7 @@ impl PackedPath {
     pub const EMPTY: PackedPath = PackedPath { leaf: 0, len: 0 };
 
     /// Packs a raw *(leaf, length)* pair **without validation** — the
-    /// wire decoder uses this, and [`LocalTree::place_along`] re-validates
+    /// wire decoder uses this, and [`LocalTree::place_at_slot`] re-validates
     /// at placement time (hostile pairs are rejected there and counted by
     /// the protocol's anomaly accounting). A zero length is normalized to
     /// [`PackedPath::EMPTY`].
@@ -223,7 +224,8 @@ pub enum CoinRule {
 impl LocalTree {
     /// Composes a random candidate path for `ball` per `rule`
     /// (Algorithm 1 lines 3–10). Allocation-free: the walk tracks only
-    /// the current node and packs the result.
+    /// the current node and packs the result. One
+    /// [`LocalTree::current_node`] plus [`LocalTree::random_path_from`].
     ///
     /// # Errors
     ///
@@ -303,7 +305,8 @@ impl LocalTree {
     /// the left child's remaining capacity, else subtracts it and goes
     /// right. The precondition `slot < rem(left) + rem(right)` holds
     /// because a node holding `k` balls has at least `k` free slots below
-    /// it (Lemma 1), and is preserved level by level.
+    /// it (Lemma 1), and is preserved level by level. Its node-resolved
+    /// form is [`LocalTree::rank_slot_path_from`].
     ///
     /// # Errors
     ///
@@ -350,7 +353,23 @@ impl LocalTree {
 
     /// The move-walk (Algorithm 1 lines 12–18): walks `ball` down `path`
     /// until just before the first subtree with no remaining capacity,
-    /// moves it there in one step, and returns its new node.
+    /// moves it there in one step, and returns its new node. One
+    /// [`LocalTree::slot_of`] plus [`LocalTree::place_at_slot`], which
+    /// documents the walk and the validation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TreeError::UnknownBall`] if `ball` is absent, or
+    /// [`TreeError::BadPath`] if `path` is empty, does not start at the
+    /// ball's current node, or does not end on a leaf.
+    pub fn place_along(&mut self, ball: Label, path: &PackedPath) -> Result<NodeId, TreeError> {
+        let slot = self.slot_of(ball).ok_or(TreeError::UnknownBall(ball))?;
+        self.place_at_slot(slot, path)
+    }
+
+    /// The slot-resolved form of [`LocalTree::place_along`]: the
+    /// move-walk (Algorithm 1 lines 12–18) of the ball in `slot`. The
+    /// path-round sweep places each ball by its snapshot slot this way.
     ///
     /// Algorithm 1 removes the ball *first* so its own vacated slot is
     /// available — that guarantees the walk's first node is always
@@ -372,22 +391,24 @@ impl LocalTree {
     ///
     /// # Errors
     ///
-    /// Returns [`TreeError::UnknownBall`] if `ball` is absent, or
-    /// [`TreeError::BadPath`] if `path` is empty, does not start at the
-    /// ball's current node, or does not end on a leaf.
-    // bil-lint: allow(hot-path-panic, fn): both expects guard chains this fn validated lines earlier; malformed wire paths were rejected with TreeError before
-    pub fn place_along(&mut self, ball: Label, path: &PackedPath) -> Result<NodeId, TreeError> {
+    /// Returns [`TreeError::UnknownBall`] with the slot's label if `slot`
+    /// is vacant, or [`TreeError::BadPath`] if `path` is empty, does not
+    /// start at the ball's current node, or does not end on a leaf.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range of [`LocalTree::label_column`].
+    pub fn place_at_slot(&mut self, slot: usize, path: &PackedPath) -> Result<NodeId, TreeError> {
         let current = self
-            .current_node(ball)
-            .ok_or(TreeError::UnknownBall(ball))?;
-        if path.is_empty() {
+            .node_at_slot(slot)
+            .ok_or_else(|| TreeError::UnknownBall(self.label_column()[slot]))?;
+        let Some(leaf) = path.leaf() else {
             return Err(TreeError::BadPath("empty path"));
-        }
+        };
         if path.first() != Some(current) {
             return Err(TreeError::BadPath("path does not start at current node"));
         }
         let topo = *self.topology();
-        let leaf = path.leaf().expect("non-empty path has a final node");
         // A valid terminal implies every node on the chain is valid: the
         // chain's nodes are exactly the terminal's ancestors down from
         // `first`, and ancestors of an in-range node are in range.
@@ -407,10 +428,9 @@ impl LocalTree {
             idx += 1;
         }
         let dest = path.node_at(idx);
-        if dest != current {
-            self.update_node(ball, dest)
-                .expect("destination is on a validated chain");
-        }
+        // `dest` lies on the validated chain, so this never fails; a
+        // ball that stays put costs no update.
+        self.update_at_slot(slot, dest)?;
         Ok(dest)
     }
 }

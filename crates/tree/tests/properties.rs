@@ -12,12 +12,21 @@ use bil_tree::{CoinRule, LocalTree, NodeId, PackedPath, Topology, ROOT};
 use proptest::prelude::*;
 
 /// An arbitrary raw tree operation (may legitimately breach Lemma 1,
-/// which raw `update_node` is allowed to do mid-round).
+/// which raw `update_node` is allowed to do mid-round). The slot-resolved
+/// forms address a label-column slot, live or vacant, by an index taken
+/// modulo the column's length.
 #[derive(Debug, Clone)]
 enum RawOp {
     Insert(u8, u8),
     Remove(u8),
     Update(u8, u8),
+    RemoveAt(u8),
+    UpdateAt(u8, u8),
+    /// The move-walk along an arbitrary packed `(leaf, len)` pair.
+    PlaceAt(u8, u32, u8),
+    /// The move-walk along a chain from the slot's node down to the
+    /// leaf its subtree's leaf index selects, so the walk itself runs.
+    PlaceDown(u8, u32),
 }
 
 fn raw_ops() -> impl Strategy<Value = Vec<RawOp>> {
@@ -26,9 +35,28 @@ fn raw_ops() -> impl Strategy<Value = Vec<RawOp>> {
             (any::<u8>(), any::<u8>()).prop_map(|(b, n)| RawOp::Insert(b, n)),
             any::<u8>().prop_map(RawOp::Remove),
             (any::<u8>(), any::<u8>()).prop_map(|(b, n)| RawOp::Update(b, n)),
+            any::<u8>().prop_map(RawOp::RemoveAt),
+            (any::<u8>(), any::<u8>()).prop_map(|(s, n)| RawOp::UpdateAt(s, n)),
+            (any::<u8>(), any::<u32>(), any::<u8>()).prop_map(|(s, l, n)| RawOp::PlaceAt(s, l, n)),
+            (any::<u8>(), 0u32..256, 0u8..9).prop_map(|(s, l, n)| RawOp::PlaceAt(s, l, n)),
+            (any::<u8>(), any::<u32>()).prop_map(|(s, pick)| RawOp::PlaceDown(s, pick)),
         ],
         0..64,
     )
+}
+
+/// Runs a slot-resolved operation on `tree` and its label form on a
+/// clone: both must return the same result and leave the same columns.
+fn same_as_label_form<T: PartialEq + std::fmt::Debug>(
+    tree: &mut LocalTree,
+    by_slot: impl FnOnce(&mut LocalTree) -> T,
+    by_label: impl FnOnce(&mut LocalTree) -> T,
+) {
+    let mut twin = tree.clone();
+    let want = by_label(&mut twin);
+    prop_assert_eq!(by_slot(tree), want);
+    prop_assert_eq!(tree.label_column(), twin.label_column());
+    prop_assert_eq!(tree.node_column(), twin.node_column());
 }
 
 proptest! {
@@ -40,6 +68,14 @@ proptest! {
         let mut tree = LocalTree::new(topo);
         let slots = topo.node_slots() as u32;
         for op in ops {
+            // The slot a slot-resolved op addresses, and its label.
+            let column = tree.label_column();
+            let at = |s: u8| {
+                (!column.is_empty()).then(|| {
+                    let slot = s as usize % column.len();
+                    (slot, column[slot])
+                })
+            };
             match op {
                 RawOp::Insert(b, node) => {
                     let node = 1 + (node as NodeId) % (slots - 1);
@@ -51,6 +87,44 @@ proptest! {
                 RawOp::Update(b, node) => {
                     let node = 1 + (node as NodeId) % (slots - 1);
                     let _ = tree.update_node(Label(b as u64), node);
+                }
+                RawOp::RemoveAt(s) => {
+                    let Some((slot, ball)) = at(s) else { continue };
+                    same_as_label_form(&mut tree, |t| t.remove_at_slot(slot), |t| t.remove(ball));
+                }
+                RawOp::UpdateAt(s, node) => {
+                    let Some((slot, ball)) = at(s) else { continue };
+                    // Out-of-range nodes included: both forms refuse them.
+                    let node = node as NodeId % (slots + 2);
+                    same_as_label_form(
+                        &mut tree,
+                        |t| t.update_at_slot(slot, node),
+                        |t| t.update_node(ball, node),
+                    );
+                }
+                // The move-walk debug-asserts Lemma 1 on the nodes it
+                // reads, which raw inserts and updates may have breached.
+                RawOp::PlaceAt(..) | RawOp::PlaceDown(..) if tree.first_overfull().is_some() => {}
+                RawOp::PlaceAt(s, leaf, len) => {
+                    let Some((slot, ball)) = at(s) else { continue };
+                    let path = PackedPath::new(leaf, len);
+                    same_as_label_form(
+                        &mut tree,
+                        |t| t.place_at_slot(slot, &path),
+                        |t| t.place_along(ball, &path),
+                    );
+                }
+                RawOp::PlaceDown(s, pick) => {
+                    let Some((slot, ball)) = at(s) else { continue };
+                    let start = tree.node_at_slot(slot).unwrap_or(ROOT);
+                    let below = topo.levels() - topo.depth(start);
+                    let leaf = (start << below) + pick % (1 << below);
+                    let path = PackedPath::new(leaf, below as u8 + 1);
+                    same_as_label_form(
+                        &mut tree,
+                        |t| t.place_at_slot(slot, &path),
+                        |t| t.place_along(ball, &path),
+                    );
                 }
             }
             tree.validate_consistency().unwrap();
