@@ -5,27 +5,21 @@
 //! names, one run. A long-lived service (the `bil-service` crate) keeps
 //! a fixed namespace of `N` names alive across many runs: processes
 //! acquire a name, hold it for a while, release it, and new contenders
-//! keep arriving. Each *epoch* is one Balls-into-Leaves execution over
-//! the same `N`-leaf tree, with the leaves of currently-held names
-//! **masked out** — not by special-casing them in the algorithm, but by
-//! seeding every initial view with a *resident ball* sitting on each
-//! occupied leaf:
+//! keep arriving. Each *epoch* runs the paper's one-shot algorithm over
+//! the names that are free when it starts, as in the long-lived setting
+//! of Helmi–Higham–Woelfel:
 //!
-//! * a resident consumes its leaf's capacity, so the paper's Lemma 1
-//!   (no subtree ever holds more balls than leaves) keeps every
-//!   contender's candidate path away from held names — the same
-//!   invariant that keeps concurrent contenders apart now also fences
-//!   off previous epochs' winners;
-//! * a resident is recorded as **committed** from round 0, so the
-//!   protocol's existing silence rules (a committed ball that stops
-//!   broadcasting is decided, not crashed) keep it in place for the
-//!   whole epoch even though no process speaks for it;
-//! * everything else — priorities, path composition, crash handling,
-//!   commit echoes — is byte-for-byte the one-shot protocol, which is
-//!   why every executor remains bit-identical in epoch mode.
+//! * the epoch's tree has one leaf per **free name**: leaf rank `r`
+//!   stands for the `r`-th smallest free name. Held names are not in the
+//!   tree, so no path can lead to one, and holders' labels never enter
+//!   a view;
+//! * every view is a fresh one-shot view over that tree, and
+//!   compose/apply are byte-for-byte the one-shot protocol, which is why
+//!   every executor remains bit-identical in epoch mode;
+//! * `status` maps a decided leaf rank back to its free name.
 //!
-//! Released names simply have no resident in the next epoch: their
-//! leaves become ordinary free capacity and get recycled.
+//! Released names rejoin the free names of the next epoch's tree and get
+//! recycled.
 //!
 //! # Examples
 //!
@@ -60,7 +54,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 
 use bil_runtime::{Label, Name, Round, RoundInbox, Status, ViewProtocol};
-use bil_tree::{NodeId, Topology, TreeError};
+use bil_tree::{Topology, TreeError};
 
 use crate::config::BilConfig;
 use crate::messages::BilMsg;
@@ -108,22 +102,23 @@ impl fmt::Display for EpochError {
 impl Error for EpochError {}
 
 /// One epoch of a long-lived renaming execution: Balls-into-Leaves over
-/// a namespace of `N` names with the currently-held names masked out by
-/// resident balls (see the module docs).
+/// the free names of a namespace of `N` names (see the module docs).
 ///
-/// Cheap to clone (the resident set is shared), as the wire executors
+/// Cheap to clone (the free names are shared), as the wire executors
 /// require.
 #[derive(Debug, Clone)]
 pub struct EpochBil {
     inner: BallsIntoLeaves,
-    topo: Topology,
-    /// `(label, leaf)` per current name holder, sorted by label.
-    residents: Arc<Vec<(Label, NodeId)>>,
+    namespace: usize,
+    /// The names no holder holds, ascending: leaf rank `r` of every view
+    /// stands for `free[r]`.
+    free: Arc<[Name]>,
 }
 
 impl EpochBil {
     /// An epoch instance over `namespace` names, with `holders` — the
-    /// `(label, name)` pairs that currently hold a name — masked out.
+    /// `(label, name)` pairs that currently hold a name — left out of its
+    /// tree.
     ///
     /// # Errors
     ///
@@ -134,51 +129,50 @@ impl EpochBil {
         namespace: usize,
         holders: &[(Label, Name)],
     ) -> Result<EpochBil, EpochError> {
-        let topo = Topology::new(namespace).map_err(EpochError::BadNamespace)?;
-        let mut residents = Vec::with_capacity(holders.len());
-        for (label, name) in holders {
-            let leaf = topo
-                .leaf_for_rank(name.0)
-                .map_err(|_| EpochError::NameOutOfRange {
-                    label: *label,
-                    name: *name,
-                    namespace,
-                })?;
-            residents.push((*label, leaf));
+        Topology::new(namespace).map_err(EpochError::BadNamespace)?;
+        if let Some(&(label, name)) = holders.iter().find(|(_, n)| n.0 as usize >= namespace) {
+            return Err(EpochError::NameOutOfRange {
+                label,
+                name,
+                namespace,
+            });
         }
-        residents.sort_unstable();
-        for w in residents.windows(2) {
-            if w[0].0 == w[1].0 {
-                return Err(EpochError::DuplicateLabel(w[0].0));
-            }
+        let mut labels: Vec<Label> = holders.iter().map(|&(label, _)| label).collect();
+        labels.sort_unstable();
+        if let Some(w) = labels.windows(2).find(|w| w[0] == w[1]) {
+            return Err(EpochError::DuplicateLabel(w[0]));
         }
-        let mut by_leaf: Vec<NodeId> = residents.iter().map(|(_, leaf)| *leaf).collect();
-        by_leaf.sort_unstable();
-        for w in by_leaf.windows(2) {
-            if w[0] == w[1] {
-                return Err(EpochError::DuplicateName(Name(topo.leaf_rank(w[0]))));
-            }
+        let mut held: Vec<Name> = holders.iter().map(|&(_, name)| name).collect();
+        held.sort_unstable();
+        if let Some(w) = held.windows(2).find(|w| w[0] == w[1]) {
+            return Err(EpochError::DuplicateName(w[0]));
         }
+        let mut held = held.into_iter().peekable();
+        let free = (0..namespace as u32)
+            .map(Name)
+            .filter(|name| held.next_if_eq(name).is_none())
+            .collect();
         Ok(EpochBil {
             inner: BallsIntoLeaves::new(cfg),
-            topo,
-            residents: Arc::new(residents),
+            namespace,
+            free,
         })
     }
 
-    /// The namespace size `N` (number of leaves of the epoch tree).
+    /// The namespace size `N`.
     pub fn namespace(&self) -> usize {
-        self.topo.leaves()
+        self.namespace
     }
 
-    /// Number of names currently held (resident balls).
+    /// Number of names currently held.
     pub fn holders(&self) -> usize {
-        self.residents.len()
+        self.namespace - self.free()
     }
 
-    /// Free names — the maximum number of contenders this epoch admits.
+    /// Free names — the leaves of every view's tree, and the maximum
+    /// number of contenders this epoch admits.
     pub fn free(&self) -> usize {
-        self.namespace() - self.holders()
+        self.free.len()
     }
 
     /// The epoch's protocol configuration.
@@ -191,26 +185,26 @@ impl ViewProtocol for EpochBil {
     type Msg = BilMsg;
     type View = BilView;
 
+    /// A fresh one-shot view over a tree of [`EpochBil::free`] leaves.
+    ///
+    /// Contender labels must be disjoint from the holders' labels, as
+    /// `RenamingService`'s validation (`AlreadyHolding`) ensures. Holders
+    /// never enter a view, so nothing here could refuse a contender that
+    /// reuses a holder's label: it would be granted a second name.
+    ///
     /// # Panics
     ///
     /// Panics if `n` (the number of contenders) exceeds [`EpochBil::free`]
     /// — such an epoch could not terminate with unique names, so it must
     /// never start. The service layer enforces admission before the
-    /// engines get here. A contender label colliding with a resident's
-    /// cannot be asserted here (only `n` is visible): such a contender is
-    /// never admitted at round 0 (the collision is counted as a
-    /// `malformed_init` anomaly), it stays `Running` forever, and the run
-    /// surfaces loudly as `Outcome::RoundLimit` — callers must keep
-    /// contender labels disjoint from holders, as `RenamingService`'s
-    /// validation does.
+    /// engines get here.
     fn init_view(&self, n: usize) -> BilView {
         assert!(
             n <= self.free(),
             "epoch admits at most {} contenders, got {n}",
             self.free()
         );
-        BilView::occupied(self.topo, &self.residents)
-            .expect("validated residents fit the namespace")
+        self.inner.init_view(self.free())
     }
 
     fn compose(&self, view: &BilView, ball: Label, round: Round, rng: &mut SmallRng) -> BilMsg {
@@ -232,8 +226,16 @@ impl ViewProtocol for EpochBil {
         self.inner.apply(view, round, inbox);
     }
 
+    /// Maps a decided leaf rank `r` to the `r`-th free name; a rank beyond
+    /// them (no correct run reaches one) keeps the ball `Running`.
     fn status(&self, view: &BilView, ball: Label, round: Round) -> Status {
-        self.inner.status(view, ball, round)
+        match self.inner.status(view, ball, round) {
+            Status::Decided(Name(rank)) => self
+                .free
+                .get(rank as usize)
+                .map_or(Status::Running, |&name| Status::Decided(name)),
+            Status::Running => Status::Running,
+        }
     }
 }
 
@@ -243,7 +245,6 @@ mod tests {
     use bil_runtime::adversary::{NoFailures, RandomCrash, Scripted, ScriptedCrash};
     use bil_runtime::engine::EngineOptions;
     use bil_runtime::{ExecutorKind, SeedTree};
-    use bil_tree::ROOT;
 
     fn holders(names: &[u32]) -> Vec<(Label, Name)> {
         names
@@ -287,7 +288,7 @@ mod tests {
 
     #[test]
     fn empty_holder_set_matches_one_shot_protocol() {
-        // With no residents and namespace = n, an epoch is exactly the
+        // With no holders and namespace = n, an epoch is exactly the
         // one-shot algorithm: bit-identical reports.
         let labels: Vec<Label> = (0..8u64).map(|i| Label(i * 13 + 5)).collect();
         let epoch = EpochBil::new(BilConfig::new(), 8, &[]).unwrap();
@@ -417,16 +418,65 @@ mod tests {
     }
 
     #[test]
-    fn occupied_view_seeds_residents_as_committed() {
+    fn epoch_view_is_a_fresh_tree_of_the_free_names() {
         let epoch = EpochBil::new(BilConfig::new(), 8, &holders(&[2, 5])).unwrap();
         let view = epoch.init_view(3);
-        assert_eq!(view.tree().len(), 2);
-        assert_eq!(view.committed().count(), 2);
-        // Residents sit on their leaves; the root already carries their
-        // load.
-        assert_eq!(view.tree().load(ROOT), 2);
-        assert_eq!(view.tree().remaining_capacity(ROOT), 6);
+        // One leaf per free name, and nothing placed or committed before
+        // round 0: holders never enter a view.
+        assert_eq!(view.tree().topology().leaves(), epoch.free());
+        assert!(view.tree().is_empty());
+        assert_eq!(view.committed().count(), 0);
         view.tree().validate().unwrap();
+    }
+
+    #[test]
+    fn rank_descents_grant_the_smallest_free_names_in_label_order() {
+        // Failure-free, phase 1 of the early-terminating and det-rank
+        // descents sends the contender of label rank `i` to the `i`-th
+        // free name, whatever the holders: 3 rounds, order-preserving.
+        let cases: [(usize, &[u32]); 3] = [
+            (16, &[0, 3, 4, 9, 15]),
+            (37, &[1, 2, 6, 10, 11, 20, 28, 35, 36]),
+            (64, &[0, 5, 7, 8, 13, 21, 22, 34, 40, 41, 55, 63]),
+        ];
+        for (namespace, held) in cases {
+            let free: Vec<Name> = (0..namespace as u32)
+                .filter(|n| !held.contains(n))
+                .map(Name)
+                .collect();
+            assert!(!free.len().is_power_of_two());
+            for cfg in [
+                BilConfig::early_terminating(),
+                BilConfig::deterministic_rank(),
+            ] {
+                for k in [1, free.len() / 2, free.len()] {
+                    let epoch = EpochBil::new(cfg, namespace, &holders(held)).unwrap();
+                    // Labels descend with the slot, so slot order is not
+                    // label order.
+                    let contenders: Vec<Label> =
+                        (0..k as u64).map(|i| Label(5 * (k as u64 - i))).collect();
+                    let report = ExecutorKind::Clustered
+                        .run(
+                            epoch,
+                            contenders.clone(),
+                            NoFailures,
+                            SeedTree::new(9),
+                            EngineOptions::default(),
+                        )
+                        .unwrap();
+                    assert!(report.completed(), "{cfg:?} N={namespace} k={k}");
+                    assert_eq!(report.rounds, 3, "{cfg:?} N={namespace} k={k}");
+                    for (pid, label) in contenders.iter().enumerate() {
+                        let rank = contenders.iter().filter(|l| *l < label).count();
+                        assert_eq!(
+                            report.decisions[pid].unwrap().name,
+                            free[rank],
+                            "{cfg:?} N={namespace} k={k} {label}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -103,10 +103,12 @@ pub struct Anomalies {
     /// Candidate paths that failed the move-walk's validation; the
     /// sender was removed as crashed.
     pub malformed_paths: u64,
-    /// Position announcements naming an out-of-range node; the sender
-    /// was removed as crashed.
+    /// Position announcements naming an out-of-range node, or moving
+    /// the sender onto a node with no real leaf below it; the sender was
+    /// removed as crashed.
     pub malformed_positions: u64,
-    /// Commit messages (direct or echoed) naming a non-leaf; ignored.
+    /// Commit messages (direct or echoed) naming a non-leaf or a
+    /// phantom leaf; ignored.
     pub malformed_commits: u64,
     /// Over-full subtrees that held no committed ball to evict. Only a
     /// corrupt view can reach this state (capacity can only be forced
@@ -209,54 +211,14 @@ impl BilView {
         self.anomalies
     }
 
-    /// A view over a partially-occupied tree: each resident
-    /// `(label, leaf)` is pre-placed at its leaf and recorded as
-    /// committed from round 0, so the shared silence rules keep it in
-    /// place forever while its occupied leaf masks itself out of every
-    /// remaining-capacity computation (the paper's Lemma 1 does the
-    /// exclusion). The foundation of epoch-scoped instances
-    /// ([`crate::EpochBil`]).
-    pub(crate) fn occupied(
-        topo: Topology,
-        residents: &[(Label, NodeId)],
-    ) -> Result<BilView, bil_tree::TreeError> {
-        for (_, leaf) in residents {
-            if !topo.is_node(*leaf) || !topo.is_leaf(*leaf) {
-                return Err(bil_tree::TreeError::BadNode(*leaf));
-            }
-        }
-        let tree = LocalTree::with_balls_at(topo, residents.iter().copied())?;
-        let committed = residents
-            .iter()
-            .map(|(l, leaf)| {
-                (
-                    *l,
-                    CommitRecord {
-                        leaf: *leaf,
-                        round: Round(0),
-                        provenance: Provenance::Direct,
-                    },
-                )
-            })
-            .collect();
-        Ok(BilView {
-            tree,
-            committed,
-            // Residents' leaves are global knowledge, not news: nothing
-            // to echo.
-            fresh: Vec::new(),
-            dismissed: std::collections::BTreeSet::new(),
-            anomalies: Anomalies::default(),
-            scratch: RoundScratch::default(),
-        })
-    }
-
     /// Records a commit, inserting or repositioning the ball at its leaf
     /// and scheduling the echo. Direct knowledge is never downgraded.
     fn learn_commit(&mut self, ball: Label, leaf: NodeId, round: Round, provenance: Provenance) {
-        if !self.tree.topology().is_node(leaf) || !self.tree.topology().is_leaf(leaf) {
-            // A commit can only ever name a leaf; anything else is a
-            // corrupt message. Reject it the same way in both profiles.
+        let topo = self.tree.topology();
+        if !topo.is_node(leaf) || !topo.is_leaf(leaf) || topo.capacity(leaf) == 0 {
+            // A commit can only ever name a real leaf; anything else (an
+            // internal node, or a phantom leaf with no name) is a corrupt
+            // message. Reject it the same way in both profiles.
             self.anomalies.malformed_commits += 1;
             return;
         }
@@ -413,9 +375,9 @@ impl BallsIntoLeaves {
                         // root, so the overall `<R` rank equals the label
                         // rank at the ball's node, and on a fresh tree
                         // the slot walk is exactly the paper's straight
-                        // descent to the rank-th leaf. On a partially-
-                        // occupied (epoch) tree it additionally skips
-                        // leaves held by residents.
+                        // descent to the rank-th leaf. An epoch's tree has
+                        // one leaf per free name, so there the rank-th
+                        // leaf is the rank-th free name.
                         tree.rank_slot_path_from(node, tree.rank_at_slot(slot) as u32)
                     } else {
                         tree.random_path_from(node, coin, rng)
@@ -547,8 +509,7 @@ impl ViewProtocol for BallsIntoLeaves {
     fn apply(&self, view: &mut BilView, round: Round, inbox: RoundInbox<'_, BilMsg>) {
         if round.is_init() {
             // The inbox is label-sorted, so on a fresh view every
-            // admission appends to the label column with no search; so
-            // does an epoch newcomer whose label exceeds every resident's.
+            // admission appends to the label column with no search.
             for (label, msg) in inbox.iter() {
                 if *msg != BilMsg::Init {
                     // A round-0 broadcast that is not `Init` is corrupt:
@@ -559,8 +520,8 @@ impl ViewProtocol for BallsIntoLeaves {
                 }
                 if view.tree.insert(label, ROOT).is_err() {
                     // Collision with an already-present ball (possible
-                    // only on corrupt input or a mis-seeded epoch):
-                    // reject the newcomer, keep the established ball.
+                    // only on corrupt input): reject the newcomer, keep
+                    // the established ball.
                     view.anomalies.malformed_init += 1;
                 }
             }
@@ -701,8 +662,9 @@ impl ViewProtocol for BallsIntoLeaves {
                     Some(BilMsg::Pos { node, .. }) => {
                         // An out-of-range node is corrupt input (the
                         // wire codec bounds it to u32, not to this
-                        // tree): reject by removing the sender as
-                        // crashed, identically in both profiles.
+                        // tree), and so is a move onto a phantom leaf:
+                        // reject by removing the sender as crashed,
+                        // identically in both profiles.
                         if view.tree.update_at_slot(slot, *node).is_err() {
                             view.anomalies.malformed_positions += 1;
                             view.tree.remove_at_slot(slot);
@@ -966,8 +928,8 @@ mod tests {
         // untouched.
         let topo = Topology::new(4).unwrap();
         let leaf = topo.leaf_for_rank(0).unwrap();
-        // Raw inserts bypass `with_balls_at`'s capacity validation —
-        // exactly the kind of state only corruption can produce.
+        // Raw inserts check no capacity — exactly the kind of state only
+        // corruption can produce.
         let mut tree = LocalTree::new(topo);
         tree.insert(Label(1), leaf).unwrap();
         tree.insert(Label(2), leaf).unwrap();

@@ -14,7 +14,7 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use rand::rngs::SmallRng;
 
-use bil_core::{BallsIntoLeaves, BilMsg, BilView};
+use bil_core::{BallsIntoLeaves, BilConfig, BilMsg, BilView};
 use bil_runtime::adversary::NoFailures;
 use bil_runtime::engine::EngineOptions;
 use bil_runtime::wire::{put_varint, Wire, WireError};
@@ -218,4 +218,85 @@ fn wire_tampered_paths_do_not_panic_or_leak_names_end_to_end() {
     deduped.dedup();
     assert_eq!(names.len(), deduped.len(), "names must stay unique");
     assert_eq!(names.len(), n as usize - 1);
+}
+
+#[test]
+fn positions_on_phantom_leaves_are_counted_and_dropped_in_every_profile() {
+    // n = 3 pads to 4 leaf slots: leaf 7 is a phantom with no name
+    // below it, so a position there is as corrupt as an out-of-range
+    // node. The sender must be dropped and counted before the round's
+    // Lemma 1 check, and no ball may decide a name outside 0..3.
+    let p = BallsIntoLeaves::base();
+    let mut view = p.init_view(3);
+    let balls = [Label(1), Label(2), Label(3)];
+    deliver(
+        &p,
+        &mut view,
+        Round(0),
+        balls.iter().map(|l| (*l, BilMsg::Init)).collect(),
+    );
+    // Every ball passes the path round in place at the root.
+    deliver(
+        &p,
+        &mut view,
+        Round(1),
+        balls.iter().map(|l| (*l, BilMsg::pos(1))).collect(),
+    );
+    deliver(
+        &p,
+        &mut view,
+        Round(2),
+        vec![
+            (Label(1), BilMsg::pos(4)),
+            (Label(2), BilMsg::pos(5)),
+            (Label(3), BilMsg::pos(7)),
+        ],
+    );
+    for ball in balls {
+        if let Status::Decided(name) = p.status(&view, ball, Round(2)) {
+            assert!(name.0 < 3, "ball {ball} decided name {name}, outside 0..3");
+        }
+    }
+    assert_eq!(view.anomalies().malformed_positions, 1);
+    assert_eq!(view.anomalies().total(), 1);
+    assert!(
+        !view.tree().contains(Label(3)),
+        "the sender must be dropped"
+    );
+    view.tree().validate().unwrap();
+}
+
+#[test]
+fn commits_naming_phantom_leaves_are_counted_not_learned() {
+    // The commit rule matches the position rule: an echoed commit for a
+    // phantom leaf (n = 3, leaf 7) is corrupt, counted, and never places
+    // its ball.
+    let p = BallsIntoLeaves::new(BilConfig::new().with_decide_at_leaf(true));
+    let mut view = p.init_view(3);
+    deliver(&p, &mut view, Round(0), vec![(Label(1), BilMsg::Init)]);
+    deliver(
+        &p,
+        &mut view,
+        Round(1),
+        vec![(
+            Label(1),
+            BilMsg::Path(bil_tree::PackedPath::from_nodes(&[1, 2, 4]).unwrap()),
+        )],
+    );
+    deliver(
+        &p,
+        &mut view,
+        Round(2),
+        vec![(
+            Label(1),
+            BilMsg::Pos {
+                node: 4,
+                echo: vec![(Label(9), 7)],
+            },
+        )],
+    );
+    assert_eq!(view.anomalies().malformed_commits, 1);
+    assert!(!view.tree().contains(Label(9)));
+    assert_eq!(view.committed().count(), 0);
+    view.tree().validate().unwrap();
 }

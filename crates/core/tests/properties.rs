@@ -156,7 +156,7 @@ impl ReferenceView {
 
     fn learn_commit(&mut self, ball: Label, leaf: NodeId, round: Round, provenance: RefProvenance) {
         let topo = *self.tree.topology();
-        if !topo.is_node(leaf) || !topo.is_leaf(leaf) {
+        if !topo.is_node(leaf) || !topo.is_leaf(leaf) || topo.capacity(leaf) == 0 {
             self.anomalies.malformed_commits += 1;
             return;
         }
@@ -594,10 +594,12 @@ proptest! {
     /// The epoch kernel's linear apply — counting-sort snapshot,
     /// slot-indexed commit column, gated over-full resolution — lands on
     /// the same tree, commits and anomaly counts as `ReferenceView` on
-    /// resident-heavy views (50–90 % of the names held, resident labels
+    /// epoch views with 50–90 % of the names held (holder labels
     /// interleaved with the contenders'), under contender crashes and
-    /// hostile `Init`/`Commit`/`Path`/`Pos` messages sent under resident
-    /// labels, in the base and decide-at-leaf variants.
+    /// hostile `Init`/`Commit`/`Path`/`Pos` messages sent under holder
+    /// labels, in the base and decide-at-leaf variants. Holders never
+    /// enter an epoch view, so those messages come from non-members: the
+    /// sweeps skip them, and only their echoes are read.
     #[test]
     fn epoch_apply_matches_reference_on_resident_heavy_views(
         names in 12usize..64,

@@ -139,12 +139,13 @@ pub fn run(opts: &EvalOpts) -> String {
         &format!("E14 — long-lived churn service (N = {capacity}, {epochs} epochs)"),
         &format!(
             "Each epoch batches the arrivals, runs one Balls-into-Leaves \
-             execution over the {capacity}-leaf tree with held names masked \
-             out by committed resident balls, and recycles released names; a \
-             random crash adversary (budget 2 per epoch) fires inside every \
-             epoch. Per-epoch rounds stay in the one-shot `O(log log n)` \
-             regime at every density the schedules reach, and released \
-             names are observably reissued (recycled > 0).\n\n{}\n\
+             execution on a tree of the names free among the {capacity}, \
+             maps each decided leaf back to its name, and recycles released \
+             names; a random crash adversary (budget 2 per epoch) fires \
+             inside every epoch. Per-epoch rounds stay in the one-shot \
+             `O(log log n)` regime at every density the schedules reach, \
+             and released names are observably reissued \
+             (recycled > 0).\n\n{}\n\
              Recycled grants across all schedules: {all_recycled}.",
             table.render()
         ),

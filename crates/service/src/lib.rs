@@ -14,15 +14,15 @@
 //! [`RenamingService::step`] consumes one batch of [`Request`]s — an
 //! *epoch*:
 //!
-//! 1. **Releases** apply first: each released name's leaf loses its
-//!    resident and becomes ordinary free capacity again.
+//! 1. **Releases** apply first: each released name is free again, in
+//!    this very epoch.
 //! 2. **Acquires** join a FIFO backlog; the epoch *admits* as many as
 //!    there are free names (the rest stay queued — admission control,
 //!    not an error).
 //! 3. Admitted contenders run **one Balls-into-Leaves execution**
-//!    ([`bil_core::EpochBil`]) over the `N`-leaf tree with every held
-//!    name masked out by a committed *resident ball* on its leaf. Which
-//!    executor carries the rounds is a plain
+//!    ([`bil_core::EpochBil`]) on a tree with one leaf per free name;
+//!    each decided leaf maps back to its name, and held names never
+//!    enter the run. Which executor carries the rounds is a plain
 //!    [`ExecutorKind`](bil_runtime::ExecutorKind) choice; all five yield
 //!    bit-identical epochs.
 //! 4. Decisions become grants; contenders crashed by the adversary are

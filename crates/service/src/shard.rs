@@ -209,8 +209,8 @@ impl RenamingService {
         }
         let epoch = self.epoch;
 
-        // 1. Releases: residents leave, their leaves become free
-        // capacity for this very epoch.
+        // 1. Releases: released names rejoin the free names, so this
+        // very epoch's tree already has a leaf for each.
         let mut released = Vec::new();
         for l in std::mem::take(&mut self.staged_releases) {
             let name = self.assigned.remove(&l).expect("validated holder");
@@ -224,7 +224,7 @@ impl RenamingService {
         let admitted: Vec<Label> = self.pending.drain(..admit).collect();
         let deferred = self.pending.len();
 
-        // 3. One Balls-into-Leaves instance with held names masked out.
+        // 3. One Balls-into-Leaves instance over the free names.
         let protocol = if admitted.is_empty() {
             None
         } else {

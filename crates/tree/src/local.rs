@@ -172,53 +172,6 @@ impl LocalTree {
         tree
     }
 
-    /// A view over a *partially-occupied* tree: every `(ball, node)`
-    /// placement is inserted as given. This is how a long-lived epoch
-    /// seeds its views with the resident balls that already hold leaves
-    /// (name recycling masks occupied leaves by occupying them, so the
-    /// capacity accounting — the paper's Lemma 1 — does the exclusion).
-    ///
-    /// Unlike [`LocalTree::with_balls_at_root`], whose panics indicate
-    /// constructor misuse, this validates: placements come from dynamic
-    /// service state, so violations are reported as errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::BadNode`] for an out-of-range node,
-    /// [`TreeError::BallExists`] for a duplicate ball, and — via the
-    /// final capacity check — [`TreeError::BadLeafCount`] if the
-    /// placements overfill any subtree (e.g. two balls on one leaf, or a
-    /// ball on a phantom leaf).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bil_runtime::Label;
-    /// use bil_tree::{LocalTree, Topology, ROOT};
-    ///
-    /// let topo = Topology::new(4)?;
-    /// // Leaves 4 and 6 already hold names; one contender at the root.
-    /// let tree = LocalTree::with_balls_at(
-    ///     topo,
-    ///     [(Label(10), 4), (Label(11), 6), (Label(1), ROOT)],
-    /// )?;
-    /// assert_eq!(tree.remaining_capacity(ROOT), 1);
-    /// # Ok::<(), bil_tree::TreeError>(())
-    /// ```
-    pub fn with_balls_at<I: IntoIterator<Item = (Label, NodeId)>>(
-        topo: Topology,
-        placements: I,
-    ) -> Result<Self, TreeError> {
-        let mut tree = LocalTree::new(topo);
-        for (ball, node) in placements {
-            tree.insert(ball, node)?;
-        }
-        if let Some(v) = tree.first_overfull() {
-            return Err(TreeError::BadLeafCount(tree.balls_in[v as usize] as usize));
-        }
-        Ok(tree)
-    }
-
     /// The tree shape.
     pub fn topology(&self) -> &Topology {
         &self.topo
@@ -390,7 +343,8 @@ impl LocalTree {
     ///
     /// # Errors
     ///
-    /// Returns [`TreeError::BadNode`] for an out-of-range node.
+    /// Returns [`TreeError::BadNode`] as [`LocalTree::update_at_slot`]
+    /// does, or as [`LocalTree::insert`] does for a never-held label.
     pub fn update_node(&mut self, ball: Label, node: NodeId) -> Result<(), TreeError> {
         match self.labels.binary_search(&ball) {
             Ok(slot) => self.update_at_slot(slot, node),
@@ -405,24 +359,26 @@ impl LocalTree {
     ///
     /// # Errors
     ///
-    /// Returns [`TreeError::BadNode`] for an out-of-range node; the tree
-    /// is then unchanged.
+    /// Returns [`TreeError::BadNode`] for an out-of-range node, or for a
+    /// move onto a node with no real leaf below it (capacity 0), which no
+    /// correct ball can reach; the tree is then unchanged. A ball already
+    /// at `node` is not checked, so a failure-free sync round pays nothing.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is out of range of [`LocalTree::label_column`].
     pub fn update_at_slot(&mut self, slot: usize, node: NodeId) -> Result<(), TreeError> {
-        if !self.topo.is_node(node) {
+        let current = self.node_of[slot];
+        if current == node && current != VACANT {
+            return Ok(());
+        }
+        if !self.topo.is_node(node) || self.topo.capacity(node) == 0 {
             return Err(TreeError::BadNode(node));
         }
-        match self.node_of[slot] {
-            VACANT => self.link(slot, node),
-            current if current != node => {
-                self.unlink(slot);
-                self.link(slot, node);
-            }
-            _ => {}
+        if current != VACANT {
+            self.unlink(slot);
         }
+        self.link(slot, node);
         Ok(())
     }
 
@@ -839,6 +795,15 @@ mod tests {
         t.update_node(Label(2), 6).unwrap();
         assert_eq!(t.current_node(Label(2)), Some(6));
         t.validate().unwrap();
+        // A move onto a node with no real leaf below it is refused, from
+        // a live or a vacant slot (n = 3 pads to 4; leaf 7 is phantom).
+        let mut t = LocalTree::with_balls_at_root(topo(3), [Label(1)]);
+        assert_eq!(t.update_node(Label(1), 7), Err(TreeError::BadNode(7)));
+        assert_eq!(t.current_node(Label(1)), Some(ROOT));
+        t.remove(Label(1)).unwrap();
+        assert_eq!(t.update_node(Label(1), 7), Err(TreeError::BadNode(7)));
+        assert!(t.is_empty());
+        t.validate().unwrap();
     }
 
     #[test]
@@ -979,13 +944,11 @@ mod tests {
         let mut phantom = LocalTree::new(topo(3));
         phantom.insert(Label(1), 7).unwrap();
         assert_eq!(phantom.first_overfull(), Some(7));
-        // Validated placements never are, full or not.
-        let partial =
-            LocalTree::with_balls_at(topo(4), [(Label(10), 4), (Label(11), 6), (Label(1), ROOT)])
-                .unwrap();
-        assert_eq!(partial.first_overfull(), None);
-        let full = LocalTree::with_balls_at(topo(3), [(Label(1), 4), (Label(2), 5), (Label(3), 6)])
-            .unwrap();
+        // Every real leaf taken fills the tree without overfilling it.
+        let mut full = LocalTree::new(topo(3));
+        for (l, leaf) in [(1, 4), (2, 5), (3, 6)] {
+            full.insert(Label(l), leaf).unwrap();
+        }
         assert_eq!(full.first_overfull(), None);
     }
 
@@ -1218,36 +1181,6 @@ mod tests {
     #[should_panic(expected = "duplicate label")]
     fn with_balls_at_root_rejects_duplicates() {
         let _ = LocalTree::with_balls_at_root(topo(4), [Label(1), Label(1)]);
-    }
-
-    #[test]
-    fn with_balls_at_builds_partially_occupied_views() {
-        let t =
-            LocalTree::with_balls_at(topo(4), [(Label(10), 4), (Label(11), 6), (Label(1), ROOT)])
-                .unwrap();
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.current_node(Label(10)), Some(4));
-        assert_eq!(t.remaining_capacity(ROOT), 1);
-        assert_eq!(t.remaining_capacity(2), 1);
-        t.validate().unwrap();
-    }
-
-    #[test]
-    fn with_balls_at_rejects_bad_placements() {
-        // Duplicate ball.
-        assert!(matches!(
-            LocalTree::with_balls_at(topo(4), [(Label(1), 4), (Label(1), 5)]),
-            Err(TreeError::BallExists(Label(1)))
-        ));
-        // Out-of-range node.
-        assert!(matches!(
-            LocalTree::with_balls_at(topo(4), [(Label(1), 99)]),
-            Err(TreeError::BadNode(99))
-        ));
-        // Two balls on one leaf overfill it.
-        assert!(LocalTree::with_balls_at(topo(4), [(Label(1), 4), (Label(2), 4)]).is_err());
-        // A ball on a phantom leaf (n=3 pads to 4; leaf 7 has capacity 0).
-        assert!(LocalTree::with_balls_at(topo(3), [(Label(1), 7)]).is_err());
     }
 
     #[test]

@@ -238,7 +238,7 @@ fn epoch_with_residents() {
         labels(20),
         || RandomCrash::new(3, 0.5, SeedTree::new(44).adversary_rng()),
         44,
-        0x1f63_3291_f9b0_e2ed,
+        0x90d8_e6c5_787c_89fb,
     );
     assert!(report.completed());
     let held: Vec<Name> = holders.iter().map(|&(_, name)| name).collect();

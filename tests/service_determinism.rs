@@ -5,9 +5,9 @@
 //!
 //! This extends the one-shot determinism suite (`tests/determinism.rs`)
 //! across the first subsystem where state survives protocol instances:
-//! every epoch re-seeds the capacity tree with resident balls for held
-//! names, so any cross-executor divergence would compound epoch over
-//! epoch. The comparison is on full [`EpochReport`]s, embedded
+//! every epoch builds its capacity tree from the names the previous
+//! epochs left free, so any cross-executor divergence would compound
+//! epoch over epoch. The comparison is on full [`EpochReport`]s, embedded
 //! [`RunReport`]s included.
 
 use balls_into_leaves::harness::{ArrivalModel, ChurnWorkload};
