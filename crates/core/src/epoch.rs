@@ -188,9 +188,10 @@ impl ViewProtocol for EpochBil {
     /// A fresh one-shot view over a tree of [`EpochBil::free`] leaves.
     ///
     /// Contender labels must be disjoint from the holders' labels, as
-    /// `RenamingService`'s validation (`AlreadyHolding`) ensures. Holders
-    /// never enter a view, so nothing here could refuse a contender that
-    /// reuses a holder's label: it would be granted a second name.
+    /// the service front end's validation (`AlreadyHolding`) ensures.
+    /// Holders never enter a view, so nothing here could refuse a
+    /// contender that reuses a holder's label: it would be granted a
+    /// second name.
     ///
     /// # Panics
     ///

@@ -132,8 +132,10 @@ struct ReferenceView {
 }
 
 impl ReferenceView {
-    /// Mirrors a freshly admitted epoch view: its residents are direct
-    /// round-0 commits, and nothing awaits an echo.
+    /// Mirrors a view after round 0. A fresh epoch view has no commits
+    /// (holders never enter it), so the copy starts with none; a commit
+    /// a view did hold would be a direct round-0 one. Nothing awaits an
+    /// echo.
     fn of(view: &BilView) -> Self {
         ReferenceView {
             tree: view.tree().clone(),
@@ -290,18 +292,20 @@ impl ReferenceView {
     }
 }
 
-/// A message no correct resident sends (residents are silent), sent
-/// under `resident`'s label: `kind` picks the variant, `arg` its
-/// payload. Decide-at-leaf views get arbitrary moves and echoes, except
-/// that a path round carries at most one echo, placing a never-seen
-/// label on a leaf with spare capacity along its whole chain: an
-/// over-fill in the middle of a path round trips the move-walk's
-/// feasibility assertion, and that is not what this test is about. The
-/// base variant gets no move that could evict a resident: eviction
-/// poisons a leaf, and base compose has no cornered-ball fallback.
+/// A message no contender sends, sent under `holder`'s label: `kind`
+/// picks the variant, `arg` its payload. Holders never enter an epoch
+/// view, so the message comes from a non-member: the sweeps skip it and
+/// read only its echoes. Decide-at-leaf views get arbitrary moves and
+/// echoes, except that a path round carries at most one echo, placing a
+/// never-seen label on a leaf with spare capacity along its whole
+/// chain: an over-fill in the middle of a path round trips the
+/// move-walk's feasibility assertion, and that is not what this test is
+/// about. The base variant gets no move that could evict a ball from
+/// its leaf: eviction poisons a leaf, and base compose has no
+/// cornered-ball fallback.
 fn hostile_msg(
     view: &BilView,
-    resident: Label,
+    holder: Label,
     round: Round,
     (kind, arg): (u8, u32),
     decide_at_leaf: bool,
@@ -318,7 +322,7 @@ fn hostile_msg(
     } else {
         arg % (slots + 2)
     };
-    let own = tree.current_node(resident);
+    let own = tree.current_node(holder);
     let node = match own {
         Some(_) if decide_at_leaf => any_node,
         Some(node) if arg % 2 == 0 => node,
@@ -601,7 +605,7 @@ proptest! {
     /// enter an epoch view, so those messages come from non-members: the
     /// sweeps skip them, and only their echoes are read.
     #[test]
-    fn epoch_apply_matches_reference_on_resident_heavy_views(
+    fn epoch_apply_matches_reference_on_holder_heavy_epochs(
         names in 12usize..64,
         held_pct in 50usize..90,
         seed in any::<u64>(),
@@ -647,16 +651,16 @@ proptest! {
                 let mut path_echo_sent = false;
                 for (hr, who, kind, arg) in &hostile {
                     if *hr == r {
-                        let resident = holders[*who % holders.len()].0;
+                        let holder = holders[*who % holders.len()].0;
                         let msg = hostile_msg(
                             &view,
-                            resident,
+                            holder,
                             round,
                             (*kind, *arg),
                             cfg.decide_at_leaf,
                             &mut path_echo_sent,
                         );
-                        msgs.insert(resident, msg);
+                        msgs.insert(holder, msg);
                     }
                 }
                 let inbox: InboxBuf<BilMsg> =

@@ -2,10 +2,11 @@
 //! Poisson, bursty, and adversarial arrival–departure schedules.
 //!
 //! Everything before this experiment is one-shot; E14 exercises the
-//! `bil-service` layer: a fixed namespace serving a continuous stream of
-//! acquire/release requests, one Balls-into-Leaves execution per epoch
-//! over the partially-occupied tree, with a crash adversary firing
-//! inside every epoch. Reported per schedule: per-epoch round summary
+//! `bil-service` layer: a fixed namespace, served by a one-shard
+//! `ShardedService`, answers a continuous stream of acquire/release
+//! requests with one Balls-into-Leaves execution per epoch over the
+//! names free when it starts, with a crash adversary firing inside every
+//! epoch. Reported per schedule: per-epoch round summary
 //! (the one-shot `O(log log n)` bound should keep holding at every
 //! density the schedule reaches), the name-space density profile, and —
 //! the observable core of long-lived renaming — how many grants recycled
@@ -13,7 +14,7 @@
 
 use bil_runtime::adversary::RandomCrash;
 use bil_runtime::{Label, SeedTree};
-use bil_service::{RenamingService, ServiceOptions};
+use bil_service::{ServiceOptions, ShardedOptions, ShardedService};
 
 use crate::experiments::{f2, pct, section, EvalOpts};
 use crate::stats::Summary;
@@ -47,11 +48,14 @@ pub fn churn_run(
     seed: u64,
     opts: &EvalOpts,
 ) -> ChurnOutcome {
-    let options = ServiceOptions {
-        executor: opts.executor,
-        ..ServiceOptions::default()
+    let options = ShardedOptions {
+        shard: ServiceOptions {
+            executor: opts.executor,
+            ..ServiceOptions::default()
+        },
+        concurrent: false,
     };
-    let mut service = RenamingService::new(capacity, seed, options).expect("valid capacity");
+    let mut service = ShardedService::new(capacity, 1, seed, options).expect("valid capacity");
     let mut workload = ChurnWorkload::new(capacity, seed ^ 0x5EED, model, departure_rate);
     let mut outcome = ChurnOutcome {
         rounds: Vec::new(),
@@ -64,9 +68,13 @@ pub fn churn_run(
     for epoch in 0..epochs {
         let holders: Vec<Label> = service.holders().map(|(l, _)| l).collect();
         let batch = workload.next_batch(&holders);
-        let adversary = RandomCrash::new(2, 0.5, SeedTree::new(seed).epoch(epoch).adversary_rng());
+        let adversary =
+            |_| RandomCrash::new(2, 0.5, SeedTree::new(seed).epoch(epoch).adversary_rng());
         let report = service
             .step_against(&batch, adversary)
+            .expect("valid churn batch")
+            .shards
+            .swap_remove(0)
             .expect("churn epochs complete");
         if report.run.is_some() {
             outcome.rounds.push(report.rounds);

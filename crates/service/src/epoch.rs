@@ -1,14 +1,15 @@
 //! Epoch building blocks: requests, options, reports, and the detached
 //! protocol run that makes epoch pipelining possible.
 //!
-//! The per-shard engine's two-stage admission queue (see
-//! [`crate::RenamingService`]) splits an epoch into *admission* (decide
-//! the cohort, apply releases — cheap, needs `&mut` service) and
-//! *execution* (run the Balls-into-Leaves rounds — expensive, needs no
-//! service access at all). [`EpochRun`] is the detached execution half:
-//! it owns the protocol instance, the admitted cohort, and the epoch's
-//! derived seeds, so it can run on another thread while the service
-//! stages the next epoch's batch.
+//! The two-stage admission queue (see [`crate::ShardedService`]) splits
+//! an epoch into *admission* (decide each shard's cohort, apply releases
+//! — cheap, needs `&mut` service) and *execution* (run the
+//! Balls-into-Leaves rounds — expensive, needs no service access at
+//! all). [`EpochRun`] is the detached execution half: it owns the
+//! protocol instance, a copy of the admitted cohort (which stays queued
+//! at the head of its shard's backlog until the epoch completes), and
+//! the epoch's derived seeds, so it can run on another thread while the
+//! service stages the next epoch's batch.
 
 use bil_core::{BilConfig, BilMsg, EpochBil};
 use bil_runtime::adversary::Adversary;
@@ -73,14 +74,14 @@ pub struct EpochReport {
     pub run: Option<RunReport>,
 }
 
-/// Stage 2a of a pipelined epoch: an admitted cohort with its protocol
-/// instance and derived seeds, detached from the service.
+/// Stage 2a of a pipelined epoch: one shard's admitted cohort with its
+/// protocol instance and derived seeds, detached from the service.
 ///
-/// Produced by [`crate::RenamingService::begin_epoch`]; consumed by
+/// Produced by [`crate::ShardedService::begin`]; consumed by
 /// [`EpochRun::execute`], which may run on any thread — it borrows
 /// nothing from the service, so the service is free to
-/// [`crate::RenamingService::enqueue`] the next epoch's batch while the
-/// rounds run.
+/// [`submit`](crate::ShardedService::submit) the next epoch's batch
+/// while the rounds run.
 #[derive(Debug)]
 pub struct EpochRun {
     pub(crate) epoch: u64,
@@ -106,8 +107,8 @@ impl EpochRun {
 
     /// Stage 2b: carries the epoch's rounds on the configured executor
     /// against `adversary`. Infallible by design — failures are folded
-    /// into the returned [`EpochOutcome`] so the service can restore its
-    /// queue state in [`crate::RenamingService::finish_epoch`].
+    /// into the returned [`EpochOutcome`], and
+    /// [`crate::ShardedService::complete`] leaves a failed cohort queued.
     pub fn execute<A: Adversary<BilMsg>>(self, adversary: A) -> EpochOutcome {
         let EpochRun {
             epoch,
@@ -128,13 +129,10 @@ impl EpochRun {
                         ..SocketOptions::default()
                     },
                 };
-                match options.executor.run(
-                    protocol,
-                    admitted.clone(),
-                    adversary,
-                    seeds,
-                    engine_options,
-                ) {
+                match options
+                    .executor
+                    .run(protocol, admitted, adversary, seeds, engine_options)
+                {
                     Ok(report) if report.completed() => Ok(Some(report)),
                     Ok(_) => Err(ServiceError::Stalled { epoch }),
                     Err(source) => Err(ServiceError::Run { epoch, source }),
@@ -143,7 +141,6 @@ impl EpochRun {
         };
         EpochOutcome {
             epoch,
-            admitted,
             deferred,
             released,
             seeds,
@@ -152,12 +149,11 @@ impl EpochRun {
     }
 }
 
-/// A finished (or failed) epoch execution, ready to be folded back into
-/// the service by [`crate::RenamingService::finish_epoch`].
+/// A finished (or failed) shard epoch execution, ready to be folded
+/// back into the service by [`crate::ShardedService::complete`].
 #[derive(Debug)]
 pub struct EpochOutcome {
     pub(crate) epoch: u64,
-    pub(crate) admitted: Vec<Label>,
     pub(crate) deferred: usize,
     pub(crate) released: Vec<(Label, Name)>,
     /// The run's seed tree, re-derived from the service's root seed per
@@ -166,7 +162,7 @@ pub struct EpochOutcome {
     pub(crate) seeds: SeedTree,
     /// `Ok(None)`: an epoch with no admissions. `Ok(Some(report))`: the
     /// protocol ran to completion. `Err`: the executor failed or
-    /// stalled; the cohort must be re-queued.
+    /// stalled; the cohort stays at the head of the backlog.
     pub(crate) result: Result<Option<RunReport>, ServiceError>,
 }
 
@@ -177,8 +173,8 @@ impl EpochOutcome {
     }
 
     /// Whether the epoch's protocol run failed (executor error or round
-    /// limit); the admitted cohort will be re-queued by
-    /// [`crate::RenamingService::finish_epoch`].
+    /// limit); the admitted cohort stays at the head of its shard's
+    /// backlog, so the shard's next epoch retries it.
     pub fn failed(&self) -> bool {
         self.result.is_err()
     }

@@ -1,6 +1,6 @@
-//! Service-layer errors: per-shard engine errors ([`ServiceError`]),
-//! sharded front-end errors ([`ShardError`]), and refused epoch outcomes
-//! handed back to their caller ([`Rejected`]).
+//! Service-layer errors: per-shard engine and request errors
+//! ([`ServiceError`]), front-end errors ([`ShardError`]), and refused
+//! epoch outcomes handed back to their caller ([`Rejected`]).
 
 use std::error::Error;
 use std::fmt;
@@ -9,7 +9,9 @@ use bil_core::EpochError;
 use bil_runtime::{Label, RunError};
 use bil_tree::TreeError;
 
-/// A per-shard engine error: construction, request validation, or epoch
+use crate::epoch::EpochOutcome;
+
+/// A per-shard error: engine construction, request validation, or epoch
 /// execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
@@ -31,7 +33,7 @@ pub enum ServiceError {
     /// reachable through a bug in the service's own bookkeeping.
     Epoch(EpochError),
     /// The executor failed mid-epoch (wire decode, socket I/O, …). The
-    /// admitted contenders were re-queued; the epoch may be retried.
+    /// admitted contenders stay queued; the epoch may be retried.
     Run {
         /// The epoch that failed.
         epoch: u64,
@@ -39,17 +41,10 @@ pub enum ServiceError {
         source: RunError,
     },
     /// The epoch hit its round limit before every contender decided — a
-    /// liveness failure. The admitted contenders were re-queued.
+    /// liveness failure. The admitted contenders stay queued.
     Stalled {
         /// The epoch that stalled.
         epoch: u64,
-    },
-    /// A two-stage epoch call out of order: `begin_epoch` while an epoch
-    /// is already in flight, or `finish_epoch` without (or against the
-    /// wrong) in-flight epoch.
-    Pipeline {
-        /// The epoch in flight when the misordered call arrived, if any.
-        in_flight: Option<u64>,
     },
 }
 
@@ -72,18 +67,6 @@ impl fmt::Display for ServiceError {
             ServiceError::Stalled { epoch } => {
                 write!(f, "epoch {epoch} hit its round limit before completing")
             }
-            ServiceError::Pipeline { in_flight: Some(e) } => {
-                write!(
-                    f,
-                    "pipelined epoch call out of order: epoch {e} is in flight"
-                )
-            }
-            ServiceError::Pipeline { in_flight: None } => {
-                write!(
-                    f,
-                    "pipelined epoch call out of order: no epoch is in flight"
-                )
-            }
         }
     }
 }
@@ -96,7 +79,7 @@ impl From<EpochError> for ServiceError {
     }
 }
 
-/// A sharded front-end error; see [`crate::ShardedService`].
+/// A front-end error; see [`crate::ShardedService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
     /// The namespace cannot be partitioned: zero shards, fewer names
@@ -156,39 +139,28 @@ impl Error for ShardError {
     }
 }
 
-/// Epoch outcomes that a completion call refused before changing any
-/// state, handed back untouched beside the reason so the caller can
-/// retry with the right ones. [`crate::ShardedService::complete`]
-/// returns `Rejected<ShardError, Vec<EpochOutcome>>` and
-/// [`crate::RenamingService::finish_epoch`] returns
-/// `Rejected<ServiceError, Box<EpochOutcome>>`; either way `error` is the
-/// `Pipeline` variant and the epoch stays in flight.
-///
-/// [`EpochOutcome`]: crate::EpochOutcome
+/// Epoch outcomes that [`crate::ShardedService::complete`] refused
+/// before changing any state, handed back untouched beside the reason
+/// so the caller can retry with the right ones. `error` is
+/// [`ShardError::Pipeline`], and any epoch in flight stays in flight.
 #[derive(Debug)]
-pub struct Rejected<E, T> {
+pub struct Rejected {
     /// Why the outcomes were refused.
-    pub error: E,
+    pub error: ShardError,
     /// The refused outcomes, as passed in.
-    pub outcomes: T,
+    pub outcomes: Vec<EpochOutcome>,
 }
 
-impl<E: fmt::Display, T> fmt::Display for Rejected<E, T> {
+impl fmt::Display for Rejected {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.error.fmt(f)
     }
 }
 
-impl<E: Error, T: fmt::Debug> Error for Rejected<E, T> {}
+impl Error for Rejected {}
 
-impl<T> From<Rejected<ServiceError, T>> for ServiceError {
-    fn from(rejected: Rejected<ServiceError, T>) -> Self {
-        rejected.error
-    }
-}
-
-impl<T> From<Rejected<ShardError, T>> for ShardError {
-    fn from(rejected: Rejected<ShardError, T>) -> Self {
+impl From<Rejected> for ShardError {
+    fn from(rejected: Rejected) -> Self {
         rejected.error
     }
 }
@@ -206,8 +178,6 @@ mod tests {
             ServiceError::UnknownHolder(Label(3)),
             ServiceError::DuplicateRequest(Label(4)),
             ServiceError::Stalled { epoch: 5 },
-            ServiceError::Pipeline { in_flight: Some(6) },
-            ServiceError::Pipeline { in_flight: None },
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -11,14 +11,17 @@
 //!
 //! ## Epoch model
 //!
-//! [`RenamingService::step`] consumes one batch of [`Request`]s — an
-//! *epoch*:
+//! [`ShardedService`] is the one front end. It splits the namespace into
+//! shards and runs one epoch on every shard per batch;
+//! [`ShardedService::step`] consumes one batch of [`Request`]s — an
+//! *epoch*. Each request is validated once, at the front end, and routed
+//! to one shard. On each shard:
 //!
 //! 1. **Releases** apply first: each released name is free again, in
 //!    this very epoch.
-//! 2. **Acquires** join a FIFO backlog; the epoch *admits* as many as
-//!    there are free names (the rest stay queued — admission control,
-//!    not an error).
+//! 2. **Acquires** join a FIFO backlog; the epoch *admits* the head of
+//!    it, as many as there are free names (the rest stay queued —
+//!    admission control, not an error).
 //! 3. Admitted contenders run **one Balls-into-Leaves execution**
 //!    ([`bil_core::EpochBil`]) on a tree with one leaf per free name;
 //!    each decided leaf maps back to its name, and held names never
@@ -30,57 +33,36 @@
 //!    granted names are **recycled** — previously released and now
 //!    reissued.
 //!
-//! Every epoch `e` runs from the deterministic seed tree
-//! [`SeedTree::epoch`](bil_runtime::SeedTree::epoch)`(e)` derived from
-//! the service's root seed, so an entire multi-epoch history is one
-//! deterministic function of `(root seed, request stream, adversary
-//! choices)` — on every executor.
+//! Every shard derives its seed from the service's root seed, and its
+//! epoch `e` runs from the deterministic seed tree
+//! [`SeedTree::epoch`](bil_runtime::SeedTree::epoch)`(e)` of that seed,
+//! so an entire multi-epoch history is one deterministic function of
+//! `(root seed, request stream, adversary choices)` — on every executor.
 //!
 //! ## Crate layout
 //!
-//! * [`mod@error`] — [`ServiceError`] (per-shard engine),
-//!   [`ShardError`] (sharded front-end) and [`Rejected`] (refused
-//!   outcomes, handed back).
+//! * [`mod@error`] — [`ServiceError`] (per-shard and request errors),
+//!   [`ShardError`] (front end) and [`Rejected`] (refused outcomes,
+//!   handed back).
 //! * [`mod@epoch`] — [`Request`], [`ServiceOptions`], [`EpochReport`],
 //!   and the detached [`EpochRun`] / [`EpochOutcome`] pair that makes
 //!   epoch pipelining possible.
 //! * [`mod@shard`] — [`RenamingService`], the per-shard engine with its
-//!   two-stage admission queue (`enqueue` → `begin_epoch` →
-//!   `finish_epoch`).
-//! * [`mod@sharded`] — [`ShardedService`], the range-partitioned
-//!   front-end: [`NamePartition`], deterministic hash routing with ring
-//!   spill, and pipelined per-shard epochs
+//!   two-stage admission queue (stage → begin → finish), driven only by
+//!   the front end and read through [`ShardedService::shard`].
+//! * [`mod@sharded`] — [`ShardedService`], the front end:
+//!   [`NamePartition`], deterministic hash routing with ring spill, the
+//!   one request validation, and pipelined per-shard epochs
 //!   ([`ShardedService::run_epochs`]).
 //!
 //! ## Example
 //!
 //! ```
 //! use bil_runtime::Label;
-//! use bil_service::{RenamingService, Request, ServiceOptions};
-//!
-//! let mut svc = RenamingService::new(8, 2014, ServiceOptions::default())?;
-//! // Epoch 0: four clients acquire.
-//! let e0 = svc.step(&(0..4).map(|i| Request::Acquire(Label(i))).collect::<Vec<_>>())?;
-//! assert_eq!(e0.granted.len(), 4);
-//! // Epoch 1: one release, two new arrivals — the freed name is
-//! // eventually recycled.
-//! let e1 = svc.step(&[
-//!     Request::Release(Label(0)),
-//!     Request::Acquire(Label(10)),
-//!     Request::Acquire(Label(11)),
-//! ])?;
-//! assert_eq!(e1.granted.len(), 2);
-//! assert_eq!(svc.holders().count(), 5);
-//! # Ok::<(), bil_service::ServiceError>(())
-//! ```
-//!
-//! Scaling past one engine is a front-end swap, not an API change:
-//!
-//! ```
-//! use bil_runtime::Label;
 //! use bil_service::{Request, ShardedOptions, ShardedService};
 //!
-//! // 64 names split across 4 shards, epochs pipelined per shard.
+//! // 64 names split across 4 shards, epochs pipelined per shard; a
+//! // one-shard service is `ShardedService::new(64, 1, ..)`.
 //! let mut svc = ShardedService::new(64, 4, 2014, ShardedOptions::default())?;
 //! let batch: Vec<Request> = (0..48).map(|i| Request::Acquire(Label(i))).collect();
 //! let report = svc.step(&batch)?;

@@ -1,10 +1,10 @@
-//! The sharded front-end: one namespace, range-partitioned across many
+//! The service's one front end: one namespace, range-partitioned across
 //! per-shard engines, with pipelined per-shard epochs.
 //!
-//! [`ShardedService`] presents the same acquire/release surface as a
-//! single [`RenamingService`] over `N` names, but internally splits the
-//! namespace into `S` contiguous ranges ([`NamePartition`]) and runs one
-//! independent per-shard engine over each. Every global name belongs to
+//! [`ShardedService`] serves acquires and releases over `N` names. It
+//! splits the namespace into `S` contiguous ranges ([`NamePartition`])
+//! and runs one independent [`RenamingService`] engine over each; with
+//! `S = 1` it is the standalone service. Every global name belongs to
 //! exactly one shard; a shard issues only names from its own range, so
 //! global uniqueness reduces to per-shard uniqueness plus partition
 //! disjointness.
@@ -31,12 +31,14 @@
 //! ## Pipelined epochs
 //!
 //! The front-end drives all shards through the per-shard two-stage queue
-//! in lock-step: [`ShardedService::submit`] stages a batch (stage 1, legal
-//! mid-epoch), [`ShardedService::begin`] detaches one [`EpochRun`] per
-//! shard, the runs execute — concurrently across shards, and/or
-//! overlapped with the *next* batch's submission — and
-//! [`ShardedService::complete`] folds the outcomes back in shard order.
-//! [`ShardedService::run_epochs`] is the packaged pipelined driver.
+//! in lock-step: [`ShardedService::submit`] validates a batch once and
+//! stages each request into its shard (stage 1, legal mid-epoch),
+//! [`ShardedService::begin`] detaches one [`EpochRun`] per shard, the
+//! runs execute — concurrently across shards, and/or overlapped with the
+//! *next* batch's submission — and [`ShardedService::complete`] folds
+//! the outcomes back in shard order. [`ShardedService::step`] is one
+//! epoch in one call; [`ShardedService::run_epochs`] is the packaged
+//! pipelined driver.
 //!
 //! ## Determinism
 //!
@@ -170,8 +172,8 @@ pub struct ShardedEpochReport {
     /// The front-end epoch index.
     pub epoch: u64,
     /// Per-shard outcomes, in shard order. An `Err` shard (stall or
-    /// executor failure) has its cohort auto-requeued *on that shard* —
-    /// the next epoch retries it there, in original FIFO order.
+    /// executor failure) keeps its cohort at the head of *that shard's*
+    /// backlog — the next epoch retries it there, in original FIFO order.
     pub shards: Vec<Result<EpochReport, ServiceError>>,
     /// `(label, global name)` grants this epoch, in shard order.
     pub granted: Vec<(Label, Name)>,
@@ -186,7 +188,7 @@ pub struct ShardedEpochReport {
     pub held: usize,
 }
 
-/// The sharded namespace service: one acquire/release front-end over
+/// The namespace service: the one acquire/release front end, over
 /// range-partitioned per-shard [`RenamingService`] engines. See the
 /// module docs for routing, booking, and the determinism argument.
 #[derive(Debug, Clone)]
@@ -201,7 +203,6 @@ pub struct ShardedService {
     /// bookings stay spent (see module docs).
     booked: Vec<usize>,
     epoch: u64,
-    in_flight: bool,
     concurrent: bool,
 }
 
@@ -236,7 +237,6 @@ impl ShardedService {
             routes: BTreeMap::new(),
             booked: vec![0; shards],
             epoch: 0,
-            in_flight: false,
             concurrent: options.concurrent,
         })
     }
@@ -251,7 +251,7 @@ impl ShardedService {
         &self.partition
     }
 
-    /// Read access to one per-shard engine.
+    /// Read access to one per-shard engine (shard-local names).
     ///
     /// # Panics
     ///
@@ -261,14 +261,17 @@ impl ShardedService {
     }
 
     /// The next front-end epoch index (the in-flight epoch's index while
-    /// one is running).
+    /// one is running). It advances on every completed front-end epoch,
+    /// even where a shard's epoch failed and that shard's own
+    /// [`RenamingService::epoch`] stayed put.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Whether a front-end epoch is begun but not yet completed.
+    /// Whether a front-end epoch is begun but not yet completed: the
+    /// shards begin and complete together, so this asks them.
     pub fn in_flight(&self) -> bool {
-        self.in_flight
+        self.shards.iter().any(|s| s.in_flight().is_some())
     }
 
     /// Names held across all shards.
@@ -281,7 +284,8 @@ impl ShardedService {
         self.held() as f64 / self.capacity() as f64
     }
 
-    /// Acquires queued across all shards.
+    /// Acquires queued across all shards, not counting the cohorts of
+    /// the epoch in flight.
     pub fn backlog(&self) -> usize {
         self.shards.iter().map(RenamingService::backlog).sum()
     }
@@ -307,16 +311,23 @@ impl ShardedService {
         self.routes.get(&label).copied()
     }
 
-    /// Stage 1: validates the batch against every shard, then routes it
-    /// — releases to the shard that issued the name (returning its
-    /// booking), acquires by home-hash with deterministic ring spill.
-    /// Legal while an epoch is in flight; that is what pipelines batch
-    /// `k+1` under epoch `k`.
+    /// Stage 1: validates the batch — the service's one validation —
+    /// then routes it and stages each request into its shard: releases
+    /// to the shard that issued the name (returning its booking),
+    /// acquires by home-hash with deterministic ring spill. Legal while
+    /// an epoch is in flight; that is what pipelines batch `k+1` under
+    /// epoch `k`.
     ///
     /// # Errors
     ///
     /// [`ShardError::Request`] on a validation failure — the whole batch
-    /// is rejected before any state changes on any shard.
+    /// is rejected before any state changes on any shard:
+    /// [`ServiceError::DuplicateRequest`] for a label twice in the batch
+    /// or a release already staged; [`ServiceError::AlreadyHolding`] /
+    /// [`ServiceError::AlreadyQueued`] for an acquire whose label holds a
+    /// name or is queued (admitted into the in-flight epoch included);
+    /// [`ServiceError::UnknownHolder`] for a release of a label that
+    /// holds no name.
     pub fn submit(&mut self, requests: &[Request]) -> Result<(), ShardError> {
         // Validate everything first: routing mutates booking counters,
         // so nothing may be applied until the whole batch is known good.
@@ -329,17 +340,14 @@ impl ShardedService {
                 return Err(ShardError::Request(ServiceError::DuplicateRequest(label)));
             }
             match r {
+                // A routed label is queued, in flight or holding on its
+                // shard; only a holder has a name there.
                 Request::Acquire(l) => {
                     if let Some(&s) = self.routes.get(l) {
-                        // The responsible shard names the precise
-                        // conflict; a route the shard cannot explain
-                        // reads as still-queued.
-                        return Err(ShardError::Request(
-                            self.shards[s]
-                                .validate_acquire(*l)
-                                .err()
-                                .unwrap_or(ServiceError::AlreadyQueued(*l)),
-                        ));
+                        return Err(ShardError::Request(match self.shards[s].name_of(*l) {
+                            Some(_) => ServiceError::AlreadyHolding(*l),
+                            None => ServiceError::AlreadyQueued(*l),
+                        }));
                     }
                 }
                 Request::Release(l) => match self.routes.get(l) {
@@ -353,32 +361,21 @@ impl ShardedService {
 
         // Route in request order: a release earlier in the batch frees a
         // booking that a later acquire may claim.
-        let mut batches: Vec<Vec<Request>> = vec![Vec::new(); self.shards.len()];
         for r in requests {
-            match r {
+            let s = match r {
                 Request::Release(l) => {
                     let s = self.routes[l];
                     self.booked[s] -= 1;
-                    batches[s].push(*r);
+                    s
                 }
                 Request::Acquire(l) => {
                     let s = self.route_acquire(*l);
                     self.routes.insert(*l, s);
                     self.booked[s] += 1;
-                    batches[s].push(*r);
+                    s
                 }
-            }
-        }
-        for (s, batch) in batches.iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            // Front-end validation mirrors shard validation exactly, so
-            // this cannot fail; mapping (rather than unwrapping) keeps
-            // the invariant checkable.
-            self.shards[s]
-                .enqueue(batch)
-                .map_err(|source| ShardError::Shard { shard: s, source })?;
+            };
+            self.shards[s].stage(*r);
         }
         Ok(())
     }
@@ -409,7 +406,7 @@ impl ShardedService {
     /// [`ShardError::Shard`] if a shard rejects admission (a bookkeeping
     /// bug).
     pub fn begin(&mut self) -> Result<Vec<EpochRun>, ShardError> {
-        if self.in_flight {
+        if self.in_flight() {
             return Err(ShardError::Pipeline { in_flight: true });
         }
         let mut runs = Vec::with_capacity(self.shards.len());
@@ -424,7 +421,6 @@ impl ShardedService {
             }
             runs.push(run);
         }
-        self.in_flight = true;
         Ok(runs)
     }
 
@@ -469,8 +465,8 @@ impl ShardedService {
 
     /// Stage 2b: folds every shard's outcome back in, in shard order,
     /// and advances the front-end epoch. Failed shards keep their cohort
-    /// (re-queued on that same shard, original order) and report the
-    /// error in [`ShardedEpochReport::shards`]; crashes retire their
+    /// (at the head of that shard's backlog, original order) and report
+    /// the error in [`ShardedEpochReport::shards`]; crashes retire their
     /// labels' routes (releases retired theirs at
     /// [`ShardedService::begin`]).
     ///
@@ -485,19 +481,18 @@ impl ShardedService {
     pub fn complete(
         &mut self,
         outcomes: Vec<EpochOutcome>,
-    ) -> Result<ShardedEpochReport, Rejected<ShardError, Vec<EpochOutcome>>> {
-        if !self.in_flight
-            || outcomes.len() != self.shards.len()
+    ) -> Result<ShardedEpochReport, Rejected> {
+        // A shard with no epoch in flight awaits nothing.
+        if outcomes.len() != self.shards.len()
             || !self.shards.iter().zip(&outcomes).all(|(s, o)| s.awaits(o))
         {
             return Err(Rejected {
                 error: ShardError::Pipeline {
-                    in_flight: self.in_flight,
+                    in_flight: self.in_flight(),
                 },
                 outcomes,
             });
         }
-        self.in_flight = false;
         let epoch = self.epoch;
         let mut shards_out = Vec::with_capacity(outcomes.len());
         let mut granted = Vec::new();
@@ -506,11 +501,7 @@ impl ShardedService {
         let mut recycled = Vec::new();
         for (s, outcome) in outcomes.into_iter().enumerate() {
             let start = self.partition.range(s).start as u32;
-            // Every outcome passed `awaits` above, so no shard rejects it.
-            match self.shards[s]
-                .finish_epoch(outcome)
-                .unwrap_or_else(|rejected| Err(rejected.error))
-            {
+            match self.shards[s].finish_epoch(outcome) {
                 Ok(report) => {
                     for (l, n) in &report.granted {
                         granted.push((*l, Name(start + n.0)));
@@ -561,7 +552,8 @@ impl ShardedService {
     ///
     /// [`ShardError::Request`] before any state changes if the batch is
     /// invalid; per-shard epoch failures are *not* errors here — they
-    /// land in [`ShardedEpochReport::shards`] with the cohort re-queued.
+    /// land in [`ShardedEpochReport::shards`] with the cohort still
+    /// queued.
     pub fn step_against<A, F>(
         &mut self,
         requests: &[Request],
@@ -905,9 +897,9 @@ mod tests {
 
     #[test]
     fn failed_shard_requeues_on_that_shard_and_retries_in_order() {
-        // Satellite regression, sharded half: a shard whose epoch fails
-        // must re-admit its cohort on the *same shard*, in original FIFO
-        // order, while the other shards move on unharmed.
+        // Regression: a shard whose epoch fails must re-admit its cohort
+        // on the *same shard*, in original FIFO order, while the other
+        // shards move on unharmed.
         let mut svc = ShardedService::new(16, 2, 17, ShardedOptions::default()).unwrap();
         svc.submit(&acquires(0..8)).unwrap();
         let runs = svc.begin().unwrap();
@@ -920,10 +912,8 @@ mod tests {
         let mut outcomes = Vec::new();
         for (s, run) in runs.into_iter().enumerate() {
             if s == victim {
-                let admitted = run.admitted().to_vec();
                 outcomes.push(EpochOutcome {
                     epoch,
-                    admitted,
                     deferred: 0,
                     released: Vec::new(),
                     seeds: run.seeds,

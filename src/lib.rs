@@ -66,8 +66,6 @@ pub mod prelude {
     pub use bil_runtime::{
         ExecutorKind, Label, Name, Outcome, ProcId, Round, RunError, RunReport, SeedTree,
     };
-    pub use bil_service::{
-        RenamingService, Request, ServiceOptions, ShardedOptions, ShardedService,
-    };
+    pub use bil_service::{Request, ServiceOptions, ShardedOptions, ShardedService};
     pub use bil_tree::{CoinRule, LocalTree, Topology};
 }

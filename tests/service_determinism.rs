@@ -16,11 +16,16 @@ use balls_into_leaves::runtime::adversary::RandomCrash;
 use balls_into_leaves::runtime::ProcId;
 use balls_into_leaves::service::{EpochReport, ShardedEpochReport};
 
-/// Drives one service through `epochs` epochs of a seeded churn
-/// schedule with a crash-heavy adversary inside every epoch.
+/// Drives one standalone (one-shard) service through `epochs` epochs of
+/// a seeded churn schedule with a crash-heavy adversary inside every
+/// epoch.
 fn churn_history(options: ServiceOptions, epochs: u64, seed: u64) -> Vec<EpochReport> {
     const CAPACITY: usize = 48;
-    let mut service = RenamingService::new(CAPACITY, seed, options).expect("valid capacity");
+    let options = ShardedOptions {
+        shard: options,
+        concurrent: false,
+    };
+    let mut service = ShardedService::new(CAPACITY, 1, seed, options).expect("valid capacity");
     let mut workload = ChurnWorkload::new(
         CAPACITY,
         seed ^ 0xC0FFEE,
@@ -33,10 +38,14 @@ fn churn_history(options: ServiceOptions, epochs: u64, seed: u64) -> Vec<EpochRe
         let batch = workload.next_batch(&holders);
         // Crash-heavy: budget 3 per epoch, firing almost every round,
         // with adaptive partial deliveries.
-        let adversary = RandomCrash::new(3, 0.8, SeedTree::new(seed).epoch(epoch).adversary_rng());
+        let adversary =
+            |_| RandomCrash::new(3, 0.8, SeedTree::new(seed).epoch(epoch).adversary_rng());
         history.push(
             service
                 .step_against(&batch, adversary)
+                .expect("valid churn batch")
+                .shards
+                .swap_remove(0)
                 .expect("churn epoch completes"),
         );
     }
