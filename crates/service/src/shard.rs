@@ -329,7 +329,9 @@ mod tests {
     #[test]
     fn released_names_are_recycled() {
         let mut svc = one_shard(4, 3, ServiceOptions::default());
-        svc.step(&acquires(0..4)).unwrap();
+        svc.step(&acquires(0..4)).unwrap().shards[0]
+            .as_ref()
+            .unwrap();
         let freed = svc.name_of(Label(2)).unwrap();
         let e1 = svc.step(&[Request::Release(Label(2))]).unwrap();
         assert_eq!(e1.released, vec![(Label(2), freed)]);
@@ -341,6 +343,7 @@ mod tests {
         // The only free name is the freed one: the next acquire must
         // recycle it.
         let e2 = svc.step(&[Request::Acquire(Label(99))]).unwrap();
+        e2.shards[0].as_ref().unwrap();
         assert_eq!(e2.granted, vec![(Label(99), freed)]);
         assert_eq!(e2.recycled, vec![freed]);
     }
@@ -368,7 +371,9 @@ mod tests {
     #[test]
     fn validation_rejects_bad_batches_without_state_changes() {
         let mut svc = one_shard(4, 1, ServiceOptions::default());
-        svc.step(&acquires(0..2)).unwrap();
+        svc.step(&acquires(0..2)).unwrap().shards[0]
+            .as_ref()
+            .unwrap();
         let held = svc.held();
         for (batch, want) in [
             (
@@ -395,8 +400,12 @@ mod tests {
         }
         // Queued duplicates are rejected too.
         let mut full = one_shard(2, 1, ServiceOptions::default());
-        full.step(&acquires(0..2)).unwrap();
-        full.step(&[Request::Acquire(Label(7))]).unwrap();
+        full.step(&acquires(0..2)).unwrap().shards[0]
+            .as_ref()
+            .unwrap();
+        full.step(&[Request::Acquire(Label(7))]).unwrap().shards[0]
+            .as_ref()
+            .unwrap();
         assert_eq!(
             full.step(&[Request::Acquire(Label(7))]).unwrap_err(),
             ShardError::Request(ServiceError::AlreadyQueued(Label(7)))
@@ -411,6 +420,7 @@ mod tests {
                 RandomCrash::new(4, 0.9, SeedTree::new(11).adversary_rng())
             })
             .unwrap();
+        report.shards[0].as_ref().unwrap();
         assert_eq!(report.granted.len() + report.crashed.len(), 12);
         assert!(!report.crashed.is_empty(), "adversary was supposed to fire");
         for l in &report.crashed {
@@ -440,10 +450,12 @@ mod tests {
                 batch.push(Request::Acquire(Label(next_label)));
                 next_label += 1;
             }
-            svc.step_against(&batch, |_| {
-                RandomCrash::new(2, 0.5, SeedTree::new(epoch).adversary_rng())
-            })
-            .unwrap();
+            let report = svc
+                .step_against(&batch, |_| {
+                    RandomCrash::new(2, 0.5, SeedTree::new(epoch).adversary_rng())
+                })
+                .unwrap();
+            report.shards[0].as_ref().unwrap();
             // Invariant: held names are unique and within the namespace.
             let mut names: Vec<Name> = svc.holders().map(|(_, n)| n).collect();
             names.sort_unstable();
@@ -453,6 +465,9 @@ mod tests {
             assert!(names.iter().all(|n| (n.0 as usize) < svc.capacity()));
         }
         assert!(svc.epoch() == 24);
+        // Every shard epoch succeeded: a failed one leaves the shard's
+        // counter behind the front end's.
+        assert_eq!(svc.shard(0).epoch(), 24);
     }
 
     #[test]
@@ -493,13 +508,23 @@ mod tests {
             reports.push(svc.complete(outcomes).unwrap());
             reports
         };
+        for report in sequential.iter().chain(&pipelined) {
+            assert!(
+                report.shards[0].is_ok(),
+                "epoch {}: {:?}",
+                report.epoch,
+                report.shards[0]
+            );
+        }
         assert_eq!(sequential, pipelined);
     }
 
     #[test]
     fn stage_one_rejects_requests_racing_the_in_flight_epoch() {
         let mut svc = one_shard(8, 13, ServiceOptions::default());
-        svc.step(&acquires(0..2)).unwrap();
+        svc.step(&acquires(0..2)).unwrap().shards[0]
+            .as_ref()
+            .unwrap();
         svc.submit(&acquires(2..4)).unwrap();
         assert_eq!(svc.backlog(), 2);
         let runs = svc.begin().unwrap();
@@ -528,7 +553,7 @@ mod tests {
         svc.submit(&acquires(4..5)).unwrap();
         assert_eq!(svc.backlog(), 1);
         let outcomes = ShardedService::execute_all(runs, vec![NoFailures], false);
-        svc.complete(outcomes).unwrap();
+        svc.complete(outcomes).unwrap().shards[0].as_ref().unwrap();
         assert_eq!(svc.held(), 4);
         assert_eq!(svc.backlog(), 1);
     }
@@ -554,14 +579,16 @@ mod tests {
         let outcomes = ShardedService::execute_all(runs, vec![NoFailures], false);
         // Each outcome goes to the service it belongs to, the refused
         // one included: it came back untouched.
-        other.complete(rejected.outcomes).unwrap();
+        other.complete(rejected.outcomes).unwrap().shards[0]
+            .as_ref()
+            .unwrap();
         assert_eq!(other.held(), 2);
-        svc.complete(outcomes).unwrap();
+        svc.complete(outcomes).unwrap().shards[0].as_ref().unwrap();
         // Completing with no epoch in flight.
         svc.submit(&acquires(2..4)).unwrap();
         let runs = svc.begin().unwrap();
         let outcomes = ShardedService::execute_all(runs, vec![NoFailures], false);
-        svc.complete(outcomes).unwrap();
+        svc.complete(outcomes).unwrap().shards[0].as_ref().unwrap();
         let stale = {
             let mut other = one_shard(8, 17, ServiceOptions::default());
             other.submit(&acquires(50..51)).unwrap();

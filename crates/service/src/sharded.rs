@@ -1010,6 +1010,12 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(drive(), drive());
+        let history = drive();
+        for report in &history {
+            for shard in &report.shards {
+                assert!(shard.is_ok(), "epoch {}: {shard:?}", report.epoch);
+            }
+        }
+        assert_eq!(history, drive());
     }
 }
