@@ -117,7 +117,7 @@ pub enum DecideRule {
 }
 
 /// The retry protocol's shared view.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BinsView {
     n: u32,
     /// Bin → recorded owner.

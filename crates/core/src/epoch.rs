@@ -227,6 +227,10 @@ impl ViewProtocol for EpochBil {
         self.inner.apply(view, round, inbox);
     }
 
+    fn remove_silent(&self, view: &mut BilView, round: Round, inbox: RoundInbox<'_, BilMsg>) {
+        self.inner.remove_silent(view, round, inbox);
+    }
+
     /// Maps a decided leaf rank `r` to the `r`-th free name; a rank beyond
     /// them (no correct run reaches one) keeps the ball `Running`.
     fn status(&self, view: &BilView, ball: Label, round: Round) -> Status {

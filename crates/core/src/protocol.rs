@@ -56,6 +56,7 @@
 //!    sworn off ever claiming it.
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 use rand::rngs::SmallRng;
 
@@ -68,7 +69,7 @@ use crate::config::{BilConfig, PathRule};
 use crate::messages::BilMsg;
 
 /// How this view learned about a commit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Provenance {
     /// Received the [`BilMsg::Commit`] broadcast itself. The committer
     /// may have decided (full delivery) or crashed mid-broadcast.
@@ -81,7 +82,7 @@ enum Provenance {
 }
 
 /// One commit record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CommitRecord {
     leaf: NodeId,
     round: Round,
@@ -192,6 +193,18 @@ impl PartialEq for BilView {
 }
 
 impl Eq for BilView {}
+
+impl Hash for BilView {
+    /// Hashes exactly what `eq` reads — the tree (an `O(1)` digest, see
+    /// [`LocalTree`]) and the commit state, which is empty in every
+    /// base-algorithm view — and leaves `anomalies` and `scratch` out.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.tree.hash(state);
+        self.committed.hash(state);
+        self.fresh.hash(state);
+        self.dismissed.hash(state);
+    }
+}
 
 impl BilView {
     /// Read access to the local tree, for observers and experiments.
@@ -689,6 +702,60 @@ impl ViewProtocol for BallsIntoLeaves {
             // The paper's Lemma 1 must hold in every view at phase end.
             debug_assert!(view.tree.validate().is_ok(), "{:?}", view.tree.validate());
         }
+    }
+
+    /// Vacates every live slot whose ball `inbox` leaves silent — no
+    /// message or an `Init` in a path round, anything but a `Pos` in a
+    /// sync round — which are exactly the balls `apply`'s sweep removes
+    /// as silent (Algorithm 1 lines 19–20, and the sync round's removal
+    /// in lines 22–28), found by the sweep's own join.
+    ///
+    /// Pruning first changes no move and no final state:
+    ///
+    /// * **Path round.** The sweep walks `<R`, deepest first, so every
+    ///   ball it handles before a silent ball at depth `d` sits at depth
+    ///   `≥ d`. That ball's move-walk reads remaining capacity only at
+    ///   nodes strictly below its own, all deeper than `d`, and none of
+    ///   their subtrees holds the silent ball. Nothing before the
+    ///   removal sees the ball, and everything after it sees it gone.
+    /// * **Sync round.** Forced position updates read no capacity at
+    ///   all, and removals commute.
+    ///
+    /// Round 0 admits rather than removes, so it prunes nothing. Neither
+    /// does a view holding commit state, nor an inbox carrying a
+    /// `Commit` or a non-empty echo: there the decide-at-leaf machinery
+    /// (echo re-admission, committed balls kept while silent, evictions)
+    /// runs, and the argument above does not cover it.
+    fn remove_silent(&self, view: &mut BilView, round: Round, inbox: RoundInbox<'_, BilMsg>) {
+        let commits = |msg: &BilMsg| match msg {
+            BilMsg::Commit(_) => true,
+            BilMsg::Pos { echo, .. } => !echo.is_empty(),
+            BilMsg::Init | BilMsg::Path(_) => false,
+        };
+        let commit_state =
+            !view.committed.is_empty() || !view.fresh.is_empty() || !view.dismissed.is_empty();
+        if round.is_init() || commit_state || inbox.msgs().iter().any(commits) {
+            return;
+        }
+        let path_round = round.is_path_round();
+        let mut scratch = std::mem::take(&mut view.scratch);
+        index_messages(&view.tree, &inbox, &mut scratch.msg_at);
+        for (slot, &m) in scratch.msg_at.iter().enumerate() {
+            let msg = match m {
+                NO_MSG => None,
+                m => Some(&inbox.msgs()[m as usize]),
+            };
+            let silent = if path_round {
+                matches!(msg, None | Some(BilMsg::Init))
+            } else {
+                !matches!(msg, Some(BilMsg::Pos { .. }))
+            };
+            if silent {
+                // A no-op on a slot that is already vacant.
+                view.tree.remove_at_slot(slot);
+            }
+        }
+        view.scratch = scratch;
     }
 
     fn status(&self, view: &BilView, ball: Label, round: Round) -> Status {

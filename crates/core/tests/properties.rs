@@ -11,6 +11,9 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
 
 use bil_core::{
     check_tight_renaming, Anomalies, BallsIntoLeaves, BilConfig, BilMsg, BilView, EpochBil,
@@ -21,10 +24,11 @@ use bil_runtime::engine::EngineOptions;
 use bil_runtime::rng::split_mix64;
 use bil_runtime::view::{Cluster, FnObserver, ObserverCtx};
 use bil_runtime::{
-    ExecutorKind, InboxBuf, Label, Name, ProcId, Round, SeedTree, Status, ViewProtocol,
+    ExecutorKind, InboxBuf, Label, Name, ProcId, Round, RoundInbox, SeedTree, Status, ViewProtocol,
 };
 use bil_tree::{CoinRule, LocalTree, NodeId, PackedPath, ROOT};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
 
 /// Arbitrary crash schedules: up to 8 crashes in rounds 0..14 with
 /// arbitrary victims and delivery patterns.
@@ -815,4 +819,458 @@ proptest! {
             prop_assert_eq!(mk(), mk());
         }
     }
+}
+
+/// Balls-into-Leaves that checks `remove_silent`'s contract on every
+/// fold: it also prunes a clone of the view against the same inbox,
+/// folds the inbox into both, and panics unless the two folded views are
+/// `==`. It does not forward the hook, so the store hands it every
+/// group's untouched view.
+#[derive(Debug, Clone)]
+struct PruneChecked {
+    inner: BallsIntoLeaves,
+    /// Folds whose pruned clone lost at least one ball.
+    pruning_folds: Arc<AtomicU64>,
+}
+
+impl PruneChecked {
+    fn new(cfg: BilConfig) -> Self {
+        PruneChecked {
+            inner: BallsIntoLeaves::new(cfg),
+            pruning_folds: Arc::default(),
+        }
+    }
+}
+
+impl ViewProtocol for PruneChecked {
+    type Msg = BilMsg;
+    type View = BilView;
+
+    fn init_view(&self, n: usize) -> BilView {
+        self.inner.init_view(n)
+    }
+
+    fn compose(&self, view: &BilView, ball: Label, round: Round, rng: &mut SmallRng) -> BilMsg {
+        self.inner.compose(view, ball, round, rng)
+    }
+
+    fn compose_batch(
+        &self,
+        view: &BilView,
+        balls: &[Label],
+        round: Round,
+        rngs: &mut [&mut SmallRng],
+        out: &mut Vec<(Label, BilMsg)>,
+    ) {
+        self.inner.compose_batch(view, balls, round, rngs, out);
+    }
+
+    fn apply(&self, view: &mut BilView, round: Round, inbox: RoundInbox<'_, BilMsg>) {
+        let (folded, pruned_a_ball) =
+            assert_pruning_keeps_the_fold(&self.inner, view, round, inbox);
+        if pruned_a_ball {
+            self.pruning_folds.fetch_add(1, Relaxed);
+        }
+        *view = folded;
+    }
+
+    fn status(&self, view: &BilView, ball: Label, round: Round) -> Status {
+        self.inner.status(view, ball, round)
+    }
+}
+
+/// Folds `inbox` into a copy of `view` and into a pruned copy, panics
+/// unless the two results are `==`, and returns the unpruned fold and
+/// whether the pruning removed a ball.
+fn assert_pruning_keeps_the_fold(
+    protocol: &BallsIntoLeaves,
+    view: &BilView,
+    round: Round,
+    inbox: RoundInbox<'_, BilMsg>,
+) -> (BilView, bool) {
+    let mut pruned = view.clone();
+    protocol.remove_silent(&mut pruned, round, inbox);
+    let removed = pruned.tree().len() < view.tree().len();
+    let mut folded = view.clone();
+    protocol.apply(&mut folded, round, inbox);
+    protocol.apply(&mut pruned, round, inbox);
+    assert_eq!(folded, pruned, "round {round}: pruning changed the fold");
+    (folded, removed)
+}
+
+/// The same check on a hand-built inbox; returns the pruned, unfolded
+/// view.
+fn pruned_against(
+    protocol: &BallsIntoLeaves,
+    view: &BilView,
+    round: Round,
+    pairs: Vec<(Label, BilMsg)>,
+) -> BilView {
+    let inbox: InboxBuf<BilMsg> = pairs.into_iter().collect();
+    assert_pruning_keeps_the_fold(protocol, view, round, inbox.as_inbox());
+    let mut pruned = view.clone();
+    protocol.remove_silent(&mut pruned, round, inbox.as_inbox());
+    pruned
+}
+
+/// Balls-into-Leaves that counts, per round, its folds and its prunes,
+/// and forwards both.
+#[derive(Debug, Clone, Default)]
+struct FoldCounted {
+    inner: BallsIntoLeaves,
+    /// Round → `[folds, prunes]`.
+    counts: Arc<Mutex<BTreeMap<u64, [u64; 2]>>>,
+}
+
+impl FoldCounted {
+    fn count(&self, round: Round, which: usize) {
+        self.counts.lock().unwrap().entry(round.0).or_default()[which] += 1;
+    }
+
+    fn counts(&self, round: u64) -> [u64; 2] {
+        self.counts
+            .lock()
+            .unwrap()
+            .get(&round)
+            .copied()
+            .unwrap_or_default()
+    }
+}
+
+impl ViewProtocol for FoldCounted {
+    type Msg = BilMsg;
+    type View = BilView;
+
+    fn init_view(&self, n: usize) -> BilView {
+        self.inner.init_view(n)
+    }
+
+    fn compose(&self, view: &BilView, ball: Label, round: Round, rng: &mut SmallRng) -> BilMsg {
+        self.inner.compose(view, ball, round, rng)
+    }
+
+    fn compose_batch(
+        &self,
+        view: &BilView,
+        balls: &[Label],
+        round: Round,
+        rngs: &mut [&mut SmallRng],
+        out: &mut Vec<(Label, BilMsg)>,
+    ) {
+        self.inner.compose_batch(view, balls, round, rngs, out);
+    }
+
+    fn apply(&self, view: &mut BilView, round: Round, inbox: RoundInbox<'_, BilMsg>) {
+        self.count(round, 0);
+        self.inner.apply(view, round, inbox);
+    }
+
+    fn remove_silent(&self, view: &mut BilView, round: Round, inbox: RoundInbox<'_, BilMsg>) {
+        self.count(round, 1);
+        self.inner.remove_silent(view, round, inbox);
+    }
+
+    fn status(&self, view: &BilView, ball: Label, round: Round) -> Status {
+        self.inner.status(view, ball, round)
+    }
+}
+
+fn digest<T: Hash>(value: &T) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `remove_silent`'s contract — folding an inbox into the pruned
+    /// view yields a view `==` to folding it into the untouched one —
+    /// on every fold of random clustered runs of up to 64 balls under
+    /// random crash schedules with partial deliveries, in the base,
+    /// early-terminating, deterministic-rank and decide-at-leaf
+    /// configurations.
+    #[test]
+    fn pruning_silent_balls_never_changes_a_fold(
+        n in 2usize..65,
+        seed in any::<u64>(),
+        schedule in schedules(),
+    ) {
+        for cfg in [
+            BilConfig::new(),
+            BilConfig::early_terminating(),
+            BilConfig::deterministic_rank(),
+            BilConfig::new().with_decide_at_leaf(true),
+        ] {
+            let report = ExecutorKind::Clustered
+                .run(
+                    PruneChecked::new(cfg),
+                    labels(n),
+                    Scripted::new(schedule.clone()),
+                    SeedTree::new(seed),
+                    EngineOptions::default(),
+                )
+                .unwrap();
+            let verdict = check_tight_renaming(&report);
+            prop_assert!(verdict.holds(), "{cfg:?} n={n} seed={seed}: {verdict}");
+        }
+    }
+}
+
+/// The checked runs do prune: a crash schedule whose victims fall
+/// silent exercises the hook on real views.
+#[test]
+fn checked_runs_prune_silent_balls() {
+    let protocol = PruneChecked::new(BilConfig::new());
+    let schedule = vec![
+        ScriptedCrash {
+            round: Round(0),
+            victim_index: 3,
+            modulus: 2,
+            residue: 0,
+        },
+        ScriptedCrash {
+            round: Round(2),
+            victim_index: 1,
+            modulus: 3,
+            residue: 1,
+        },
+    ];
+    let report = ExecutorKind::Clustered
+        .run(
+            protocol.clone(),
+            labels(24),
+            Scripted::new(schedule),
+            SeedTree::new(5),
+            EngineOptions::default(),
+        )
+        .unwrap();
+    assert!(check_tight_renaming(&report).holds());
+    assert!(protocol.pruning_folds.load(Relaxed) > 0);
+}
+
+/// Hostile inboxes: a later-round `Init`, a `Path` in a sync round, a
+/// malformed path, senders outside the view, and a stray `Commit` or
+/// echo in the base variant. The contract holds on each; the hook
+/// removes exactly the silent balls, and nothing at all when the inbox
+/// carries a commit or an echo.
+#[test]
+fn pruning_handles_hostile_inboxes() {
+    let p = BallsIntoLeaves::base();
+    let mut view = p.init_view(8);
+    let init: InboxBuf<BilMsg> = (1..=4).map(|l| (Label(l), BilMsg::Init)).collect();
+    p.apply(&mut view, Round(0), init.as_inbox());
+    let live = |v: &BilView| v.tree().balls().map(|(ball, _)| ball).collect::<Vec<_>>();
+
+    // Path round: ball 2 repeats `Init` and ball 3 says nothing (both
+    // silent); ball 4's path does not start at its node, so the sweep
+    // removes it as malformed, but it is not silent; a stranger's `Init`
+    // is ignored.
+    let path_round = vec![
+        (
+            Label(1),
+            BilMsg::Path(PackedPath::from_nodes(&[1, 2, 4, 8]).unwrap()),
+        ),
+        (Label(2), BilMsg::Init),
+        (Label(4), BilMsg::Path(PackedPath::single(9))),
+        (Label(99), BilMsg::Init),
+    ];
+    let pruned = pruned_against(&p, &view, Round(1), path_round.clone());
+    assert_eq!(live(&pruned), [1, 4].map(Label));
+
+    // A stray `Commit` in the base variant: the hook does nothing.
+    let mut with_commit = path_round.clone();
+    with_commit.push((Label(3), BilMsg::Commit(8)));
+    let untouched = pruned_against(&p, &view, Round(1), with_commit);
+    assert_eq!(live(&untouched), live(&view));
+
+    // Sync round after a clean path round: a `Path` is silent there,
+    // and so is a stranger; a `Pos` to a phantom node is not silent (the
+    // sweep removes it as malformed).
+    let paths: InboxBuf<BilMsg> = vec![
+        (
+            Label(1),
+            BilMsg::Path(PackedPath::from_nodes(&[1, 2, 4, 8]).unwrap()),
+        ),
+        (
+            Label(2),
+            BilMsg::Path(PackedPath::from_nodes(&[1, 3, 6, 12]).unwrap()),
+        ),
+        (
+            Label(3),
+            BilMsg::Path(PackedPath::from_nodes(&[1, 2, 5, 10]).unwrap()),
+        ),
+        (
+            Label(4),
+            BilMsg::Path(PackedPath::from_nodes(&[1, 3, 7, 14]).unwrap()),
+        ),
+    ]
+    .into_iter()
+    .collect();
+    p.apply(&mut view, Round(1), paths.as_inbox());
+    let sync_round = vec![
+        (Label(1), BilMsg::pos(8)),
+        (
+            Label(2),
+            BilMsg::Path(PackedPath::from_nodes(&[1, 3, 6, 12]).unwrap()),
+        ),
+        (Label(4), BilMsg::pos(999)),
+        (Label(7), BilMsg::pos(3)),
+    ];
+    let pruned = pruned_against(&p, &view, Round(2), sync_round.clone());
+    assert_eq!(live(&pruned), [1, 4].map(Label));
+
+    // A non-empty echo in the base variant: the hook does nothing.
+    let mut with_echo = sync_round;
+    with_echo[0].1 = BilMsg::Pos {
+        node: 8,
+        echo: vec![(Label(9), 15)],
+    };
+    let untouched = pruned_against(&p, &view, Round(2), with_echo);
+    assert_eq!(live(&untouched), live(&view));
+
+    // Round 0 admits: nothing to prune.
+    let fresh = p.init_view(8);
+    let untouched = pruned_against(&p, &fresh, Round(0), vec![(Label(1), BilMsg::Init)]);
+    assert_eq!(untouched, fresh);
+}
+
+/// A decide-at-leaf view holding commit state is left untouched, even
+/// by an inbox that leaves every ball silent; before any commit, the
+/// same variant prunes like the base algorithm.
+#[test]
+fn pruning_leaves_views_with_commit_state_untouched() {
+    let p = BallsIntoLeaves::new(BilConfig::new().with_decide_at_leaf(true));
+    let mut view = p.init_view(4);
+    let rounds: [Vec<(Label, BilMsg)>; 3] = [
+        vec![(Label(1), BilMsg::Init), (Label(2), BilMsg::Init)],
+        vec![
+            (
+                Label(1),
+                BilMsg::Path(PackedPath::from_nodes(&[1, 2, 4]).unwrap()),
+            ),
+            (
+                Label(2),
+                BilMsg::Path(PackedPath::from_nodes(&[1, 3, 6]).unwrap()),
+            ),
+        ],
+        vec![(Label(1), BilMsg::pos(4)), (Label(2), BilMsg::pos(6))],
+    ];
+    for (r, pairs) in rounds.into_iter().enumerate() {
+        if r == 1 {
+            // No commit state yet: a silent ball is pruned.
+            let path = BilMsg::Path(PackedPath::from_nodes(&[1, 2, 4]).unwrap());
+            let pruned = pruned_against(&p, &view, Round(1), vec![(Label(1), path)]);
+            assert_eq!(pruned.tree().len(), 1);
+        }
+        let inbox: InboxBuf<BilMsg> = pairs.into_iter().collect();
+        p.apply(&mut view, Round(r as u64), inbox.as_inbox());
+    }
+    // Ball 1 commits its leaf; ball 2 falls silent.
+    let inbox: InboxBuf<BilMsg> = vec![(Label(1), BilMsg::Commit(4))].into_iter().collect();
+    p.apply(&mut view, Round(3), inbox.as_inbox());
+    assert_eq!(view.committed().count(), 1);
+    for (round, pairs) in [
+        (Round(4), Vec::new()),
+        (Round(5), vec![(Label(2), BilMsg::Init)]),
+    ] {
+        let pruned = pruned_against(&p, &view, round, pairs);
+        assert_eq!(pruned, view);
+        assert_eq!(pruned.tree().len(), view.tree().len());
+    }
+}
+
+/// Per-process runs keep equal views that arrived through different
+/// delivery histories — other vacant slots, other label columns, commit
+/// records learned directly or by echo — in separate clusters. Every
+/// such pair must hash equally; the runs must produce such pairs.
+#[test]
+fn equal_views_of_different_histories_hash_equally() {
+    let (mut pairs, mut other_columns, mut with_commits) = (0u64, 0u64, 0u64);
+    for case in 0..40u64 {
+        let n = 6 + (split_mix64(case) % 26) as usize;
+        let schedule: Vec<ScriptedCrash> = (0..1 + split_mix64(case ^ 0x51) % 6)
+            .map(|k| {
+                let bits = split_mix64(case.wrapping_mul(97) + k);
+                ScriptedCrash {
+                    round: Round(bits % 8),
+                    victim_index: (bits >> 8) as usize % 32,
+                    modulus: 2 + (bits >> 16) as usize % 3,
+                    residue: (bits >> 24) as usize % 3,
+                }
+            })
+            .collect();
+        for cfg in configs() {
+            let mut obs = FnObserver(|_: ObserverCtx<'_>, clusters: &[Cluster<BilView>]| {
+                for (i, a) in clusters.iter().enumerate() {
+                    for b in &clusters[i + 1..] {
+                        if a.view != b.view {
+                            continue;
+                        }
+                        assert_eq!(digest(&a.view), digest(&b.view), "{cfg:?} case {case}");
+                        assert_eq!(digest(a.view.tree()), digest(b.view.tree()));
+                        pairs += 1;
+                        let columns = |v: &BilView| v.tree().label_column().to_vec();
+                        other_columns += u64::from(columns(&a.view) != columns(&b.view));
+                        with_commits += u64::from(a.view.committed().count() > 0);
+                    }
+                }
+            });
+            ExecutorKind::PerProcess
+                .run_observed(
+                    BallsIntoLeaves::new(cfg),
+                    labels(n),
+                    Scripted::new(schedule.clone()),
+                    SeedTree::new(case),
+                    EngineOptions::default(),
+                    &mut obs,
+                )
+                .unwrap();
+        }
+    }
+    assert!(pairs > 0 && other_columns > 0 && with_commits > 0);
+}
+
+/// The apply-count pin. Two round-0 victims, heard by different
+/// subsets, leave four round-0 clusters whose views differ only in the
+/// victims each admitted; a round-1 victim heard by the odd slots splits
+/// them into six (cluster × signature) groups. Pruning the silent
+/// victims makes every group's view equal to the others of its
+/// signature, so round 1 folds one view per delivery signature (two),
+/// where the per-process reference folds all six. Reports agree.
+#[test]
+fn round_one_folds_once_per_delivery_signature() {
+    let crash = |round, victim_index, modulus, residue| ScriptedCrash {
+        round: Round(round),
+        victim_index,
+        modulus,
+        residue,
+    };
+    // Slots 0 and 1 die in round 0, heard by {3, 6, 9, 12, 15} and
+    // {2, 6, 10, 14}; slot 2 dies in round 1, heard by the odd slots.
+    let schedule = vec![crash(0, 0, 3, 0), crash(0, 1, 4, 2), crash(1, 0, 2, 1)];
+    let run = |kind: ExecutorKind| {
+        let protocol = FoldCounted::default();
+        let report = kind
+            .run(
+                protocol.clone(),
+                labels(16),
+                Scripted::new(schedule.clone()),
+                SeedTree::new(7),
+                EngineOptions::default(),
+            )
+            .unwrap();
+        (report, protocol)
+    };
+    let (clustered, store) = run(ExecutorKind::Clustered);
+    let (per_process, reference) = run(ExecutorKind::PerProcess);
+    assert_eq!(clustered, per_process);
+    assert!(clustered.completed());
+    // Round 0: one cluster, four signatures: four folds (round 0 prunes
+    // nothing).
+    assert_eq!(store.counts(0), [4, 4]);
+    assert_eq!(reference.counts(0), [4, 0]);
+    // Round 1: six groups prune and coalesce into one per signature.
+    assert_eq!(store.counts(1), [2, 6]);
+    assert_eq!(reference.counts(1), [6, 0]);
 }

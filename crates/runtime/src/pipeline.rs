@@ -57,10 +57,24 @@
 //! (packed candidate paths), a failure-free round's delivery is a
 //! constant number of buffer allocations total — independent of `n` —
 //! and zero per recipient.
+//!
+//! ## Folding split views
+//!
+//! [`LocalTransport`] folds a round into its clusters in four steps:
+//! **prune → coalesce → fold → merge**. A cluster's survivors split by
+//! delivery signature into groups. With merge on and more than one
+//! group, every group prunes its view against its own inbox
+//! ([`ViewProtocol::remove_silent`]); groups with the same signature and
+//! equal pruned views coalesce; each distinct (signature, view) pair
+//! folds once; and equal views merge after the fold. Both coalescing
+//! steps are one routine that buckets views by a 64-bit digest of their
+//! `Hash` and compares them with `Eq` only inside a bucket. Per-process
+//! mode neither prunes nor coalesces.
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 use std::thread;
 
@@ -895,11 +909,17 @@ impl<P: ViewProtocol> LocalTransport<P> {
 
     /// Folds one round into the views. Each cluster's members split by
     /// delivery signature (`sig_of`; `None` drops a member that
-    /// crashed), and every (cluster × signature) group folds
-    /// `inboxes[sig]` into a view of its own: the last group of a
-    /// cluster takes the cluster's view, only the others clone it. The
-    /// groups' folds are sharded like compose's chunks; with `merge`,
-    /// equal views then re-coalesce.
+    /// crashed) into (cluster × signature) groups: the last group of a
+    /// cluster takes the cluster's view, only the others clone it.
+    ///
+    /// With `merge` and more than one group, the round runs prune →
+    /// coalesce → fold → merge: every group prunes its view against its
+    /// own inbox ([`ViewProtocol::remove_silent`]), groups with the same
+    /// signature and equal pruned views coalesce, each distinct
+    /// (signature, view) pair folds `inboxes[sig]` once, and equal views
+    /// re-coalesce after the fold. Without `merge` (the per-process
+    /// reference) every group folds its own view and nothing re-merges.
+    /// Pruning and folding are sharded like compose's chunks.
     pub(crate) fn apply_groups(
         &mut self,
         round: Round,
@@ -936,31 +956,25 @@ impl<P: ViewProtocol> LocalTransport<P> {
             }
         }
 
-        let protocol = &self.protocol;
-        let fold = |items: &mut [(SigId, Cluster<P::View>)]| {
-            for (sig, cluster) in items {
-                protocol.apply(&mut cluster.view, round, inboxes[*sig as usize]);
-            }
-        };
-        if self.threads < 2 || items.len() < 2 {
-            fold(&mut items);
-        } else {
-            let chunk = items.len().div_ceil(self.threads);
-            let fold = &fold;
-            thread::scope(|s| {
-                for part in items.chunks_mut(chunk) {
-                    s.spawn(move || fold(part));
-                }
+        let (protocol, threads) = (&self.protocol, self.threads);
+        if self.merge && items.len() > 1 {
+            for_each_sharded(&mut items, threads, |(sig, cluster)| {
+                protocol.remove_silent(&mut cluster.view, round, inboxes[*sig as usize]);
             });
+            items = coalesce(items);
         }
+        for_each_sharded(&mut items, threads, |(sig, cluster)| {
+            protocol.apply(&mut cluster.view, round, inboxes[*sig as usize]);
+        });
 
         // Items keep their order (cluster-major, then signature) whatever
         // the sharding; the coalescing pass is order-independent.
-        let mut next: Vec<Cluster<P::View>> = items.into_iter().map(|(_, c)| c).collect();
-        if self.merge {
-            next = merge_clusters(next);
-        }
-        self.clusters = next;
+        let next = items.into_iter().map(|(_, c)| c);
+        self.clusters = if self.merge {
+            merge_clusters(next)
+        } else {
+            next.collect()
+        };
     }
 
     /// Reads the [`Status`] of every held process and retires the
@@ -1026,17 +1040,64 @@ impl<P: ViewProtocol> Transport<P> for LocalTransport<P> {
     }
 }
 
-/// Coalesces clusters whose views are equal. Deterministic: output ordered
-/// by smallest member slot, members sorted.
-pub(crate) fn merge_clusters<V: Eq>(clusters: Vec<Cluster<V>>) -> Vec<Cluster<V>> {
-    let mut out: Vec<Cluster<V>> = Vec::new();
-    for c in clusters {
-        if let Some(existing) = out.iter_mut().find(|e| e.view == c.view) {
-            existing.members.extend(c.members);
-        } else {
-            out.push(c);
+/// Runs `f` on every item: inline with one shard, otherwise in
+/// contiguous chunks on scoped threads, one per shard.
+fn for_each_sharded<T: Send>(items: &mut [T], threads: usize, f: impl Fn(&mut T) + Sync) {
+    if threads < 2 || items.len() < 2 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let chunk = items.len().div_ceil(threads);
+    let f = &f;
+    thread::scope(|s| {
+        for part in items.chunks_mut(chunk) {
+            s.spawn(move || part.iter_mut().for_each(f));
+        }
+    });
+}
+
+/// Merges every cluster whose key and view equal an earlier one's into
+/// that earlier cluster, keeping input order. Clusters are bucketed by
+/// a 64-bit digest of key and view, so views are compared (`Eq`) only
+/// within a bucket: `v` clusters cost `v` digests, not `O(v²)` view
+/// compares. A digest collision costs one compare. The buckets are a
+/// `BTreeMap`, so nothing depends on a randomly seeded hasher's
+/// iteration order, and the output does not depend on the digests at
+/// all.
+fn coalesce<K: Eq + Hash, V: Eq + Hash>(
+    items: impl IntoIterator<Item = (K, Cluster<V>)>,
+) -> Vec<(K, Cluster<V>)> {
+    let mut out: Vec<(K, Cluster<V>)> = Vec::new();
+    let mut buckets: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for (key, cluster) in items {
+        let mut digest = DefaultHasher::new();
+        key.hash(&mut digest);
+        cluster.view.hash(&mut digest);
+        let bucket = buckets.entry(digest.finish()).or_default();
+        match bucket
+            .iter()
+            .find(|&&i| out[i].0 == key && out[i].1.view == cluster.view)
+        {
+            Some(&i) => out[i].1.members.extend(cluster.members),
+            None => {
+                bucket.push(out.len());
+                out.push((key, cluster));
+            }
         }
     }
+    out
+}
+
+/// Coalesces clusters whose views are equal ([`coalesce`] keyed on the
+/// view alone). Deterministic: output ordered by smallest member slot,
+/// members sorted.
+pub(crate) fn merge_clusters<V: Eq + Hash>(
+    clusters: impl IntoIterator<Item = Cluster<V>>,
+) -> Vec<Cluster<V>> {
+    let mut out: Vec<Cluster<V>> = coalesce(clusters.into_iter().map(|c| ((), c)))
+        .into_iter()
+        .map(|((), c)| c)
+        .collect();
     for c in &mut out {
         c.members.sort_unstable();
     }
@@ -1270,6 +1331,12 @@ mod tests {
     }
 
     impl Eq for Counted {}
+
+    impl Hash for Counted {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            self.known.hash(state);
+        }
+    }
 
     /// Broadcasts its own label and collects what it hears, never
     /// deciding; its views count their clones.

@@ -30,6 +30,7 @@
 //! per-process semantics.
 
 use std::fmt;
+use std::hash::Hash;
 
 use rand::rngs::SmallRng;
 
@@ -190,7 +191,13 @@ impl<M> FromIterator<(Label, M)> for InboxBuf<M> {
 /// and `compose` must consume randomness only from the supplied `rng`.
 /// Views of processes that received identical broadcast prefixes must be
 /// equal (`View: Eq`); the engines rely on this to share and re-merge
-/// views, and `debug_assert` it in cross-checks.
+/// views, and `debug_assert` it in cross-checks. `View: Hash` must agree
+/// with that equality (equal views hash equally): the clustered store
+/// buckets views by a 64-bit digest and compares them with `Eq` only
+/// within a bucket, so the hash should be cheap — `O(1)` for the
+/// balls-into-leaves view, whose tree keeps its digest incrementally. A
+/// hash that told equal views apart would only lose sharing, never
+/// correctness.
 ///
 /// Protocols, messages, and views must be `Sync`: the data-parallel
 /// executor ([`crate::parallel`]) shares them read-only across its shard
@@ -200,7 +207,7 @@ pub trait ViewProtocol: Sync {
     /// Broadcast message type.
     type Msg: Clone + Eq + fmt::Debug + Wire + Send + Sync + 'static;
     /// Local view (state) type.
-    type View: Clone + Eq + fmt::Debug + Send + Sync + 'static;
+    type View: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static;
 
     /// The view every process starts with, before round 0. Must not depend
     /// on the process's own label (all per-ball data is derived inside
@@ -253,6 +260,22 @@ pub trait ViewProtocol: Sync {
     /// label and contains at most one message per sender (including the
     /// receiver itself).
     fn apply(&self, view: &mut Self::View, round: Round, inbox: RoundInbox<'_, Self::Msg>);
+
+    /// Prunes from `view`, before `inbox` is applied to it, state that
+    /// the fold would discard without reading it first — for
+    /// Balls-into-Leaves, the balls `inbox` leaves silent.
+    ///
+    /// The contract: `apply(inbox)` on the pruned view must yield a view
+    /// `==` to `apply(inbox)` on the untouched view. The clustered store
+    /// ([`crate::pipeline::LocalTransport`]) prunes each split group's
+    /// view against its own inbox and then folds each distinct
+    /// (signature, pruned view) pair once, so groups whose views differed
+    /// only in what the round discards share one `apply`. The default
+    /// prunes nothing, which always meets the contract. A protocol
+    /// wrapper must forward this hook, or the store folds every group.
+    fn remove_silent(&self, view: &mut Self::View, round: Round, inbox: RoundInbox<'_, Self::Msg>) {
+        let _ = (view, round, inbox);
+    }
 
     /// Ball `ball`'s status after `round` has been applied.
     fn status(&self, view: &Self::View, ball: Label, round: Round) -> Status;

@@ -1,6 +1,6 @@
-//! Service-layer errors: per-shard engine and request errors
-//! ([`ServiceError`]), front-end errors ([`ShardError`]), and refused
-//! epoch outcomes handed back to their caller ([`Rejected`]).
+//! Service-layer errors: per-shard engine errors ([`ServiceError`]),
+//! front-end errors, request validation included ([`ShardError`]), and
+//! refused epoch outcomes handed back to their caller ([`Rejected`]).
 
 use std::error::Error;
 use std::fmt;
@@ -11,24 +11,11 @@ use bil_tree::TreeError;
 
 use crate::epoch::EpochOutcome;
 
-/// A per-shard error: engine construction, request validation, or epoch
-/// execution.
+/// A per-shard engine error: construction or epoch execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
     /// The namespace size is not a valid tree.
     BadCapacity(TreeError),
-    /// An acquire for a label that already holds a name (release it
-    /// first; a release and re-acquire must be split across epochs).
-    AlreadyHolding(Label),
-    /// An acquire for a label that is already queued (or admitted into
-    /// the in-flight epoch).
-    AlreadyQueued(Label),
-    /// A release for a label that holds no name (including labels whose
-    /// acquire is still queued, in flight, or staged for release).
-    UnknownHolder(Label),
-    /// The same label appears twice in one request batch, or a release
-    /// is staged twice before the next epoch begins.
-    DuplicateRequest(Label),
     /// The epoch protocol instance rejected the service state — only
     /// reachable through a bug in the service's own bookkeeping.
     Epoch(EpochError),
@@ -52,14 +39,6 @@ impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServiceError::BadCapacity(e) => write!(f, "invalid service capacity: {e}"),
-            ServiceError::AlreadyHolding(l) => {
-                write!(f, "label {l} already holds a name (release it first)")
-            }
-            ServiceError::AlreadyQueued(l) => write!(f, "label {l} is already queued"),
-            ServiceError::UnknownHolder(l) => write!(f, "label {l} holds no name"),
-            ServiceError::DuplicateRequest(l) => {
-                write!(f, "label {l} appears twice in one request batch")
-            }
             ServiceError::Epoch(e) => write!(f, "epoch construction rejected: {e}"),
             ServiceError::Run { epoch, source } => {
                 write!(f, "executor failed in epoch {epoch}: {source}")
@@ -79,7 +58,10 @@ impl From<EpochError> for ServiceError {
     }
 }
 
-/// A front-end error; see [`crate::ShardedService`].
+/// A front-end error; see [`crate::ShardedService`]. A request batch
+/// that fails validation is rejected with one of `AlreadyHolding`,
+/// `AlreadyQueued`, `UnknownHolder` or `DuplicateRequest` before any
+/// state changes anywhere.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
     /// The namespace cannot be partitioned: zero shards, fewer names
@@ -99,9 +81,18 @@ pub enum ShardError {
         /// The per-shard engine's error.
         source: ServiceError,
     },
-    /// A request batch failed front-end validation, before any state
-    /// changed anywhere.
-    Request(ServiceError),
+    /// An acquire for a label that already holds a name (release it
+    /// first; a release and re-acquire must be split across epochs).
+    AlreadyHolding(Label),
+    /// An acquire for a label that is already queued (or admitted into
+    /// the in-flight epoch).
+    AlreadyQueued(Label),
+    /// A release for a label that holds no name (including labels whose
+    /// acquire is still queued, in flight, or staged for release).
+    UnknownHolder(Label),
+    /// The same label appears twice in one request batch, or a release
+    /// is staged twice before the next epoch begins.
+    DuplicateRequest(Label),
     /// A two-stage front-end call out of order: `begin` while an epoch
     /// is in flight, or `complete` without one (or with outcomes that are
     /// not, shard by shard, the in-flight runs').
@@ -119,7 +110,18 @@ impl fmt::Display for ShardError {
                 write!(f, "cannot partition {capacity} names into {shards} shards")
             }
             ShardError::Shard { shard, source } => write!(f, "shard {shard}: {source}"),
-            ShardError::Request(e) => write!(f, "request rejected: {e}"),
+            ShardError::AlreadyHolding(l) => write!(
+                f,
+                "request rejected: label {l} already holds a name (release it first)"
+            ),
+            ShardError::AlreadyQueued(l) => {
+                write!(f, "request rejected: label {l} is already queued")
+            }
+            ShardError::UnknownHolder(l) => write!(f, "request rejected: label {l} holds no name"),
+            ShardError::DuplicateRequest(l) => write!(
+                f,
+                "request rejected: label {l} appears twice in one request batch"
+            ),
             ShardError::Pipeline { in_flight } => {
                 write!(
                     f,
@@ -133,7 +135,7 @@ impl fmt::Display for ShardError {
 impl Error for ShardError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            ShardError::Shard { source, .. } | ShardError::Request(source) => Some(source),
+            ShardError::Shard { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -173,14 +175,14 @@ mod tests {
     #[test]
     fn error_display() {
         for e in [
-            ServiceError::AlreadyHolding(Label(1)),
-            ServiceError::AlreadyQueued(Label(2)),
-            ServiceError::UnknownHolder(Label(3)),
-            ServiceError::DuplicateRequest(Label(4)),
-            ServiceError::Stalled { epoch: 5 },
+            ShardError::AlreadyHolding(Label(1)),
+            ShardError::AlreadyQueued(Label(2)),
+            ShardError::UnknownHolder(Label(3)),
+            ShardError::DuplicateRequest(Label(4)),
         ] {
             assert!(!e.to_string().is_empty());
         }
+        assert!(!ServiceError::Stalled { epoch: 5 }.to_string().is_empty());
     }
 
     #[test]
@@ -191,9 +193,10 @@ mod tests {
         };
         assert!(shard.to_string().contains("shard 3"));
         assert!(shard.source().is_some());
-        let request = ShardError::Request(ServiceError::AlreadyQueued(Label(9)));
+        // A request error is one layer: it wraps no shard error.
+        let request = ShardError::AlreadyQueued(Label(9));
         assert!(request.to_string().contains("rejected"));
-        assert!(request.source().is_some());
+        assert!(request.source().is_none());
         for e in [
             ShardError::BadPartition {
                 capacity: 3,

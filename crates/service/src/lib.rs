@@ -41,9 +41,9 @@
 //!
 //! ## Crate layout
 //!
-//! * [`mod@error`] — [`ServiceError`] (per-shard and request errors),
-//!   [`ShardError`] (front end) and [`Rejected`] (refused outcomes,
-//!   handed back).
+//! * [`mod@error`] — [`ServiceError`] (per-shard engine errors),
+//!   [`ShardError`] (front end, request validation included) and
+//!   [`Rejected`] (refused outcomes, handed back).
 //! * [`mod@epoch`] — [`Request`], [`ServiceOptions`], [`EpochReport`],
 //!   and the detached [`EpochRun`] / [`EpochOutcome`] pair that makes
 //!   epoch pipelining possible.

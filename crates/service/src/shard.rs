@@ -29,7 +29,7 @@ use bil_runtime::{Label, Name, SeedTree};
 use bil_tree::Topology;
 
 use crate::epoch::{EpochOutcome, EpochReport, EpochRun, Request, ServiceOptions};
-use crate::error::ServiceError;
+use crate::error::{ServiceError, ShardError};
 
 /// The per-shard engine behind [`crate::ShardedService`], over one
 /// contiguous range of the namespace (shard-local names `0..capacity`).
@@ -259,12 +259,12 @@ impl RenamingService {
     /// Whether a release for `label` may be staged: the label holds a
     /// name here and no release for it is staged yet. A label admitted
     /// into the in-flight epoch holds nothing until the epoch completes.
-    pub(crate) fn validate_release(&self, label: Label) -> Result<(), ServiceError> {
+    pub(crate) fn validate_release(&self, label: Label) -> Result<(), ShardError> {
         if self.staged_releases.contains(&label) {
-            return Err(ServiceError::DuplicateRequest(label));
+            return Err(ShardError::DuplicateRequest(label));
         }
         if !self.assigned.contains_key(&label) {
-            return Err(ServiceError::UnknownHolder(label));
+            return Err(ShardError::UnknownHolder(label));
         }
         Ok(())
     }
@@ -277,7 +277,6 @@ mod tests {
     //! names and `report.shards[0]` is the shard's own report.
 
     use super::*;
-    use crate::error::ShardError;
     use crate::sharded::{ShardedOptions, ShardedService};
     use bil_runtime::adversary::{NoFailures, RandomCrash};
     use bil_runtime::RunError;
@@ -378,24 +377,24 @@ mod tests {
         for (batch, want) in [
             (
                 vec![Request::Acquire(Label(0))],
-                ServiceError::AlreadyHolding(Label(0)),
+                ShardError::AlreadyHolding(Label(0)),
             ),
             (
                 vec![Request::Release(Label(9))],
-                ServiceError::UnknownHolder(Label(9)),
+                ShardError::UnknownHolder(Label(9)),
             ),
             (
                 vec![Request::Acquire(Label(5)), Request::Acquire(Label(5))],
-                ServiceError::DuplicateRequest(Label(5)),
+                ShardError::DuplicateRequest(Label(5)),
             ),
             (
                 // Release + immediate re-acquire must be split across
                 // epochs.
                 vec![Request::Release(Label(0)), Request::Acquire(Label(0))],
-                ServiceError::DuplicateRequest(Label(0)),
+                ShardError::DuplicateRequest(Label(0)),
             ),
         ] {
-            assert_eq!(svc.step(&batch).unwrap_err(), ShardError::Request(want));
+            assert_eq!(svc.step(&batch).unwrap_err(), want);
             assert_eq!(svc.held(), held, "state must be untouched");
         }
         // Queued duplicates are rejected too.
@@ -408,7 +407,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             full.step(&[Request::Acquire(Label(7))]).unwrap_err(),
-            ShardError::Request(ServiceError::AlreadyQueued(Label(7)))
+            ShardError::AlreadyQueued(Label(7))
         );
     }
 
@@ -535,19 +534,19 @@ mod tests {
         // An acquire for an admitted contender races the run.
         assert_eq!(
             svc.submit(&[Request::Acquire(Label(2))]).unwrap_err(),
-            ShardError::Request(ServiceError::AlreadyQueued(Label(2)))
+            ShardError::AlreadyQueued(Label(2))
         );
         // A release for one too: its grant is not committed yet.
         assert_eq!(
             svc.submit(&[Request::Release(Label(3))]).unwrap_err(),
-            ShardError::Request(ServiceError::UnknownHolder(Label(3)))
+            ShardError::UnknownHolder(Label(3))
         );
         // A release for a committed holder is fine mid-flight, but
         // staging it twice is a duplicate.
         svc.submit(&[Request::Release(Label(0))]).unwrap();
         assert_eq!(
             svc.submit(&[Request::Release(Label(0))]).unwrap_err(),
-            ShardError::Request(ServiceError::DuplicateRequest(Label(0)))
+            ShardError::DuplicateRequest(Label(0))
         );
         // A mid-flight arrival queues behind the cohort.
         svc.submit(&acquires(4..5)).unwrap();

@@ -320,14 +320,13 @@ impl ShardedService {
     ///
     /// # Errors
     ///
-    /// [`ShardError::Request`] on a validation failure — the whole batch
-    /// is rejected before any state changes on any shard:
-    /// [`ServiceError::DuplicateRequest`] for a label twice in the batch
-    /// or a release already staged; [`ServiceError::AlreadyHolding`] /
-    /// [`ServiceError::AlreadyQueued`] for an acquire whose label holds a
-    /// name or is queued (admitted into the in-flight epoch included);
-    /// [`ServiceError::UnknownHolder`] for a release of a label that
-    /// holds no name.
+    /// A validation failure rejects the whole batch before any state
+    /// changes on any shard: [`ShardError::DuplicateRequest`] for a label
+    /// twice in the batch or a release already staged;
+    /// [`ShardError::AlreadyHolding`] / [`ShardError::AlreadyQueued`] for
+    /// an acquire whose label holds a name or is queued (admitted into
+    /// the in-flight epoch included); [`ShardError::UnknownHolder`] for a
+    /// release of a label that holds no name.
     pub fn submit(&mut self, requests: &[Request]) -> Result<(), ShardError> {
         // Validate everything first: routing mutates booking counters,
         // so nothing may be applied until the whole batch is known good.
@@ -337,24 +336,22 @@ impl ShardedService {
                 Request::Acquire(l) | Request::Release(l) => *l,
             };
             if !seen.insert(label) {
-                return Err(ShardError::Request(ServiceError::DuplicateRequest(label)));
+                return Err(ShardError::DuplicateRequest(label));
             }
             match r {
                 // A routed label is queued, in flight or holding on its
                 // shard; only a holder has a name there.
                 Request::Acquire(l) => {
                     if let Some(&s) = self.routes.get(l) {
-                        return Err(ShardError::Request(match self.shards[s].name_of(*l) {
-                            Some(_) => ServiceError::AlreadyHolding(*l),
-                            None => ServiceError::AlreadyQueued(*l),
-                        }));
+                        return Err(match self.shards[s].name_of(*l) {
+                            Some(_) => ShardError::AlreadyHolding(*l),
+                            None => ShardError::AlreadyQueued(*l),
+                        });
                     }
                 }
                 Request::Release(l) => match self.routes.get(l) {
-                    None => return Err(ShardError::Request(ServiceError::UnknownHolder(*l))),
-                    Some(&s) => self.shards[s]
-                        .validate_release(*l)
-                        .map_err(ShardError::Request)?,
+                    None => return Err(ShardError::UnknownHolder(*l)),
+                    Some(&s) => self.shards[s].validate_release(*l)?,
                 },
             }
         }
@@ -550,8 +547,8 @@ impl ShardedService {
     ///
     /// # Errors
     ///
-    /// [`ShardError::Request`] before any state changes if the batch is
-    /// invalid; per-shard epoch failures are *not* errors here — they
+    /// `submit`'s request errors before any state changes if the batch
+    /// is invalid; per-shard epoch failures are *not* errors here — they
     /// land in [`ShardedEpochReport::shards`] with the cohort still
     /// queued.
     pub fn step_against<A, F>(
@@ -768,27 +765,24 @@ mod tests {
         for (batch, want) in [
             (
                 vec![Request::Acquire(Label(0))],
-                ServiceError::AlreadyHolding(Label(0)),
+                ShardError::AlreadyHolding(Label(0)),
             ),
             (
                 vec![Request::Release(Label(77))],
-                ServiceError::UnknownHolder(Label(77)),
+                ShardError::UnknownHolder(Label(77)),
             ),
             (
                 // A valid acquire ahead of an invalid release: the whole
                 // batch must be rejected atomically.
                 vec![Request::Acquire(Label(50)), Request::Release(Label(77))],
-                ServiceError::UnknownHolder(Label(77)),
+                ShardError::UnknownHolder(Label(77)),
             ),
             (
                 vec![Request::Acquire(Label(8)), Request::Acquire(Label(8))],
-                ServiceError::DuplicateRequest(Label(8)),
+                ShardError::DuplicateRequest(Label(8)),
             ),
         ] {
-            assert_eq!(
-                svc.submit(&batch).unwrap_err(),
-                ShardError::Request(want.clone())
-            );
+            assert_eq!(svc.submit(&batch).unwrap_err(), want.clone());
             assert_eq!(svc.held(), held);
             assert_eq!(svc.backlog(), backlog);
             assert_eq!(

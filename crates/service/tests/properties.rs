@@ -17,8 +17,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use bil_runtime::adversary::RandomCrash;
 use bil_runtime::{Label, Name, ProcId, SeedTree};
 use bil_service::{
-    NamePartition, Request, ServiceError, ServiceOptions, ShardError, ShardedOptions,
-    ShardedService,
+    NamePartition, Request, ServiceOptions, ShardError, ShardedOptions, ShardedService,
 };
 use proptest::prelude::*;
 
@@ -180,7 +179,7 @@ impl Model {
     }
 
     /// The verdict `submit` must reach on `batch`.
-    fn verdict(&self, batch: &[Request]) -> Result<(), ServiceError> {
+    fn verdict(&self, batch: &[Request]) -> Result<(), ShardError> {
         let mut seen = BTreeSet::new();
         for r in batch {
             let (label, acquire) = match *r {
@@ -188,20 +187,20 @@ impl Model {
                 Request::Release(l) => (l, false),
             };
             if !seen.insert(label) {
-                return Err(ServiceError::DuplicateRequest(label));
+                return Err(ShardError::DuplicateRequest(label));
             }
             match (acquire, self.places.get(&label)) {
                 (true, None) | (false, Some(Place::Held(..))) => {}
                 (true, Some(Place::Held(..) | Place::Releasing(..))) => {
-                    return Err(ServiceError::AlreadyHolding(label))
+                    return Err(ShardError::AlreadyHolding(label))
                 }
                 (true, Some(Place::Queued(_) | Place::Admitted(_))) => {
-                    return Err(ServiceError::AlreadyQueued(label))
+                    return Err(ShardError::AlreadyQueued(label))
                 }
                 (false, Some(Place::Releasing(..))) => {
-                    return Err(ServiceError::DuplicateRequest(label))
+                    return Err(ShardError::DuplicateRequest(label))
                 }
-                (false, _) => return Err(ServiceError::UnknownHolder(label)),
+                (false, _) => return Err(ShardError::UnknownHolder(label)),
             }
         }
         Ok(())
@@ -350,7 +349,7 @@ proptest! {
                         .collect();
                     let want = model.verdict(&batch);
                     let got = svc.submit(&batch);
-                    prop_assert_eq!(got, want.clone().map_err(ShardError::Request));
+                    prop_assert_eq!(got, want.clone());
                     if want.is_ok() {
                         model.submit(&batch, &svc);
                     }

@@ -37,11 +37,18 @@
 //! holds more balls than it has leaves** — is enforced by
 //! [`LocalTree::place_along`] and checkable at any time with
 //! [`LocalTree::validate`].
+//!
+//! A tree's [`Hash`] reads what its equality reads in `O(1)` (plus its
+//! blocked set, usually empty): `link` and `unlink` keep a wrapping sum
+//! of one mixed term per live `(ball, node)` pair, so the cluster store
+//! can bucket views by digest instead of comparing every pair of them.
 
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
+use bil_runtime::rng::split_mix64;
 use bil_runtime::Label;
 
 use crate::topology::{NodeId, Topology, TreeError, MAX_LEAVES, ROOT};
@@ -51,6 +58,14 @@ const VACANT: NodeId = 0;
 
 /// One priority-snapshot bucket per possible depth, `0 ..= log2(MAX_LEAVES)`.
 const DEPTH_BUCKETS: usize = MAX_LEAVES.trailing_zeros() as usize + 1;
+
+/// The digest term of one live `(ball, node)` pair. A tree's digest is
+/// the wrapping sum of its pairs' terms, so it depends on the set of
+/// pairs only: not on the order they were linked in, nor on vacant
+/// slots.
+fn pair_term(ball: Label, node: NodeId) -> u64 {
+    split_mix64(ball.0.rotate_left(32) ^ u64::from(node))
+}
 
 /// A detected breach of the tree's internal invariants. Seeing one of
 /// these means a bug in the algorithm or the engine, never a recoverable
@@ -124,6 +139,9 @@ pub struct LocalTree {
     /// Leaves this view's owner must never route toward (see
     /// [`LocalTree::block_leaf`]). Usually empty.
     blocked: BTreeSet<NodeId>,
+    /// Wrapping sum of [`pair_term`] over the live slots, kept by
+    /// `link`/`unlink`: the `O(1)` part of the tree's [`Hash`].
+    digest: u64,
 }
 
 impl PartialEq for LocalTree {
@@ -142,6 +160,20 @@ impl PartialEq for LocalTree {
 
 impl Eq for LocalTree {}
 
+impl Hash for LocalTree {
+    /// Hashes what equality reads: the shape, the blocked set, the live
+    /// count and the digest of the live `(ball, node)` pairs, which
+    /// stands in for the pairs themselves. Equal trees hold the same
+    /// pairs, so they hash equally whatever their histories; unequal
+    /// trees collide only when their digests do.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.topo.hash(state);
+        self.blocked.hash(state);
+        self.live.hash(state);
+        self.digest.hash(state);
+    }
+}
+
 impl LocalTree {
     /// An empty view over the given shape.
     pub fn new(topo: Topology) -> Self {
@@ -154,6 +186,7 @@ impl LocalTree {
             at_depth: [0; DEPTH_BUCKETS],
             shift_gen: 0,
             blocked: BTreeSet::new(),
+            digest: 0,
         }
     }
 
@@ -254,6 +287,7 @@ impl LocalTree {
         debug_assert_eq!(self.node_of[slot], VACANT);
         self.node_of[slot] = node;
         self.live += 1;
+        self.digest = self.digest.wrapping_add(pair_term(self.labels[slot], node));
         for v in self.topo.ancestors_inclusive(node) {
             self.balls_in[v as usize] += 1;
         }
@@ -267,6 +301,7 @@ impl LocalTree {
         debug_assert_ne!(node, VACANT);
         self.node_of[slot] = VACANT;
         self.live -= 1;
+        self.digest = self.digest.wrapping_sub(pair_term(self.labels[slot], node));
         for v in self.topo.ancestors_inclusive(node) {
             debug_assert!(self.balls_in[v as usize] > 0);
             self.balls_in[v as usize] -= 1;
@@ -659,7 +694,8 @@ impl LocalTree {
     }
 
     /// Verifies that the slot columns (`labels`/`node_of`) and the
-    /// counters derived from them (`balls_in`, `live`, `at_depth`) agree,
+    /// counters derived from them (`balls_in`, `live`, `at_depth`, the
+    /// digest) agree,
     /// without checking capacities. Unlike Lemma 1 — which the
     /// *algorithm* maintains and raw [`LocalTree::update_node`] calls can
     /// legitimately breach mid-round — index consistency must hold after
@@ -684,6 +720,7 @@ impl LocalTree {
         let mut want_in = vec![0u32; self.topo.node_slots()];
         let mut live = 0usize;
         let mut want_depth = [0u32; DEPTH_BUCKETS];
+        let mut want_digest = 0u64;
         for slot in 0..slots {
             let node = self.node_of[slot];
             if node == VACANT {
@@ -700,6 +737,7 @@ impl LocalTree {
                 want_in[v as usize] += 1;
             }
             want_depth[self.topo.depth(node) as usize] += 1;
+            want_digest = want_digest.wrapping_add(pair_term(self.labels[slot], node));
         }
         if want_in != self.balls_in {
             return Err(InvariantViolation::new(
@@ -712,6 +750,11 @@ impl LocalTree {
         if want_depth != self.at_depth {
             return Err(InvariantViolation::new(
                 "at_depth counters out of sync".into(),
+            ));
+        }
+        if want_digest != self.digest {
+            return Err(InvariantViolation::new(
+                "digest disagrees with positions".into(),
             ));
         }
         for leaf in &self.blocked {

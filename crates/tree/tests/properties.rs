@@ -6,6 +6,8 @@
 //! only through the move-walk), and the structural guarantees of the
 //! three path-construction rules.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+
 use bil_runtime::rng::SeedTree;
 use bil_runtime::{Label, ProcId};
 use bil_tree::{CoinRule, LocalTree, NodeId, PackedPath, Topology, ROOT};
@@ -353,5 +355,76 @@ proptest! {
             prop_assert_eq!(&tree, &before);
         }
         tree.validate().unwrap();
+    }
+}
+
+fn digest(tree: &LocalTree) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    tree.hash(&mut hasher);
+    hasher.finish()
+}
+
+proptest! {
+    /// Equal trees hash equally whatever their histories. A tree built
+    /// by random inserts, moves and removals, with some leaves blocked,
+    /// equals — and hashes like — a twin that first admits decoy labels,
+    /// then the tree's live balls in descending label order (each one an
+    /// out-of-order insert that renumbers the column), removes the
+    /// decoys, revives and removes them again, and blocks the same leaves
+    /// in reverse order.
+    #[test]
+    fn equal_trees_hash_equally_whatever_their_history(
+        n in 1usize..40,
+        ops in raw_ops(),
+        blocked in prop::collection::vec(any::<u32>(), 0..4),
+        decoys in prop::collection::vec(any::<u8>(), 0..8),
+    ) {
+        let topo = Topology::new(n).unwrap();
+        let slots = topo.node_slots() as u32;
+        let mut tree = LocalTree::new(topo);
+        for op in ops {
+            match op {
+                RawOp::Insert(b, node) => {
+                    let _ = tree.insert(Label(b as u64), 1 + (node as NodeId) % (slots - 1));
+                }
+                RawOp::Update(b, node) => {
+                    let _ = tree.update_node(Label(b as u64), 1 + (node as NodeId) % (slots - 1));
+                }
+                RawOp::Remove(b) => {
+                    let _ = tree.remove(Label(b as u64));
+                }
+                _ => {}
+            }
+        }
+        let padded = topo.padded_leaves() as u32;
+        let leaves: Vec<NodeId> = blocked.iter().map(|pick| padded + pick % padded).collect();
+        for &leaf in &leaves {
+            tree.block_leaf(leaf).unwrap();
+        }
+
+        let decoys: Vec<Label> = decoys
+            .iter()
+            .map(|&d| Label(d as u64))
+            .filter(|&d| !tree.contains(d))
+            .collect();
+        let mut twin = LocalTree::new(topo);
+        for &decoy in &decoys {
+            let _ = twin.insert(decoy, ROOT);
+        }
+        let live: Vec<(Label, NodeId)> = tree.balls().collect();
+        for &(ball, node) in live.iter().rev() {
+            twin.insert(ball, node).unwrap();
+        }
+        for &decoy in &decoys {
+            twin.remove(decoy);
+            let _ = twin.insert(decoy, ROOT);
+            twin.remove(decoy);
+        }
+        for &leaf in leaves.iter().rev() {
+            twin.block_leaf(leaf).unwrap();
+        }
+        twin.validate_consistency().unwrap();
+        prop_assert_eq!(&tree, &twin);
+        prop_assert_eq!(digest(&tree), digest(&twin));
     }
 }
