@@ -16,10 +16,10 @@
 
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::RunError;
-use crate::wire::{get_varint, put_varint, varint_len, WireError};
+use crate::wire::{put_varint, varint_len, WireError};
 
 /// Maximum accepted frame payload length. Guards the decoder against
 /// hostile or corrupted length prefixes; far above any legitimate frame
@@ -148,32 +148,6 @@ pub fn read_frame<R: Read>(
     }
 }
 
-/// Appends a length-prefixed byte blob (used for message payloads nested
-/// inside a frame).
-pub fn put_blob(buf: &mut BytesMut, blob: &[u8]) {
-    put_varint(buf, blob.len() as u64);
-    buf.put_slice(blob);
-}
-
-/// Reads a length-prefixed byte blob written by [`put_blob`].
-///
-/// # Errors
-///
-/// Returns [`WireError`] for a hostile length or truncated payload.
-pub fn get_blob(buf: &mut Bytes) -> Result<Bytes, WireError> {
-    let len = get_varint(buf)?;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::LengthOverflow(len));
-    }
-    let len = usize::try_from(len).map_err(|_| WireError::LengthOverflow(len))?;
-    if buf.remaining() < len {
-        return Err(WireError::UnexpectedEnd);
-    }
-    let blob = buf.slice(0..len);
-    buf.advance(len);
-    Ok(blob)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,23 +257,5 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.extend(&sink);
         assert_eq!(&dec.next_frame().unwrap().unwrap()[..], b"payload");
-    }
-
-    #[test]
-    fn blob_roundtrip_and_truncation() {
-        let mut buf = BytesMut::new();
-        put_blob(&mut buf, b"abc");
-        put_blob(&mut buf, b"");
-        let mut bytes = buf.freeze();
-        assert_eq!(&get_blob(&mut bytes).unwrap()[..], b"abc");
-        assert_eq!(&get_blob(&mut bytes).unwrap()[..], b"");
-        // Truncated blob: declared length 5, only 2 bytes present.
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, 5);
-        buf.put_slice(b"ab");
-        assert!(matches!(
-            get_blob(&mut buf.freeze()),
-            Err(WireError::UnexpectedEnd)
-        ));
     }
 }

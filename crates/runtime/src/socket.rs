@@ -10,7 +10,9 @@
 //! loop, the `Hello` handshake that pins [`WIRE_FORMAT_VERSION`], the I/O
 //! timeout, and one frame codec for commands and responses. A `Deliver`
 //! inbox is encoded from the shared [`crate::view::InboxBuf`], so it
-//! crosses the wire once per (worker × delivery signature).
+//! crosses the wire once per (worker × delivery signature); a `Composed`
+//! answer is already one encoded body, which the carrier ships as it is
+//! and the coordinator validates, as it does on the channel carrier.
 //!
 //! All I/O carries a timeout ([`SocketOptions::io_timeout`]): a hung peer
 //! surfaces as [`RunError::Io`], never a stalled run; a malformed frame
@@ -22,14 +24,16 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::RunError;
-use crate::frame::{get_blob, put_blob, read_frame, write_frame, FrameDecoder};
+use crate::frame::{read_frame, write_frame, FrameDecoder};
 use crate::ids::{Label, Name, Round};
 use crate::rng::SeedTree;
 use crate::view::{InboxBuf, Status, ViewProtocol};
-use crate::wire::{get_varint, put_varint, Wire, WireError, WIRE_FORMAT_VERSION};
+use crate::wire::{
+    get_sized, get_varint, put_sized, put_varint, Wire, WireError, WIRE_FORMAT_VERSION,
+};
 use crate::worker::{spawn_workers, Carrier, Cmd, Fault, Rsp, WorkerPort, WorkerTransport};
 
 /// Frame tags of the coordinator↔worker protocol.
@@ -51,6 +55,7 @@ mod tag {
 mod fault {
     pub const WIRE: u64 = 0;
     pub const UNKNOWN_SLOT: u64 = 1;
+    pub const INBOX_ORDER: u64 = 2;
 }
 
 /// Tuning knobs of the wire executors (threaded and socket): the
@@ -138,8 +143,7 @@ fn put_cmd<M: Wire>(buf: &mut BytesMut, cmd: &Cmd<M>) {
                 put_varint(buf, inbox.len() as u64);
                 for (label, msg) in inbox.as_inbox().iter() {
                     put_varint(buf, label.0);
-                    put_varint(buf, msg.encoded_len() as u64);
-                    msg.encode(buf);
+                    put_sized(buf, msg);
                 }
             }
         }
@@ -147,6 +151,9 @@ fn put_cmd<M: Wire>(buf: &mut BytesMut, cmd: &Cmd<M>) {
     }
 }
 
+/// Decodes a command frame. A `Deliver` inbox decodes straight into its
+/// label and message columns; its senders must strictly ascend by label,
+/// the order every inbox is read in, or the command is refused.
 fn get_cmd<M: Wire>(mut buf: Bytes) -> Result<Cmd<M>, Fault> {
     let cmd = match get_varint(&mut buf)? {
         tag::COMPOSE => Cmd::Compose(Round(get_varint(&mut buf)?)),
@@ -157,14 +164,18 @@ fn get_cmd<M: Wire>(mut buf: Bytes) -> Result<Cmd<M>, Fault> {
             for _ in 0..count {
                 let dsts = get_slots(&mut buf)?;
                 let len = get_len(&mut buf)?;
-                let mut pairs = Vec::with_capacity(len);
+                let (mut labels, mut msgs) = (Vec::with_capacity(len), Vec::with_capacity(len));
                 for _ in 0..len {
                     let label = Label(get_varint(&mut buf)?);
-                    let msg = M::from_bytes(get_blob(&mut buf)?)
-                        .map_err(|error| Fault::Wire(Some(label), error))?;
-                    pairs.push((label, msg));
+                    if labels.last().is_some_and(|&last| last >= label) {
+                        return Err(Fault::InboxOrder(label));
+                    }
+                    let msg =
+                        get_sized(&mut buf).map_err(|error| Fault::Wire(Some(label), error))?;
+                    labels.push(label);
+                    msgs.push(msg);
                 }
-                groups.push((dsts, Arc::new(InboxBuf::from_pairs(pairs))));
+                groups.push((dsts, Arc::new(InboxBuf::from_sorted(labels, msgs))));
             }
             Cmd::Deliver(round, groups)
         }
@@ -177,13 +188,9 @@ fn get_cmd<M: Wire>(mut buf: Bytes) -> Result<Cmd<M>, Fault> {
 
 fn put_rsp(buf: &mut BytesMut, rsp: &Rsp) {
     match rsp {
-        Rsp::Composed(batch) => {
+        Rsp::Composed(body) => {
             put_varint(buf, tag::COMPOSED);
-            put_varint(buf, batch.len() as u64);
-            for (slot, bytes) in batch {
-                put_varint(buf, *slot);
-                put_blob(buf, bytes);
-            }
+            buf.put_slice(body);
         }
         Rsp::Applied(statuses) => {
             put_varint(buf, tag::APPLIED);
@@ -206,16 +213,12 @@ fn put_rsp(buf: &mut BytesMut, rsp: &Rsp) {
     }
 }
 
+/// Decodes a response frame. A `Composed` body is the rest of the frame,
+/// handed over unparsed: the coordinator validates it once, for both
+/// carriers.
 fn get_rsp(mut buf: Bytes) -> Result<Rsp, WireError> {
     let rsp = match get_varint(&mut buf)? {
-        tag::COMPOSED => {
-            let len = get_len(&mut buf)?;
-            let mut batch = Vec::with_capacity(len);
-            for _ in 0..len {
-                batch.push((get_varint(&mut buf)?, get_blob(&mut buf)?));
-            }
-            Rsp::Composed(batch)
-        }
+        tag::COMPOSED => return Ok(Rsp::Composed(buf)),
         tag::APPLIED => {
             let len = get_len(&mut buf)?;
             let mut statuses = Vec::with_capacity(len);
@@ -262,6 +265,10 @@ fn put_fault(buf: &mut BytesMut, f: &Fault) {
             put_varint(buf, fault::UNKNOWN_SLOT);
             put_varint(buf, *slot);
         }
+        Fault::InboxOrder(label) => {
+            put_varint(buf, fault::INBOX_ORDER);
+            put_varint(buf, label.0);
+        }
     }
 }
 
@@ -289,6 +296,7 @@ fn get_fault(buf: &mut Bytes) -> Result<Fault, WireError> {
             Ok(Fault::Wire(sender, error))
         }
         fault::UNKNOWN_SLOT => Ok(Fault::UnknownSlot(get_varint(buf)?)),
+        fault::INBOX_ORDER => Ok(Fault::InboxOrder(Label(get_varint(buf)?))),
         k => Err(bad_tag(k)),
     }
 }
@@ -506,7 +514,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testproto::LabelSet;
+    use crate::ids::ProcId;
+    use crate::testproto::{LabelSet, RankOnce};
+    use crate::worker::put_composed;
 
     fn varints(values: &[u64]) -> Bytes {
         let mut buf = BytesMut::new();
@@ -536,13 +546,68 @@ mod tests {
             assert_eq!(get_cmd::<LabelSet>(buf.freeze()), Ok(cmd));
         }
         for rsp in [
-            Rsp::Composed(vec![(1, Bytes::from(vec![1, 2])), (2, Bytes::new())]),
+            Rsp::Composed(Bytes::from(vec![1, 2, 1, 0])),
+            Rsp::Composed(Bytes::new()),
             Rsp::Applied(vec![(1, Status::Running), (3, Status::Decided(Name(7)))]),
             Rsp::Fault(Fault::UnknownSlot(99)),
+            Rsp::Fault(Fault::InboxOrder(Label(1 << 40))),
         ] {
             let mut buf = BytesMut::new();
             put_rsp(&mut buf, &rsp);
             assert_eq!(get_rsp(buf.freeze()), Ok(rsp));
+        }
+    }
+
+    #[test]
+    fn composed_frames_keep_their_layout() {
+        // Tag 5, a count, then per broadcast its slot and its
+        // length-prefixed encoding, pinned byte for byte so the layout
+        // cannot drift without a WIRE_FORMAT_VERSION bump.
+        let golden = [5, 2, 3, 4, 2, 5, 172, 2, 130, 1, 1, 0];
+        let body = put_composed(&[
+            (ProcId(3), Label(9), LabelSet(vec![Label(5), Label(300)])),
+            (ProcId(130), Label(1), LabelSet(vec![])),
+        ]);
+        let mut frame = BytesMut::new();
+        put_rsp(&mut frame, &Rsp::Composed(body.clone()));
+        assert_eq!(&frame[..], &golden[..]);
+        // The coordinator reads the very body the channel carrier hands
+        // over.
+        assert_eq!(
+            get_rsp(Bytes::from(golden.to_vec())),
+            Ok(Rsp::Composed(body))
+        );
+    }
+
+    #[test]
+    fn deliver_senders_must_strictly_ascend() {
+        // Round 0, one group (slot 0), two broadcasts of the empty set,
+        // from `first` then `second`.
+        let deliver =
+            |first, second| varints(&[tag::DELIVER, 0, 1, 1, 0, 2, first, 1, 0, second, 1, 0]);
+        assert!(matches!(
+            get_cmd::<LabelSet>(deliver(3, 4)),
+            Ok(Cmd::Deliver(..))
+        ));
+        for (first, second) in [(3, 3), (4, 3)] {
+            let frame = deliver(first, second);
+            let refused = Fault::InboxOrder(Label(second));
+            assert_eq!(get_cmd::<LabelSet>(frame.clone()), Err(refused.clone()));
+            // A socket worker answers the same fault, identically in
+            // every build profile, and ends without panicking.
+            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let timeout = SocketOptions::default().io_timeout;
+            let (_, mut handles) =
+                spawn_workers(&RankOnce, &[Label(1)], &SeedTree::new(1), 1, |index| {
+                    move || TcpPort::connect(addr, index, timeout)
+                });
+            let mut carrier = TcpCarrier::accept(&listener, 1, timeout).unwrap();
+            write_frame(&mut carrier.links[0].0, &frame).unwrap();
+            let rsp = Carrier::<LabelSet>::recv(&mut carrier, 0, "collecting round statuses");
+            assert_eq!(rsp, Ok(Rsp::Fault(refused)));
+            let worker = handles.remove(0);
+            assert!(worker.join().is_ok(), "the faulted worker must not panic");
         }
     }
 

@@ -117,6 +117,41 @@ pub fn varint_len(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).div_ceil(7)
 }
 
+/// Appends `msg` length-prefixed: its [`Wire::encoded_len`] as a varint,
+/// then its encoding. [`get_sized`] reads it back.
+pub fn put_sized<M: Wire>(buf: &mut BytesMut, msg: &M) {
+    put_varint(buf, msg.encoded_len() as u64);
+    msg.encode(buf);
+}
+
+/// Reads one length-prefixed message written by [`put_sized`], decoding
+/// it straight from `buf` rather than from a slice of its own.
+///
+/// # Errors
+///
+/// [`WireError::UnexpectedEnd`] if the declared length runs past the
+/// end of `buf` or the message runs past its declared length, and
+/// [`WireError::TrailingBytes`] if it ends short of it — the errors a
+/// decode confined to exactly those bytes gives — or any decode error
+/// met inside them.
+pub fn get_sized<M: Wire>(buf: &mut Bytes) -> Result<M, WireError> {
+    let len = get_varint(buf)?;
+    let len = usize::try_from(len).map_err(|_| WireError::LengthOverflow(len))?;
+    let left = buf.remaining();
+    if len > left {
+        return Err(WireError::UnexpectedEnd);
+    }
+    let msg = M::decode(buf);
+    // However the decode ended, past the declared end a confined decode
+    // would have run out of bytes first.
+    let used = left - buf.remaining();
+    match msg {
+        _ if used > len => Err(WireError::UnexpectedEnd),
+        Ok(_) if used < len => Err(WireError::TrailingBytes(len - used)),
+        msg => msg,
+    }
+}
+
 /// A type with a compact, self-delimiting binary encoding.
 ///
 /// Implementations must round-trip: `decode(encode(x)) == x`, consuming
@@ -301,6 +336,37 @@ mod tests {
             u64::from_bytes(buf.freeze()),
             Err(WireError::TrailingBytes(1))
         ));
+    }
+
+    #[test]
+    fn sized_messages_roundtrip_and_fill_their_length() {
+        let mut buf = BytesMut::new();
+        put_sized(&mut buf, &vec![Label(3), Label(1 << 40)]);
+        put_sized(&mut buf, &Vec::<Label>::new());
+        let mut bytes = buf.freeze();
+        assert_eq!(
+            get_sized::<Vec<Label>>(&mut bytes),
+            Ok(vec![Label(3), Label(1 << 40)])
+        );
+        assert_eq!(get_sized::<Vec<Label>>(&mut bytes), Ok(vec![]));
+        assert!(bytes.is_empty());
+        let sized = |raw: &[u8]| get_sized::<Vec<u32>>(&mut Bytes::from(raw.to_vec()));
+        // Declared length 5, only 2 bytes present.
+        assert_eq!(sized(&[5, 1, 7]), Err(WireError::UnexpectedEnd));
+        // A truncated length prefix.
+        assert_eq!(sized(&[0x80]), Err(WireError::UnexpectedEnd));
+        // The message ends a byte short of its declared 3 bytes.
+        assert_eq!(sized(&[3, 1, 7, 9]), Err(WireError::TrailingBytes(1)));
+        // The message runs past its declared 2 bytes, though not past
+        // the buffer: a confined decode would have run out.
+        assert_eq!(sized(&[2, 2, 7, 9]), Err(WireError::UnexpectedEnd));
+        // A varint cut off by the declared length, whatever follows it.
+        assert_eq!(sized(&[2, 1, 0x80, 0x01]), Err(WireError::UnexpectedEnd));
+        // An error inside the declared bytes is the message's own.
+        assert_eq!(
+            get_sized::<u32>(&mut Bytes::from(vec![5, 0x80, 0x80, 0x80, 0x80, 0x10])),
+            Err(WireError::LengthOverflow(1 << 32))
+        );
     }
 
     #[test]

@@ -10,19 +10,22 @@
 //!
 //! | command | response | meaning |
 //! |---|---|---|
-//! | [`Cmd::Compose`] | [`Rsp::Composed`] | compose the round's broadcast of every held slot; answer the encoded bytes, label-ascending |
+//! | [`Cmd::Compose`] | [`Rsp::Composed`] | compose the round's broadcast of every held slot; answer them encoded in one buffer, label-ascending |
 //! | [`Cmd::Deliver`] | [`Rsp::Applied`] | fold one shared inbox per delivery signature into its recipients' views, drop held slots no group names (they crashed), retire the decided; answer the recipients' statuses, slot-ascending |
 //! | [`Cmd::Exit`] | — | end the worker's loop |
 //!
 //! A worker holds exactly its alive, undecided slots — the round's
 //! participants — so `Compose` needs no slot list, and the coordinator's
 //! count and slot checks reject any answer that disagrees. A worker
-//! answers `Compose` in its store's label order, so the coordinator
-//! merges the workers' runs by label, decoding every broadcast as it
-//! goes, straight into the label order the round delivers in; the codec
-//! runs every round on both carriers. A worker that cannot execute a
-//! command answers [`Rsp::Fault`] and exits its loop; it never panics
-//! across the boundary.
+//! answers `Compose` in its store's label order, in one buffer. The
+//! coordinator walks every slot in label order and decodes each
+//! composing slot's broadcast from the front of its worker's buffer, so
+//! it reads every byte once: that walk builds the label order the round
+//! delivers in, and is also the check that every worker answered exactly
+//! its composing slots, in label order. The codec runs every round on
+//! both carriers. A worker that cannot execute a command answers
+//! [`Rsp::Fault`] and exits its loop; it never panics across the
+//! boundary.
 //!
 //! A [`Carrier`] only moves these values. [`crate::threaded`]'s channel
 //! carrier hands them over as they are (inboxes by [`Arc`] clone);
@@ -31,22 +34,20 @@
 //! shutdown — lives here, once; the views themselves live in the same
 //! cluster store every in-memory executor runs.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use crate::error::RunError;
 use crate::ids::{Label, ProcId, Round};
 use crate::pipeline::{LocalTransport, RoundMessages, SigId, Transport};
 use crate::rng::SeedTree;
 use crate::view::{InboxBuf, RoundInbox, Status, ViewProtocol};
-use crate::wire::{Wire, WireError};
+use crate::wire::{get_sized, get_varint, put_sized, put_varint, Wire, WireError};
 
 /// One delivery group of a [`Cmd::Deliver`]: recipient slots and the
 /// shared inbox they all heard.
@@ -64,17 +65,19 @@ pub enum Cmd<M> {
     Exit,
 }
 
-/// A worker's per-slot answers to one command: label-ascending for
-/// [`Rsp::Composed`], slot-ascending for [`Rsp::Applied`].
-pub type Answers<T> = Vec<(u64, T)>;
+/// A worker's per-slot statuses, slot-ascending.
+pub type Statuses = Vec<(u64, Status)>;
 
 /// A worker → coordinator response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rsp {
-    /// Encoded broadcasts, label-ascending.
-    Composed(Answers<Bytes>),
+    /// The worker's broadcasts, label-ascending, in one buffer: a varint
+    /// count, then per broadcast its slot as a varint and its
+    /// length-prefixed encoding ([`put_sized`]). The TCP carrier ships
+    /// this body as it is.
+    Composed(Bytes),
     /// Post-apply statuses, slot-ascending.
-    Applied(Answers<Status>),
+    Applied(Statuses),
     /// The command could not be executed; the worker has exited.
     Fault(Fault),
 }
@@ -88,6 +91,9 @@ pub enum Fault {
     /// A `Deliver` named a slot the worker does not own (or named one
     /// twice).
     UnknownSlot(u64),
+    /// A `Deliver` inbox whose senders do not strictly ascend by label:
+    /// this one repeats or descends from the one before it.
+    InboxOrder(Label),
 }
 
 impl From<WireError> for Fault {
@@ -143,14 +149,11 @@ fn serve<P: ViewProtocol>(
                 // One shard composes inline, which cannot fail; hang up,
                 // as a panicking worker would, if it ever did. The store
                 // answers in its label order, which the coordinator
-                // merges across workers.
+                // interleaves across workers.
                 let Ok(broadcasts) = local.compose_held(round) else {
                     return;
                 };
-                let encoded = broadcasts
-                    .into_iter()
-                    .map(|(p, _, msg)| (u64::from(p.0), msg.to_bytes()));
-                Ok(Rsp::Composed(encoded.collect()))
+                Ok(Rsp::Composed(put_composed(&broadcasts)))
             }
             Ok(Cmd::Deliver(round, groups)) => {
                 deliver(&mut local, &range, &mut sig_of, round, &groups).map(Rsp::Applied)
@@ -175,7 +178,7 @@ fn deliver<P: ViewProtocol>(
     sig_of: &mut [SigId],
     round: Round,
     groups: &[Group<P::Msg>],
-) -> Result<Answers<Status>, Fault> {
+) -> Result<Statuses, Fault> {
     sig_of.fill(SigId::MAX);
     for (sig, (dsts, _)) in (0..).zip(groups) {
         for &slot in dsts {
@@ -193,13 +196,28 @@ fn deliver<P: ViewProtocol>(
         groups.iter().map(|(_, inbox)| inbox.as_inbox()).collect();
     let sig = |p: ProcId| Some(sig_of[p.index() - range.start]).filter(|&s| s != SigId::MAX);
     local.apply_groups(round, sig, &inboxes);
-    let mut statuses: Answers<Status> = local
+    let mut statuses: Statuses = local
         .sweep_held(round)
         .into_iter()
         .map(|(p, status)| (u64::from(p.0), status))
         .collect();
     statuses.sort_unstable_by_key(|&(slot, _)| slot);
     Ok(statuses)
+}
+
+/// Bytes a `Composed` body reserves per broadcast: a slot varint (up to
+/// 3 bytes below 2^21 slots), a length byte and a few bytes of message.
+const COMPOSED_BYTES_PER_BROADCAST: usize = 8;
+
+/// Encodes `broadcasts`, in their order, as a [`Rsp::Composed`] body.
+pub(crate) fn put_composed<M: Wire>(broadcasts: &[(ProcId, Label, M)]) -> Bytes {
+    let mut buf = BytesMut::with_capacity(10 + broadcasts.len() * COMPOSED_BYTES_PER_BROADCAST);
+    put_varint(&mut buf, broadcasts.len() as u64);
+    for (p, _, msg) in broadcasts {
+        put_varint(&mut buf, u64::from(p.0));
+        put_sized(&mut buf, msg);
+    }
+    buf.freeze()
 }
 
 /// Contiguous slot ranges over `0..n` for `workers` workers, remainder
@@ -273,6 +291,12 @@ pub struct WorkerTransport<P: ViewProtocol, C> {
     worker_of: Vec<usize>,
     workers: usize,
     handles: Vec<thread::JoinHandle<()>>,
+    /// `(label, slot)` pairs sorted by label: the order a round's
+    /// broadcasts are assembled in. Built at the first compose, so a
+    /// run of no rounds sorts nothing.
+    by_label: Vec<(Label, ProcId)>,
+    /// Scratch, by slot: whether the slot composes this round.
+    composing: Vec<bool>,
     /// Statuses collected in [`Transport::apply`], drained by
     /// [`Transport::sweep`].
     statuses: Vec<(ProcId, Status)>,
@@ -297,6 +321,8 @@ impl<P: ViewProtocol, C: Carrier<P::Msg>> WorkerTransport<P, C> {
             worker_of,
             workers: handles.len(),
             handles,
+            by_label: Vec::new(),
+            composing: Vec::new(),
             statuses: Vec::new(),
             _protocol: PhantomData,
         }
@@ -319,35 +345,27 @@ impl<P: ViewProtocol, C: Carrier<P::Msg>> WorkerTransport<P, C> {
     /// Sends every worker with a non-empty group `cmd(group)`, then
     /// collects the responses in worker order, each checked by `unpack`
     /// to be the expected kind. Returns each busy worker's index and
-    /// answers; the caller checks them against the worker's group.
+    /// answer; the caller checks it against the worker's group.
     fn exchange<T>(
         &mut self,
         groups: &[Vec<ProcId>],
         mut cmd: impl FnMut(&[ProcId]) -> Cmd<P::Msg>,
         (requesting, collecting): (&'static str, &'static str),
-        unpack: fn(Rsp) -> Option<Answers<T>>,
-    ) -> Result<Vec<(usize, Answers<T>)>, RunError> {
+        unpack: fn(Rsp) -> Option<T>,
+    ) -> Result<Vec<(usize, T)>, RunError> {
         let busy = || groups.iter().enumerate().filter(|(_, g)| !g.is_empty());
         for (w, group) in busy() {
             self.carrier.send(w, cmd(group), requesting)?;
         }
         let mut out = Vec::new();
         for (w, _) in busy() {
-            let batch = match self.carrier.recv(w, collecting)? {
-                Rsp::Fault(Fault::Wire(sender, error)) => {
-                    return Err(RunError::Decode { sender, error })
-                }
-                Rsp::Fault(Fault::UnknownSlot(slot)) => {
-                    return Err(protocol_error(
-                        collecting,
-                        format!("worker {w} was handed unknown slot {slot}"),
-                    ))
-                }
+            let answer = match self.carrier.recv(w, collecting)? {
+                Rsp::Fault(fault) => return Err(fault_error(w, fault, collecting)),
                 rsp => unpack(rsp).ok_or_else(|| {
                     protocol_error(collecting, format!("worker {w} answered out of turn"))
                 })?,
             };
-            out.push((w, batch));
+            out.push((w, answer));
         }
         Ok(out)
     }
@@ -357,48 +375,32 @@ fn protocol_error(context: &'static str, detail: String) -> RunError {
     RunError::Protocol { context, detail }
 }
 
-/// Checks worker `w`'s answer to [`Cmd::Compose`] against `group`, the
-/// composing slots it holds (slot-ascending): every answered slot must
-/// be in the group, the labels must strictly ascend — so no slot
-/// repeats — and the answer must name as many slots as the group. The
-/// answer then names exactly the group, in label order.
-fn check_composed(
-    w: usize,
-    group: &[ProcId],
-    batch: &Answers<Bytes>,
-    labels: &[Label],
-) -> Result<(), RunError> {
-    let fail = |detail| Err(protocol_error("collecting broadcasts", detail));
-    if batch.len() != group.len() {
-        let (got, want) = (batch.len(), group.len());
-        return fail(format!("worker {w} answered {got} slots, expected {want}"));
+/// The coordinator's report of worker `w`'s `fault`, met while `context`.
+fn fault_error(w: usize, fault: Fault, context: &'static str) -> RunError {
+    match fault {
+        Fault::Wire(sender, error) => RunError::Decode { sender, error },
+        Fault::UnknownSlot(slot) => protocol_error(
+            context,
+            format!("worker {w} was handed unknown slot {slot}"),
+        ),
+        Fault::InboxOrder(label) => protocol_error(
+            context,
+            format!("worker {w} was handed an inbox with sender {label} out of label order"),
+        ),
     }
-    let mut last = None;
-    for &(slot, _) in batch {
-        let Ok(at) = group.binary_search_by_key(&slot, |p| u64::from(p.0)) else {
-            return fail(format!(
-                "worker {w} answered slot {slot}, which it does not compose"
-            ));
-        };
-        let label = labels[group[at].index()];
-        if last.is_some_and(|last| last >= label) {
-            return fail(format!(
-                "worker {w} answered slot {slot} out of label order"
-            ));
-        }
-        last = Some(label);
-    }
-    Ok(())
 }
 
-fn composed(rsp: Rsp) -> Option<Answers<Bytes>> {
+/// The context of every error met collecting a round's broadcasts.
+const COLLECTING_BROADCASTS: &str = "collecting broadcasts";
+
+fn composed(rsp: Rsp) -> Option<Bytes> {
     match rsp {
-        Rsp::Composed(batch) => Some(batch),
+        Rsp::Composed(body) => Some(body),
         _ => None,
     }
 }
 
-fn applied(rsp: Rsp) -> Option<Answers<Status>> {
+fn applied(rsp: Rsp) -> Option<Statuses> {
     match rsp {
         Rsp::Applied(statuses) => Some(statuses),
         _ => None,
@@ -406,10 +408,12 @@ fn applied(rsp: Rsp) -> Option<Answers<Status>> {
 }
 
 impl<P: ViewProtocol, C: Carrier<P::Msg>> Transport<P> for WorkerTransport<P, C> {
-    /// Each worker answers its composing slots in label order; once
-    /// each answer is checked to name exactly the worker's group, a k-way
-    /// merge of the workers' runs by label decodes every broadcast
-    /// straight into the round's label order.
+    /// Each worker answers its composing slots in label order, in one
+    /// buffer. A walk over the slots in label order takes each composing
+    /// slot's broadcast from the front of its worker's buffer, so every
+    /// byte is read once, straight into the round's label order, and the
+    /// walk is also the check that each worker answered exactly its
+    /// group in that order.
     fn compose(
         &mut self,
         round: Round,
@@ -419,41 +423,62 @@ impl<P: ViewProtocol, C: Carrier<P::Msg>> Transport<P> for WorkerTransport<P, C>
         let answers = self.exchange(
             &groups,
             |_| Cmd::Compose(round),
-            ("requesting broadcasts", "collecting broadcasts"),
+            ("requesting broadcasts", COLLECTING_BROADCASTS),
             composed,
         )?;
-        for (w, batch) in &answers {
-            check_composed(*w, &groups[*w], batch, &self.labels)?;
-        }
-        // Every answered slot is one of its worker's composing slots, so
-        // it indexes `labels` and fits a `ProcId`.
-        let labels = &self.labels;
-        let head = |run: &std::vec::IntoIter<(u64, Bytes)>| {
-            run.as_slice()
-                .first()
-                .map(|&(slot, _)| labels[slot as usize])
+        let fail = |detail| protocol_error(COLLECTING_BROADCASTS, detail);
+        let frame = |error| RunError::Frame {
+            context: COLLECTING_BROADCASTS,
+            error,
         };
-        let mut runs: Vec<_> = answers
-            .into_iter()
-            .map(|(_, batch)| batch.into_iter())
-            .collect();
-        let mut heads: BinaryHeap<Reverse<(Label, usize)>> = runs
-            .iter()
-            .enumerate()
-            .filter_map(|(r, run)| Some(Reverse((head(run)?, r))))
-            .collect();
-        let mut out = Vec::with_capacity(participants.len());
-        while let Some(Reverse((label, r))) = heads.pop() {
-            let Some((slot, bytes)) = runs[r].next() else {
-                continue;
-            };
-            let msg = P::Msg::from_bytes(bytes).map_err(|e| RunError::decode(label, e))?;
-            out.push((ProcId(slot as u32), label, msg));
-            if let Some(next) = head(&runs[r]) {
-                heads.push(Reverse((next, r)));
+        // Each busy worker's run: its buffer past the count, which must
+        // be its group's size before anything is reserved.
+        let mut runs = vec![Bytes::new(); self.workers];
+        for (w, mut body) in answers {
+            let (count, want) = (get_varint(&mut body).map_err(frame)?, groups[w].len());
+            if usize::try_from(count) != Ok(want) {
+                return Err(fail(format!(
+                    "worker {w} answered {count} slots, expected {want}"
+                )));
             }
+            runs[w] = body;
         }
-        Ok(out)
+        if self.by_label.is_empty() {
+            self.by_label = (0..)
+                .zip(&self.labels)
+                .map(|(slot, &label)| (label, ProcId(slot)))
+                .collect();
+            // Labels are unique, so the label alone orders the pairs.
+            self.by_label.sort_unstable_by_key(|&(label, _)| label);
+            self.composing = vec![false; self.labels.len()];
+        }
+        self.composing.fill(false);
+        for &p in participants {
+            self.composing[p.index()] = true;
+        }
+        // A slot that is not the next entry of its worker's run — out of
+        // label order, repeated, another worker's, not composing, out of
+        // range — fails the walk before it is used.
+        let mut out = Vec::with_capacity(participants.len());
+        for &(label, pid) in &self.by_label {
+            if !self.composing[pid.index()] {
+                continue;
+            }
+            let w = self.worker_of[pid.index()];
+            let run = &mut runs[w];
+            let slot = get_varint(run).map_err(frame)?;
+            if slot != u64::from(pid.0) {
+                return Err(fail(format!(
+                    "worker {w} answered slot {slot} where slot {pid} is next in label order"
+                )));
+            }
+            let msg = get_sized(run).map_err(|e| RunError::decode(label, e))?;
+            out.push((pid, label, msg));
+        }
+        match runs.iter().find(|run| !run.is_empty()) {
+            Some(run) => Err(frame(WireError::TrailingBytes(run.len()))),
+            None => Ok(out),
+        }
     }
 
     fn apply(
@@ -543,9 +568,10 @@ mod tests {
     use crate::exec::ExecutorKind;
     use crate::pipeline::RoundPipeline;
     use crate::socket::{SocketOptions, SocketTransport};
-    use crate::testproto::{labels, two_crashes, BrokenWire, RankOnce, UnionRank};
+    use crate::testproto::{labels, two_crashes, BrokenWire, LabelSet, RankOnce, UnionRank};
     use crate::threaded::ChannelTransport;
     use crate::view::NoObserver;
+    use proptest::prelude::*;
 
     // Bad configurations, equivalence with the simulator, and round
     // limits are pinned for every executor, both carriers included, by
@@ -564,17 +590,64 @@ mod tests {
         assert_eq!(slot_ranges(2, 2), vec![0..1, 1..2]);
     }
 
+    /// A carrier whose workers answer from a script: worker `w`'s one
+    /// response is `self.0[w]`.
+    struct Scripted(Vec<Option<Rsp>>);
+
+    impl<M> Carrier<M> for Scripted {
+        fn send(&mut self, _: usize, _: Cmd<M>, _: &'static str) -> Result<(), RunError> {
+            Ok(())
+        }
+
+        fn recv(&mut self, worker: usize, context: &'static str) -> Result<Rsp, RunError> {
+            self.0[worker]
+                .take()
+                .ok_or(RunError::Disconnected { context, worker })
+        }
+
+        fn hang_up(&mut self) {}
+    }
+
+    /// The scripted system's labels: worker 0 holds slots 0..3 and
+    /// worker 1 slots 3..6. Slot 1 has decided, so the participants are
+    /// slots 0, 2, 3, 4 and 5, and label order interleaves the workers:
+    /// slots 3, 4, 2, 0, 5.
+    const LABELS: [u64; 6] = [50, 10, 40, 20, 30, 60];
+    const PARTICIPANTS: [u32; 5] = [0, 2, 3, 4, 5];
+
+    /// Worker 1's answer: its slots in label order, each broadcasting
+    /// the empty set (length 1, byte 0).
+    const WORKER_1: [u8; 10] = [3, 3, 1, 0, 4, 1, 0, 5, 1, 0];
+
+    /// Composes a round of the scripted system in which worker 0
+    /// answers `body` and worker 1 answers [`WORKER_1`].
+    fn compose_scripted(body: Vec<u8>) -> Result<Vec<(ProcId, Label, LabelSet)>, RunError> {
+        let carrier = Scripted(
+            [body, WORKER_1.to_vec()]
+                .map(|b| Some(Rsp::Composed(Bytes::from(b))))
+                .into(),
+        );
+        let handles = (0..2).map(|_| thread::spawn(|| {})).collect();
+        let workers = (vec![0, 0, 0, 1, 1, 1], handles);
+        let mut t = WorkerTransport::<RankOnce, _>::new(&LABELS.map(Label), carrier, workers);
+        let out = t.compose(Round(0), &PARTICIPANTS.map(ProcId));
+        t.shutdown();
+        out
+    }
+
+    /// Worker 0's answer naming `slots`, each broadcasting the empty set.
+    fn answer(slots: &[u8]) -> Vec<u8> {
+        let entries = slots.iter().flat_map(|&slot| [slot, 1, 0]);
+        [slots.len() as u8].into_iter().chain(entries).collect()
+    }
+
     #[test]
     fn composed_answers_must_name_exactly_the_group_in_label_order() {
-        // Worker 0 holds slots 0..3, worker 1 slots 3..6; slot 1 has
-        // decided, so worker 0 composes slots 0 and 2: label order 2, 0.
-        let labels = [50, 10, 40, 20, 30, 60].map(Label);
-        let group = [ProcId(0), ProcId(2)];
-        let check = |slots: &[u64]| {
-            let batch: Answers<Bytes> = slots.iter().map(|&s| (s, Bytes::new())).collect();
-            check_composed(0, &group, &batch, &labels)
-        };
-        assert_eq!(check(&[2, 0]), Ok(()));
+        // Worker 0 composes slots 0 and 2: label order 2, 0.
+        let in_label_order: Vec<_> = [(3, 20), (4, 30), (2, 40), (0, 50), (5, 60)]
+            .map(|(slot, label)| (ProcId(slot), Label(label), LabelSet(vec![])))
+            .into();
+        assert_eq!(compose_scripted(answer(&[2, 0])), Ok(in_label_order));
         for (case, slots) in [
             ("out of label order", &[0, 2][..]),
             ("duplicated", &[2, 2]),
@@ -584,17 +657,98 @@ mod tests {
             ("missing", &[2]),
             ("extra", &[2, 0, 1]),
         ] {
+            let result = compose_scripted(answer(slots));
             assert!(
                 matches!(
-                    check(slots),
+                    result,
                     Err(RunError::Protocol {
                         context: "collecting broadcasts",
                         ..
                     })
                 ),
-                "{case}: {:?}",
-                check(slots)
+                "{case}: {result:?}"
             );
+        }
+    }
+
+    #[test]
+    fn malformed_composed_bodies_are_structured_errors() {
+        let frame = |error| RunError::Frame {
+            context: "collecting broadcasts",
+            error,
+        };
+        for (case, body, error) in [
+            (
+                "a message shorter than its declared 2 bytes",
+                vec![2, 2, 2, 0, 7, 0, 1, 0],
+                RunError::decode(Label(40), WireError::TrailingBytes(1)),
+            ),
+            (
+                "a message longer than its declared byte",
+                vec![2, 2, 1, 1, 5, 0, 1, 0],
+                RunError::decode(Label(40), WireError::UnexpectedEnd),
+            ),
+            (
+                "a byte after the last entry",
+                [answer(&[2, 0]), vec![9]].concat(),
+                frame(WireError::TrailingBytes(1)),
+            ),
+            (
+                "a truncated slot varint",
+                vec![2, 2, 1, 0, 0x80],
+                frame(WireError::UnexpectedEnd),
+            ),
+            ("no count at all", vec![], frame(WireError::UnexpectedEnd)),
+        ] {
+            assert_eq!(compose_scripted(body), Err(error), "{case}");
+        }
+        // A count of 2^40 is refused before anything is reserved, and
+        // nothing is ever sized by a worker's claim.
+        let mut huge = BytesMut::new();
+        put_varint(&mut huge, 1 << 40);
+        assert_eq!(
+            compose_scripted(huge.to_vec()),
+            Err(RunError::Protocol {
+                context: "collecting broadcasts",
+                detail: "worker 0 answered 1099511627776 slots, expected 2".into(),
+            })
+        );
+    }
+
+    proptest! {
+        /// Whatever bytes worker 0 answers — arbitrary, or a valid
+        /// answer with one byte overwritten, or cut short and extended —
+        /// the coordinator returns exactly the participants in label
+        /// order or a structured error, and never panics.
+        #[test]
+        fn arbitrary_composed_bodies_never_panic(
+            garbage in prop::collection::vec(any::<u8>(), 0..24),
+            mode in 0u8..3,
+            at in any::<usize>(),
+        ) {
+            let valid = answer(&[2, 0]);
+            let body = match mode {
+                0 => garbage,
+                1 => {
+                    let mut body = valid.clone();
+                    body[at % valid.len()] = garbage.first().copied().unwrap_or(0x80);
+                    body
+                }
+                _ => [&valid[..at % (valid.len() + 1)], &garbage].concat(),
+            };
+            match compose_scripted(body) {
+                Ok(out) => {
+                    let order: Vec<_> = out.iter().map(|&(p, l, _)| (p.0, l.0)).collect();
+                    prop_assert_eq!(order, vec![(3, 20), (4, 30), (2, 40), (0, 50), (5, 60)]);
+                }
+                Err(RunError::Protocol { context, .. } | RunError::Frame { context, .. }) => {
+                    prop_assert_eq!(context, "collecting broadcasts");
+                }
+                Err(RunError::Decode { sender, .. }) => {
+                    prop_assert!(matches!(sender, Some(Label(40 | 50))), "{sender:?}");
+                }
+                Err(e) => prop_assert!(false, "unstructured error {e:?}"),
+            }
         }
     }
 
@@ -643,16 +797,19 @@ mod tests {
         }
     }
 
-    /// Sends worker 0 a `Deliver` naming slot 99, which it does not own,
-    /// and returns the coordinator's error after checking that the
-    /// faulted worker's thread ended on its own, without panicking.
-    fn unknown_slot_error<C: Carrier<crate::testproto::LabelSet>>(
+    /// Sends worker 0 a `Deliver` of `groups`, which it must refuse, and
+    /// returns the coordinator's error after checking that the faulted
+    /// worker's thread ended on its own, without panicking.
+    fn refused_deliver<C: Carrier<LabelSet>>(
         mut t: WorkerTransport<RankOnce, C>,
+        dst: ProcId,
+        groups: Vec<Group<LabelSet>>,
     ) -> RunError {
+        let mut groups = Some(groups);
         let err = t
             .exchange(
-                &[vec![ProcId(99)]],
-                |_| Cmd::Deliver(Round(0), vec![(vec![99], Arc::new(InboxBuf::new()))]),
+                &[vec![dst]],
+                |_| Cmd::Deliver(Round(0), groups.take().unwrap_or_default()),
                 ("delivering inboxes", "collecting round statuses"),
                 applied,
             )
@@ -662,6 +819,11 @@ mod tests {
         t.shutdown();
         assert!(t.handles.is_empty(), "every worker thread is joined");
         err
+    }
+
+    fn unknown_slot_error<C: Carrier<LabelSet>>(t: WorkerTransport<RankOnce, C>) -> RunError {
+        let groups = vec![(vec![99], Arc::new(InboxBuf::new()))];
+        refused_deliver(t, ProcId(99), groups)
     }
 
     #[test]
@@ -678,5 +840,25 @@ mod tests {
             }
         );
         assert_eq!(channel, unknown_slot_error(socket));
+    }
+
+    #[test]
+    fn a_socket_inbox_that_repeats_a_sender_is_a_protocol_error() {
+        // The channel carrier hands inboxes over as built, in strict
+        // label order; only bytes off a socket can repeat a sender.
+        let (ls, seeds) = (labels(4), SeedTree::new(5));
+        let socket = SocketTransport::spawn(&RankOnce, &ls, &seeds, workers(2)).unwrap();
+        let repeated = InboxBuf::from_pairs(vec![
+            (Label(3), LabelSet(vec![Label(3)])),
+            (Label(3), LabelSet(vec![])),
+        ]);
+        let groups = vec![(vec![0], Arc::new(repeated))];
+        assert_eq!(
+            refused_deliver(socket, ProcId(0), groups),
+            RunError::Protocol {
+                context: "collecting round statuses",
+                detail: "worker 0 was handed an inbox with sender 3 out of label order".into(),
+            }
+        );
     }
 }
