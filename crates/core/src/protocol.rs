@@ -6,16 +6,21 @@
 //!   the root.
 //! * **Round `2φ−1`** (phase `φ`, round 1; lines 3–21): compose a
 //!   candidate path per the configured [`PathRule`] and broadcast it.
-//!   On receive, iterate all balls in the priority order `<R` *snapshotted
-//!   at phase start*: balls whose paths arrived follow them until just
-//!   before the first full subtree ([`bil_tree::LocalTree::place_at_slot`],
-//!   the move-walk addressed by the ball's snapshot slot); silent balls
-//!   are removed (lines 19–20) — they crashed, or decided and hold a leaf
-//!   (see below).
-//! * **Round `2φ`** (lines 22–28): broadcast the current node; overwrite
-//!   every heard ball's position; remove silent balls. Then check the
+//!   On receive, remove the silent balls (lines 19–20) — they crashed,
+//!   or decided and hold a leaf (see below) — then iterate the balls in
+//!   the priority order `<R` *snapshotted at phase start*: balls whose
+//!   paths arrived follow them until just before the first full subtree
+//!   ([`bil_tree::LocalTree::place_at_slot`], the move-walk addressed by
+//!   the ball's snapshot slot).
+//! * **Round `2φ`** (lines 22–28): broadcast the current node; remove
+//!   silent balls; overwrite every heard ball's position. Then check the
 //!   termination condition (line 29): every ball in the local view on a
 //!   leaf.
+//!
+//! Every round after round 0 takes one flow in [`ViewProtocol::apply`]:
+//! echoes, the joins, one silence pass, then the round's own step. Only
+//! the move-walk reads remaining capacity, so `<R` orders it alone; the
+//! silence pass and the forced updates read none, so slot order serves.
 //!
 //! ## Termination and silence
 //!
@@ -137,7 +142,7 @@ impl Anomalies {
 /// copy scratch.
 #[derive(Debug, Default)]
 struct RoundScratch {
-    /// The `<R` snapshot the apply sweep walks.
+    /// The `<R` snapshot the path round's move-walk follows.
     order: Vec<OrderedBall>,
     /// Label-column slot → inbox index (`NO_MSG` for silent slots).
     msg_at: Vec<u32>,
@@ -149,6 +154,37 @@ struct RoundScratch {
 impl Clone for RoundScratch {
     fn clone(&self) -> Self {
         RoundScratch::default()
+    }
+}
+
+impl RoundScratch {
+    /// The message the ball in `slot` sent, per the last
+    /// [`index_messages`]; `None` if it was silent.
+    fn msg<'m>(&self, msgs: &'m [BilMsg], slot: usize) -> Option<&'m BilMsg> {
+        match self.msg_at[slot] {
+            NO_MSG => None,
+            m => Some(&msgs[m as usize]),
+        }
+    }
+
+    /// The silence rule (lines 19–20, and the sync round's removal in
+    /// lines 22–28), in slot order: vacates every live slot whose ball
+    /// sent no message or an `Init` in a path round, or anything but a
+    /// `Pos` in a sync round. A repeated `Init` is silence-equivalent
+    /// (see `compose`). A ball with a commit record stays: it decided,
+    /// and a decided ball stops broadcasting. A no-op on a vacant slot.
+    fn vacate_silent(&self, tree: &mut LocalTree, round: Round, msgs: &[BilMsg]) {
+        let path_round = round.is_path_round();
+        for slot in 0..self.msg_at.len() {
+            let silent = match self.msg(msgs, slot) {
+                Some(BilMsg::Pos { .. }) => false,
+                Some(BilMsg::Path(_) | BilMsg::Commit(_)) => !path_round,
+                Some(BilMsg::Init) | None => true,
+            };
+            if silent && self.committed_at.get(slot) != Some(&true) {
+                tree.remove_at_slot(slot);
+            }
+        }
     }
 }
 
@@ -482,38 +518,31 @@ impl ViewProtocol for BallsIntoLeaves {
             }
             return;
         }
-        if !balls.windows(2).all(|w| w[0] < w[1]) {
-            // Unsorted batches (possible only with unsorted label
-            // assignments) fall back to per-ball composition; the fast
-            // path below needs ascending balls to share its sweep.
-            for (i, &ball) in balls.iter().enumerate() {
-                let msg = self.compose(view, ball, round, &mut *rngs[i]);
-                out.push((ball, msg));
-            }
-            return;
-        }
         // One merge-join sweep over the sorted label column resolves
         // every ball's slot — replacing the three binary searches per
         // ball (`current_node`, `rank_at_node`, and the path builders'
-        // own lookups) the per-ball path pays. Each ball then composes
-        // against its resolved slot, drawing from its own rng exactly
-        // what the per-ball path would (streams are per-process, so
-        // cross-ball interleaving is unobservable).
+        // own lookups) the per-ball path pays. A ball that does not
+        // ascend past its predecessor (possible only with unsorted label
+        // assignments) re-seeks the sweep with one binary search. Each
+        // ball then composes against its resolved slot, drawing from its
+        // own rng exactly what the per-ball path would (streams are
+        // per-process, so cross-ball interleaving is unobservable).
         let labels = view.tree.label_column();
         let mut slot = 0usize;
         for (i, &ball) in balls.iter().enumerate() {
+            if i > 0 && ball <= balls[i - 1] {
+                slot = labels.partition_point(|&l| l < ball);
+            }
             while slot < labels.len() && labels[slot] < ball {
                 slot += 1;
             }
-            let msg = if slot < labels.len() && labels[slot] == ball {
-                match view.tree.node_at_slot(slot) {
-                    Some(node) => self.compose_resolved(view, slot, node, round, &mut *rngs[i]),
-                    // Vacant slot: the view lost this ball; same
-                    // silence-equivalent reply as `compose`.
-                    None => BilMsg::Init,
+            let msg = match view.tree.node_at_slot(slot) {
+                Some(node) if labels[slot] == ball => {
+                    self.compose_resolved(view, slot, node, round, &mut *rngs[i])
                 }
-            } else {
-                BilMsg::Init
+                // Absent or vacant: the view lost this ball; same
+                // silence-equivalent reply as `compose`.
+                _ => BilMsg::Init,
             };
             out.push((ball, msg));
         }
@@ -541,156 +570,115 @@ impl ViewProtocol for BallsIntoLeaves {
             return;
         }
 
-        if round.is_path_round() {
-            // Priority order snapshotted at phase start (Definition 1 is
-            // evaluated on start-of-phase positions, which Proposition 1
-            // makes identical across correct views). Taken into scratch
-            // so the steady-state round allocates nothing.
-            let mut scratch = std::mem::take(&mut view.scratch);
+        let path_round = round.is_path_round();
+        let msgs = inbox.msgs();
+        // Taken out of the view so the passes can read it while they
+        // mutate the view; the steady-state round allocates nothing.
+        let mut scratch = std::mem::take(&mut view.scratch);
+        if path_round {
+            // The move-walk's priority order `<R`, snapshotted at phase
+            // start (Definition 1 is evaluated on start-of-phase
+            // positions, which Proposition 1 makes identical across
+            // correct views), before an echo below can move a ball.
             view.tree.priority_order_into(&mut scratch.order);
-            // Echoes first (they ride on `Pos` passes): a commit learned
-            // second-hand may re-add its ball, which can renumber label
-            // slots — hence the generation check below.
-            let gen = view.tree.shift_generation();
-            for msg in inbox.msgs() {
-                if let BilMsg::Pos { echo, .. } = msg {
-                    for (ball, leaf) in echo {
-                        view.learn_commit(*ball, *leaf, round, Provenance::Echoed);
-                    }
+        } else {
+            // This round's `Pos` broadcasts carried every pending echo.
+            // A path round keeps `fresh`: commits learned in the sync
+            // round still await their echo, and its direct commits join
+            // them.
+            view.fresh = Vec::new();
+        }
+        // Echoes first (they ride on `Pos`): a commit learned second-hand
+        // re-establishes its ball before the silence pass could remove it
+        // or treat its leaf as free. `learn_commit` re-echoes, so
+        // knowledge spreads along partial-delivery chains until one full
+        // broadcast makes it uniform.
+        let gen = view.tree.shift_generation();
+        for msg in msgs {
+            if let BilMsg::Pos { echo, .. } = msg {
+                for (ball, leaf) in echo {
+                    view.learn_commit(*ball, *leaf, round, Provenance::Echoed);
                 }
             }
-            if view.tree.shift_generation() != gen {
-                // Rare (crash-echo re-admission of a never-seen label):
-                // re-resolve the snapshot's slots against the renumbered
-                // column. Labels are never deleted from the column, so
-                // every snapshot ball still resolves.
-                for e in scratch.order.iter_mut() {
-                    e.slot = view
-                        .tree
-                        .label_column()
-                        .binary_search(&e.ball)
-                        // bil-lint: allow(hot-path-panic): labels are never deleted from the column, so every snapshot ball resolves
-                        .expect("snapshot labels stay in the column")
-                        as u32;
-                }
+        }
+        let joined = view.tree.shift_generation();
+        if path_round && joined != gen {
+            // Rare (crash-echo re-admission of a never-seen label):
+            // re-resolve the snapshot's slots against the renumbered
+            // column. Labels are never deleted from the column, so
+            // every snapshot ball still resolves.
+            for e in scratch.order.iter_mut() {
+                e.slot = view
+                    .tree
+                    .label_column()
+                    .binary_search(&e.ball)
+                    // bil-lint: allow(hot-path-panic): labels are never deleted from the column, so every snapshot ball resolves
+                    .expect("snapshot labels stay in the column") as u32;
             }
-            index_messages(&view.tree, &inbox, &mut scratch.msg_at);
-            index_commits(&view.tree, view.committed.keys(), &mut scratch.committed_at);
-            #[cfg(debug_assertions)]
-            let gen_sweep = view.tree.shift_generation();
-            // NOTE: `fresh` is NOT cleared here — commits learned last
-            // sync round still await their echo in the next Pos
-            // broadcast; this round's direct commits join them.
-            //
-            // The sweep mutates positions but never renumbers slots
-            // (moves and removals are in-place in the columns), so the
-            // `msg_at` join stays valid throughout. So does
-            // `committed_at`: echoes were folded in above, and within the
-            // sweep only a ball's own `Commit` changes its record. For the
-            // same reason each ball's snapshot slot addresses the tree
-            // mutators directly.
-            for i in 0..scratch.order.len() {
-                let OrderedBall { ball, slot, .. } = scratch.order[i];
-                let slot = slot as usize;
-                let msg = match scratch.msg_at[slot] {
-                    NO_MSG => None,
-                    m => Some(&inbox.msgs()[m as usize]),
-                };
-                match msg {
+        }
+        // From here on nothing renumbers a slot: moves, forced updates
+        // and removals act in place in the columns, so the joins and the
+        // snapshot's slots stay valid to the end of the round. So does
+        // `committed_at`: the echoes are in, and only a ball's own
+        // `Commit` changes its record after them.
+        index_messages(&view.tree, &inbox, &mut scratch.msg_at);
+        index_commits(&view.tree, view.committed.keys(), &mut scratch.committed_at);
+        scratch.vacate_silent(&mut view.tree, round, msgs);
+        if path_round {
+            // Lines 12–18, in `<R` order. The silent balls are gone
+            // already, which Algorithm 1 would remove at their turns:
+            // every ball ahead of a silent ball at depth `d` sits at
+            // depth `≥ d`, and its move-walk reads remaining capacity
+            // only strictly below its own node, where the silent ball is
+            // not counted. So no move sees the difference.
+            for e in &scratch.order {
+                let slot = e.slot as usize;
+                match scratch.msg(msgs, slot) {
                     Some(BilMsg::Commit(leaf)) => {
-                        // Commit: a correct sender's position was
-                        // synchronized last round, so every view already
-                        // has it at `leaf`; `learn_commit` validates that
-                        // and rejects (counts) corrupt commits.
-                        view.learn_commit(ball, *leaf, round, Provenance::Direct);
+                        // A correct sender's position was synchronized
+                        // last round, so every view already has it at
+                        // `leaf`; `learn_commit` validates that and
+                        // rejects (counts) corrupt commits. It reads no
+                        // capacity.
+                        view.learn_commit(e.ball, *leaf, round, Provenance::Direct);
                     }
                     Some(BilMsg::Path(path)) => {
-                        // Lines 13–18: follow the path until the first
-                        // full subtree. A path that fails the move-walk's
-                        // re-validation is corrupt (unreachable for
-                        // correct senders — hostile wire input can
-                        // produce any packed pair): reject it by removing
-                        // the sender as crashed and counting the drop —
-                        // the same explicit path in debug and release
-                        // builds.
+                        // Follow the path until the first full subtree.
+                        // A path that fails the move-walk's validation
+                        // is corrupt (hostile wire input can produce any
+                        // packed pair): the sender is removed as crashed
+                        // at its turn and counted, identically in debug
+                        // and release builds.
                         if view.tree.place_at_slot(slot, path).is_err() {
                             view.anomalies.malformed_paths += 1;
                             view.tree.remove_at_slot(slot);
                         }
                     }
-                    Some(BilMsg::Pos { .. }) => {
-                        // A cornered ball passes the phase in place; its
-                        // echoes were processed above.
-                    }
-                    Some(BilMsg::Init) | None => {
-                        // Lines 19–20: silence (or the silence-equivalent
-                        // repeated `Init`) from an uncommitted ball means
-                        // it crashed (committed balls decided; they stay).
-                        if scratch.committed_at.get(slot) != Some(&true) {
-                            view.tree.remove_at_slot(slot);
-                        }
-                    }
+                    // A `Pos`: a cornered ball passes the phase in place
+                    // (its echoes are in). Silence: vacated above.
+                    Some(BilMsg::Pos { .. } | BilMsg::Init) | None => {}
                 }
             }
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                view.tree.shift_generation(),
-                gen_sweep,
-                "the sweep itself never renumbers slots"
-            );
-            view.scratch = scratch;
         } else {
-            // Round 2 (lines 22–28): adopt announced positions, drop the
-            // silent (committed balls are silent by design and stay).
-            //
-            // Echoes are processed FIRST: a commit learned second-hand
-            // re-establishes the committed ball before the silent sweep
-            // could (wrongly) treat its leaf as free. `learn_commit`
-            // re-echoes, so knowledge spreads along partial-delivery
-            // chains until one full broadcast makes it uniform.
-            view.fresh = Vec::new();
-            for msg in inbox.msgs() {
-                if let BilMsg::Pos { echo, .. } = msg {
-                    for (ball, leaf) in echo {
-                        view.learn_commit(*ball, *leaf, round, Provenance::Echoed);
-                    }
-                }
-            }
-            // The snapshot is taken *after* the echoes (matching the
-            // echo-first rule above), so slots cannot shift between the
-            // snapshot and the sweep: forced position updates move live
-            // balls in place, and removals only vacate slots. Commit
-            // records are final for the sweep too (evictions run after).
-            let mut scratch = std::mem::take(&mut view.scratch);
-            view.tree.priority_order_into(&mut scratch.order);
-            index_messages(&view.tree, &inbox, &mut scratch.msg_at);
-            index_commits(&view.tree, view.committed.keys(), &mut scratch.committed_at);
-            for i in 0..scratch.order.len() {
-                let slot = scratch.order[i].slot as usize;
-                let msg = match scratch.msg_at[slot] {
-                    NO_MSG => None,
-                    m => Some(&inbox.msgs()[m as usize]),
+            // Lines 22–28: adopt every live ball's announced position,
+            // in slot order. An update reads topology only and touches
+            // its own slot plus counters that commute, so the order
+            // cannot be observed. An out-of-range node is corrupt input
+            // (the wire codec bounds it to u32, not to this tree), and so
+            // is a move onto a phantom leaf: the sender is removed as
+            // crashed, identically in both profiles. A vacant slot's
+            // `Pos` is ignored: an update would revive the slot.
+            for slot in 0..scratch.msg_at.len() {
+                let Some(BilMsg::Pos { node, .. }) = scratch.msg(msgs, slot) else {
+                    continue;
                 };
-                match msg {
-                    Some(BilMsg::Pos { node, .. }) => {
-                        // An out-of-range node is corrupt input (the
-                        // wire codec bounds it to u32, not to this
-                        // tree), and so is a move onto a phantom leaf:
-                        // reject by removing the sender as crashed,
-                        // identically in both profiles.
-                        if view.tree.update_at_slot(slot, *node).is_err() {
-                            view.anomalies.malformed_positions += 1;
-                            view.tree.remove_at_slot(slot);
-                        }
-                    }
-                    _ => {
-                        if scratch.committed_at.get(slot) != Some(&true) {
-                            view.tree.remove_at_slot(slot);
-                        }
-                    }
+                if view.tree.node_at_slot(slot).is_some()
+                    && view.tree.update_at_slot(slot, *node).is_err()
+                {
+                    view.anomalies.malformed_positions += 1;
+                    view.tree.remove_at_slot(slot);
                 }
             }
-            view.scratch = scratch;
             // Conflict resolution (decide-at-leaf only; see module docs):
             // a partial commit can leave this view holding a ghost whose
             // leaf other views reassigned, and the forced updates above
@@ -702,30 +690,24 @@ impl ViewProtocol for BallsIntoLeaves {
             // The paper's Lemma 1 must hold in every view at phase end.
             debug_assert!(view.tree.validate().is_ok(), "{:?}", view.tree.validate());
         }
+        debug_assert_eq!(view.tree.shift_generation(), joined);
+        view.scratch = scratch;
     }
 
-    /// Vacates every live slot whose ball `inbox` leaves silent — no
-    /// message or an `Init` in a path round, anything but a `Pos` in a
-    /// sync round — which are exactly the balls `apply`'s sweep removes
-    /// as silent (Algorithm 1 lines 19–20, and the sync round's removal
-    /// in lines 22–28), found by the sweep's own join.
+    /// Vacates every live slot whose ball a path round's `inbox` leaves
+    /// silent — no message or an `Init` — with `apply`'s own joins and
+    /// silence pass. `apply` runs that pass before its move-walk, and
+    /// a pruned view's `<R` snapshot is the untouched one's less the
+    /// silent balls, which the walk skips. So folding the inbox into
+    /// the pruned view makes the same moves and ends equal.
     ///
-    /// Pruning first changes no move and no final state:
-    ///
-    /// * **Path round.** The sweep walks `<R`, deepest first, so every
-    ///   ball it handles before a silent ball at depth `d` sits at depth
-    ///   `≥ d`. That ball's move-walk reads remaining capacity only at
-    ///   nodes strictly below its own, all deeper than `d`, and none of
-    ///   their subtrees holds the silent ball. Nothing before the
-    ///   removal sees the ball, and everything after it sees it gone.
-    /// * **Sync round.** Forced position updates read no capacity at
-    ///   all, and removals commute.
-    ///
-    /// Round 0 admits rather than removes, so it prunes nothing. Neither
-    /// does a view holding commit state, nor an inbox carrying a
-    /// `Commit` or a non-empty echo: there the decide-at-leaf machinery
-    /// (echo re-admission, committed balls kept while silent, evictions)
-    /// runs, and the argument above does not cover it.
+    /// Sync rounds prune nothing: their split views still differ in the
+    /// positions the forced updates then overwrite, so pruning them
+    /// rarely lets two groups coalesce. Round 0 admits, so it prunes
+    /// nothing. Nor does a view holding commit state, or an inbox
+    /// carrying a `Commit` or a non-empty echo: the decide-at-leaf
+    /// machinery runs there (`apply` takes echoes before its silence
+    /// pass), and the hook stays out of its way.
     fn remove_silent(&self, view: &mut BilView, round: Round, inbox: RoundInbox<'_, BilMsg>) {
         let commits = |msg: &BilMsg| match msg {
             BilMsg::Commit(_) => true,
@@ -734,27 +716,13 @@ impl ViewProtocol for BallsIntoLeaves {
         };
         let commit_state =
             !view.committed.is_empty() || !view.fresh.is_empty() || !view.dismissed.is_empty();
-        if round.is_init() || commit_state || inbox.msgs().iter().any(commits) {
+        if !round.is_path_round() || commit_state || inbox.msgs().iter().any(commits) {
             return;
         }
-        let path_round = round.is_path_round();
         let mut scratch = std::mem::take(&mut view.scratch);
         index_messages(&view.tree, &inbox, &mut scratch.msg_at);
-        for (slot, &m) in scratch.msg_at.iter().enumerate() {
-            let msg = match m {
-                NO_MSG => None,
-                m => Some(&inbox.msgs()[m as usize]),
-            };
-            let silent = if path_round {
-                matches!(msg, None | Some(BilMsg::Init))
-            } else {
-                !matches!(msg, Some(BilMsg::Pos { .. }))
-            };
-            if silent {
-                // A no-op on a slot that is already vacant.
-                view.tree.remove_at_slot(slot);
-            }
-        }
+        index_commits(&view.tree, view.committed.keys(), &mut scratch.committed_at);
+        scratch.vacate_silent(&mut view.tree, round, inbox.msgs());
         view.scratch = scratch;
     }
 
@@ -1400,9 +1368,16 @@ mod tests {
         assert_eq!(view.anomalies().malformed_paths, 1);
         assert_eq!(view.anomalies().malformed_commits, 1);
         // Round 2 (sync round): an out-of-range position removes the
-        // sender instead of panicking.
-        deliver(&p, &mut view, Round(2), vec![(Label(1), BilMsg::pos(999))]);
+        // sender instead of panicking, and a position from the removed
+        // ball 2 is ignored rather than reviving it.
+        deliver(
+            &p,
+            &mut view,
+            Round(2),
+            vec![(Label(1), BilMsg::pos(999)), (Label(2), BilMsg::pos(2))],
+        );
         assert!(!view.tree().contains(Label(1)));
+        assert!(!view.tree().contains(Label(2)));
         assert_eq!(view.anomalies().malformed_positions, 1);
         assert_eq!(view.anomalies().total(), 4);
         view.tree().validate().unwrap();

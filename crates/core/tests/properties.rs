@@ -1052,8 +1052,9 @@ fn checked_runs_prune_silent_balls() {
 /// Hostile inboxes: a later-round `Init`, a `Path` in a sync round, a
 /// malformed path, senders outside the view, and a stray `Commit` or
 /// echo in the base variant. The contract holds on each; the hook
-/// removes exactly the silent balls, and nothing at all when the inbox
-/// carries a commit or an echo.
+/// removes exactly a path round's silent balls, and nothing at all in a
+/// sync round or when the inbox carries a commit or an echo. `apply`
+/// vacates a sync round's silent balls itself.
 #[test]
 fn pruning_handles_hostile_inboxes() {
     let p = BallsIntoLeaves::base();
@@ -1084,9 +1085,21 @@ fn pruning_handles_hostile_inboxes() {
     let untouched = pruned_against(&p, &view, Round(1), with_commit);
     assert_eq!(live(&untouched), live(&view));
 
-    // Sync round after a clean path round: a `Path` is silent there,
-    // and so is a stranger; a `Pos` to a phantom node is not silent (the
-    // sweep removes it as malformed).
+    // A non-empty echo in the base variant (on a cornered ball's `Pos`):
+    // the hook does nothing.
+    let mut with_echo = path_round.clone();
+    with_echo.push((
+        Label(3),
+        BilMsg::Pos {
+            node: 1,
+            echo: vec![(Label(9), 15)],
+        },
+    ));
+    let untouched = pruned_against(&p, &view, Round(1), with_echo);
+    assert_eq!(live(&untouched), live(&view));
+
+    // Sync round after a clean path round: a `Path` is silent there, and
+    // so is a stranger; a `Pos` to a phantom node is not silent.
     let paths: InboxBuf<BilMsg> = vec![
         (
             Label(1),
@@ -1117,17 +1130,20 @@ fn pruning_handles_hostile_inboxes() {
         (Label(4), BilMsg::pos(999)),
         (Label(7), BilMsg::pos(3)),
     ];
-    let pruned = pruned_against(&p, &view, Round(2), sync_round.clone());
-    assert_eq!(live(&pruned), [1, 4].map(Label));
-
-    // A non-empty echo in the base variant: the hook does nothing.
-    let mut with_echo = sync_round;
-    with_echo[0].1 = BilMsg::Pos {
-        node: 8,
-        echo: vec![(Label(9), 15)],
-    };
-    let untouched = pruned_against(&p, &view, Round(2), with_echo);
+    // The hook prunes no sync round: it leaves the view untouched.
+    let untouched = pruned_against(&p, &view, Round(2), sync_round.clone());
+    assert_eq!(untouched, view);
     assert_eq!(live(&untouched), live(&view));
+    // `apply` vacates ball 2 (its `Path`) and ball 3 (silent), removes
+    // ball 4 for its phantom `Pos` and counts it, and ignores the
+    // stranger.
+    let mut folded = view.clone();
+    let inbox: InboxBuf<BilMsg> = sync_round.into_iter().collect();
+    p.apply(&mut folded, Round(2), inbox.as_inbox());
+    assert_eq!(live(&folded), [Label(1)]);
+    assert_eq!(folded.tree().current_node(Label(1)), Some(8));
+    assert_eq!(folded.anomalies().malformed_positions, 1);
+    assert_eq!(folded.anomalies().total(), 1);
 
     // Round 0 admits: nothing to prune.
     let fresh = p.init_view(8);

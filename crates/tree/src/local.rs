@@ -360,8 +360,8 @@ impl LocalTree {
 
     /// The slot-resolved form of [`LocalTree::remove`]: vacates `slot`
     /// and returns the node its ball was at, or `None` if the slot is
-    /// already vacant. The apply sweep removes silent balls this way, by
-    /// their snapshot slot.
+    /// already vacant. The apply's silence pass removes silent balls this
+    /// way, slot by slot.
     ///
     /// # Panics
     ///
@@ -389,8 +389,8 @@ impl LocalTree {
 
     /// The slot-resolved form of [`LocalTree::update_node`]: puts the
     /// ball in `slot` at `node`, linking the slot if it was vacant (as
-    /// `update_node` inserts an absent ball). The sync-round sweep adopts
-    /// announced positions this way, by their snapshot slot.
+    /// `update_node` inserts an absent ball). The sync round adopts
+    /// announced positions this way, in slot order.
     ///
     /// # Errors
     ///
