@@ -14,10 +14,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bil_core::{BallsIntoLeaves, BilConfig, BilMsg, EpochBil};
+use bil_runtime::error::RunError;
+use bil_runtime::frame::{read_frame, MAX_FRAME_LEN};
 use bil_runtime::pipeline::RoundMessages;
-use bil_runtime::wire::{Wire, WireError};
+use bil_runtime::wire::{put_varint, Wire, WireError};
 use bil_runtime::{InboxBuf, Label, Name, ProcId, Round, SeedTree, ViewProtocol};
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Wraps the system allocator, counting every allocation (fresh or
 /// growing) made by the allocating thread and keeping its largest
@@ -395,4 +397,29 @@ fn a_hostile_sequence_length_reserves_no_more_than_its_body() {
     let (largest, decoded) = largest_request_during(|| Vec::<Label>::from_bytes(body));
     assert_eq!(decoded, Err(WireError::UnexpectedEnd));
     assert!(largest < 1024, "decoding requested {largest} bytes at once");
+}
+
+#[test]
+fn a_hostile_frame_header_reserves_no_more_than_the_readers_cap() {
+    // A frame header declaring `MAX_FRAME_LEN` (256 MiB), then three
+    // payload bytes, then the end of the stream: the frame reader's
+    // payload buffer reserves at most its 1 MiB cap and grows only as
+    // bytes arrive, so the peer gets no allocation it did not send.
+    let mut stream = BytesMut::new();
+    put_varint(&mut stream, MAX_FRAME_LEN);
+    stream.put_slice(&[1, 2, 3]);
+    let mut reader = std::io::BufReader::new(&stream[..]);
+    let (largest, read) =
+        largest_request_during(|| read_frame(&mut reader, "reading a hostile frame", 5));
+    assert_eq!(
+        read,
+        Err(RunError::Disconnected {
+            context: "reading a hostile frame",
+            worker: 5
+        })
+    );
+    assert!(
+        largest <= 1 << 20,
+        "reading requested {largest} bytes at once"
+    );
 }

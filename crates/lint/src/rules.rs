@@ -465,12 +465,7 @@ fn check_unsafe(path: &str, raw: &str, s: &Stripped, findings: &mut Vec<Finding>
 /// Whether a function, by name, is a wire-decode path: it consumes
 /// attacker-controlled bytes.
 fn is_decode_fn(name: &str) -> bool {
-    name == "decode"
-        || name == "from_bytes"
-        || name == "next_frame"
-        || name == "peek_varint"
-        || name == "read_frame"
-        || name.starts_with("get_")
+    name == "decode" || name == "from_bytes" || name == "read_frame" || name.starts_with("get_")
 }
 
 /// Whether a function, by name, is a wire entry point (either side).

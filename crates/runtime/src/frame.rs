@@ -7,217 +7,228 @@
 //! uses everywhere else, so a frame header costs 1 byte for payloads
 //! under 128 bytes.
 //!
-//! Decoding is **total and incremental**: [`FrameDecoder`] accepts bytes
-//! in arbitrary chunks (partial TCP reads included), yields complete
-//! frames as they materialize, and rejects hostile input (oversized
-//! lengths, overlong varints) with a structured [`WireError`] — it never
-//! panics, which the runtime property suite enforces on arbitrary byte
-//! streams.
+//! [`write_frame`] builds each frame in place in a buffer its link
+//! reuses: the payload is encoded once, behind room reserved for the
+//! header, and the frame leaves in one write. [`read_frame`] reads one
+//! frame through a [`BufRead`] — the socket carrier's
+//! [`std::io::BufReader`] — so a frame split across partial reads
+//! resumes cleanly. Reading is **total**: hostile input (oversized
+//! lengths, overlong varints) is a structured [`RunError::Frame`], never
+//! a panic, and a hostile length sizes no large allocation — the
+//! payload buffer grows only as bytes arrive. The runtime property
+//! suite enforces both on arbitrary byte streams.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::RunError;
-use crate::wire::{put_varint, varint_len, WireError};
+use crate::wire::{varint_len, WireError};
 
-/// Maximum accepted frame payload length. Guards the decoder against
+/// Maximum accepted frame payload length. Guards the reader against
 /// hostile or corrupted length prefixes; far above any legitimate frame
 /// (the largest are round inboxes, `O(n · |msg|)` bytes).
 pub const MAX_FRAME_LEN: u64 = 1 << 28;
 
-/// Encodes one frame (header + payload) into a fresh buffer.
-pub fn encode_frame(payload: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(varint_len(payload.len() as u64) + payload.len());
-    put_varint(&mut buf, payload.len() as u64);
-    buf.put_slice(payload);
-    buf.freeze()
-}
+/// Header room [`write_frame`] reserves ahead of every payload: the
+/// longest legal header.
+const HEADER_ROOM: usize = varint_len(MAX_FRAME_LEN);
 
-/// Writes one frame to `w` and flushes it.
+/// The most [`read_frame`] reserves for a payload before its bytes
+/// arrive; a longer frame's buffer grows as they do.
+const RESERVE_CAP: usize = 1 << 20;
+
+/// Builds one frame in `buf` and writes it to `w` with one `write_all`.
+///
+/// `buf` is cleared (keeping its capacity), `encode` appends the payload
+/// behind 5 reserved bytes (the varint of [`MAX_FRAME_LEN`], the
+/// longest legal header), and the length goes right-aligned into that
+/// room, so the payload is never copied and a reused `buf` allocates
+/// nothing in steady state.
 ///
 /// # Errors
 ///
-/// Propagates the underlying I/O error.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&encode_frame(payload))?;
+/// An [`std::io::ErrorKind::InvalidInput`] error, with nothing written,
+/// for a payload over [`MAX_FRAME_LEN`]; otherwise the underlying I/O
+/// error.
+pub fn write_frame(
+    w: &mut impl Write,
+    buf: &mut BytesMut,
+    encode: impl FnOnce(&mut BytesMut),
+) -> std::io::Result<()> {
+    buf.clear();
+    buf.put_slice(&[0; HEADER_ROOM]);
+    encode(buf);
+    let len = (buf.len() - HEADER_ROOM) as u64;
+    if len > MAX_FRAME_LEN {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            WireError::LengthOverflow(len),
+        ));
+    }
+    let start = HEADER_ROOM - varint_len(len);
+    let mut rest = len;
+    for byte in &mut buf[start..HEADER_ROOM] {
+        *byte = (rest & 0x7f) as u8 | 0x80;
+        rest >>= 7;
+    }
+    buf[HEADER_ROOM - 1] &= 0x7f;
+    w.write_all(&buf[start..])?;
     w.flush()
 }
 
-/// Parses a varint from the front of `buf` without consuming it.
-/// `Ok(None)` means the buffer ends mid-varint (feed more bytes).
-fn peek_varint(buf: &[u8]) -> Result<Option<(u64, usize)>, WireError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    for (i, &byte) in buf.iter().enumerate() {
-        if shift >= 64 {
-            return Err(WireError::VarintOverflow);
-        }
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(Some((v, i + 1)));
-        }
-        shift += 7;
-    }
-    if buf.len() >= 10 {
-        // Ten continuation bytes with no terminator can only ever
-        // overflow; fail now rather than waiting for an 11th byte.
-        return Err(WireError::VarintOverflow);
-    }
-    Ok(None)
-}
-
-/// Incremental frame parser: feed bytes with [`FrameDecoder::extend`] in
-/// whatever chunks the stream produces, drain complete frames with
-/// [`FrameDecoder::next_frame`].
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-}
-
-impl FrameDecoder {
-    /// An empty decoder.
-    pub fn new() -> Self {
-        FrameDecoder::default()
-    }
-
-    /// Appends freshly-read stream bytes (possibly a partial frame).
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet yielded as a frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// The next complete frame's payload, `Ok(None)` if more bytes are
-    /// needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for an overlong length varint or a length
-    /// beyond [`MAX_FRAME_LEN`]; the decoder is poisoned conceptually
-    /// (the stream cannot be resynchronized) and the caller should drop
-    /// the connection.
-    pub fn next_frame(&mut self) -> Result<Option<Bytes>, WireError> {
-        let Some((len, header)) = peek_varint(&self.buf)? else {
-            return Ok(None);
-        };
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::LengthOverflow(len));
-        }
-        let len = usize::try_from(len).map_err(|_| WireError::LengthOverflow(len))?;
-        let total = header + len;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let payload = Bytes::from(&self.buf[header..total]);
-        self.buf.drain(..total);
-        Ok(Some(payload))
-    }
-}
-
-/// Reads one complete frame from `r`, resuming across however many
-/// partial reads the stream needs.
+/// Reads one frame's payload from `r`, resuming across however many
+/// partial reads the stream needs. The header is read a byte at a time
+/// out of `r`'s buffer; the payload's buffer reserves at most 1 MiB and
+/// grows only as its bytes arrive, so a hostile length sizes no large
+/// allocation.
 ///
 /// # Errors
 ///
-/// [`RunError::Frame`] for malformed framing, [`RunError::Disconnected`]
-/// if the stream ends cleanly between or inside frames, [`RunError::Io`]
-/// for transport errors (including read timeouts).
-pub fn read_frame<R: Read>(
-    r: &mut R,
-    decoder: &mut FrameDecoder,
+/// [`RunError::Frame`] for malformed framing — ten continuation bytes
+/// ([`WireError::VarintOverflow`], without waiting for an eleventh) or a
+/// length over [`MAX_FRAME_LEN`] ([`WireError::LengthOverflow`]);
+/// [`RunError::Disconnected`] if the stream ends between or inside
+/// frames; [`RunError::Io`] for transport errors (including read
+/// timeouts).
+pub fn read_frame(
+    r: &mut impl BufRead,
     context: &'static str,
     worker: usize,
 ) -> Result<Bytes, RunError> {
-    let mut chunk = [0u8; 16 * 1024];
+    let failed = |e: std::io::Error| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => RunError::Disconnected { context, worker },
+        _ => RunError::io(context, &e),
+    };
+    let frame = |error| RunError::Frame { context, error };
+    let mut declared = 0u64;
+    let mut shift = 0;
     loop {
-        if let Some(frame) = decoder
-            .next_frame()
-            .map_err(|error| RunError::Frame { context, error })?
-        {
-            return Ok(frame);
+        let mut byte = [0u8];
+        r.read_exact(&mut byte).map_err(failed)?;
+        declared |= u64::from(byte[0] & 0x7f) << shift;
+        if byte[0] & 0x80 == 0 {
+            break;
         }
-        let n = r.read(&mut chunk).map_err(|e| RunError::io(context, &e))?;
-        if n == 0 {
-            return Err(RunError::Disconnected { context, worker });
+        shift += 7;
+        if shift > 63 {
+            // Ten continuation bytes can only ever overflow: fail now
+            // rather than waiting for an eleventh.
+            return Err(frame(WireError::VarintOverflow));
         }
-        decoder.extend(&chunk[..n]);
     }
+    let len = usize::try_from(declared)
+        .ok()
+        .filter(|_| declared <= MAX_FRAME_LEN)
+        .ok_or(frame(WireError::LengthOverflow(declared)))?;
+    let mut payload = Vec::with_capacity(len.min(RESERVE_CAP));
+    r.take(declared).read_to_end(&mut payload).map_err(failed)?;
+    if payload.len() < len {
+        return Err(RunError::Disconnected { context, worker });
+    }
+    Ok(Bytes::from(payload))
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::BufReader;
+
     use super::*;
+    use crate::wire::put_varint;
+
+    /// `payloads`, framed back to back by [`write_frame`].
+    fn stream(payloads: &[&[u8]]) -> Vec<u8> {
+        let (mut out, mut buf) = (Vec::new(), BytesMut::new());
+        for p in payloads {
+            write_frame(&mut out, &mut buf, |b| b.put_slice(p)).unwrap();
+        }
+        out
+    }
+
+    /// Reads frames from `r` until one fails, returning the payloads and
+    /// the failure.
+    fn read_all(mut r: impl BufRead) -> (Vec<Vec<u8>>, RunError) {
+        let mut out = Vec::new();
+        loop {
+            match read_frame(&mut r, "t", 3) {
+                Ok(frame) => out.push(frame.to_vec()),
+                Err(e) => return (out, e),
+            }
+        }
+    }
+
+    const END: RunError = RunError::Disconnected {
+        context: "t",
+        worker: 3,
+    };
 
     #[test]
     fn roundtrip_single_frame() {
-        let frame = encode_frame(b"hello");
-        let mut dec = FrameDecoder::new();
-        dec.extend(&frame);
-        assert_eq!(&dec.next_frame().unwrap().unwrap()[..], b"hello");
-        assert_eq!(dec.next_frame().unwrap(), None);
-        assert_eq!(dec.pending(), 0);
+        let bytes = stream(&[b"hello"]);
+        assert_eq!(bytes, b"\x05hello");
+        assert_eq!(read_all(&bytes[..]), (vec![b"hello".to_vec()], END));
     }
 
     #[test]
     fn empty_payload_frames_are_legal() {
-        let mut dec = FrameDecoder::new();
-        dec.extend(&encode_frame(b""));
-        dec.extend(&encode_frame(b"x"));
-        assert_eq!(&dec.next_frame().unwrap().unwrap()[..], b"");
-        assert_eq!(&dec.next_frame().unwrap().unwrap()[..], b"x");
+        let bytes = stream(&[b"", b"x"]);
+        assert_eq!(bytes, b"\x00\x01x");
+        assert_eq!(read_all(&bytes[..]), (vec![vec![], b"x".to_vec()], END));
     }
 
     #[test]
     fn byte_at_a_time_resumes_cleanly() {
-        let mut stream = Vec::new();
-        let payloads: [&[u8]; 3] = [b"", b"ab", &[7u8; 300]];
-        for p in payloads {
-            stream.extend_from_slice(&encode_frame(p));
-        }
-        let mut dec = FrameDecoder::new();
-        let mut out: Vec<Vec<u8>> = Vec::new();
-        for b in stream {
-            dec.extend(&[b]);
-            while let Some(f) = dec.next_frame().unwrap() {
-                out.push(f.to_vec());
-            }
-        }
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[2], vec![7u8; 300]);
+        let bytes = stream(&[b"", b"ab", &[7u8; 300]]);
+        // A 300-byte payload takes a two-byte header.
+        assert_eq!(bytes[4..6], [0xac, 0x02]);
+        let one_byte_buffer = BufReader::with_capacity(1, &bytes[..]);
+        let (frames, end) = read_all(one_byte_buffer);
+        assert_eq!(frames, vec![vec![], b"ab".to_vec(), vec![7u8; 300]]);
+        assert_eq!(end, END);
     }
 
     #[test]
     fn oversized_length_rejected() {
         let mut buf = BytesMut::new();
         put_varint(&mut buf, MAX_FRAME_LEN + 1);
-        let mut dec = FrameDecoder::new();
-        dec.extend(&buf);
-        assert!(matches!(
-            dec.next_frame(),
-            Err(WireError::LengthOverflow(_))
-        ));
+        assert_eq!(
+            read_frame(&mut &buf[..], "t", 0),
+            Err(RunError::Frame {
+                context: "t",
+                error: WireError::LengthOverflow(MAX_FRAME_LEN + 1)
+            })
+        );
     }
 
     #[test]
     fn overlong_varint_header_rejected() {
-        let mut dec = FrameDecoder::new();
-        dec.extend(&[0x80; 10]);
-        assert!(matches!(dec.next_frame(), Err(WireError::VarintOverflow)));
+        // Ten continuation bytes fail at once: the stream ends there, so
+        // waiting for an eleventh would read as a disconnect instead.
+        let bytes = [0x80; 10];
+        assert_eq!(
+            read_frame(&mut &bytes[..], "t", 0),
+            Err(RunError::Frame {
+                context: "t",
+                error: WireError::VarintOverflow
+            })
+        );
     }
 
     #[test]
-    fn incomplete_header_and_payload_want_more() {
-        let mut dec = FrameDecoder::new();
-        dec.extend(&[0x80]); // continuation bit, varint unfinished
-        assert_eq!(dec.next_frame().unwrap(), None);
-        let mut dec = FrameDecoder::new();
-        dec.extend(&encode_frame(&[1, 2, 3])[..2]); // header + 1 of 3 bytes
-        assert_eq!(dec.next_frame().unwrap(), None);
-        assert_eq!(dec.pending(), 2);
+    fn incomplete_header_and_payload_read_as_a_disconnect() {
+        // Cut inside a header (a continuation bit, the varint
+        // unfinished), inside a payload (one of its three bytes) and
+        // between frames: each cut stream yields its complete frames,
+        // then `Disconnected`, never a wrong payload.
+        let bytes = stream(&[b"ok", &[1, 2, 3]]);
+        let ok = || vec![b"ok".to_vec()];
+        for (cut, frames) in [
+            (&[0x80][..], vec![]),
+            (&bytes[..5], ok()),
+            (&bytes[..3], ok()),
+        ] {
+            assert_eq!(read_all(cut), (frames, END));
+        }
     }
 
     #[test]
@@ -235,27 +246,26 @@ mod tests {
                 Ok(1)
             }
         }
-        let mut stream = encode_frame(b"first").to_vec();
-        stream.extend_from_slice(&encode_frame(b"second"));
-        let mut r = Dribble(stream, 0);
-        let mut dec = FrameDecoder::new();
-        assert_eq!(&read_frame(&mut r, &mut dec, "t", 0).unwrap()[..], b"first");
-        assert_eq!(
-            &read_frame(&mut r, &mut dec, "t", 0).unwrap()[..],
-            b"second"
-        );
-        assert!(matches!(
-            read_frame(&mut r, &mut dec, "t", 4),
-            Err(RunError::Disconnected { worker: 4, .. })
-        ));
+        let dribble = Dribble(stream(&[b"first", b"second"]), 0);
+        let (frames, end) = read_all(BufReader::new(dribble));
+        assert_eq!(frames, vec![b"first".to_vec(), b"second".to_vec()]);
+        assert_eq!(end, END);
     }
 
     #[test]
     fn write_frame_then_decode() {
-        let mut sink: Vec<u8> = Vec::new();
-        write_frame(&mut sink, b"payload").unwrap();
-        let mut dec = FrameDecoder::new();
-        dec.extend(&sink);
-        assert_eq!(&dec.next_frame().unwrap().unwrap()[..], b"payload");
+        // One reused buffer frames payloads whose headers take one byte
+        // and three.
+        let long = vec![9u8; 1 << 14];
+        let mut buf = BytesMut::new();
+        let mut sink = Vec::new();
+        for p in [&b"payload"[..], &long, b""] {
+            write_frame(&mut sink, &mut buf, |b| b.put_slice(p)).unwrap();
+        }
+        assert_eq!(sink[..8], *b"\x07payload");
+        assert_eq!(sink[8..11], [0x80, 0x80, 0x01]);
+        let (frames, end) = read_all(&sink[..]);
+        assert_eq!(frames, vec![b"payload".to_vec(), long, vec![]]);
+        assert_eq!(end, END);
     }
 }

@@ -755,21 +755,14 @@ impl<P: ViewProtocol> LocalTransport<P> {
     ///
     /// The round's balls form one list — cluster-major, label-ordered
     /// within a cluster — with each ball's RNG stream alongside.
-    /// Contiguous chunks of the list compose on scoped threads (a single
-    /// chunk, inline, with one shard), one batched sweep per cluster run
-    /// inside a chunk. Per-process RNG streams make the chunking and the
-    /// cross-ball order unobservable. With one cluster the list already
-    /// is label order; with several, a second walk over the label-sorted
-    /// slots takes each ball's entry from the front of its cluster's
-    /// run.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Protocol`] if a compose shard panicked.
-    pub(crate) fn compose_held(
-        &mut self,
-        round: Round,
-    ) -> Result<Vec<(ProcId, Label, P::Msg)>, RunError> {
+    /// Contiguous chunks of the list compose sharded like apply's groups
+    /// (one chunk, inline, with one shard), one batched sweep per cluster
+    /// run inside a chunk. Per-process RNG streams make the chunking and
+    /// the cross-ball order unobservable. With one cluster the list
+    /// already is label order; with several, a second walk over the
+    /// label-sorted slots takes each ball's entry from the front of its
+    /// cluster's run.
+    pub(crate) fn compose_held(&mut self, round: Round) -> Vec<(ProcId, Label, P::Msg)> {
         if self.by_label.is_empty() {
             let base = self.base;
             self.by_label = (base..)
@@ -851,42 +844,29 @@ impl<P: ViewProtocol> LocalTransport<P> {
                 start = end;
             }
         };
-        let mut composed = Vec::with_capacity(total);
-        if *threads < 2 || total < 2 {
-            compose_chunk(0, balls, &mut rng_list, &mut composed);
-        } else {
-            let chunk = total.div_ceil(*threads);
-            let compose_chunk = &compose_chunk;
-            let parts: Vec<_> = thread::scope(|s| {
-                let handles: Vec<_> = balls
-                    .chunks(chunk)
-                    .zip(rng_list.chunks_mut(chunk))
-                    .enumerate()
-                    .map(|(i, (balls, rngs))| {
-                        s.spawn(move || {
-                            let mut out = Vec::with_capacity(balls.len());
-                            compose_chunk(i * chunk, balls, rngs, &mut out);
-                            out
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-            // Chunk order is list order, whatever the thread scheduling.
-            for part in parts {
-                composed.extend(part.map_err(|_| RunError::Protocol {
-                    context: "composing a round in parallel",
-                    detail: "a compose shard panicked".to_string(),
-                })?);
-            }
-        }
+        let chunk = total.div_ceil(*threads).max(1);
+        let mut parts: Vec<_> = balls
+            .chunks(chunk)
+            .zip(rng_list.chunks_mut(chunk))
+            .enumerate()
+            .map(|(i, (balls, rngs))| (i * chunk, balls, rngs, Vec::with_capacity(balls.len())))
+            .collect();
+        for_each_sharded(&mut parts, *threads, |(lo, balls, rngs, out)| {
+            compose_chunk(*lo, balls, rngs, out);
+        });
+        // Chunk order is list order, whatever the thread scheduling; the
+        // first chunk's output is kept, so one chunk is never copied.
+        let mut parts = parts.into_iter().map(|(.., out)| out);
+        let mut composed = parts.next().unwrap_or_default();
+        composed.reserve(total - composed.len());
+        parts.for_each(|part| composed.extend(part));
 
         if ends.len() < 2 {
-            return Ok(ball_slots
+            return ball_slots
                 .iter()
                 .zip(composed)
                 .map(|(&pid, (label, msg))| (pid, label, msg))
-                .collect());
+                .collect();
         }
         // Several runs, each label-ascending: split the list into one
         // iterator per run, then walk the label-sorted slots again and
@@ -897,14 +877,14 @@ impl<P: ViewProtocol> LocalTransport<P> {
         }
         runs.push(composed.into_iter());
         runs.reverse();
-        Ok(by_label
+        by_label
             .iter()
             .filter_map(|&(_, pid)| {
                 let run = runs.get_mut(cluster_of[pid.index() - base] as usize)?;
                 let (label, msg) = run.next()?;
                 Some((pid, label, msg))
             })
-            .collect())
+            .collect()
     }
 
     /// Folds one round into the views. Each cluster's members split by
@@ -1010,7 +990,7 @@ impl<P: ViewProtocol> Transport<P> for LocalTransport<P> {
         round: Round,
         _participants: &[ProcId],
     ) -> Result<Vec<(ProcId, Label, P::Msg)>, RunError> {
-        self.compose_held(round)
+        Ok(self.compose_held(round))
     }
 
     fn apply(

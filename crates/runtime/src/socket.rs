@@ -8,17 +8,19 @@
 //! messages in their [`Wire`] encoding — the shape a multi-host
 //! deployment would have. This module is only the carrier: the accept
 //! loop, the `Hello` handshake that pins [`WIRE_FORMAT_VERSION`], the I/O
-//! timeout, and one frame codec for commands and responses. A `Deliver`
-//! inbox is encoded from the shared [`crate::view::InboxBuf`], so it
-//! crosses the wire once per (worker × delivery signature); a `Composed`
-//! answer is already one encoded body, which the carrier ships as it is
-//! and the coordinator validates, as it does on the channel carrier.
+//! timeout, one link type for both ends of a connection, and one frame
+//! codec for commands and responses. A `Deliver` inbox is encoded from
+//! the shared [`crate::view::InboxBuf`], so it crosses the wire once per
+//! (worker × delivery signature); a `Composed` answer is already one
+//! encoded body, which the carrier ships as it is and the coordinator
+//! validates, as it does on the channel carrier.
 //!
 //! All I/O carries a timeout ([`SocketOptions::io_timeout`]): a hung peer
 //! surfaces as [`RunError::Io`], never a stalled run; a malformed frame
 //! as [`RunError::Frame`], a malformed message as [`RunError::Decode`], a
 //! worker that dies mid-run as [`RunError::Disconnected`].
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -27,7 +29,7 @@ use std::time::{Duration, Instant};
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::RunError;
-use crate::frame::{read_frame, write_frame, FrameDecoder};
+use crate::frame::{read_frame, write_frame};
 use crate::ids::{Label, Name, Round};
 use crate::rng::SeedTree;
 use crate::view::{InboxBuf, Status, ViewProtocol};
@@ -108,18 +110,6 @@ fn get_len(buf: &mut Bytes) -> Result<usize, WireError> {
         .ok_or(WireError::LengthOverflow(len))
 }
 
-fn put_slots(buf: &mut BytesMut, slots: &[u64]) {
-    put_varint(buf, slots.len() as u64);
-    for &slot in slots {
-        put_varint(buf, slot);
-    }
-}
-
-fn get_slots(buf: &mut Bytes) -> Result<Vec<u64>, WireError> {
-    let len = get_len(buf)?;
-    (0..len).map(|_| get_varint(buf)).collect()
-}
-
 fn get_end(buf: &Bytes) -> Result<(), WireError> {
     if buf.is_empty() {
         Ok(())
@@ -139,7 +129,7 @@ fn put_cmd<M: Wire>(buf: &mut BytesMut, cmd: &Cmd<M>) {
             put_varint(buf, round.0);
             put_varint(buf, groups.len() as u64);
             for (dsts, inbox) in groups {
-                put_slots(buf, dsts);
+                dsts.encode(buf);
                 put_varint(buf, inbox.len() as u64);
                 for (label, msg) in inbox.as_inbox().iter() {
                     put_varint(buf, label.0);
@@ -162,7 +152,7 @@ fn get_cmd<M: Wire>(mut buf: Bytes) -> Result<Cmd<M>, Fault> {
             let count = get_len(&mut buf)?;
             let mut groups = Vec::with_capacity(count);
             for _ in 0..count {
-                let dsts = get_slots(&mut buf)?;
+                let dsts = Vec::<u64>::decode(&mut buf)?;
                 let len = get_len(&mut buf)?;
                 let (mut labels, mut msgs) = (Vec::with_capacity(len), Vec::with_capacity(len));
                 for _ in 0..len {
@@ -319,17 +309,52 @@ fn configure(stream: &TcpStream, io_timeout: Option<Duration>) -> std::io::Resul
     stream.set_write_timeout(io_timeout)
 }
 
-fn write_msg(stream: &mut TcpStream, encode: impl FnOnce(&mut BytesMut)) -> std::io::Result<()> {
-    let mut frame = BytesMut::new();
-    encode(&mut frame);
-    write_frame(stream, &frame)
+/// One end of a TCP link, coordinator's or worker's: the stream, read
+/// through one `BufReader` kept for the link's life (bytes it buffers
+/// past a frame belong to the next), and the buffer every outgoing frame
+/// is built in.
+#[derive(Debug)]
+struct Link {
+    stream: BufReader<TcpStream>,
+    out: BytesMut,
+}
+
+impl Link {
+    fn new(stream: TcpStream) -> Self {
+        Link {
+            stream: BufReader::new(stream),
+            out: BytesMut::new(),
+        }
+    }
+
+    /// Sends one frame whose payload `encode` appends.
+    fn write(&mut self, encode: impl FnOnce(&mut BytesMut)) -> std::io::Result<()> {
+        write_frame(&mut self.stream.get_ref(), &mut self.out, encode)
+    }
+
+    /// Connects worker `index` back to the coordinator at `addr` and
+    /// sends its `Hello`; `None` if the coordinator is unreachable.
+    fn connect(addr: SocketAddr, index: usize, io_timeout: Option<Duration>) -> Option<Self> {
+        let stream = TcpStream::connect(addr).ok()?;
+        // A worker without its timeouts still serves; the coordinator's
+        // own timeouts bound the run.
+        configure(&stream, io_timeout).ok();
+        let mut link = Link::new(stream);
+        link.write(|buf| {
+            put_varint(buf, tag::HELLO);
+            put_varint(buf, index as u64);
+            put_varint(buf, WIRE_FORMAT_VERSION);
+        })
+        .ok()?;
+        Some(link)
+    }
 }
 
 /// The coordinator end of the TCP carrier: one accepted stream per
 /// worker, in worker-index order.
 #[derive(Debug)]
 pub struct TcpCarrier {
-    links: Vec<(TcpStream, FrameDecoder)>,
+    links: Vec<Link>,
 }
 
 impl TcpCarrier {
@@ -346,8 +371,7 @@ impl TcpCarrier {
             .map_err(|e| RunError::io("configuring the listener", &e))?;
         // bil-lint: allow(determinism): accept-loop IO deadline only — wall time never feeds protocol state
         let deadline = io_timeout.map(|t| Instant::now() + t);
-        let mut links: Vec<Option<(TcpStream, FrameDecoder)>> =
-            (0..workers).map(|_| None).collect();
+        let mut links: Vec<Option<Link>> = (0..workers).map(|_| None).collect();
         for accepted in 0..workers {
             let stream = loop {
                 match listener.accept() {
@@ -381,18 +405,18 @@ impl TcpCarrier {
     /// Configures an accepted stream and reads its `Hello`, returning the
     /// worker index it claims.
     fn handshake(
-        mut stream: TcpStream,
+        stream: TcpStream,
         workers: usize,
         accepted: usize,
         io_timeout: Option<Duration>,
-    ) -> Result<(usize, (TcpStream, FrameDecoder)), RunError> {
+    ) -> Result<(usize, Link), RunError> {
         let context = "reading a handshake";
         stream
             .set_nonblocking(false)
             .and_then(|()| configure(&stream, io_timeout))
             .map_err(|e| RunError::io("configuring a worker stream", &e))?;
-        let mut decoder = FrameDecoder::new();
-        let hello = read_frame(&mut stream, &mut decoder, context, accepted)?;
+        let mut link = Link::new(stream);
+        let hello = read_frame(&mut link.stream, context, accepted)?;
         let (index, version) =
             get_hello(hello).map_err(|error| RunError::Frame { context, error })?;
         let bad = |detail: String| RunError::Protocol { context, detail };
@@ -409,21 +433,22 @@ impl TcpCarrier {
                  coordinator requires v{WIRE_FORMAT_VERSION}"
             )));
         }
-        Ok((index, (stream, decoder)))
+        Ok((index, link))
     }
 }
 
 impl<M: Wire> Carrier<M> for TcpCarrier {
     fn send(&mut self, worker: usize, cmd: Cmd<M>, context: &'static str) -> Result<(), RunError> {
-        write_msg(&mut self.links[worker].0, |buf| put_cmd(buf, &cmd)).map_err(|e| RunError::Io {
-            context,
-            detail: format!("worker {worker}: {e}"),
-        })
+        self.links[worker]
+            .write(|buf| put_cmd(buf, &cmd))
+            .map_err(|e| RunError::Io {
+                context,
+                detail: format!("worker {worker}: {e}"),
+            })
     }
 
     fn recv(&mut self, worker: usize, context: &'static str) -> Result<Rsp, RunError> {
-        let (stream, decoder) = &mut self.links[worker];
-        let frame = read_frame(stream, decoder, context, worker)?;
+        let frame = read_frame(&mut self.links[worker].stream, context, worker)?;
         get_rsp(frame).map_err(|error| RunError::Frame { context, error })
     }
 
@@ -434,43 +459,16 @@ impl<M: Wire> Carrier<M> for TcpCarrier {
     }
 }
 
-/// The worker end of one TCP link.
-struct TcpPort {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-}
-
-impl TcpPort {
-    /// Connects worker `index` back to the coordinator at `addr` and
-    /// sends its `Hello`; `None` if the coordinator is unreachable.
-    fn connect(addr: SocketAddr, index: usize, io_timeout: Option<Duration>) -> Option<Self> {
-        let mut stream = TcpStream::connect(addr).ok()?;
-        // A worker without its timeouts still serves; the coordinator's
-        // own timeouts bound the run.
-        configure(&stream, io_timeout).ok();
-        write_msg(&mut stream, |buf| {
-            put_varint(buf, tag::HELLO);
-            put_varint(buf, index as u64);
-            put_varint(buf, WIRE_FORMAT_VERSION);
-        })
-        .ok()?;
-        Some(TcpPort {
-            stream,
-            decoder: FrameDecoder::new(),
-        })
-    }
-}
-
-impl<M: Wire> WorkerPort<M> for TcpPort {
+impl<M: Wire> WorkerPort<M> for Link {
     fn recv(&mut self) -> Option<Result<Cmd<M>, Fault>> {
         // Any read failure means the coordinator is gone; the error,
         // which would name this worker, has no one to go to.
-        let frame = read_frame(&mut self.stream, &mut self.decoder, "reading a command", 0).ok()?;
+        let frame = read_frame(&mut self.stream, "reading a command", 0).ok()?;
         Some(get_cmd(frame))
     }
 
     fn send(&mut self, rsp: Rsp) -> bool {
-        write_msg(&mut self.stream, |buf| put_rsp(buf, &rsp)).is_ok()
+        self.write(|buf| put_rsp(buf, &rsp)).is_ok()
     }
 }
 
@@ -504,7 +502,7 @@ where
         let io_timeout = options.io_timeout;
         let count = options.worker_count(labels.len());
         let workers = spawn_workers(protocol, labels, seeds, count, |index| {
-            move || TcpPort::connect(addr, index, io_timeout)
+            move || Link::connect(addr, index, io_timeout)
         });
         let carrier = TcpCarrier::accept(&listener, count, io_timeout)?;
         Ok(WorkerTransport::new(labels, carrier, workers))
@@ -600,10 +598,10 @@ mod tests {
             let timeout = SocketOptions::default().io_timeout;
             let (_, mut handles) =
                 spawn_workers(&RankOnce, &[Label(1)], &SeedTree::new(1), 1, |index| {
-                    move || TcpPort::connect(addr, index, timeout)
+                    move || Link::connect(addr, index, timeout)
                 });
             let mut carrier = TcpCarrier::accept(&listener, 1, timeout).unwrap();
-            write_frame(&mut carrier.links[0].0, &frame).unwrap();
+            carrier.links[0].write(|buf| buf.put_slice(&frame)).unwrap();
             let rsp = Carrier::<LabelSet>::recv(&mut carrier, 0, "collecting round statuses");
             assert_eq!(rsp, Ok(Rsp::Fault(refused)));
             let worker = handles.remove(0);

@@ -4,8 +4,10 @@
 //! motivates the parallel-contact model by bandwidth limits, so the
 //! reproduction accounts bits on the wire (experiment E11). Every protocol
 //! message implements [`Wire`]; the engines sum [`Wire::encoded_len`] over
-//! delivered messages and the threaded executor actually ships the encoded
-//! bytes through its channels.
+//! delivered messages. On both wire executors a worker answers its
+//! broadcasts encoded, in one buffer; the socket executor also encodes
+//! each `Deliver` inbox into its frames, while the threaded executor
+//! hands inboxes to its workers by `Arc`, never encoded.
 //!
 //! Integers use LEB128 varints so that a path message costs
 //! `O(depth · log n)` bits, matching the analytical message size.
@@ -110,7 +112,7 @@ pub fn get_varint(buf: &mut Bytes) -> Result<u64, WireError> {
 /// assert_eq!(varint_len(128), 2);
 /// assert_eq!(varint_len(u64::MAX), 10);
 /// ```
-pub fn varint_len(v: u64) -> usize {
+pub const fn varint_len(v: u64) -> usize {
     if v == 0 {
         return 1;
     }

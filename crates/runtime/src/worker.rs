@@ -145,16 +145,9 @@ fn serve<P: ViewProtocol>(
     let mut sig_of = vec![SigId::MAX; range.len()];
     while let Some(cmd) = port.recv() {
         let rsp = match cmd {
-            Ok(Cmd::Compose(round)) => {
-                // One shard composes inline, which cannot fail; hang up,
-                // as a panicking worker would, if it ever did. The store
-                // answers in its label order, which the coordinator
-                // interleaves across workers.
-                let Ok(broadcasts) = local.compose_held(round) else {
-                    return;
-                };
-                Ok(Rsp::Composed(put_composed(&broadcasts)))
-            }
+            // The store answers in its label order, which the
+            // coordinator interleaves across workers.
+            Ok(Cmd::Compose(round)) => Ok(Rsp::Composed(put_composed(&local.compose_held(round)))),
             Ok(Cmd::Deliver(round, groups)) => {
                 deliver(&mut local, &range, &mut sig_of, round, &groups).map(Rsp::Applied)
             }

@@ -4,7 +4,8 @@
 
 use bil_runtime::adversary::{Scripted, ScriptedCrash};
 use bil_runtime::engine::EngineOptions;
-use bil_runtime::frame::{encode_frame, FrameDecoder};
+use bil_runtime::error::RunError;
+use bil_runtime::frame::{read_frame, write_frame};
 use bil_runtime::parallel::ParallelTransport;
 use bil_runtime::pipeline::RoundPipeline;
 use bil_runtime::socket::SocketOptions;
@@ -12,7 +13,9 @@ use bil_runtime::testproto::{LabelSet, RankOnce, UnionRank};
 use bil_runtime::view::NoObserver;
 use bil_runtime::wire::Wire;
 use bil_runtime::{ExecutorKind, Label, Round, SeedTree};
+use bytes::{BufMut, BytesMut};
 use proptest::prelude::*;
+use std::io::{BufRead, BufReader};
 
 fn schedules() -> impl Strategy<Value = Vec<ScriptedCrash>> {
     prop::collection::vec(
@@ -24,6 +27,27 @@ fn schedules() -> impl Strategy<Value = Vec<ScriptedCrash>> {
         }),
         0..6,
     )
+}
+
+/// `payloads`, framed back to back through one reused buffer.
+fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let (mut stream, mut buf) = (Vec::new(), BytesMut::new());
+    for p in payloads {
+        write_frame(&mut stream, &mut buf, |b| b.put_slice(p)).unwrap();
+    }
+    stream
+}
+
+/// Reads frames from `r` until one fails: the payloads read, and the
+/// failure that ended them.
+fn read_frames(mut r: impl BufRead) -> (Vec<Vec<u8>>, RunError) {
+    let mut out = Vec::new();
+    loop {
+        match read_frame(&mut r, "reading", 0) {
+            Ok(frame) => out.push(frame.to_vec()),
+            Err(end) => return (out, end),
+        }
+    }
 }
 
 fn labels(n: usize) -> Vec<Label> {
@@ -163,72 +187,48 @@ proptest! {
         payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 0..8),
         chunk in 1usize..17,
     ) {
-        let mut stream: Vec<u8> = Vec::new();
-        for p in &payloads {
-            stream.extend_from_slice(&encode_frame(p));
-        }
-        let mut decoder = FrameDecoder::new();
-        let mut out: Vec<Vec<u8>> = Vec::new();
-        for piece in stream.chunks(chunk) {
-            decoder.extend(piece);
-            while let Some(frame) = decoder.next_frame().expect("well-formed stream") {
-                out.push(frame.to_vec());
-            }
-        }
+        let stream = framed(&payloads);
+        let (out, end) = read_frames(BufReader::with_capacity(chunk, &stream[..]));
         prop_assert_eq!(out, payloads);
-        prop_assert_eq!(decoder.pending(), 0);
-        prop_assert!(decoder.next_frame().expect("drained stream").is_none());
+        prop_assert!(matches!(end, RunError::Disconnected { .. }), "{:?}", end);
     }
 
-    /// Feeding the frame decoder arbitrary (corrupted or truncated)
-    /// bytes never panics: every frame either parses or the decoder
-    /// reports a structured `WireError` / asks for more input.
+    /// Reading arbitrary (corrupted or truncated) bytes as frames never
+    /// panics: every frame either parses or the reader reports a
+    /// structured `Frame` error or the stream's end.
     #[test]
     fn frame_decoder_never_panics_on_garbage(
         bytes in prop::collection::vec(any::<u8>(), 0..96),
         chunk in 1usize..9,
     ) {
-        let mut decoder = FrameDecoder::new();
-        'outer: for piece in bytes.chunks(chunk) {
-            decoder.extend(piece);
-            loop {
-                match decoder.next_frame() {
-                    Ok(Some(_)) => continue,
-                    Ok(None) => break,
-                    Err(_) => break 'outer, // poisoned stream: structured, not a panic
-                }
-            }
-        }
+        let (_, end) = read_frames(BufReader::with_capacity(chunk, &bytes[..]));
+        prop_assert!(
+            matches!(end, RunError::Frame { .. } | RunError::Disconnected { .. }),
+            "{:?}",
+            end
+        );
     }
 
-    /// A legitimate frame stream truncated at any point decodes every
-    /// complete frame and then reports "need more bytes" — never an
-    /// error, never garbage.
+    /// A legitimate frame stream cut at any point reads every complete
+    /// frame, then `Disconnected` — never a `Frame` error, never a wrong
+    /// payload.
     #[test]
     fn truncated_frame_streams_decode_their_complete_prefix(
         payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..32), 1..6),
         cut_hint in 0usize..4096,
+        chunk in 1usize..17,
     ) {
-        let mut stream: Vec<u8> = Vec::new();
-        for p in &payloads {
-            stream.extend_from_slice(&encode_frame(p));
-        }
+        let stream = framed(&payloads);
         let cut = cut_hint % (stream.len() + 1);
-        let mut decoder = FrameDecoder::new();
-        decoder.extend(&stream[..cut]);
-        let mut decoded = 0usize;
-        while let Some(frame) = decoder.next_frame().expect("prefix of a valid stream") {
-            prop_assert_eq!(&frame[..], &payloads[decoded][..]);
-            decoded += 1;
+        let (out, end) = read_frames(BufReader::with_capacity(chunk, &stream[..cut]));
+        prop_assert!(matches!(end, RunError::Disconnected { .. }), "{:?}", end);
+        // Exactly the frames that end at or before the cut.
+        let complete = framed(&payloads[..out.len()]).len();
+        prop_assert!(complete <= cut);
+        if out.len() < payloads.len() {
+            prop_assert!(framed(&payloads[..=out.len()]).len() > cut);
         }
-        prop_assert!(decoded <= payloads.len());
-        // Feeding the rest completes the remaining frames exactly.
-        decoder.extend(&stream[cut..]);
-        while let Some(frame) = decoder.next_frame().expect("completed stream") {
-            prop_assert_eq!(&frame[..], &payloads[decoded][..]);
-            decoded += 1;
-        }
-        prop_assert_eq!(decoded, payloads.len());
+        prop_assert_eq!(&out[..], &payloads[..out.len()]);
     }
 
     /// RankOnce under no failures: one round, names are exactly the label

@@ -11,11 +11,11 @@
 //! generation in the constant's history list.
 
 use bil_core::BilMsg;
-use bil_runtime::frame::encode_frame;
+use bil_runtime::frame::write_frame;
 use bil_runtime::wire::{Wire, WIRE_FORMAT_VERSION};
 use bil_runtime::Label;
 use bil_tree::PackedPath;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 /// The format generation these fixtures were captured against.
 #[test]
@@ -88,11 +88,9 @@ fn framed_encodings_are_byte_exact() {
         // is the single length byte.
         let mut framed = vec![expected.len() as u8];
         framed.extend_from_slice(&expected);
-        assert_eq!(
-            &encode_frame(&msg.to_bytes())[..],
-            &framed[..],
-            "{name}: framed bytes drifted"
-        );
+        let mut written = Vec::new();
+        write_frame(&mut written, &mut BytesMut::new(), |buf| msg.encode(buf)).expect(name);
+        assert_eq!(&written[..], &framed[..], "{name}: framed bytes drifted");
     }
 }
 
