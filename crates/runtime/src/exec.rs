@@ -202,7 +202,7 @@ mod tests {
     use crate::ids::{Name, ProcId, Round};
     use crate::pipeline::{RoundMessages, Transport};
     use crate::socket::SocketOptions;
-    use crate::testproto::{labels, two_crashes, RankOnce, UnionRank};
+    use crate::testproto::{labels, two_crashes, RankOnce, StaggeredRank, UnionRank};
     use crate::trace::Outcome;
     use crate::view::{Cluster, FnObserver, ObserverCtx, Status};
 
@@ -466,11 +466,30 @@ mod tests {
 
     #[test]
     fn every_kind_composes_exactly_the_participants_in_label_order() {
+        check_contract(UnionRank::rounds(6));
+        // Processes that retire in different rounds leave the stores
+        // while the rest keep composing.
+        let reference = check_contract(StaggeredRank(UnionRank::rounds(5)));
+        let mut retired_in: Vec<Round> = reference
+            .decisions
+            .iter()
+            .flatten()
+            .map(|d| d.round)
+            .collect();
+        retired_in.sort_unstable();
+        retired_in.dedup();
+        assert_eq!(retired_in, (0..5).map(Round).collect::<Vec<_>>());
+    }
+
+    /// Runs [`contract_run`] with `p` on every kind under a
+    /// [`ContractCheck`], asserts each report equals the clustered
+    /// engine's and that the in-memory stores' views split, and returns
+    /// the clustered report.
+    fn check_contract<P: ViewProtocol + Copy + Send + 'static>(p: P) -> RunReport {
         // The parallel store over 3 shards, each wire kind over 3
         // workers, so runs of several clusters cross shard and worker
         // boundaries.
         let (labels, seeds, schedule) = contract_run();
-        let p = UnionRank::rounds(6);
         let reference = ExecutorKind::Clustered
             .run(p, labels.clone(), schedule, seeds, EngineOptions::default())
             .unwrap();
@@ -507,6 +526,7 @@ mod tests {
                 "{kind}: views never split"
             );
         }
+        reference
     }
 
     #[test]

@@ -60,15 +60,10 @@
 //!
 //! ## Folding split views
 //!
-//! [`LocalTransport`] folds a round into its clusters in four steps:
-//! **prune → coalesce → fold → merge**. A cluster's survivors split by
-//! delivery signature into groups. With merge on and more than one
-//! group, every group prunes its view against its own inbox
-//! ([`ViewProtocol::remove_silent`]); groups with the same signature and
-//! equal pruned views coalesce; each distinct (signature, view) pair
-//! folds once; and equal views merge after the fold. Both coalescing
-//! steps are one routine that buckets views by a 64-bit digest of their
-//! `Hash` and compares them with `Eq` only inside a bucket. Per-process
+//! [`LocalTransport`] folds a split round into its clusters in four steps,
+//! **prune → coalesce → fold → merge**, with one coalescing routine that
+//! buckets views by a 64-bit digest of their `Hash`; a round in which
+//! every member hears one inbox folds each cluster whole. Per-process
 //! mode neither prunes nor coalesces.
 
 use std::collections::BTreeMap;
@@ -141,11 +136,11 @@ pub type SigId = u32;
 /// Recipients are keyed by their *delivery signature* — which of the
 /// round's dying broadcasts they hear. All recipients with the same
 /// signature share one physical inbox; with no crashes that is the `base`
-/// buffer itself, handed out by `Arc` clone. [`RoundMessages::prepare`]
-/// interns each destination's signature once, so per-delivery lookups
-/// ([`RoundMessages::inbox`], [`RoundMessages::sig_id`]) are
-/// allocation-free — crash-free rounds never rebuild a signature vector
-/// per recipient.
+/// buffer itself, handed out by `Arc` clone, and every recipient reads
+/// signature 0 without anything stored per recipient. With crashes,
+/// [`RoundMessages::prepare`] interns each destination's signature once,
+/// so per-delivery lookups ([`RoundMessages::inbox`],
+/// [`RoundMessages::sig_id`]) are allocation-free.
 pub struct RoundMessages<M> {
     /// Broadcasts of senders that survived the round, sorted by label.
     base: Inbox<M>,
@@ -155,8 +150,12 @@ pub struct RoundMessages<M> {
     /// The shared inbox of each distinct delivery signature, indexed by
     /// [`SigId`]; built by [`RoundMessages::prepare`].
     variants: Vec<Inbox<M>>,
-    /// Slot → interned signature id, filled by [`RoundMessages::prepare`].
+    /// Slot → interned signature id, filled by [`RoundMessages::prepare`]
+    /// in a round with partial deliveries; empty in a round without.
     sig_of: Vec<Option<SigId>>,
+    /// Point-to-point deliveries counted by [`RoundMessages::prepare`]:
+    /// per signature, its recipients × (inbox length − 1).
+    delivered: u64,
 }
 
 /// A shared, label-sorted inbox buffer (structure-of-arrays).
@@ -209,16 +208,17 @@ impl<M: Clone> RoundMessages<M> {
         );
         RoundMessages {
             base: Arc::new(InboxBuf::from_sorted(labels, msgs)),
+            sig_of: vec![None; if partial.is_empty() { 0 } else { alive.len() }],
             partial,
             variants: Vec::new(),
-            sig_of: vec![None; alive.len()],
+            delivered: 0,
         }
     }
 
-    /// Interns the signature of every `dst` and builds one shared inbox
-    /// per distinct signature. In crash-free rounds this is a single
-    /// variant — the base buffer itself — assigned to every destination
-    /// without computing any signatures.
+    /// Builds one shared inbox per distinct signature among `dsts` and
+    /// counts their deliveries. A crash-free round has one signature,
+    /// whose inbox is the base buffer itself, and writes nothing per
+    /// destination.
     ///
     /// With crashes, one walk over each dying broadcast's recipient set
     /// marks its bit in the heard-set of every slot it reaches (`All`,
@@ -226,47 +226,41 @@ impl<M: Clone> RoundMessages<M> {
     /// [`Recipients::contains`] reads them); the survivors' heard-sets
     /// are then interned in `dsts` order.
     pub fn prepare(&mut self, dsts: &[ProcId]) {
+        let mut recipients = vec![dsts.len() as u64];
         if self.partial.is_empty() {
             self.variants = vec![Arc::clone(&self.base)];
+        } else {
+            recipients.clear();
+            let words = self.partial.len().div_ceil(64);
+            let mut heard = vec![0u64; self.sig_of.len() * words];
+            for (i, (_, _, to)) in self.partial.iter().enumerate() {
+                let reached: &[ProcId] = match to {
+                    Recipients::None => &[],
+                    Recipients::All => dsts,
+                    Recipients::Set(set) => set,
+                };
+                for dst in reached {
+                    if let Some(w) = heard.get_mut(dst.index() * words + i / 64) {
+                        *w |= 1 << (i % 64);
+                    }
+                }
+            }
+            let mut interned: BTreeMap<&[u64], SigId> = BTreeMap::new();
             for &dst in dsts {
-                self.sig_of[dst.index()] = Some(0);
-            }
-            return;
-        }
-        let words = self.partial.len().div_ceil(64);
-        let mut heard = vec![0u64; self.sig_of.len() * words];
-        for (i, (_, _, recipients)) in self.partial.iter().enumerate() {
-            let (word, bit) = (i / 64, 1u64 << (i % 64));
-            match recipients {
-                Recipients::None => {}
-                Recipients::All => {
-                    for &dst in dsts {
-                        heard[dst.index() * words + word] |= bit;
-                    }
-                }
-                Recipients::Set(set) => {
-                    for dst in set {
-                        if let Some(w) = heard.get_mut(dst.index() * words + word) {
-                            *w |= bit;
-                        }
-                    }
-                }
-            }
-        }
-        let mut interned: BTreeMap<&[u64], SigId> = BTreeMap::new();
-        for &dst in dsts {
-            let sig = &heard[dst.index() * words..][..words];
-            let id = match interned.get(sig) {
-                Some(&id) => id,
-                None => {
-                    let id = self.variants.len() as SigId;
+                let sig = &heard[dst.index() * words..][..words];
+                let id = *interned.entry(sig).or_insert(self.variants.len() as SigId);
+                if id as usize == self.variants.len() {
                     self.variants.push(self.build(sig));
-                    interned.insert(sig, id);
-                    id
+                    recipients.push(0);
                 }
-            };
-            self.sig_of[dst.index()] = Some(id);
+                recipients[id as usize] += 1;
+                self.sig_of[dst.index()] = Some(id);
+            }
         }
+        let inboxes = self.variants.iter().zip(recipients);
+        self.delivered = inboxes
+            .map(|(v, r)| r * v.len().saturating_sub(1) as u64)
+            .sum();
     }
 
     /// The inbox of heard-set `sig`: the base buffer merged with the
@@ -307,12 +301,17 @@ impl<M: Clone> RoundMessages<M> {
         self.variants.len()
     }
 
-    /// `dst`'s interned signature id. Allocation-free.
+    /// `dst`'s interned signature id: 0 in a round without crashes, where
+    /// every destination hears the base inbox. Allocation-free.
     ///
     /// # Panics
     ///
-    /// Panics if `dst` was not covered by [`RoundMessages::prepare`].
+    /// Panics if the round has crashes and `dst` was not covered by
+    /// [`RoundMessages::prepare`].
     pub fn sig_id(&self, dst: ProcId) -> SigId {
+        if self.partial.is_empty() {
+            return 0;
+        }
         // bil-lint: allow(no-panic): documented panic — `prepare` always precedes delivery; wire input cannot reach it
         self.sig_of[dst.index()].expect("destination prepared before delivery")
     }
@@ -503,9 +502,13 @@ impl<A> RoundPipeline<A> {
         let mut alive = vec![true; n];
         let mut decided: Vec<Option<Decision>> = vec![None; n];
         let mut decided_flags = vec![false; n];
+        // The alive, undecided processes in slot order, kept across rounds
+        // and retained only when a crash or a decision removes someone.
+        let mut participants: Vec<ProcId> = (0..n as u32).map(ProcId).collect();
         let mut crash_events: Vec<CrashEvent> = Vec::new();
         let budget = Adversary::<P::Msg>::budget(&self.adversary).min(n.saturating_sub(1));
         let mut budget_used = 0usize;
+        let fanout = n.saturating_sub(1) as u64;
         let mut messages_sent = 0u64;
         let mut messages_delivered = 0u64;
         let mut wire_bytes_sent = 0u64;
@@ -517,16 +520,12 @@ impl<A> RoundPipeline<A> {
 
             // Everyone alive has decided: done. (Checked at loop top so a
             // fully-decided system does not execute an empty round.)
-            if (0..n).all(|p| !alive[p] || decided_flags[p]) {
+            if participants.is_empty() {
                 outcome = Outcome::Completed;
                 break;
             }
 
             // 1. Compose: every alive, undecided process broadcasts.
-            let participants: Vec<ProcId> = (0..n as u32)
-                .map(ProcId)
-                .filter(|p| alive[p.index()] && !decided_flags[p.index()])
-                .collect();
             let outgoing = transport.compose(round, &participants)?;
             debug_assert!(
                 outgoing.len() == participants.len()
@@ -569,27 +568,24 @@ impl<A> RoundPipeline<A> {
             }
 
             // 3. Accounting: every broadcast is n−1 point-to-point sends.
-            for (_, _, msg) in &outgoing {
-                messages_sent += (n - 1) as u64;
-                wire_bytes_sent += (msg.encoded_len() as u64) * (n - 1) as u64;
-            }
+            // (A byte sum fused into `RoundMessages::new`'s split defeats
+            // its in-place collect; apart, it is one cheap read.)
+            messages_sent += participants.len() as u64 * fanout;
+            let bytes = outgoing.iter().map(|o| o.2.encoded_len() as u64);
+            wire_bytes_sent += fanout * bytes.sum::<u64>();
 
             // 4. Deliver: split into the shared base buffer and partial
-            // deliveries, and build one inbox per delivery signature.
+            // deliveries, and build one inbox per delivery signature for
+            // the survivors.
             let mut msgs = RoundMessages::new(outgoing, &alive, &round_crashes);
-            let survivors: Vec<ProcId> = participants
-                .iter()
-                .copied()
-                .filter(|p| alive[p.index()])
-                .collect();
-            msgs.prepare(&survivors);
-            for &dst in &survivors {
-                // Wire deliveries: the inbox minus the loopback message.
-                messages_delivered += msgs.inbox(dst).len().saturating_sub(1) as u64;
+            if !round_crashes.is_empty() {
+                participants.retain(|p| alive[p.index()]);
             }
+            msgs.prepare(&participants);
+            messages_delivered += msgs.delivered;
 
             // 5. Apply the round on the transport's views.
-            transport.apply(round, &alive, &survivors, &msgs)?;
+            transport.apply(round, &alive, &participants, &msgs)?;
 
             // Observe the round's resulting views *before* the status
             // sweep retires decided members, so the final state of a
@@ -606,18 +602,23 @@ impl<A> RoundPipeline<A> {
 
             // 6. Status sweep: decided processes leave the computation
             // and go silent from the next round.
+            let mut retired = false;
             for (pid, status) in transport.sweep(round)? {
                 if let Status::Decided(name) = status {
                     decided[pid.index()] = Some(Decision { name, round });
                     decided_flags[pid.index()] = true;
+                    retired = true;
                 }
+            }
+            if retired {
+                participants.retain(|p| !decided_flags[p.index()]);
             }
             rounds_executed = round_idx + 1;
         }
 
         // The loop may also exit by exhausting `round_limit` iterations
         // with everyone already decided; classify correctly.
-        if outcome == Outcome::RoundLimit && (0..n).all(|p| !alive[p] || decided_flags[p]) {
+        if outcome == Outcome::RoundLimit && participants.is_empty() {
             outcome = Outcome::Completed;
         }
 
@@ -659,31 +660,28 @@ pub struct LocalTransport<P: ViewProtocol> {
     base: usize,
     /// Labels of the held slots, by slot.
     labels: Vec<Label>,
-    /// Seeds `rngs` at the first compose.
-    seeds: SeedTree,
+    /// Seeds `rngs`; the first compose takes it.
+    seeds: Option<SeedTree>,
     clusters: Vec<Cluster<P::View>>,
     merge: bool,
     /// Compose and apply shard count; 1 runs both inline.
     pub(crate) threads: usize,
-    /// `(label, slot)` pairs sorted by label, built once, at the first
-    /// compose, so that constructing a store sorts nothing: labels never
-    /// change, so a cluster's label-ordered ball list is this sequence
-    /// filtered by membership (order-preserving) — no per-round sort.
-    by_label: Vec<(Label, ProcId)>,
-    /// Per-process RNG streams, parallel to `by_label` and seeded with
-    /// it.
+    /// The held slots' labels, ascending: built at the first compose (so
+    /// construction sorts nothing) and left by a slot that crashes or
+    /// retires. A cluster's label-ordered ball list is this column
+    /// filtered by membership; a lone cluster's is the column itself.
+    by_label: Vec<Label>,
+    /// The slot of each entry of `by_label`.
+    slots: Vec<ProcId>,
+    /// Per-process RNG streams, parallel to `by_label`.
     rngs: Vec<SmallRng>,
-    /// Scratch, reused across rounds: slot − `base` → index of its
-    /// cluster this round (`u32::MAX` = not composing).
-    cluster_of: Vec<u32>,
-    /// Scratch: the round's ball list, cluster-major and label-ordered
-    /// within a cluster.
-    balls: Vec<Label>,
-    /// Scratch: the slot of each entry of `balls`.
-    ball_slots: Vec<ProcId>,
-    /// Scratch: where each cluster's run of `balls` ends.
-    ends: Vec<usize>,
+    /// Slot − `base` → its cluster's index, or [`GONE`] once the slot has
+    /// left; routed only in rounds with several clusters or a departure.
+    route: Vec<u32>,
 }
+
+/// The [`LocalTransport`] route of a slot that crashed or retired.
+const GONE: u32 = u32::MAX;
 
 impl<P: ViewProtocol + fmt::Debug> fmt::Debug for LocalTransport<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -734,7 +732,7 @@ impl<P: ViewProtocol> LocalTransport<P> {
             protocol,
             base,
             labels: labels.to_vec(),
-            seeds: *seeds,
+            seeds: Some(*seeds),
             clusters: vec![Cluster {
                 members: (base..base + len).map(|p| ProcId(p as u32)).collect(),
                 view,
@@ -742,41 +740,36 @@ impl<P: ViewProtocol> LocalTransport<P> {
             merge,
             threads: threads.max(1),
             by_label: Vec::new(),
+            slots: Vec::new(),
             rngs: Vec::new(),
-            cluster_of: vec![u32::MAX; len],
-            balls: Vec::new(),
-            ball_slots: Vec::new(),
-            ends: Vec::new(),
+            route: Vec::new(),
         }
     }
 
     /// Composes the broadcast of every held process and returns them in
     /// label order.
     ///
-    /// The round's balls form one list — cluster-major, label-ordered
-    /// within a cluster — with each ball's RNG stream alongside.
-    /// Contiguous chunks of the list compose sharded like apply's groups
-    /// (one chunk, inline, with one shard), one batched sweep per cluster
-    /// run inside a chunk. Per-process RNG streams make the chunking and
-    /// the cross-ball order unobservable. With one cluster the list
-    /// already is label order; with several, a second walk over the
-    /// label-sorted slots takes each ball's entry from the front of its
-    /// cluster's run.
+    /// The round's balls form one list, cluster-major and label-ordered
+    /// within a cluster, with each ball's RNG stream alongside: for a lone
+    /// cluster, the label-sorted columns themselves. With several, a
+    /// routed pass over the columns gathers each cluster's run, and a
+    /// second takes each ball's output from the front of its run.
+    /// Contiguous chunks of the list compose sharded like apply's groups,
+    /// one batched sweep per cluster run inside a chunk.
     pub(crate) fn compose_held(&mut self, round: Round) -> Vec<(ProcId, Label, P::Msg)> {
-        if self.by_label.is_empty() {
-            let base = self.base;
-            self.by_label = (base..)
-                .zip(&self.labels)
-                .map(|(slot, &label)| (label, ProcId(slot as u32)))
+        if let Some(seeds) = self.seeds.take() {
+            let (labels, base) = (&self.labels, self.base);
+            let members = self.clusters.iter().flat_map(|c| &c.members);
+            let mut held: Vec<(Label, ProcId)> = members
+                .map(|&pid| (labels[pid.index() - base], pid))
                 .collect();
             // Labels are unique, so the label alone orders the pairs.
-            self.by_label.sort_unstable_by_key(|&(label, _)| label);
-            let seeds = self.seeds;
-            self.rngs = self
-                .by_label
-                .iter()
-                .map(|&(_, pid)| seeds.process_rng(pid))
-                .collect();
+            held.sort_unstable_by_key(|&(label, _)| label);
+            (self.by_label, self.slots) = held.into_iter().unzip();
+            self.rngs = self.slots.iter().map(|&p| seeds.process_rng(p)).collect();
+        }
+        if self.clusters.len() > 1 {
+            self.route_members();
         }
         let LocalTransport {
             protocol,
@@ -784,56 +777,48 @@ impl<P: ViewProtocol> LocalTransport<P> {
             clusters,
             threads,
             by_label,
+            slots,
             rngs,
-            cluster_of,
-            balls,
-            ball_slots,
-            ends,
+            route,
             ..
         } = self;
-        let base = *base;
-        // Route each held slot to its cluster and size the clusters'
-        // runs; `ends` starts as each run's write cursor.
-        cluster_of.fill(u32::MAX);
-        ends.clear();
-        let mut total = 0;
-        for (ci, cluster) in clusters.iter().enumerate() {
-            for &pid in &cluster.members {
-                cluster_of[pid.index() - base] = ci as u32;
-            }
-            ends.push(total);
-            total += cluster.members.len();
+        let (base, total) = (*base, slots.len());
+        let mut ends = Vec::with_capacity(clusters.len());
+        for cluster in clusters.iter() {
+            ends.push(ends.last().unwrap_or(&0) + cluster.members.len());
         }
-        // One pass over the label-sorted slots places every ball in its
-        // cluster's run: filtering preserves order, so every run comes
-        // out strictly label-ascending — the batched sweep's merge-join
-        // fast path — with no per-round sort.
-        balls.resize(total, Label(0));
-        ball_slots.resize(total, ProcId(0));
-        let mut gathered: Vec<Option<&mut SmallRng>> = Vec::new();
-        gathered.resize_with(total, || None);
-        for (&(label, pid), rng) in by_label.iter().zip(rngs.iter_mut()) {
-            let ci = cluster_of[pid.index() - base];
-            if ci != u32::MAX {
-                let at = &mut ends[ci as usize];
-                balls[*at] = label;
-                ball_slots[*at] = pid;
-                gathered[*at] = Some(rng);
-                *at += 1;
+        debug_assert_eq!(ends.last().copied().unwrap_or(0), total);
+        let mut run_balls = Vec::new();
+        let (balls, mut rng_list): (&[Label], Vec<&mut SmallRng>) = if clusters.len() < 2 {
+            (by_label, rngs.iter_mut().collect())
+        } else {
+            // Filtering preserves order: every run comes out strictly
+            // label-ascending, the batched sweep's merge-join fast path.
+            let mut at: Vec<usize> = [0].into_iter().chain(ends.iter().copied()).collect();
+            run_balls.resize(total, Label(0));
+            let mut gathered: Vec<Option<&mut SmallRng>> = Vec::new();
+            gathered.resize_with(total, || None);
+            for ((&label, &pid), rng) in by_label.iter().zip(slots.iter()).zip(rngs) {
+                let i = &mut at[route[pid.index() - base] as usize];
+                (run_balls[*i], gathered[*i]) = (label, Some(rng));
+                *i += 1;
             }
-        }
-        let mut rng_list: Vec<&mut SmallRng> = gathered.into_iter().flatten().collect();
-        debug_assert_eq!(rng_list.len(), total, "every held slot has one RNG");
+            (&run_balls, gathered.into_iter().flatten().collect())
+        };
 
         // Composes list positions `lo..lo + balls.len()` as one batched
         // sweep per cluster run they overlap.
         let (protocol, clusters, ends): (&P, &[Cluster<P::View>], &[usize]) =
-            (protocol, clusters, ends);
-        let compose_chunk = |lo: usize,
-                             balls: &[Label],
-                             rngs: &mut [&mut SmallRng],
-                             out: &mut Vec<(Label, P::Msg)>| {
-            let hi = lo + balls.len();
+            (protocol, clusters, &ends);
+        let chunk = total.div_ceil(*threads).max(1);
+        let mut parts: Vec<_> = balls
+            .chunks(chunk)
+            .zip(rng_list.chunks_mut(chunk))
+            .enumerate()
+            .map(|(i, (balls, rngs))| (i * chunk, balls, rngs, Vec::with_capacity(balls.len())))
+            .collect();
+        for_each_sharded(&mut parts, *threads, |(lo, balls, rngs, out)| {
+            let (lo, hi) = (*lo, *lo + balls.len());
             let mut start = 0;
             for (cluster, &end) in clusters.iter().zip(ends) {
                 let (a, b) = (start.max(lo), end.min(hi));
@@ -843,16 +828,6 @@ impl<P: ViewProtocol> LocalTransport<P> {
                 }
                 start = end;
             }
-        };
-        let chunk = total.div_ceil(*threads).max(1);
-        let mut parts: Vec<_> = balls
-            .chunks(chunk)
-            .zip(rng_list.chunks_mut(chunk))
-            .enumerate()
-            .map(|(i, (balls, rngs))| (i * chunk, balls, rngs, Vec::with_capacity(balls.len())))
-            .collect();
-        for_each_sharded(&mut parts, *threads, |(lo, balls, rngs, out)| {
-            compose_chunk(*lo, balls, rngs, out);
         });
         // Chunk order is list order, whatever the thread scheduling; the
         // first chunk's output is kept, so one chunk is never copied.
@@ -860,84 +835,73 @@ impl<P: ViewProtocol> LocalTransport<P> {
         let mut composed = parts.next().unwrap_or_default();
         composed.reserve(total - composed.len());
         parts.for_each(|part| composed.extend(part));
-
         if ends.len() < 2 {
-            return ball_slots
-                .iter()
-                .zip(composed)
-                .map(|(&pid, (label, msg))| (pid, label, msg))
-                .collect();
+            let out = slots.iter().zip(composed);
+            return out.map(|(&pid, (label, msg))| (pid, label, msg)).collect();
         }
-        // Several runs, each label-ascending: split the list into one
-        // iterator per run, then walk the label-sorted slots again and
-        // take each composing slot's entry from the front of its run.
         let mut runs = Vec::with_capacity(ends.len());
         for w in ends.windows(2).rev() {
             runs.push(composed.split_off(w[0]).into_iter());
         }
         runs.push(composed.into_iter());
         runs.reverse();
-        by_label
-            .iter()
-            .filter_map(|&(_, pid)| {
-                let run = runs.get_mut(cluster_of[pid.index() - base] as usize)?;
-                let (label, msg) = run.next()?;
-                Some((pid, label, msg))
-            })
-            .collect()
+        let next = |&pid: &ProcId| {
+            let (label, msg) = runs[route[pid.index() - base] as usize].next()?;
+            Some((pid, label, msg))
+        };
+        slots.iter().filter_map(next).collect()
     }
 
-    /// Folds one round into the views. Each cluster's members split by
-    /// delivery signature (`sig_of`; `None` drops a member that
-    /// crashed) into (cluster × signature) groups: the last group of a
-    /// cluster takes the cluster's view, only the others clone it.
+    /// Folds one round into the views. `sig_of` names the delivery
+    /// signature of `heard` of the held slots; a slot it does not name
+    /// crashed. If it names every one and there is one inbox, each
+    /// cluster folds it whole, with no per-member lookup. Otherwise each
+    /// cluster splits by signature into groups (the last takes the view,
+    /// the others clone it) and the crashed leave the store.
     ///
     /// With `merge` and more than one group, the round runs prune →
-    /// coalesce → fold → merge: every group prunes its view against its
-    /// own inbox ([`ViewProtocol::remove_silent`]), groups with the same
-    /// signature and equal pruned views coalesce, each distinct
-    /// (signature, view) pair folds `inboxes[sig]` once, and equal views
-    /// re-coalesce after the fold. Without `merge` (the per-process
-    /// reference) every group folds its own view and nothing re-merges.
-    /// Pruning and folding are sharded like compose's chunks.
+    /// coalesce → fold → merge: each group prunes its view against its
+    /// own inbox ([`ViewProtocol::remove_silent`]), equal (signature,
+    /// pruned view) pairs coalesce and fold `inboxes[sig]` once, and
+    /// equal views re-coalesce after the fold. Without `merge` (the
+    /// per-process reference) every group folds its own view. Pruning and
+    /// folding are sharded like compose's chunks.
     pub(crate) fn apply_groups(
         &mut self,
         round: Round,
+        heard: usize,
         sig_of: impl Fn(ProcId) -> Option<SigId>,
         inboxes: &[RoundInbox<'_, P::Msg>],
     ) {
+        let held: usize = self.clusters.iter().map(|c| c.members.len()).sum();
         let mut items: Vec<(SigId, Cluster<P::View>)> = Vec::with_capacity(self.clusters.len());
-        for Cluster { mut members, view } in self.clusters.drain(..) {
-            let mut sigs = members.iter().filter_map(|&m| sig_of(m));
-            let Some(first) = sigs.next() else {
-                // Every member crashed: the view goes with them.
-                continue;
-            };
-            if sigs.all(|sig| sig == first) {
-                // The common, failure-free case: every live member hears
-                // the same inbox, so the view moves without a clone.
-                members.retain(|&m| sig_of(m).is_some());
-                items.push((first, Cluster { members, view }));
-                continue;
-            }
-            let mut groups: BTreeMap<SigId, Vec<ProcId>> = BTreeMap::new();
-            for m in members {
-                if let Some(sig) = sig_of(m) {
-                    groups.entry(sig).or_default().push(m);
+        if heard == held && inboxes.len() == 1 {
+            items.extend(self.clusters.drain(..).map(|cluster| (0, cluster)));
+        } else {
+            for Cluster { members, view } in self.clusters.drain(..) {
+                let mut groups: BTreeMap<SigId, Vec<ProcId>> = BTreeMap::new();
+                for m in members {
+                    if let Some(sig) = sig_of(m) {
+                        groups.entry(sig).or_default().push(m);
+                    }
                 }
-            }
-            let last = groups.pop_last();
-            for (sig, members) in groups {
-                let view = view.clone();
-                items.push((sig, Cluster { members, view }));
-            }
-            if let Some((sig, members)) = last {
-                items.push((sig, Cluster { members, view }));
+                // With no group left, every member crashed and the view
+                // goes with them.
+                let last = groups.pop_last();
+                for (sig, members) in groups {
+                    let view = view.clone();
+                    items.push((sig, Cluster { members, view }));
+                }
+                if let Some((sig, members)) = last {
+                    items.push((sig, Cluster { members, view }));
+                }
             }
         }
 
+        // A lone group has nothing to prune against or merge with.
         let (protocol, threads) = (&self.protocol, self.threads);
-        if self.merge && items.len() > 1 {
+        let split = self.merge && items.len() > 1;
+        if split {
             for_each_sharded(&mut items, threads, |(sig, cluster)| {
                 protocol.remove_silent(&mut cluster.view, round, inboxes[*sig as usize]);
             });
@@ -950,18 +914,19 @@ impl<P: ViewProtocol> LocalTransport<P> {
         // Items keep their order (cluster-major, then signature) whatever
         // the sharding; the coalescing pass is order-independent.
         let next = items.into_iter().map(|(_, c)| c);
-        self.clusters = if self.merge {
+        self.clusters = if split {
             merge_clusters(next)
         } else {
             next.collect()
         };
+        self.forget_departed();
     }
 
     /// Reads the [`Status`] of every held process and retires the
     /// decided ones. Statuses come cluster by cluster, each cluster's in
     /// slot order.
     pub(crate) fn sweep_held(&mut self, round: Round) -> Vec<(ProcId, Status)> {
-        let mut statuses = Vec::new();
+        let mut statuses = Vec::with_capacity(self.slots.len());
         let LocalTransport {
             protocol,
             base,
@@ -978,8 +943,42 @@ impl<P: ViewProtocol> LocalTransport<P> {
             });
         }
         clusters.retain(|c| !c.members.is_empty());
+        self.forget_departed();
         statuses
     }
+
+    /// Drops every slot that left the clusters (crashed or retired) from
+    /// the label-sorted columns, in one pass made only when someone left.
+    fn forget_departed(&mut self) {
+        let held: usize = self.clusters.iter().map(|c| c.members.len()).sum();
+        if held < self.slots.len() {
+            self.route_members();
+            let (route, base) = (&self.route, self.base);
+            let keep = self.slots.iter().map(|p| route[p.index() - base] < GONE);
+            let keep: Vec<bool> = keep.collect();
+            retain_flagged(&mut self.by_label, &keep);
+            retain_flagged(&mut self.slots, &keep);
+            retain_flagged(&mut self.rngs, &keep);
+        }
+    }
+
+    /// Routes every held slot to its cluster's index and every other
+    /// slot to [`GONE`].
+    fn route_members(&mut self) {
+        self.route.clear();
+        self.route.resize(self.labels.len(), GONE);
+        for (ci, cluster) in self.clusters.iter().enumerate() {
+            for p in &cluster.members {
+                self.route[p.index() - self.base] = ci as u32;
+            }
+        }
+    }
+}
+
+/// Keeps the entries of `column` whose flag in `keep` is set.
+fn retain_flagged<T>(column: &mut Vec<T>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    column.retain(|_| flags.next() == Some(&true));
 }
 
 impl<P: ViewProtocol> Transport<P> for LocalTransport<P> {
@@ -997,7 +996,7 @@ impl<P: ViewProtocol> Transport<P> for LocalTransport<P> {
         &mut self,
         round: Round,
         alive: &[bool],
-        _survivors: &[ProcId],
+        survivors: &[ProcId],
         msgs: &RoundMessages<P::Msg>,
     ) -> Result<(), RunError> {
         let inboxes: Vec<RoundInbox<'_, P::Msg>> = (0..msgs.variant_count() as SigId)
@@ -1005,6 +1004,7 @@ impl<P: ViewProtocol> Transport<P> for LocalTransport<P> {
             .collect();
         self.apply_groups(
             round,
+            survivors.len(),
             |m| alive[m.index()].then(|| msgs.sig_id(m)),
             &inboxes,
         );

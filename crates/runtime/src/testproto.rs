@@ -131,6 +131,43 @@ impl ViewProtocol for UnionRank {
     }
 }
 
+/// [`UnionRank`] whose processes retire in different rounds: label `l`
+/// decides its rank at the end of round `rounds − 1 − l mod rounds`, so
+/// a run of `rounds` rounds retires processes in each of them and the
+/// executors' stores lose members while others keep composing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StaggeredRank(pub UnionRank);
+
+impl ViewProtocol for StaggeredRank {
+    type Msg = LabelSet;
+    type View = Vec<Label>;
+
+    fn init_view(&self, n: usize) -> Self::View {
+        self.0.init_view(n)
+    }
+
+    fn compose(
+        &self,
+        view: &Self::View,
+        ball: Label,
+        round: Round,
+        rng: &mut SmallRng,
+    ) -> LabelSet {
+        self.0.compose(view, ball, round, rng)
+    }
+
+    fn apply(&self, view: &mut Self::View, round: Round, inbox: RoundInbox<'_, LabelSet>) {
+        self.0.apply(view, round, inbox);
+    }
+
+    fn status(&self, view: &Self::View, ball: Label, round: Round) -> Status {
+        // Shifted by `l mod rounds`, round `rounds − 1 − l mod rounds`
+        // reads as [`UnionRank`]'s deciding round.
+        self.0
+            .status(view, ball, Round(round.0 + ball.0 % self.0.rounds))
+    }
+}
+
 /// A message whose encoding deliberately fails to decode: `encode` emits
 /// a byte that `decode` rejects as [`WireError::BadTag`]. Used to
 /// exercise the wire executors' structured decode-error paths (a
@@ -232,6 +269,23 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let LabelSet(m) = p.compose(&view, Label(2), Round(1), &mut rng);
         assert_eq!(m, vec![Label(2), Label(5)]);
+    }
+
+    #[test]
+    fn staggered_rank_decides_label_l_at_round_rounds_minus_1_minus_l_mod_rounds() {
+        let p = StaggeredRank(UnionRank::rounds(3));
+        let view: Vec<Label> = (0..6).map(Label).collect();
+        for l in 0..6u64 {
+            let decides_at = 2 - l % 3;
+            for r in 0..4 {
+                let status = p.status(&view, Label(l), Round(r));
+                assert_eq!(
+                    status == Status::Running,
+                    r < decides_at,
+                    "label {l}, round {r}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -188,7 +188,8 @@ fn deliver<P: ViewProtocol>(
     let inboxes: Vec<RoundInbox<'_, P::Msg>> =
         groups.iter().map(|(_, inbox)| inbox.as_inbox()).collect();
     let sig = |p: ProcId| Some(sig_of[p.index() - range.start]).filter(|&s| s != SigId::MAX);
-    local.apply_groups(round, sig, &inboxes);
+    let heard = groups.iter().map(|(dsts, _)| dsts.len()).sum();
+    local.apply_groups(round, heard, sig, &inboxes);
     let mut statuses: Statuses = local
         .sweep_held(round)
         .into_iter()

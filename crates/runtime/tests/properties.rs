@@ -7,12 +7,13 @@ use bil_runtime::engine::EngineOptions;
 use bil_runtime::error::RunError;
 use bil_runtime::frame::{read_frame, write_frame};
 use bil_runtime::parallel::ParallelTransport;
-use bil_runtime::pipeline::RoundPipeline;
-use bil_runtime::socket::SocketOptions;
-use bil_runtime::testproto::{LabelSet, RankOnce, UnionRank};
-use bil_runtime::view::NoObserver;
+use bil_runtime::pipeline::{LocalTransport, RoundMessages, RoundPipeline, Transport};
+use bil_runtime::socket::{SocketOptions, SocketTransport};
+use bil_runtime::testproto::{LabelSet, RankOnce, StaggeredRank, UnionRank};
+use bil_runtime::threaded::ChannelTransport;
+use bil_runtime::view::{NoObserver, Observer, ObserverCtx, Status, ViewProtocol};
 use bil_runtime::wire::Wire;
-use bil_runtime::{ExecutorKind, Label, Round, SeedTree};
+use bil_runtime::{ExecutorKind, Label, ProcId, Round, RunReport, SeedTree};
 use bytes::{BufMut, BytesMut};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader};
@@ -54,13 +55,221 @@ fn labels(n: usize) -> Vec<Label> {
     (0..n as u64).map(|i| Label(i * 17 + 11)).collect()
 }
 
+/// Wire executors over two workers, so their per-worker grouping and
+/// merges run even on single-core machines.
+fn two_workers() -> SocketOptions {
+    SocketOptions {
+        workers: Some(2),
+        ..SocketOptions::default()
+    }
+}
+
+/// Runs `protocol` under `schedule` on every executor, the parallel one
+/// also over three shards, and asserts that every report equals the
+/// clustered engine's.
+fn executors_agree_on<P>(protocol: P, n: usize, seed: u64, schedule: &[ScriptedCrash])
+where
+    P: ViewProtocol + Clone + Send + 'static,
+{
+    let two_workers = EngineOptions {
+        wire: two_workers(),
+        ..EngineOptions::default()
+    };
+    let run = |kind: ExecutorKind| {
+        let adversary = Scripted::new(schedule.to_vec());
+        let seeds = SeedTree::new(seed);
+        let report = kind.run(protocol.clone(), labels(n), adversary, seeds, two_workers);
+        report.unwrap()
+    };
+    let clustered = run(ExecutorKind::Clustered);
+    for kind in ExecutorKind::ALL {
+        assert_eq!(&clustered, &run(kind), "{kind}");
+    }
+    let (seeds, ls) = (SeedTree::new(seed), labels(n));
+    let mut transport = ParallelTransport::with_threads(protocol, &ls, &seeds, 3);
+    let parallel = RoundPipeline::new(
+        ls,
+        Scripted::new(schedule.to_vec()),
+        seeds,
+        8 * n as u64 + 64,
+    )
+    .unwrap()
+    .run(&mut transport, &mut NoObserver)
+    .unwrap();
+    assert_eq!(&clustered, &parallel, "parallel over three shards");
+}
+
+/// Forwards every call to `inner` and recounts, apart from the
+/// pipeline, what each round sends and delivers: participants × (n − 1)
+/// messages, Σ encoded length × (n − 1) bytes, and Σ over the survivors
+/// (the participants minus the round's crashes) of their inbox length
+/// − 1 deliveries.
+struct Recount<T> {
+    inner: T,
+    n: u64,
+    participants: Vec<ProcId>,
+    crashed: Vec<ProcId>,
+    sent: u64,
+    bytes: u64,
+    delivered: u64,
+    /// Rounds with a crash but a single delivery signature.
+    silent_crash_rounds: usize,
+}
+
+impl<P: ViewProtocol, T: Transport<P>> Transport<P> for Recount<T> {
+    fn compose(
+        &mut self,
+        round: Round,
+        participants: &[ProcId],
+    ) -> Result<Vec<(ProcId, Label, P::Msg)>, RunError> {
+        let out = self.inner.compose(round, participants)?;
+        let fanout = self.n - 1;
+        self.sent += participants.len() as u64 * fanout;
+        self.bytes += out
+            .iter()
+            .map(|(_, _, m)| m.encoded_len() as u64)
+            .sum::<u64>()
+            * fanout;
+        self.participants = participants.to_vec();
+        self.crashed.clear();
+        Ok(out)
+    }
+
+    fn crashed(&mut self, pid: ProcId) -> Result<(), RunError> {
+        self.crashed.push(pid);
+        self.inner.crashed(pid)
+    }
+
+    fn apply(
+        &mut self,
+        round: Round,
+        alive: &[bool],
+        survivors: &[ProcId],
+        msgs: &RoundMessages<P::Msg>,
+    ) -> Result<(), RunError> {
+        let participants = self.participants.iter().copied();
+        let expected: Vec<ProcId> = participants.filter(|p| !self.crashed.contains(p)).collect();
+        assert_eq!(survivors, expected, "{round}: survivors");
+        for &dst in survivors {
+            self.delivered += msgs.inbox(dst).len() as u64 - 1;
+        }
+        if !self.crashed.is_empty() && msgs.variant_count() == 1 {
+            self.silent_crash_rounds += 1;
+        }
+        self.inner.apply(round, alive, survivors, msgs)
+    }
+
+    fn observe(&mut self, ctx: ObserverCtx<'_>, observer: &mut dyn Observer<P>) {
+        self.inner.observe(ctx, observer);
+    }
+
+    fn sweep(&mut self, round: Round) -> Result<Vec<(ProcId, Status)>, RunError> {
+        self.inner.sweep(round)
+    }
+
+    fn shutdown(&mut self) {
+        self.inner.shutdown();
+    }
+}
+
+/// Runs `UnionRank::rounds(5)` over `n` processes under `schedule` on
+/// every executor, each transport wrapped in a [`Recount`], and asserts
+/// that every report's accounting equals the recount. Returns the
+/// clustered report and how many rounds crashed someone while every
+/// survivor heard the same inbox.
+fn recounted(n: usize, seed: u64, schedule: &[ScriptedCrash]) -> (RunReport, usize) {
+    let (p, ls, seeds) = (UnionRank::rounds(5), labels(n), SeedTree::new(seed));
+    fn run<T: Transport<UnionRank>>(
+        inner: T,
+        ls: &[Label],
+        seeds: SeedTree,
+        schedule: &[ScriptedCrash],
+    ) -> (RunReport, usize) {
+        let n = ls.len() as u64;
+        let mut t = Recount {
+            inner,
+            n,
+            participants: Vec::new(),
+            crashed: Vec::new(),
+            sent: 0,
+            bytes: 0,
+            delivered: 0,
+            silent_crash_rounds: 0,
+        };
+        let adversary = Scripted::new(schedule.to_vec());
+        let report = RoundPipeline::new(ls.to_vec(), adversary, seeds, 8 * n + 64)
+            .unwrap()
+            .run(&mut t, &mut NoObserver)
+            .unwrap();
+        assert_eq!(report.messages_sent, t.sent, "messages sent");
+        assert_eq!(report.wire_bytes_sent, t.bytes, "wire bytes sent");
+        assert_eq!(report.messages_delivered, t.delivered, "messages delivered");
+        (report, t.silent_crash_rounds)
+    }
+    let socket = SocketTransport::spawn(&p, &ls, &seeds, two_workers()).unwrap();
+    let reference = run(
+        LocalTransport::clustered(p, &ls, &seeds),
+        &ls,
+        seeds,
+        schedule,
+    );
+    let others = [
+        run(
+            LocalTransport::per_process(p, &ls, &seeds),
+            &ls,
+            seeds,
+            schedule,
+        ),
+        run(
+            ParallelTransport::with_threads(p, &ls, &seeds, 3),
+            &ls,
+            seeds,
+            schedule,
+        ),
+        run(
+            ChannelTransport::spawn_with(&p, &ls, &seeds, two_workers()),
+            &ls,
+            seeds,
+            schedule,
+        ),
+        run(socket, &ls, seeds, schedule),
+    ];
+    for other in others {
+        assert_eq!(other, reference);
+    }
+    reference
+}
+
+#[test]
+fn accounting_is_exact_when_a_crash_reaches_nobody() {
+    // Round 1 crashes one process whose broadcast reaches nobody
+    // (modulus 0): a crash, yet every survivor hears one inbox. Each
+    // recipient's count then comes from one signature's inbox, which
+    // holds one broadcast fewer than the round composed.
+    let silent = ScriptedCrash {
+        round: Round(1),
+        victim_index: 2,
+        modulus: 0,
+        residue: 0,
+    };
+    let (report, silent_rounds) = recounted(7, 5, &[silent]);
+    assert_eq!(report.failures(), 1);
+    assert_eq!(silent_rounds, 1, "round 1 crashed with one signature");
+    // Round 0: 7 × 6 sent and delivered; round 1: 7 × 6 sent, 6 × 5
+    // delivered; rounds 2–4: 6 × 6 sent, 6 × 5 delivered.
+    assert_eq!(report.messages_sent, 42 + 42 + 3 * 36);
+    assert_eq!(report.messages_delivered, 42 + 30 + 3 * 30);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The five executors agree bit-for-bit on every run. The parallel
     /// executor also runs with a forced shard count > 1, and both wire
     /// executors with a forced worker count > 1, so their fan-out/merge
-    /// paths are exercised even on single-core CI machines.
+    /// paths are exercised even on single-core CI machines. The second
+    /// protocol retires its processes in different rounds, so the stores
+    /// drop retired slots mid-run, beside the crashed ones.
     #[test]
     fn executors_agree(
         n in 1usize..10,
@@ -68,35 +277,8 @@ proptest! {
         seed in any::<u64>(),
         schedule in schedules(),
     ) {
-        let two_workers = EngineOptions {
-            wire: SocketOptions { workers: Some(2), ..SocketOptions::default() },
-            ..EngineOptions::default()
-        };
-        let run = |kind: ExecutorKind| {
-            kind.run(
-                UnionRank::rounds(rounds),
-                labels(n),
-                Scripted::new(schedule.clone()),
-                SeedTree::new(seed),
-                two_workers,
-            )
-            .unwrap()
-        };
-        let clustered = run(ExecutorKind::Clustered);
-        for kind in ExecutorKind::ALL {
-            prop_assert_eq!(&clustered, &run(kind), "{}", kind);
-        }
-        let parallel = {
-            let seeds = SeedTree::new(seed);
-            let ls = labels(n);
-            let mut transport =
-                ParallelTransport::with_threads(UnionRank::rounds(rounds), &ls, &seeds, 3);
-            RoundPipeline::new(ls, Scripted::new(schedule.clone()), seeds, 8 * n as u64 + 64)
-                .unwrap()
-                .run(&mut transport, &mut NoObserver)
-                .unwrap()
-        };
-        prop_assert_eq!(&clustered, &parallel);
+        executors_agree_on(UnionRank::rounds(rounds), n, seed, &schedule);
+        executors_agree_on(StaggeredRank(UnionRank::rounds(rounds)), n, seed, &schedule);
     }
 
     /// Crash semantics: the engine crashes at most the budget, never the
@@ -131,22 +313,16 @@ proptest! {
         prop_assert!(report.failures() < n.max(1));
     }
 
-    /// Message accounting: sends are exactly (participants per round) ×
-    /// (n − 1); deliveries never exceed sends.
+    /// Message accounting, exactly, on every executor: each report's
+    /// sends, bytes and deliveries equal a per-round recount made by a
+    /// wrapping transport. Deliveries never exceed sends.
     #[test]
-    fn accounting_bounds(
+    fn accounting_is_exact(
         n in 1usize..12,
         seed in any::<u64>(),
         schedule in schedules(),
     ) {
-        let report = ExecutorKind::Clustered.run(
-            UnionRank::rounds(5),
-            labels(n),
-            Scripted::new(schedule),
-            SeedTree::new(seed),
-            EngineOptions::default(),
-        )
-        .unwrap();
+        let (report, _) = recounted(n, seed, &schedule);
         prop_assert!(report.messages_delivered <= report.messages_sent);
         // Upper bound: everyone broadcasting every round.
         prop_assert!(report.messages_sent <= report.rounds * (n as u64) * (n as u64).saturating_sub(1));
